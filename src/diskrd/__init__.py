@@ -41,22 +41,18 @@ from .solver import (
     SolverConfig,
     SpectralIntegrator,
     fd_stability_limit,
-    initialize_history,
     integrate,
     integrate_fd,
     reference_fd_step,
-    step,
 )
 from .transform import (
     DiskField,
     DiskGrid,
     DiskTransform,
     SpectralField,
-    analyze,
     analyze_radial,
     build_bases,
     default_grid,
-    synthesize,
     synthesize_on,
     synthesize_radial,
 )

@@ -82,50 +82,35 @@ DEFAULTS: dict[str, str] = {
     "preset": "",
 }
 
+# Model, initial patch and stepping shared by both bundled experiments.
+_PRESET_BASE: dict[str, str] = {
+    "bc": "zero_flux",
+    "diffusion": "5.0",
+    "mortality": "0.01",
+    "survival": "0.1",
+    "spread": "0.1",
+    "delay": "1.0",
+    "radius": "1.0",
+    "forcing_constant": "1.0",
+    "forcing_mode_k": "3.8317",
+    "forcing_exponent_linear": "false",
+    "w0_kind": "trig_patch",
+    "w0_base": "0.2",
+    "w0_amp": "0.02",
+    "w0_kx": "3.0",
+    "w0_ky": "2.0",
+    "dt": "0.01",
+    "t_end": "400.0",
+}
+
 PRESETS: dict[str, dict[str, str]] = {
-    "fig2_extinction": {
-        "variant": "mode_forced",
-        "bc": "zero_flux",
-        "diffusion": "5.0",
-        "mortality": "0.01",
-        "survival": "0.1",
-        "spread": "0.1",
-        "delay": "1.0",
-        "radius": "1.0",
-        "birth": "none",
-        "forcing_constant": "1.0",
-        "forcing_mode_k": "3.8317",
-        "forcing_exponent_linear": "false",
-        "w0_kind": "trig_patch",
-        "w0_base": "0.2",
-        "w0_amp": "0.02",
-        "w0_kx": "3.0",
-        "w0_ky": "2.0",
-        "dt": "0.01",
-        "t_end": "400.0",
-    },
+    "fig2_extinction": {**_PRESET_BASE, "variant": "mode_forced", "birth": "none"},
     "fig3_establishment": {
+        **_PRESET_BASE,
         "variant": "mode_forced_birth",
-        "bc": "zero_flux",
-        "diffusion": "5.0",
-        "mortality": "0.01",
-        "survival": "0.1",
-        "spread": "0.1",
-        "delay": "1.0",
-        "radius": "1.0",
         "birth": "ricker_quadratic",
         "birth_scale": "0.25",
         "birth_decay": "0.1",
-        "forcing_constant": "1.0",
-        "forcing_mode_k": "3.8317",
-        "forcing_exponent_linear": "false",
-        "w0_kind": "trig_patch",
-        "w0_base": "0.2",
-        "w0_amp": "0.02",
-        "w0_kx": "3.0",
-        "w0_ky": "2.0",
-        "dt": "0.01",
-        "t_end": "400.0",
     },
 }
 
@@ -252,36 +237,48 @@ def _build_run(resolved):
     variant_name = resolved["variant"].lower()
     if variant_name not in _VARIANTS:
         raise ConfigError(f"config key variant: unknown variant {variant_name!r}")
-    forcing_value = _to_float(resolved, "forcing_constant")
-    spec = ModelSpec(
-        variant=_VARIANTS[variant_name],
-        diffusion=_to_float(resolved, "diffusion"),
-        mortality=_to_float(resolved, "mortality"),
-        survival=_to_float(resolved, "survival"),
-        spread=_to_float(resolved, "spread"),
-        delay=_to_float(resolved, "delay"),
-        radius=_to_float(resolved, "radius"),
-        bc=_parse_bc(resolved),
-        birth=_parse_birth(resolved),
-        forcing=(lambda t: forcing_value),
-        forcing_mode_k=_to_float(resolved, "forcing_mode_k"),
-        forcing_exponent_linear=_to_bool(resolved, "forcing_exponent_linear"),
-        n_max=_to_int(resolved, "n_max"),
-        j_max=_to_int(resolved, "j_max"),
-    )
     scheme_name = resolved["scheme"].lower()
     schemes = {s.value: s for s in Scheme}
     if scheme_name not in schemes:
         raise ConfigError(f"config key scheme: unknown scheme {scheme_name!r}")
-    config = SolverConfig(
-        dt=_to_float(resolved, "dt"),
-        t_end=_to_float(resolved, "t_end"),
-        scheme=schemes[scheme_name],
-        snapshot_every=_to_int(resolved, "snapshot_every"),
-        convergence_tol=_to_float(resolved, "convergence_tol"),
-        fd_n_r=_to_int(resolved, "fd_n_r"),
-        fd_n_theta=_to_int(resolved, "fd_n_theta"),
-    )
+    forcing_value = _to_float(resolved, "forcing_constant")
+    try:
+        spec = ModelSpec(
+            variant=_VARIANTS[variant_name],
+            diffusion=_to_float(resolved, "diffusion"),
+            mortality=_to_float(resolved, "mortality"),
+            survival=_to_float(resolved, "survival"),
+            spread=_to_float(resolved, "spread"),
+            delay=_to_float(resolved, "delay"),
+            radius=_to_float(resolved, "radius"),
+            bc=_parse_bc(resolved),
+            birth=_parse_birth(resolved),
+            forcing=(lambda t: forcing_value),
+            forcing_mode_k=_to_float(resolved, "forcing_mode_k"),
+            forcing_exponent_linear=_to_bool(resolved, "forcing_exponent_linear"),
+            n_max=_to_int(resolved, "n_max"),
+            j_max=_to_int(resolved, "j_max"),
+        )
+        config = SolverConfig(
+            dt=_to_float(resolved, "dt"),
+            t_end=_to_float(resolved, "t_end"),
+            scheme=schemes[scheme_name],
+            snapshot_every=_to_int(resolved, "snapshot_every"),
+            convergence_tol=_to_float(resolved, "convergence_tol"),
+            fd_n_r=_to_int(resolved, "fd_n_r"),
+            fd_n_theta=_to_int(resolved, "fd_n_theta"),
+        )
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        # Model, solver, birth-law and boundary-condition checks.
+        raise ConfigError(f"invalid config: {exc}") from None
+    forced = spec.variant in (Variant.MODE_FORCED, Variant.MODE_FORCED_BIRTH)
+    if config.scheme is Scheme.REFERENCE_FD and not forced and spec.delay > 0.0:
+        raise ConfigError(
+            "config key delay: the reference_fd scheme runs maturation variants "
+            "only with delay = 0"
+        )
     return spec, config
 
 

@@ -47,8 +47,6 @@ __all__ = [
     "BlowUpError",
     "SpectralIntegrator",
     "resolve_time_step",
-    "initialize_history",
-    "step",
     "integrate",
     "FDGrid",
     "fd_stability_limit",
@@ -58,6 +56,7 @@ __all__ = [
 ]
 
 CONVERGED_STREAK = 100
+_FORCED = (Variant.MODE_FORCED, Variant.MODE_FORCED_BIRTH)
 
 
 class Scheme(Enum):
@@ -107,8 +106,13 @@ class HistoryBuffer:
     dt: float
     lag_steps: int
     ring: deque
-    t_head: float
+    steps: int = 0
     prev_source: Optional[tuple[np.ndarray, np.ndarray]] = None
+
+    @property
+    def t_head(self) -> float:
+        """Time of the head state; a step count times dt, so it never drifts."""
+        return self.steps * self.dt
 
     def head(self) -> SpectralField:
         return self.ring[-1]
@@ -121,7 +125,7 @@ class HistoryBuffer:
         self.ring.append(state)
         while len(self.ring) > self.lag_steps + 1:
             self.ring.popleft()
-        self.t_head += self.dt
+        self.steps += 1
 
 
 class BlowUpError(RuntimeError):
@@ -172,13 +176,9 @@ class SpectralIntegrator:
         phi = _phi1(self.rates, self.dt)
         self._phi_a = phi
         self._phi_b = phi[1:]
-        self._needs_lagged = spec.variant in (
-            Variant.FULL_DIRICHLET,
-            Variant.FULL_ZERO_FLUX,
-            Variant.RADIAL,
-        )
+        self._needs_lagged = spec.variant not in _FORCED
         self._unit_forcing = None
-        if spec.variant in (Variant.MODE_FORCED, Variant.MODE_FORCED_BIRTH):
+        if spec.variant in _FORCED:
             self._unit_forcing = forcing_profile(spec, self.grid)
         self._norm_stack = np.stack([basis.norms for basis in self.bases])
 
@@ -190,7 +190,7 @@ class SpectralIntegrator:
             t = -self.spec.delay + i * self.dt
             values = np.asarray(w0(t, r, th), dtype=float) + np.zeros_like(r)
             states.append(self.transform.analyze(DiskField(self.grid, values)))
-        return HistoryBuffer(dt=self.dt, lag_steps=self.lag_steps, ring=states, t_head=0.0)
+        return HistoryBuffer(dt=self.dt, lag_steps=self.lag_steps, ring=states)
 
     def _source(self, t: float, state: SpectralField, lagged: SpectralField):
         lagged_field = self.transform.synthesize(lagged) if self._needs_lagged else None
@@ -207,7 +207,13 @@ class SpectralIntegrator:
     def step(self, buffer: HistoryBuffer, step_index: int = 0) -> HistoryBuffer:
         """Advance one dt; the first step uses the one-step Euler weights."""
         state = buffer.head()
-        src_a, src_b = self._source(buffer.t_head, state, buffer.lagged())
+        try:
+            # A birth law can overflow inside one step; report that as a
+            # blow-up rather than as an invalid intermediate field.
+            with np.errstate(over="raise", invalid="raise"):
+                src_a, src_b = self._source(buffer.t_head, state, buffer.lagged())
+        except FloatingPointError:
+            raise BlowUpError((buffer.steps + 1) * self.dt, step_index, math.inf) from None
         if buffer.prev_source is None:
             stage_a, stage_b = src_a, src_b
         else:
@@ -219,72 +225,71 @@ class SpectralIntegrator:
         new_state = SpectralField(self.bases, new_a, new_b)
         peak = new_state.max_abs()
         if not np.isfinite(peak) or peak > self.config.blowup_threshold:
-            raise BlowUpError(buffer.t_head + self.dt, step_index, peak)
+            raise BlowUpError((buffer.steps + 1) * self.dt, step_index, peak)
         buffer.prev_source = (src_a, src_b)
         buffer.push(new_state)
         return buffer
 
     def integrate(self, w0) -> SimulationResult:
         buffer = self.initialize_history(w0)
-        n_steps = int(math.ceil(self.config.t_end / self.dt - 1e-9)) if self.config.t_end else 0
-
-        times = np.empty(n_steps + 1)
-        max_density = np.empty(n_steps + 1)
-        min_density = np.empty(n_steps + 1)
-        total_population = np.empty(n_steps + 1)
-        dwdt_norm = np.empty(n_steps + 1)
-
-        field0 = self.transform.synthesize(buffer.head())
-        times[0] = 0.0
-        max_density[0] = field0.values.max()
-        min_density[0] = field0.values.min()
-        total_population[0] = self.grid.integrate(field0.values)
-        dwdt_norm[0] = 0.0
-        snapshots = [(0.0, field0)]
-
-        converged = False
-        converged_at: Optional[float] = None
-        streak = 0
-        current = field0
+        n_steps = _step_count(self.config.t_end, self.dt)
+        recorder = _Recorder(n_steps, self.grid, self.config)
+        recorder.record(0, 0.0, self.transform.synthesize(buffer.head()), 0.0)
         for i in range(1, n_steps + 1):
-            previous_state = buffer.head()
+            previous = buffer.head()
             self.step(buffer, i)
             state = buffer.head()
-            current = self.transform.synthesize(state)
-            times[i] = buffer.t_head
-            max_density[i] = current.values.max()
-            min_density[i] = current.values.min()
-            total_population[i] = self.grid.integrate(current.values)
-            dwdt_norm[i] = self._rate_norm(
-                state.a - previous_state.a, state.b - previous_state.b
-            )
-            if dwdt_norm[i] < self.config.convergence_tol:
-                streak += 1
-                if streak >= CONVERGED_STREAK and not converged:
-                    converged = True
-                    converged_at = buffer.t_head
-            else:
-                streak = 0
-            if i % self.config.snapshot_every == 0 and i != n_steps:
-                snapshots.append((buffer.t_head, current))
-        if n_steps:
-            snapshots.append((buffer.t_head, current))
+            rate = self._rate_norm(state.a - previous.a, state.b - previous.b)
+            recorder.record(i, buffer.t_head, self.transform.synthesize(state), rate)
+        return recorder.result(buffer.head(), self.spec, self.dt)
 
+
+def _step_count(t_end: float, dt: float) -> int:
+    """Number of dt-spaced diagnostics rows after the initial one."""
+    return int(math.ceil(t_end / dt - 1e-9)) if t_end else 0
+
+
+class _Recorder:
+    """Diagnostics rows, convergence streak and snapshots of one run."""
+
+    def __init__(self, n_steps: int, grid: DiskGrid, config: SolverConfig):
+        self.n_steps = n_steps
+        self.grid = grid
+        self.config = config
+        self.rows = np.empty((5, n_steps + 1))
+        self.snapshots: list = []
+        self.converged_at: Optional[float] = None
+        self.streak = 0
+        self.last: Optional[DiskField] = None
+
+    def record(self, i: int, t: float, field: DiskField, rate: float) -> None:
+        values = field.values
+        self.rows[:, i] = (t, values.max(), values.min(), self.grid.integrate(values), rate)
+        if i > 0:
+            self.streak = self.streak + 1 if rate < self.config.convergence_tol else 0
+            if self.streak >= CONVERGED_STREAK and self.converged_at is None:
+                self.converged_at = t
+        if i == 0 or i == self.n_steps or i % self.config.snapshot_every == 0:
+            self.snapshots.append((t, field))
+        self.last = field
+
+    def result(self, final_state: SpectralField, spec: ModelSpec, dt: float) -> SimulationResult:
+        times, max_density, min_density, total_population, dwdt_norm = self.rows
         return SimulationResult(
             times=times,
             max_density=max_density,
             min_density=min_density,
             total_population=total_population,
             dwdt_norm=dwdt_norm,
-            snapshots=snapshots,
-            converged=converged,
-            converged_at=converged_at,
-            final_state=buffer.head(),
-            final_field=current,
+            snapshots=self.snapshots,
+            converged=self.converged_at is not None,
+            converged_at=self.converged_at,
+            final_state=final_state,
+            final_field=self.last,
             grid=self.grid,
-            spec=self.spec,
+            spec=spec,
             config=self.config,
-            dt=self.dt,
+            dt=dt,
         )
 
 
@@ -296,14 +301,6 @@ def _phi1(lam: np.ndarray, dt: float) -> np.ndarray:
     direct = (1.0 - np.exp(-x)) / safe
     series = dt * (1.0 - x / 2.0 + x**2 / 6.0 - x**3 / 24.0)
     return np.where(small, series, direct)
-
-
-def initialize_history(w0, spec: ModelSpec, config: SolverConfig, grid: DiskGrid | None = None) -> HistoryBuffer:
-    return SpectralIntegrator(spec, config, grid).initialize_history(w0)
-
-
-def step(buffer: HistoryBuffer, spec: ModelSpec, config: SolverConfig, grid: DiskGrid | None = None) -> HistoryBuffer:
-    return SpectralIntegrator(spec, config, grid).step(buffer)
 
 
 def integrate(spec: ModelSpec, config: SolverConfig, w0, grid: DiskGrid | None = None) -> SimulationResult:
@@ -320,89 +317,28 @@ def _integrate_reference(spec: ModelSpec, config: SolverConfig, w0) -> Simulatio
     requested dt cadence rather than every internal step.
     """
     fd = FDGrid(spec.radius, config.fd_n_r, config.fd_n_theta)
-    grid = fd.quadrature_grid()
-    # The terminal projection is a diagnostic; cap its truncation to what
-    # the mesh can resolve.
-    n_max = min(spec.n_max, (config.fd_n_theta - 2) // 2)
-    j_max = min(spec.j_max, config.fd_n_r - 2)
-    bases = build_bases(n_max, j_max, spec.radius, spec.bc)
+    stepper = _FDStepper(spec, fd)
+    transform = stepper.transform or _fd_transform(spec, fd)
+    grid = transform.grid
     dt_fd = 0.8 * fd_stability_limit(spec, fd)
     inner = max(1, math.ceil(config.dt / dt_fd - 1e-12))
     dt_fd = config.dt / inner
-    n_records = int(math.ceil(config.t_end / config.dt - 1e-9)) if config.t_end else 0
+    n_records = _step_count(config.t_end, config.dt)
 
     r, th = fd.mesh()
     values = np.asarray(w0(0.0, r, th), dtype=float) + np.zeros_like(r)
-    forced = spec.variant in (Variant.MODE_FORCED, Variant.MODE_FORCED_BIRTH)
-    local_birth = spec.variant is Variant.MODE_FORCED_BIRTH and spec.birth is not None
-    unit = spec.forcing_damping() * forcing_profile(spec, fd) if forced else None
-
-    times = np.empty(n_records + 1)
-    max_density = np.empty(n_records + 1)
-    min_density = np.empty(n_records + 1)
-    total_population = np.empty(n_records + 1)
-    dwdt_norm = np.empty(n_records + 1)
-    weights = grid.r_weights * grid.r_nodes
-
-    def record(i, t, current, rate):
-        times[i] = t
-        max_density[i] = current.max()
-        min_density[i] = current.min()
-        total_population[i] = grid.theta_spacing * float(np.dot(weights, current.sum(axis=1)))
-        dwdt_norm[i] = rate
-
-    record(0, 0.0, values, 0.0)
-    snapshots = [(0.0, DiskField(grid, values.copy()))]
-    converged = False
-    converged_at = None
-    streak = 0
-    t = 0.0
+    recorder = _Recorder(n_records, grid, config)
+    recorder.record(0, 0.0, DiskField(grid, values), 0.0)
     for i in range(1, n_records + 1):
-        for _ in range(inner):
-            if forced:
-                new = _forced_euler_update(values, spec, fd, dt_fd, t, unit, local_birth)
-            else:
-                new = reference_fd_step(values, spec, fd, dt_fd, t)
-            previous, values = values, new
-            t += dt_fd
+        for s in range((i - 1) * inner, i * inner):
+            previous, values = values, stepper(values, dt_fd, s * dt_fd)
+        t = i * inner * dt_fd
         peak = float(np.max(np.abs(values)))
         if not np.isfinite(peak) or peak > config.blowup_threshold:
             raise BlowUpError(t, i, peak)
-        diff = values - previous
-        rate = float(
-            np.sqrt(grid.theta_spacing * np.dot(weights, (diff**2).sum(axis=1)))
-        ) / dt_fd
-        record(i, t, values, rate)
-        if rate < config.convergence_tol:
-            streak += 1
-            if streak >= CONVERGED_STREAK and not converged:
-                converged = True
-                converged_at = t
-        else:
-            streak = 0
-        if i % config.snapshot_every == 0 and i != n_records:
-            snapshots.append((t, DiskField(grid, values.copy())))
-    if n_records:
-        snapshots.append((t, DiskField(grid, values.copy())))
-
-    final_field = DiskField(grid, values)
-    final_state = DiskTransform(grid, bases).analyze(final_field)
-    return SimulationResult(
-        times=times,
-        max_density=max_density,
-        min_density=min_density,
-        total_population=total_population,
-        dwdt_norm=dwdt_norm,
-        snapshots=snapshots,
-        converged=converged,
-        converged_at=converged_at,
-        final_state=final_state,
-        final_field=final_field,
-        grid=grid,
-        spec=spec,
-        config=config,
-        dt=dt_fd,
-    )
+        rate = math.sqrt(grid.integrate((values - previous) ** 2)) / dt_fd
+        recorder.record(i, t, DiskField(grid, values), rate)
+    return recorder.result(transform.analyze(recorder.last), spec, dt_fd)
 
 
 # ---------------------------------------------------------------------------
@@ -439,23 +375,6 @@ class FDGrid:
 
     def quadrature_grid(self) -> DiskGrid:
         return DiskGrid.cell_centered(self.radius, self.n_r, self.n_theta)
-
-
-def _forced_euler_update(
-    values: np.ndarray,
-    spec: ModelSpec,
-    fd: FDGrid,
-    dt: float,
-    t: float,
-    unit_forcing: np.ndarray,
-    local_birth: bool,
-) -> np.ndarray:
-    """Euler step of a forced variant with the static profile precomputed."""
-    source = spec.forcing_value(t) * unit_forcing
-    if local_birth:
-        source = source + np.asarray(spec.birth(values), dtype=float)
-    lap = fd_laplacian(values, spec, fd)
-    return values + dt * (spec.diffusion * lap - spec.mortality * values + source)
 
 
 def fd_stability_limit(spec: ModelSpec, fd: FDGrid) -> float:
@@ -510,6 +429,63 @@ def fd_laplacian(values: np.ndarray, spec: ModelSpec, fd: FDGrid) -> np.ndarray:
     return radial + angular
 
 
+def _fd_transform(spec: ModelSpec, fd: FDGrid) -> DiskTransform:
+    """Transform on the FD midpoint mesh, truncated to what the mesh resolves."""
+    n_max = min(spec.n_max, (fd.n_theta - 2) // 2)
+    j_max = min(spec.j_max, fd.n_r - 2)
+    bases = build_bases(n_max, j_max, spec.radius, spec.bc)
+    return DiskTransform(fd.quadrature_grid(), bases)
+
+
+class _FDStepper:
+    """Forward-Euler update on one FD mesh with the static source pieces built once.
+
+    Forced variants scale the damped seeded-mode profile by f(t); the
+    maturation variants evaluate the spectral kernel through a transform
+    on the midpoint mesh.
+    """
+
+    def __init__(self, spec: ModelSpec, fd: FDGrid):
+        self.spec = spec
+        self.fd = fd
+        self.transform: Optional[DiskTransform] = None
+        if spec.variant in _FORCED:
+            self._unit = spec.forcing_damping() * forcing_profile(spec, fd)
+        else:
+            self.transform = _fd_transform(spec, fd)
+
+    def __call__(
+        self, values: np.ndarray, dt: float, t: float, lagged: np.ndarray | None = None
+    ) -> np.ndarray:
+        spec = self.spec
+        if spec.variant in _FORCED:
+            source = spec.forcing_value(t) * self._unit
+            if spec.variant is Variant.MODE_FORCED_BIRTH and spec.birth is not None:
+                source = source + np.asarray(spec.birth(values), dtype=float)
+        else:
+            if lagged is None:
+                if spec.delay != 0.0:
+                    raise ValueError(
+                        "the reference integrator handles maturation variants only "
+                        "without delay (pass the lagged field explicitly otherwise)"
+                    )
+                lagged = values
+            grid = self.transform.grid
+            birth = spec.birth
+            if isinstance(birth, ModeSeed):
+                lagged, birth = birth.field(grid, t - spec.delay), (lambda w: w)
+            source = maturation_term(
+                DiskField(grid, lagged),
+                birth,
+                spec.survival,
+                spec.spread,
+                self.transform.bases,
+                self.transform,
+            ).values
+        lap = fd_laplacian(values, spec, self.fd)
+        return values + dt * (spec.diffusion * lap - spec.mortality * values + source)
+
+
 def reference_fd_step(
     values: np.ndarray,
     spec: ModelSpec,
@@ -522,40 +498,15 @@ def reference_fd_step(
 
     Supports the forced variants directly; the maturation variants are
     accepted without delay (the lagged field defaults to the current one),
-    evaluated through the same spectral kernel on the midpoint mesh.
+    evaluated through the same spectral kernel on the midpoint mesh, with
+    the truncation capped to what the mesh resolves.
     """
     if dt > fd_stability_limit(spec, fd):
         raise ValueError(
             f"dt={dt:g} exceeds the explicit stability bound "
             f"{fd_stability_limit(spec, fd):g} for this mesh"
         )
-    source = np.zeros_like(values)
-    if spec.variant in (Variant.MODE_FORCED, Variant.MODE_FORCED_BIRTH):
-        amp = spec.forcing_damping() * spec.forcing_value(t)
-        source += amp * forcing_profile(spec, fd)
-        if spec.variant is Variant.MODE_FORCED_BIRTH and spec.birth is not None:
-            source += np.asarray(spec.birth(values), dtype=float)
-    else:
-        if lagged is None:
-            if spec.delay != 0.0:
-                raise ValueError(
-                    "the reference integrator handles maturation variants only "
-                    "without delay (pass the lagged field explicitly otherwise)"
-                )
-            lagged = values
-        grid = fd.quadrature_grid()
-        bases = build_bases(spec.n_max, spec.j_max, spec.radius, spec.bc)
-        if isinstance(spec.birth, ModeSeed):
-            births = spec.birth.field(grid, t - spec.delay)
-            source += maturation_term(
-                DiskField(grid, births), lambda w: w, spec.survival, spec.spread, bases
-            ).values
-        else:
-            source += maturation_term(
-                DiskField(grid, lagged), spec.birth, spec.survival, spec.spread, bases
-            ).values
-    lap = fd_laplacian(values, spec, fd)
-    return values + dt * (spec.diffusion * lap - spec.mortality * values + source)
+    return _FDStepper(spec, fd)(values, dt, t, lagged)
 
 
 def integrate_fd(
@@ -569,7 +520,7 @@ def integrate_fd(
     """March the FD scheme to t_end; returns (final values, dt used).
 
     Equivalent to chaining reference_fd_step, with the static pieces of
-    the source hoisted out of the (stability-bounded, hence long) loop.
+    the source built once for the (stability-bounded, hence long) loop.
     """
     limit = fd_stability_limit(spec, fd)
     if dt is None:
@@ -579,15 +530,7 @@ def integrate_fd(
     if dt > limit:
         raise ValueError("requested dt violates the stability bound")
 
-    forced = spec.variant in (Variant.MODE_FORCED, Variant.MODE_FORCED_BIRTH)
-    local_birth = spec.variant is Variant.MODE_FORCED_BIRTH and spec.birth is not None
-    unit = spec.forcing_damping() * forcing_profile(spec, fd) if forced else None
-
-    t = 0.0
-    for _ in range(n_steps):
-        if forced:
-            values = _forced_euler_update(values, spec, fd, dt, t, unit, local_birth)
-        else:
-            values = reference_fd_step(values, spec, fd, dt, t)
-        t += dt
+    stepper = _FDStepper(spec, fd)
+    for s in range(n_steps):
+        values = stepper(values, dt, s * dt)
     return values, dt

@@ -28,8 +28,6 @@ __all__ = [
     "DiskTransform",
     "build_bases",
     "default_grid",
-    "analyze",
-    "synthesize",
     "analyze_radial",
     "synthesize_radial",
     "synthesize_on",
@@ -324,16 +322,6 @@ class DiskTransform:
     def synthesize(self, field: SpectralField) -> DiskField:
         self._check_bases(field)
         return DiskField(self.grid, self.synthesize_values(field.a, field.b))
-
-
-def analyze(field: DiskField, bases: tuple[BesselBasis, ...]) -> SpectralField:
-    """Project grid samples onto the truncated eigenfunction basis."""
-    return DiskTransform(field.grid, bases).analyze(field)
-
-
-def synthesize(spectral: SpectralField, grid: DiskGrid) -> DiskField:
-    """Evaluate the truncated expansion on a grid."""
-    return DiskTransform(grid, spectral.bases).synthesize(spectral)
 
 
 def synthesize_on(spectral: SpectralField, r: np.ndarray, theta: np.ndarray) -> np.ndarray:

@@ -123,6 +123,32 @@ class TestRun:
         assert run(cfg, out_dir=tmp_path / "out") == 1
         assert "blew up" in capsys.readouterr().err
 
+    def test_overflow_within_one_step_exits_nonzero(self, tmp_path, capsys):
+        # The Ricker law's exp overflows at a large negative density before
+        # the coefficient threshold can be checked.
+        cfg = write_config(
+            tmp_path,
+            "variant = full_zero_flux\nbirth = ricker_quadratic\n"
+            "w0_value = -20000\nn_max = 4\nj_max = 6\nt_end = 0.1\n",
+        )
+        assert run(cfg, out_dir=tmp_path / "out") == 1
+        assert "blew up" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            (SMALL_CONFIG.format(t_end="0.1") + "diffusion = -1\n", "diffusion"),
+            (SMALL_CONFIG.format(t_end="0.1") + "dt = 0\n", "dt"),
+            ("variant = full_dirichlet\nbc = zero_flux\nbirth = identity\n", "Dirichlet"),
+            ("variant = full_zero_flux\nbirth = identity\nscheme = reference_fd\n", "delay"),
+        ],
+        ids=["negative_diffusion", "zero_dt", "variant_bc_mismatch", "reference_fd_delay"],
+    )
+    def test_invalid_model_or_solver_exits_2(self, tmp_path, capsys, text, key):
+        cfg = write_config(tmp_path, text)
+        assert run(cfg, out_dir=tmp_path / "out") == 2
+        assert key in capsys.readouterr().err
+
     def test_equilibria_reported_for_density_dependent_birth(self, tmp_path):
         text = SMALL_CONFIG.format(t_end="0.0").replace(
             "variant = mode_forced",

@@ -4,6 +4,8 @@ from numpy.testing import assert_allclose
 
 from diskrd.bessel import BoundaryCondition, bessel_j
 from diskrd.model import Identity, ModelSpec, RickerQuadratic, Variant, rhs
+from diskrd import solver
+from diskrd.transform import build_bases
 from diskrd.solver import (
     BlowUpError,
     FDGrid,
@@ -172,6 +174,14 @@ class TestIntegrate:
         assert result.times[-1] == pytest.approx(0.5)
         assert len(result.snapshots) == 3  # t = 0, 0.25, 0.5
 
+    @pytest.mark.parametrize("dt, t_end, n", [(0.01, 1.0, 100), (0.3, 0.9, 4)])
+    def test_times_are_exact_step_multiples(self, dt, t_end, n):
+        # Times are a step count times dt, not a running sum of dt; the
+        # count uses dt after rounding to the delay (0.3 -> 0.25).
+        result = integrate(forced_spec(), SolverConfig(dt=dt, t_end=t_end), patch_w0)
+        assert result.times.size == n + 1
+        assert np.array_equal(result.times, np.arange(n + 1) * result.dt)
+
     def test_radial_symmetry_preserved_whole_run(self):
         spec = forced_spec(
             variant=Variant.RADIAL,
@@ -281,6 +291,49 @@ class TestReferenceFD:
         # Flat field: diffusion is silent and the source is survival * w,
         # up to the midpoint-quadrature accuracy of the projection.
         assert_allclose((out - 1.0) / dt, 0.5, rtol=1e-2)
+
+    def test_maturation_runs_build_bases_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return build_bases(*args)
+
+        monkeypatch.setattr(solver, "build_bases", counting)
+        spec = forced_spec(
+            variant=Variant.FULL_ZERO_FLUX,
+            birth=Identity(),
+            diffusion=1.0,
+            delay=0.0,
+            n_max=2,
+            j_max=4,
+        )
+        fd = FDGrid(1.0, 12, 8)
+        integrate_fd(spec, fd, np.ones((12, 8)), 20 * fd_stability_limit(spec, fd))
+        assert len(calls) == 1
+        calls.clear()
+        config = SolverConfig(
+            dt=0.002, t_end=0.004, scheme=Scheme.REFERENCE_FD, fd_n_r=12, fd_n_theta=8
+        )
+        integrate(spec, config, lambda t, r, th: np.ones_like(r))
+        assert len(calls) == 1
+
+    def test_maturation_reference_caps_truncation_to_mesh(self):
+        # The default n_max=16, j_max=32 exceed what the 32 x 24 mesh
+        # resolves; the source and the terminal projection use the cap.
+        spec = forced_spec(
+            variant=Variant.FULL_ZERO_FLUX,
+            birth=Identity(),
+            diffusion=1.0,
+            delay=0.0,
+            n_max=16,
+            j_max=32,
+        )
+        config = SolverConfig(dt=2e-4, t_end=4e-4, scheme=Scheme.REFERENCE_FD)
+        result = integrate(spec, config, patch_w0)
+        assert result.times.size == 3
+        assert (result.final_state.n_max, result.final_state.j_max) == (11, 30)
+        assert np.all(np.isfinite(result.final_field.values))
 
     def test_maturation_variant_with_delay_requires_lagged(self):
         spec = forced_spec(variant=Variant.FULL_ZERO_FLUX, birth=Identity(), delay=1.0)
