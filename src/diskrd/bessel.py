@@ -55,7 +55,9 @@ class BoundaryCondition:
     """Edge behaviour at r = R, in the form A * dw/dr + B * w = 0.
 
     Dirichlet is the special case A = 0, zero flux is B = 0; a mixed
-    condition carries its own (A, B), which must not both vanish.
+    condition carries its own (A, B), which must not both vanish and must
+    satisfy A * B >= 0. A negative ratio B / A admits growing modes with
+    imaginary k (I_n instead of J_n), which the real-k bases cannot hold.
     """
 
     kind: BoundaryKind
@@ -65,6 +67,11 @@ class BoundaryCondition:
     def __post_init__(self) -> None:
         if self.kind is BoundaryKind.MIXED and self.mixed_a == 0.0 and self.mixed_b == 0.0:
             raise ValueError("mixed boundary condition requires (A, B) != (0, 0)")
+        if self.kind is BoundaryKind.MIXED and self.mixed_a * self.mixed_b < 0.0:
+            raise ValueError(
+                "mixed boundary condition requires A * B >= 0 (bc_mixed_a, bc_mixed_b); "
+                "a negative ratio B / A has modes with imaginary k, which are not supported"
+            )
 
     @classmethod
     def dirichlet(cls) -> "BoundaryCondition":

@@ -440,7 +440,11 @@ def main(argv=None) -> int:
         elif args.bc == "zero_flux":
             bc = BoundaryCondition.zero_flux()
         else:
-            bc = BoundaryCondition.mixed(args.mixed_a, args.mixed_b)
+            try:
+                bc = BoundaryCondition.mixed(args.mixed_a, args.mixed_b)
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
         return dump_eigen_table(args.n_max, args.j_max, args.radius, bc, args.out)
     return 2
 

@@ -30,6 +30,7 @@ __all__ = [
     "epsilon_of",
     "alpha_of",
     "damping_factors",
+    "damped_births",
     "maturation_term",
     "maturation_term_radial",
 ]
@@ -80,6 +81,21 @@ def damping_factors(
     return survival * np.exp(-(k**2) * spread)
 
 
+def damped_births(
+    values: np.ndarray,
+    birth: Callable[[np.ndarray], np.ndarray],
+    damp: np.ndarray,
+    transform: DiskTransform,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients (a, b) of the recruits the grid samples ``values`` produce.
+
+    The birth law is applied pointwise, the result analysed and each mode
+    scaled by its damping factor (see ``damping_factors``).
+    """
+    a, b = transform.analyze_values(np.asarray(birth(values), dtype=float))
+    return damp * a, damp[1:] * b
+
+
 def maturation_term(
     lagged: DiskField,
     birth: Callable[[np.ndarray], np.ndarray],
@@ -90,17 +106,13 @@ def maturation_term(
 ) -> DiskField:
     """Nonlocal maturation source produced by the lagged field.
 
-    The birth law is applied pointwise on the grid, the result projected
-    onto the basis, each mode damped, and the series resummed. Passing a
+    The damped birth coefficients are resummed on the grid. Passing a
     prebuilt transform avoids retabulating the basis functions.
     """
     if transform is None:
         transform = DiskTransform(lagged.grid, bases)
-    births = np.asarray(birth(lagged.values), dtype=float)
-    a, b = transform.analyze_values(births)
     damp = damping_factors(bases, survival, spread)
-    a = a * damp
-    b = b * damp[1:]
+    a, b = damped_births(lagged.values, birth, damp, transform)
     return DiskField(transform.grid, transform.synthesize_values(a, b))
 
 

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Optional
@@ -28,8 +29,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .bessel import BoundaryKind
-from .kernel import maturation_term
-from .model import ModelSpec, ModeSeed, Variant, forcing_profile, linear_rates, rhs
+from .kernel import damped_births, damping_factors
+from .model import ModelSpec, ModeSeed, Variant, forcing_profile, linear_rates
+from .model import rhs  # noqa: F401  (bound here for tools that wrap solver.rhs)
 from .transform import (
     DiskField,
     DiskGrid,
@@ -84,8 +86,11 @@ class SolverConfig:
             raise ValueError("t_end must be nonnegative")
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be at least 1")
-        if self.fd_n_r < 2 or self.fd_n_theta < 2:
-            raise ValueError("FD mesh needs at least 2 cells per direction")
+        # Three radial cells keep at least one radial mode on the FD mesh.
+        if self.fd_n_r < 3:
+            raise ValueError("fd_n_r must be at least 3")
+        if self.fd_n_theta < 2:
+            raise ValueError("fd_n_theta must be at least 2")
 
 
 def resolve_time_step(dt: float, delay: float) -> tuple[float, int]:
@@ -101,13 +106,21 @@ def resolve_time_step(dt: float, delay: float) -> tuple[float, int]:
 
 @dataclass
 class HistoryBuffer:
-    """Ring of the last lag_steps + 1 states, newest last, spaced dt apart."""
+    """Ring of the last lag_steps + 1 states, newest last, spaced dt apart.
+
+    ``births`` runs beside ``ring``: the source coefficients each state
+    contributes once it is the lagged state (None for the forced variants
+    and seeded births, whose source needs no past state). ``head_values``
+    are the grid samples of the head state.
+    """
 
     dt: float
     lag_steps: int
     ring: deque
     steps: int = 0
     prev_source: Optional[tuple[np.ndarray, np.ndarray]] = None
+    births: deque = field(default_factory=deque)
+    head_values: Optional[np.ndarray] = None
 
     @property
     def t_head(self) -> float:
@@ -121,10 +134,18 @@ class HistoryBuffer:
         """State at t_head - delay; exact by construction of the ring."""
         return self.ring[0]
 
-    def push(self, state: SpectralField) -> None:
+    def push(
+        self,
+        state: SpectralField,
+        values: Optional[np.ndarray] = None,
+        births: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    ) -> None:
         self.ring.append(state)
+        self.births.append(births)
         while len(self.ring) > self.lag_steps + 1:
             self.ring.popleft()
+            self.births.popleft()
+        self.head_values = values
         self.steps += 1
 
 
@@ -138,6 +159,16 @@ class BlowUpError(RuntimeError):
         self.t = t
         self.step_index = step_index
         self.magnitude = magnitude
+
+
+@contextmanager
+def _overflow_is_blowup(t: float, step_index: int):
+    """Report a floating-point overflow (say, of a birth law) as a blow-up."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise BlowUpError(t, step_index, math.inf) from None
 
 
 @dataclass
@@ -161,7 +192,13 @@ class SimulationResult:
 
 
 class SpectralIntegrator:
-    """Exact-linear/explicit-source marching of one configured model."""
+    """Exact-linear/explicit-source marching of one configured model.
+
+    The source is built in coefficient space and each new state is
+    synthesised once; those grid values give its diagnostics row, the
+    forced-birth term, and the births it contributes once lagged
+    (``HistoryBuffer.births``).
+    """
 
     def __init__(self, spec: ModelSpec, config: SolverConfig, grid: DiskGrid | None = None):
         self.spec = spec
@@ -176,26 +213,81 @@ class SpectralIntegrator:
         phi = _phi1(self.rates, self.dt)
         self._phi_a = phi
         self._phi_b = phi[1:]
-        self._needs_lagged = spec.variant not in _FORCED
-        self._unit_forcing = None
-        if spec.variant in _FORCED:
-            self._unit_forcing = forcing_profile(spec, self.grid)
         self._norm_stack = np.stack([basis.norms for basis in self.bases])
+        self._damp = damping_factors(self.bases, spec.survival, spec.spread)
+        # Static source pieces: the damped forcing mode scaled by f(t), or a
+        # seeded birth mode scaled by its amplitude at t - delay.
+        self._forcing = self._seed = None
+        # Birth law applied to the head (forced birth) or to each state as it
+        # enters the ring (maturation variants); None where no law applies.
+        self._local_birth = self._lagged_birth = None
+        birth = spec.birth
+        if spec.variant in _FORCED:
+            unit = spec.forcing_damping() * forcing_profile(spec, self.grid)
+            self._forcing = self.transform.analyze_values(unit)
+            if spec.variant is Variant.MODE_FORCED_BIRTH:
+                self._local_birth = birth
+        elif isinstance(birth, ModeSeed) and spec.variant is not Variant.RADIAL:
+            a, b = self.transform.analyze_values(birth.profile(self.grid))
+            self._seed = (self._damp * a, self._damp[1:] * b)
+        else:
+            self._lagged_birth = birth
 
     def initialize_history(self, w0: Callable[[float, np.ndarray, np.ndarray], np.ndarray]) -> HistoryBuffer:
-        """Fill the ring by analysing w0(t, r, theta) over [-delay, 0]."""
+        """Fill the ring by analysing w0(t, r, theta) over [-delay, 0].
+
+        A sample equal to the previous one reuses its state and births, so
+        a time-independent history costs one analysis.
+        """
         r, th = self.grid.mesh()
-        states = deque()
+        ring, births = deque(), deque()
+        sample = entry = None
         for i in range(self.lag_steps + 1):
             t = -self.spec.delay + i * self.dt
             values = np.asarray(w0(t, r, th), dtype=float) + np.zeros_like(r)
-            states.append(self.transform.analyze(DiskField(self.grid, values)))
-        return HistoryBuffer(dt=self.dt, lag_steps=self.lag_steps, ring=states)
+            if entry is None or not np.array_equal(values, sample):
+                state = self.transform.analyze(DiskField(self.grid, values))
+                synthesized = self.transform.synthesize_values(state.a, state.b)
+                with _overflow_is_blowup(t, 0):
+                    entry = (state, synthesized, self._births(state, synthesized))
+            sample = values
+            ring.append(entry[0])
+            births.append(entry[2])
+        return HistoryBuffer(
+            self.dt, self.lag_steps, ring, births=births, head_values=entry[1]
+        )
 
-    def _source(self, t: float, state: SpectralField, lagged: SpectralField):
-        lagged_field = self.transform.synthesize(lagged) if self._needs_lagged else None
-        _, src = rhs(t, state, lagged_field, self.spec, self.transform, self._unit_forcing)
-        return self.transform.analyze_values(src.values)
+    def _births(self, state: SpectralField, values: np.ndarray):
+        """Damped birth coefficients ``state`` (sampled as ``values``) adds
+        to the source once it is the lagged state; the radial variant keeps
+        order zero only.
+        """
+        birth = self._lagged_birth
+        if birth is None:
+            return None
+        if self.spec.variant is Variant.RADIAL:
+            profile = self.transform.synthesize_profile(state.a[0])
+            a = np.zeros_like(state.a)
+            births = np.asarray(birth(profile), dtype=float)
+            a[0] = self._damp[0] * self.transform.analyze_profile(births)
+            return a, np.zeros_like(state.b)
+        return damped_births(values, birth, self._damp, self.transform)
+
+    def source(self, buffer: HistoryBuffer) -> tuple[np.ndarray, np.ndarray]:
+        """Source coefficients (a, b) at the head time."""
+        t = buffer.t_head
+        if self._forcing is not None:
+            f = self.spec.forcing_value(t)
+            a, b = f * self._forcing[0], f * self._forcing[1]
+            if self._local_birth is not None:
+                births = np.asarray(self._local_birth(buffer.head_values), dtype=float)
+                ba, bb = self.transform.analyze_values(births)
+                a, b = a + ba, b + bb
+            return a, b
+        if self._seed is not None:
+            amp = float(self.spec.birth.amplitude(t - self.spec.delay))
+            return amp * self._seed[0], amp * self._seed[1]
+        return buffer.births[0]
 
     def _rate_norm(self, da: np.ndarray, db: np.ndarray) -> float:
         """Disk L2 norm of a coefficient increment divided by dt."""
@@ -207,40 +299,38 @@ class SpectralIntegrator:
     def step(self, buffer: HistoryBuffer, step_index: int = 0) -> HistoryBuffer:
         """Advance one dt; the first step uses the one-step Euler weights."""
         state = buffer.head()
-        try:
-            # A birth law can overflow inside one step; report that as a
-            # blow-up rather than as an invalid intermediate field.
-            with np.errstate(over="raise", invalid="raise"):
-                src_a, src_b = self._source(buffer.t_head, state, buffer.lagged())
-        except FloatingPointError:
-            raise BlowUpError((buffer.steps + 1) * self.dt, step_index, math.inf) from None
-        if buffer.prev_source is None:
-            stage_a, stage_b = src_a, src_b
-        else:
-            prev_a, prev_b = buffer.prev_source
-            stage_a = 1.5 * src_a - 0.5 * prev_a
-            stage_b = 1.5 * src_b - 0.5 * prev_b
-        new_a = self._decay_a * state.a + self._phi_a * stage_a
-        new_b = self._decay_b * state.b + self._phi_b * stage_b
-        new_state = SpectralField(self.bases, new_a, new_b)
-        peak = new_state.max_abs()
-        if not np.isfinite(peak) or peak > self.config.blowup_threshold:
-            raise BlowUpError((buffer.steps + 1) * self.dt, step_index, peak)
+        t_new = (buffer.steps + 1) * self.dt
+        with _overflow_is_blowup(t_new, step_index):
+            src_a, src_b = self.source(buffer)
+            if buffer.prev_source is None:
+                stage_a, stage_b = src_a, src_b
+            else:
+                prev_a, prev_b = buffer.prev_source
+                stage_a = 1.5 * src_a - 0.5 * prev_a
+                stage_b = 1.5 * src_b - 0.5 * prev_b
+            new_a = self._decay_a * state.a + self._phi_a * stage_a
+            new_b = self._decay_b * state.b + self._phi_b * stage_b
+            new_state = SpectralField(self.bases, new_a, new_b)
+            peak = new_state.max_abs()
+            if not np.isfinite(peak) or peak > self.config.blowup_threshold:
+                raise BlowUpError(t_new, step_index, peak)
+            values = self.transform.synthesize_values(new_a, new_b)
+            births = self._births(new_state, values)
         buffer.prev_source = (src_a, src_b)
-        buffer.push(new_state)
+        buffer.push(new_state, values, births)
         return buffer
 
     def integrate(self, w0) -> SimulationResult:
         buffer = self.initialize_history(w0)
         n_steps = _step_count(self.config.t_end, self.dt)
         recorder = _Recorder(n_steps, self.grid, self.config)
-        recorder.record(0, 0.0, self.transform.synthesize(buffer.head()), 0.0)
+        recorder.record(0, 0.0, buffer.head_values, 0.0)
         for i in range(1, n_steps + 1):
             previous = buffer.head()
             self.step(buffer, i)
             state = buffer.head()
             rate = self._rate_norm(state.a - previous.a, state.b - previous.b)
-            recorder.record(i, buffer.t_head, self.transform.synthesize(state), rate)
+            recorder.record(i, buffer.t_head, buffer.head_values, rate)
         return recorder.result(buffer.head(), self.spec, self.dt)
 
 
@@ -260,18 +350,17 @@ class _Recorder:
         self.snapshots: list = []
         self.converged_at: Optional[float] = None
         self.streak = 0
-        self.last: Optional[DiskField] = None
+        self.last: Optional[np.ndarray] = None
 
-    def record(self, i: int, t: float, field: DiskField, rate: float) -> None:
-        values = field.values
+    def record(self, i: int, t: float, values: np.ndarray, rate: float) -> None:
         self.rows[:, i] = (t, values.max(), values.min(), self.grid.integrate(values), rate)
         if i > 0:
             self.streak = self.streak + 1 if rate < self.config.convergence_tol else 0
             if self.streak >= CONVERGED_STREAK and self.converged_at is None:
                 self.converged_at = t
         if i == 0 or i == self.n_steps or i % self.config.snapshot_every == 0:
-            self.snapshots.append((t, field))
-        self.last = field
+            self.snapshots.append((t, DiskField(self.grid, values)))
+        self.last = values
 
     def result(self, final_state: SpectralField, spec: ModelSpec, dt: float) -> SimulationResult:
         times, max_density, min_density, total_population, dwdt_norm = self.rows
@@ -285,7 +374,7 @@ class _Recorder:
             converged=self.converged_at is not None,
             converged_at=self.converged_at,
             final_state=final_state,
-            final_field=self.last,
+            final_field=DiskField(self.grid, self.last),
             grid=self.grid,
             spec=spec,
             config=self.config,
@@ -326,9 +415,9 @@ def _integrate_reference(spec: ModelSpec, config: SolverConfig, w0) -> Simulatio
     n_records = _step_count(config.t_end, config.dt)
 
     r, th = fd.mesh()
-    values = np.asarray(w0(0.0, r, th), dtype=float) + np.zeros_like(r)
+    values = DiskField(grid, np.asarray(w0(0.0, r, th), dtype=float) + np.zeros_like(r)).values
     recorder = _Recorder(n_records, grid, config)
-    recorder.record(0, 0.0, DiskField(grid, values), 0.0)
+    recorder.record(0, 0.0, values, 0.0)
     for i in range(1, n_records + 1):
         for s in range((i - 1) * inner, i * inner):
             previous, values = values, stepper(values, dt_fd, s * dt_fd)
@@ -337,8 +426,8 @@ def _integrate_reference(spec: ModelSpec, config: SolverConfig, w0) -> Simulatio
         if not np.isfinite(peak) or peak > config.blowup_threshold:
             raise BlowUpError(t, i, peak)
         rate = math.sqrt(grid.integrate((values - previous) ** 2)) / dt_fd
-        recorder.record(i, t, DiskField(grid, values), rate)
-    return recorder.result(transform.analyze(recorder.last), spec, dt_fd)
+        recorder.record(i, t, values, rate)
+    return recorder.result(transform.analyze(DiskField(grid, values)), spec, dt_fd)
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +542,7 @@ class _FDStepper:
             self._unit = spec.forcing_damping() * forcing_profile(spec, fd)
         else:
             self.transform = _fd_transform(spec, fd)
+            self._damp = damping_factors(self.transform.bases, spec.survival, spec.spread)
 
     def __call__(
         self, values: np.ndarray, dt: float, t: float, lagged: np.ndarray | None = None
@@ -470,18 +560,11 @@ class _FDStepper:
                         "without delay (pass the lagged field explicitly otherwise)"
                     )
                 lagged = values
-            grid = self.transform.grid
             birth = spec.birth
             if isinstance(birth, ModeSeed):
-                lagged, birth = birth.field(grid, t - spec.delay), (lambda w: w)
-            source = maturation_term(
-                DiskField(grid, lagged),
-                birth,
-                spec.survival,
-                spec.spread,
-                self.transform.bases,
-                self.transform,
-            ).values
+                lagged, birth = birth.field(self.transform.grid, t - spec.delay), (lambda w: w)
+            a, b = damped_births(lagged, birth, self._damp, self.transform)
+            source = self.transform.synthesize_values(a, b)
         lap = fd_laplacian(values, spec, self.fd)
         return values + dt * (spec.diffusion * lap - spec.mortality * values + source)
 

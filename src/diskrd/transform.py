@@ -257,17 +257,15 @@ class DiskTransform:
 
         self.grid = grid
         self.bases = bases
-        # J[n, j, i] = J_n(k_nj r_i)
+        # J[n, j, i] = J_n(k_nj r_i), shared by analysis and synthesis.
         self._j_table = np.stack([basis.radial_table(grid.r_nodes) for basis in bases])
-        norms = np.stack([basis.norms for basis in bases])
+        self._weights = grid.r_weights * grid.r_nodes
         scale = np.full(n_max + 1, grid.theta_spacing / np.pi)
         scale[0] *= 0.5
-        weights = grid.r_weights * grid.r_nodes
-        self._analysis = self._j_table * weights / norms[:, :, None] * scale[:, None, None]
-        orders = np.arange(n_max + 1)
-        angles = np.outer(orders, grid.theta_nodes)
-        self._cos = np.cos(angles)
-        self._sin = np.sin(angles[1:])
+        self._coef_scale = scale[:, None] / np.stack([basis.norms for basis in bases])
+        # Rows cos(n theta) for n = 0..n_max, then sin(n theta) for n = 1..n_max.
+        angles = np.outer(np.arange(n_max + 1), grid.theta_nodes)
+        self._trig = np.vstack([np.cos(angles), np.sin(angles[1:])])
 
     @property
     def n_max(self) -> int:
@@ -293,22 +291,24 @@ class DiskTransform:
                 raise ValueError("coefficient bases do not match the transform")
 
     def analyze_values(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        cos_moments = values @ self._cos.T      # (n_r, n_max+1)
-        a = np.einsum("nji,in->nj", self._analysis, cos_moments)
-        if self.n_max:
-            sin_moments = values @ self._sin.T  # (n_r, n_max)
-            b = np.einsum("nji,in->nj", self._analysis[1:], sin_moments)
-        else:
-            b = np.zeros((0, self.j_max))
+        moments = (self._trig @ values.T) * self._weights  # (2 n_max + 1, n_r)
+        n1 = self.n_max + 1
+        a = np.matmul(self._j_table, moments[:n1, :, None])[..., 0] * self._coef_scale
+        b = np.matmul(self._j_table[1:], moments[n1:, :, None])[..., 0] * self._coef_scale[1:]
         return a, b
 
     def synthesize_values(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        radial_cos = np.einsum("nji,nj->ni", self._j_table, a)
-        values = radial_cos.T @ self._cos
-        if self.n_max and b.size:
-            radial_sin = np.einsum("nji,nj->ni", self._j_table[1:], b)
-            values = values + radial_sin.T @ self._sin
-        return values
+        radial_cos = np.matmul(a[:, None, :], self._j_table)[:, 0]
+        radial_sin = np.matmul(b[:, None, :], self._j_table[1:])[:, 0]
+        return np.concatenate([radial_cos, radial_sin]).T @ self._trig
+
+    def analyze_profile(self, profile: np.ndarray) -> np.ndarray:
+        """Order-zero coefficients of a radial profile sampled on the grid radii."""
+        return self._j_table[0] @ (self._weights * profile) / self.bases[0].norms
+
+    def synthesize_profile(self, coeffs: np.ndarray) -> np.ndarray:
+        """Radial profile sum_j c_j J_0(k_0j r) on the grid radii."""
+        return coeffs @ self._j_table[0]
 
     def analyze(self, field: DiskField) -> SpectralField:
         if field.grid is not self.grid and not (

@@ -64,6 +64,15 @@ class TestBoundaryCondition:
         with pytest.raises(ValueError):
             BoundaryCondition.mixed(0.0, 0.0)
 
+    @pytest.mark.parametrize("a, b", [(1.0, -1.0), (-2.0, 0.5)])
+    def test_mixed_rejects_negative_ratio(self, a, b):
+        # B / A < 0 admits growing I_n modes that real-k bases cannot hold.
+        with pytest.raises(ValueError, match="A \\* B >= 0"):
+            BoundaryCondition.mixed(a, b)
+
+    def test_mixed_accepts_same_sign_coefficients(self):
+        assert BoundaryCondition.mixed(-1.0, -2.0).coefficients() == (-1.0, -2.0)
+
     def test_degenerate_coefficients(self):
         assert DIRICHLET.coefficients() == (0.0, 1.0)
         assert ZERO_FLUX.coefficients() == (1.0, 0.0)

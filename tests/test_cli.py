@@ -141,8 +141,24 @@ class TestRun:
             (SMALL_CONFIG.format(t_end="0.1") + "dt = 0\n", "dt"),
             ("variant = full_dirichlet\nbc = zero_flux\nbirth = identity\n", "Dirichlet"),
             ("variant = full_zero_flux\nbirth = identity\nscheme = reference_fd\n", "delay"),
+            (
+                SMALL_CONFIG.format(t_end="0.1") + "bc = mixed\nbc_mixed_a = 1\nbc_mixed_b = -1\n",
+                "bc_mixed_a",
+            ),
+            (
+                SMALL_CONFIG.format(t_end="0.1")
+                + "scheme = reference_fd\nfd_n_r = 2\nfd_n_theta = 4\n",
+                "fd_n_r",
+            ),
         ],
-        ids=["negative_diffusion", "zero_dt", "variant_bc_mismatch", "reference_fd_delay"],
+        ids=[
+            "negative_diffusion",
+            "zero_dt",
+            "variant_bc_mismatch",
+            "reference_fd_delay",
+            "negative_robin_ratio",
+            "fd_n_r_below_3",
+        ],
     )
     def test_invalid_model_or_solver_exits_2(self, tmp_path, capsys, text, key):
         cfg = write_config(tmp_path, text)
@@ -254,6 +270,16 @@ class TestMain:
         )
         assert status == 0
         assert out.exists()
+
+    def test_eigen_table_rejects_negative_robin_ratio(self, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        status = main(
+            ["eigen-table", "--n-max", "0", "--j-max", "2", "--bc", "mixed",
+             "--mixed-a", "1", "--mixed-b", "-1", "--out", str(out)]
+        )
+        assert status == 2
+        assert "A * B >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_run_requires_config_or_preset(self, capsys):
         assert main(["run"]) == 2

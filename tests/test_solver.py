@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from diskrd.bessel import BoundaryCondition, bessel_j
-from diskrd.model import Identity, ModelSpec, RickerQuadratic, Variant, rhs
+from diskrd.bessel import BesselBasis, BoundaryCondition, bessel_j
+from diskrd.model import Identity, ModelSpec, ModeSeed, RickerQuadratic, Variant, rhs
 from diskrd import solver
-from diskrd.transform import build_bases
+from diskrd.transform import DiskTransform, build_bases
 from diskrd.solver import (
     BlowUpError,
     FDGrid,
@@ -47,6 +47,14 @@ def patch_w0(t, r, th):
     x = r * np.cos(th)
     y = r * np.sin(th)
     return 0.2 + 0.02 * np.sin(3 * x) * np.cos(2 * y)
+
+
+class TestSolverConfig:
+    def test_fd_mesh_needs_three_radial_cells(self):
+        # Two cells leave the FD-mesh transform no radial mode at all.
+        with pytest.raises(ValueError, match="fd_n_r"):
+            SolverConfig(fd_n_r=2)
+        assert SolverConfig(fd_n_r=3).fd_n_r == 3
 
 
 class TestResolveTimeStep:
@@ -154,6 +162,163 @@ class TestStep:
         sa, _ = ig.transform.analyze_values(source.values)
         expected = np.exp(-sigma * tau) * buf.head().a[0, 1]
         assert sa[0, 1] == pytest.approx(expected, abs=1e-9)
+
+
+def drifting_patch(t, r, th):
+    """Non-radial, time-dependent history, so head and lagged states differ."""
+    return (1.0 + 0.5 * t) * patch_w0(t, r, th) + 0.05 * r * np.sin(th)
+
+
+SEED = ModeSeed(amplitude=lambda t: 1.0 + 0.3 * np.sin(2.0 * t), mode_k=3.8317)
+
+SOURCE_CASES = {
+    "mode_forced": dict(variant=Variant.MODE_FORCED, forcing=lambda t: 1.0 + 0.5 * t),
+    "mode_forced_birth": dict(
+        variant=Variant.MODE_FORCED_BIRTH, birth=RickerQuadratic(0.25, 0.1)
+    ),
+    "full_zero_flux": dict(variant=Variant.FULL_ZERO_FLUX, birth=RickerQuadratic(0.25, 0.1)),
+    "full_dirichlet": dict(
+        variant=Variant.FULL_DIRICHLET, bc=DIRICHLET, birth=RickerQuadratic(0.25, 0.1)
+    ),
+    "full_zero_flux_seed": dict(variant=Variant.FULL_ZERO_FLUX, birth=SEED),
+    "full_dirichlet_seed": dict(variant=Variant.FULL_DIRICHLET, bc=DIRICHLET, birth=SEED),
+    "radial": dict(variant=Variant.RADIAL, bc=DIRICHLET, birth=RickerQuadratic(0.25, 0.1), n_max=2),
+}
+
+
+class TestCoefficientSource:
+    """The coefficient-space source against the grid round trip through rhs."""
+
+    @staticmethod
+    def integrator(case):
+        spec = forced_spec(delay=0.2, **SOURCE_CASES[case])
+        return SpectralIntegrator(spec, SolverConfig(dt=0.05, t_end=1.0))
+
+    @pytest.mark.parametrize("case", sorted(SOURCE_CASES))
+    def test_matches_grid_round_trip(self, case):
+        ig = self.integrator(case)
+        buf = ig.initialize_history(drifting_patch)
+        tr = ig.transform
+        # Check on the history, then once the lagged state is a stepped one.
+        for s in range(7):
+            if s in (0, 6):
+                lagged = tr.synthesize(buf.lagged())
+                _, field = rhs(buf.t_head, buf.head(), lagged, ig.spec, tr)
+                ea, eb = tr.analyze_values(field.values)
+                sa, sb = ig.source(buf)
+                scale = max(np.max(np.abs(ea)), np.max(np.abs(eb)))
+                assert np.max(np.abs(sa - ea)) <= 1e-12 * scale
+                assert np.max(np.abs(sb - eb)) <= 1e-12 * scale
+            ig.step(buf, s + 1)
+
+    @pytest.mark.parametrize(
+        "case, analyses",
+        [
+            ("mode_forced", 0),
+            ("mode_forced_birth", 1),
+            ("full_zero_flux", 1),
+            ("full_dirichlet", 1),
+            ("full_zero_flux_seed", 0),
+            ("radial", 0),
+        ],
+    )
+    def test_transforms_per_step(self, monkeypatch, case, analyses):
+        ig = self.integrator(case)
+        buf = ig.initialize_history(patch_w0)
+        counts = {"analyze": 0, "synthesize": 0, "radial_table": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for owner, attr, name in (
+            (DiskTransform, "analyze_values", "analyze"),
+            (DiskTransform, "synthesize_values", "synthesize"),
+            (BesselBasis, "radial_table", "radial_table"),
+        ):
+            monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
+        for s in range(1, 6):
+            ig.step(buf, s)
+        assert counts == {"analyze": 5 * analyses, "synthesize": 5, "radial_table": 0}
+
+    def test_constant_history_is_analysed_once(self, monkeypatch):
+        ig = self.integrator("full_zero_flux")
+        calls = []
+        original = DiskTransform.analyze_values
+
+        def counting(self, values):
+            calls.append(1)
+            return original(self, values)
+
+        monkeypatch.setattr(DiskTransform, "analyze_values", counting)
+        buf = ig.initialize_history(patch_w0)
+        # One analysis of the state, one of its births, for all five samples.
+        assert len(calls) == 2
+        assert len(buf.ring) == len(buf.births) == ig.lag_steps + 1
+
+
+class TestDelayOracle:
+    """ETD-AB2 against the method of steps for c' = -lam c + beta c(t - tau).
+
+    With an identity birth law each mode evolves on its own. A constant
+    history c0 gives, with c1 = c(tau) and s = t - tau on [tau, 2 tau],
+
+        c(s) = beta^2 c0 / lam^2 + beta c0 (1 - beta/lam) s e^{-lam s}
+               + (c1 - beta^2 c0 / lam^2) e^{-lam s}.
+    """
+
+    C0, TAU = 0.7, 1.0
+
+    def exact(self, t, lam, beta):
+        c0, tau = self.C0, self.TAU
+        s = t - tau
+        c1 = c0 * (beta / lam + (1.0 - beta / lam) * np.exp(-lam * tau))
+        plateau = beta**2 * c0 / lam**2
+        return (
+            plateau
+            + beta * c0 * (1.0 - beta / lam) * s * np.exp(-lam * s)
+            + (c1 - plateau) * np.exp(-lam * s)
+        )
+
+    def max_error(self, spec, index, dt):
+        ig = SpectralIntegrator(spec, SolverConfig(dt=dt, t_end=2.0 * self.TAU))
+        k = ig.bases[0].eigenvalues[index]
+        lam = spec.diffusion * k**2 + spec.mortality
+        beta = spec.survival * np.exp(-(k**2) * spec.spread)
+        buf = ig.initialize_history(lambda t, r, th: self.C0 * bessel_j(0, k * r))
+        worst = 0.0
+        for s in range(1, 2 * ig.lag_steps + 1):
+            ig.step(buf, s)
+            if s >= ig.lag_steps:
+                err = abs(buf.head().a[0, index] - self.exact(buf.t_head, lam, beta))
+                worst = max(worst, err)
+        return worst
+
+    @pytest.mark.parametrize(
+        "variant, bc, index",
+        [(Variant.FULL_ZERO_FLUX, ZERO_FLUX, 2), (Variant.FULL_DIRICHLET, DIRICHLET, 0)],
+        ids=["zero_flux_k7.016", "dirichlet_k2.405"],
+    )
+    def test_second_order_in_dt(self, variant, bc, index):
+        spec = ModelSpec(
+            variant=variant,
+            diffusion=0.05,
+            mortality=0.3,
+            survival=0.9,
+            spread=0.01,
+            delay=self.TAU,
+            radius=1.0,
+            bc=bc,
+            birth=Identity(),
+            n_max=2,
+            j_max=6,
+        )
+        errors = [self.max_error(spec, index, dt) for dt in (0.04, 0.02, 0.01)]
+        orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        assert np.all((orders >= 1.9) & (orders <= 2.1)), (errors, orders)
 
 
 class TestIntegrate:
