@@ -206,25 +206,45 @@ def _parse_birth(resolved):
     raise ConfigError(f"config key birth: unknown birth law {name!r}")
 
 
+def _once_per_mesh(profile):
+    """Initial history w0(t, r, theta) = profile(r, theta), constant in time.
+
+    The history fill passes the same mesh arrays for every ring sample, so
+    the profile is evaluated once per mesh and the values are reused.
+    """
+    last: list = [None, None, None]  # r, theta, values
+
+    def w0(t, r, th):
+        if r is not last[0] or th is not last[1]:
+            last[:] = [r, th, profile(r, th)]
+        return last[2]
+
+    return w0
+
+
+def _mode_w0(order: int, k: float, amp: float):
+    return _once_per_mesh(lambda r, th: amp * bessel_j(order, k * r) * np.cos(order * th))
+
+
 def _build_w0(resolved):
     kind = resolved["w0_kind"].lower()
     if kind == "constant":
         value = _to_float(resolved, "w0_value")
-        return lambda t, r, th: np.full_like(r, value)
+        return _once_per_mesh(lambda r, th: np.full_like(r, value))
     if kind == "trig_patch":
         base = _to_float(resolved, "w0_base")
         amp = _to_float(resolved, "w0_amp")
         kx = _to_float(resolved, "w0_kx")
         ky = _to_float(resolved, "w0_ky")
 
-        def w0(t, r, th):
+        def profile(r, th):
             x = r * np.cos(th)
             y = r * np.sin(th)
             return base + amp * np.sin(kx * x) * np.cos(ky * y)
 
-        return w0
+        return _once_per_mesh(profile)
     if kind == "mode":
-        # Needs the run's eigenvalues; run() binds it against the basis.
+        # Needs the run's eigenvalues; run() binds it through _mode_w0.
         return (
             _to_int(resolved, "w0_order"),
             _to_int(resolved, "w0_index"),
@@ -336,14 +356,11 @@ def run(config_path=None, preset: str | None = None, out_dir=None) -> int:
             raise ConfigError(f"config key output_dir: not writable ({exc})") from None
 
         w0 = _build_w0(resolved)
-        if isinstance(w0, tuple):
+        mode = isinstance(w0, tuple)
+        if mode:
             order, index, amp = w0
             if not (0 <= order <= spec.n_max and 1 <= index <= spec.j_max):
                 raise ConfigError("config key w0_order/w0_index: outside the truncation")
-            k = find_eigenvalues(order, spec.radius, spec.bc, index).eigenvalues[-1]
-
-            def w0(t, r, th, k=k, order=order, amp=amp):
-                return amp * bessel_j(order, k * r) * np.cos(order * th)
 
         if config.scheme is Scheme.ETD_AB2:
             grid = None
@@ -358,6 +375,8 @@ def run(config_path=None, preset: str | None = None, out_dir=None) -> int:
                     else auto
                 )
             integrator = SpectralIntegrator(spec, config, grid)
+            if mode:
+                w0 = _mode_w0(order, integrator.bases[order].eigenvalues[index - 1], amp)
             overrides = {
                 "n_r": str(integrator.grid.n_r),
                 "n_theta": str(integrator.grid.n_theta),
@@ -366,6 +385,9 @@ def run(config_path=None, preset: str | None = None, out_dir=None) -> int:
             _write_effective_config(resolved, spec, overrides, out / "effective_config")
             result = integrator.integrate(w0)
         else:
+            if mode:
+                k = find_eigenvalues(order, spec.radius, spec.bc, index).eigenvalues[-1]
+                w0 = _mode_w0(order, k, amp)
             _write_effective_config(resolved, spec, {}, out / "effective_config")
             result = integrate(spec, config, w0)
 

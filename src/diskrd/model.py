@@ -169,6 +169,11 @@ class ModelSpec:
         if self.variant in (Variant.FULL_DIRICHLET, Variant.FULL_ZERO_FLUX, Variant.RADIAL):
             if self.birth is None:
                 raise ValueError(f"{self.variant.value} requires a birth law")
+        if self.variant is Variant.RADIAL and isinstance(self.birth, ModeSeed):
+            raise ValueError(
+                "the radial variant cannot take a ModeSeed birth: the seed is an order-1 "
+                "mode, which the radial (order-zero) reduction drops"
+            )
         if self.variant in (Variant.MODE_FORCED, Variant.MODE_FORCED_BIRTH):
             if self.variant is Variant.MODE_FORCED_BIRTH and isinstance(self.birth, ModeSeed):
                 raise ValueError("the forced-with-birth variant needs a density-dependent law")

@@ -227,7 +227,7 @@ class SpectralIntegrator:
             self._forcing = self.transform.analyze_values(unit)
             if spec.variant is Variant.MODE_FORCED_BIRTH:
                 self._local_birth = birth
-        elif isinstance(birth, ModeSeed) and spec.variant is not Variant.RADIAL:
+        elif isinstance(birth, ModeSeed):
             a, b = self.transform.analyze_values(birth.profile(self.grid))
             self._seed = (self._damp * a, self._damp[1:] * b)
         else:

@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import jv
+from scipy.optimize import brentq
+from scipy.special import jv, jvp
 
 
 def jn_series(order: int, x: float, terms: int = 60) -> float:
@@ -91,3 +92,45 @@ def equilibria_scan(birth, mortality: float, hi: float, points: int = 20001) -> 
         if vals[i] * vals[i + 1] < 0.0:
             roots.append(bisect(excess, float(grid[i]), float(grid[i + 1]), tol=1e-11))
     return roots
+
+
+def scalar_eigenvalues(order: int, radius: float, a: float, b: float, count: int) -> np.ndarray:
+    """First ``count`` positive roots of A k J_n'(kR) + B J_n(kR), one scalar
+    ``jvp`` / ``jv`` call per point: scan k on a pi / (4R) lattice up to
+    (count + order + 2) pi / R, starting just above zero, and refine each
+    sign change with brentq. The k = 0 constant mode is not included.
+    """
+
+    def g(k: float) -> float:
+        x = k * radius
+        val = 0.0
+        if a != 0.0:
+            val += a * k * jvp(order, x)
+        if b != 0.0:
+            val += b * jv(order, x)
+        return val
+
+    step = np.pi / (4.0 * radius)
+    lattice = np.arange(0.0, (count + order + 2) * np.pi / radius + step, step)
+    lattice[0] = 1e-9 * step
+    values = [g(k) for k in lattice]
+    rtol = 4.0 * np.finfo(float).eps
+    roots: list[float] = []
+    for i in range(lattice.size - 1):
+        if len(roots) == count:
+            break
+        if values[i] * values[i + 1] < 0.0:
+            roots.append(brentq(g, lattice[i], lattice[i + 1], xtol=1e-15, rtol=rtol))
+    return np.array(roots)
+
+
+def scalar_mode_norm(order: int, k: float, radius: float, dirichlet: bool) -> float:
+    """integral_0^R r J_n(k r)^2 dr at one eigenvalue k > 0, by the closed
+    form R^2 J_{n+1}(kR)^2 / 2 (Dirichlet) or the Lommel form otherwise."""
+    x = k * radius
+    if dirichlet:
+        return 0.5 * radius**2 * jv(order + 1, x) ** 2
+    return (
+        0.5 * (radius**2 - (order / k) ** 2) * jv(order, x) ** 2
+        + 0.5 * radius**2 * jvp(order, x) ** 2
+    )

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,7 +14,14 @@ from diskrd.bessel import (
     mode_norm,
 )
 
-from oracles import bessel_zero, jn_series, quad_mode_norm, quad_mode_overlap
+from oracles import (
+    bessel_zero,
+    jn_series,
+    quad_mode_norm,
+    quad_mode_overlap,
+    scalar_eigenvalues,
+    scalar_mode_norm,
+)
 
 DIRICHLET = BoundaryCondition.dirichlet()
 ZERO_FLUX = BoundaryCondition.zero_flux()
@@ -210,3 +219,72 @@ class TestBesselBasis:
         basis = find_eigenvalues(0, 1.0, DIRICHLET, 2)
         with pytest.raises(ValueError):
             basis.eigenvalues[0] = 1.0
+
+
+class TestRadialTable:
+    """Tables recur upward from j0 / j1 where k r >= order and use jv below."""
+
+    K = np.array([0.5, 1.7, 4.0, 9.3, 16.0, 25.0])
+    R = np.array([0.0, 0.05, 0.4, 1.1, 2.3, 3.9, 5.2, 7.7, 10.0])
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 8, 16, 32, 48])
+    def test_matches_mpmath(self, order):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        # x = k r spans 0..250, on both sides of x = order; r = order / 4
+        # puts the k = 4 row exactly on x = order.
+        r = np.concatenate([self.R, [order / 4.0]])
+        basis = BesselBasis(order, 10.0, DIRICHLET, self.K, np.ones_like(self.K))
+        x = np.outer(self.K, r)
+        assert np.any(x < order) or order == 0
+        assert np.any(x >= order)
+        exact = np.array(
+            [[float(mpmath.besselj(order, mpmath.mpf(float(v)))) for v in row] for row in x]
+        )
+        assert np.max(np.abs(basis.radial_table(r) - exact)) < 1e-13
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 5])
+    def test_origin_is_kronecker_delta_without_warnings(self, order):
+        basis = BesselBasis(order, 1.0, DIRICHLET, self.K, np.ones_like(self.K))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = basis.radial_table(np.array([0.0, 0.5]))
+        assert np.all(table[:, 0] == (1.0 if order == 0 else 0.0))
+
+
+class TestEigenvalueScan:
+    """The vectorised scan and the jv-based brentq residual reproduce a
+    scalar brentq-on-jvp search bit for bit."""
+
+    @pytest.mark.parametrize(
+        "bc",
+        [
+            DIRICHLET,
+            ZERO_FLUX,
+            BoundaryCondition.mixed(1.0, 2.0),
+            BoundaryCondition.mixed(1.0, 0.1),
+        ],
+        ids=["dirichlet", "zero_flux", "mixed_1_2", "mixed_small_ratio"],
+    )
+    @pytest.mark.parametrize("order", [0, 1, 7, 20])
+    def test_bit_identical_to_scalar_search(self, bc, order):
+        radius, count = 1.3, 24
+        basis = find_eigenvalues(order, radius, bc, count)
+        positive = basis.eigenvalues[basis.eigenvalues > 0.0]
+        a, b = bc.coefficients()
+        expected = scalar_eigenvalues(order, radius, a, b, positive.size)
+        assert np.array_equal(positive, expected)
+
+    @pytest.mark.parametrize(
+        "bc", [DIRICHLET, ZERO_FLUX, BoundaryCondition.mixed(1.0, 2.0)]
+    )
+    @pytest.mark.parametrize("order", [0, 3, 16])
+    def test_norms_match_scalar_formula(self, bc, order):
+        basis = find_eigenvalues(order, 2.0, bc, 32)
+        for k, norm in zip(basis.eigenvalues, basis.norms):
+            if k == 0.0:
+                expected = 0.5 * 2.0**2
+            else:
+                expected = scalar_mode_norm(order, float(k), 2.0, bc is DIRICHLET)
+            assert abs(norm - expected) <= 4e-16 * expected
+            assert mode_norm(order, float(k), 2.0, bc) == norm

@@ -3,8 +3,12 @@ import csv
 import numpy as np
 import pytest
 
+from scipy.special import jv
+
+from diskrd import cli
 from diskrd.cli import DEFAULTS, PRESETS, ConfigError, dump_eigen_table, main, parse_config, run
-from diskrd.bessel import BoundaryCondition
+from diskrd.bessel import BoundaryCondition, find_eigenvalues
+from diskrd.solver import SpectralIntegrator
 
 from oracles import bessel_zero
 
@@ -222,6 +226,76 @@ class TestRun:
         cfg = write_config(tmp_path, "preset = nope\n")
         assert run(cfg, out_dir=tmp_path / "out") == 2
         assert "preset" in capsys.readouterr().err
+
+
+MODE_CONFIG = """
+variant = full_dirichlet
+birth = logistic
+n_max = 3
+j_max = 5
+delay = 0.2
+dt = 0.05
+t_end = 0.1
+w0_kind = mode
+w0_order = 2
+w0_index = 3
+w0_amp = 0.1
+"""
+
+
+class TestInitialHistory:
+    def count_bessel_calls(self, monkeypatch):
+        calls = []
+
+        def counting(order, x):
+            calls.append(order)
+            return jv(order, x)
+
+        monkeypatch.setattr(cli, "bessel_j", counting)
+        return calls
+
+    def test_mode_history_evaluated_once_per_run(self, tmp_path, monkeypatch):
+        calls = self.count_bessel_calls(monkeypatch)
+        samples = []
+        fill = SpectralIntegrator.initialize_history
+
+        def recording_fill(self, w0):
+            def recorded(t, r, th):
+                values = w0(t, r, th)
+                samples.append((r, th, np.array(values)))
+                return values
+
+            return fill(self, recorded)
+
+        monkeypatch.setattr(SpectralIntegrator, "initialize_history", recording_fill)
+        assert run(write_config(tmp_path, MODE_CONFIG), out_dir=tmp_path / "out") == 0
+        # delay / dt = 4 lag steps: five ring samples, one profile evaluation.
+        assert len(samples) == 5 and calls == [2]
+        k = find_eigenvalues(2, 1.0, BoundaryCondition.dirichlet(), 3).eigenvalues[-1]
+        for r, th, values in samples:
+            assert np.array_equal(values, 0.1 * jv(2, k * r) * np.cos(2 * th))
+
+    def test_mode_history_on_reference_scheme(self, tmp_path, monkeypatch):
+        calls = self.count_bessel_calls(monkeypatch)
+        text = SMALL_CONFIG.format(t_end="0.05") + (
+            "scheme = reference_fd\nfd_n_r = 16\nfd_n_theta = 8\n"
+            "w0_kind = mode\nw0_order = 1\nw0_index = 2\n"
+        )
+        assert run(write_config(tmp_path, text), out_dir=tmp_path / "out") == 0
+        assert calls == [1]
+
+    def test_profile_reevaluated_only_for_a_new_mesh(self):
+        evaluations = []
+
+        def profile(r, th):
+            evaluations.append(r)
+            return r + th
+
+        w0 = cli._once_per_mesh(profile)
+        r, th = np.meshgrid(np.linspace(0.1, 0.9, 4), np.linspace(0.0, 3.0, 3), indexing="ij")
+        first = w0(-1.0, r, th)
+        assert w0(0.0, r, th) is first and len(evaluations) == 1
+        assert np.array_equal(w0(0.0, r.copy(), th), first) and len(evaluations) == 2
 
 
 class TestEigenTable:

@@ -99,6 +99,11 @@ class TestModelSpecValidation:
         with pytest.raises(ValueError):
             make_spec(Variant.RADIAL)
 
+    def test_radial_rejects_mode_seed(self):
+        # The seed is an order-1 mode; the radial reduction keeps order 0 only.
+        with pytest.raises(ValueError, match="radial.*ModeSeed"):
+            make_spec(Variant.RADIAL, birth=ModeSeed(lambda t: 1.0, 3.8317))
+
     def test_physical_bounds(self):
         with pytest.raises(ValueError):
             make_spec(Variant.MODE_FORCED, diffusion=0.0)

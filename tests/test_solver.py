@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import brentq
 
 from diskrd.bessel import BesselBasis, BoundaryCondition, bessel_j
-from diskrd.model import Identity, ModelSpec, ModeSeed, RickerQuadratic, Variant, rhs
+from diskrd.model import Identity, Logistic, ModelSpec, ModeSeed, RickerQuadratic, Variant, rhs
 from diskrd import solver
 from diskrd.transform import DiskTransform, build_bases
 from diskrd.solver import (
@@ -19,6 +20,8 @@ from diskrd.solver import (
     reference_fd_step,
     resolve_time_step,
 )
+
+from oracles import bessel_zero
 
 ZERO_FLUX = BoundaryCondition.zero_flux()
 DIRICHLET = BoundaryCondition.dirichlet()
@@ -319,6 +322,60 @@ class TestDelayOracle:
         errors = [self.max_error(spec, index, dt) for dt in (0.04, 0.02, 0.01)]
         orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
         assert np.all((orders >= 1.9) & (orders <= 2.1)), (errors, orders)
+
+
+class TestCriticalPatchRadius:
+    """Persistence threshold of the radial model under a lethal edge.
+
+    Linearised about w = 0, the first radial mode (k = j01 / R) obeys
+    c' = -lam c + beta c(t - tau), lam = D k^2 + mu, beta = survival *
+    b'(0) * exp(-k^2 spread); with beta > 0 it grows iff beta > lam. The
+    critical radius R* solves D j01^2 / R^2 + mu = survival b'(0)
+    exp(-j01^2 spread / R^2).
+    """
+
+    D, MU, SURVIVAL, SPREAD, SLOPE = 1.0, 0.1, 0.8, 0.05, 1.0
+
+    def critical_radius(self):
+        j01 = bessel_zero(0, 1)
+
+        def excess(radius):
+            k2 = (j01 / radius) ** 2
+            return self.SURVIVAL * self.SLOPE * np.exp(-k2 * self.SPREAD) - (
+                self.D * k2 + self.MU
+            )
+
+        return brentq(excess, 0.5, 20.0, xtol=1e-12)
+
+    def first_mode_ratio(self, radius):
+        """c(20) / c(10) of the first radial coefficient from a small seed."""
+        spec = ModelSpec(
+            variant=Variant.RADIAL,
+            diffusion=self.D,
+            mortality=self.MU,
+            survival=self.SURVIVAL,
+            spread=self.SPREAD,
+            delay=1.0,
+            radius=radius,
+            bc=DIRICHLET,
+            birth=Logistic(self.SLOPE, 1.0),
+            n_max=0,
+            j_max=8,
+        )
+        ig = SpectralIntegrator(spec, SolverConfig(dt=0.05, t_end=20.0))
+        k = ig.bases[0].eigenvalues[0]
+        buf = ig.initialize_history(lambda t, r, th: 1e-3 * bessel_j(0, k * r))
+        for s in range(1, 401):
+            ig.step(buf, s)
+            if s == 200:
+                middle = buf.head().a[0, 0]
+        return buf.head().a[0, 0] / middle
+
+    def test_decays_below_and_grows_above(self):
+        r_star = self.critical_radius()
+        assert 2.5 < r_star < 3.5
+        assert self.first_mode_ratio(0.9 * r_star) < 0.8
+        assert self.first_mode_ratio(1.1 * r_star) > 1.2
 
 
 class TestIntegrate:
