@@ -147,39 +147,26 @@ class EigenvalueSearchError(RuntimeError):
     """The scan window could not bracket the requested number of roots."""
 
 
-def _square(v):
-    """v ** 2 through libm ``pow``, which rounds as a float64 scalar's ``** 2``
-    does; an array's ``** 2`` multiplies and can differ in the last bit."""
-    return np.float_power(v, 2)
-
-
-def mode_norm(order: int, k, radius: float, bc: BoundaryCondition):
-    """Weighted norm ``integral_0^R r J_order(k r)^2 dr`` of a mode, or of
-    each mode of an array of eigenvalues.
+def mode_norm(order: int, k: float, radius: float, bc: BoundaryCondition) -> float:
+    """Weighted norm ``integral_0^R r J_order(k r)^2 dr`` of one mode.
 
     Dirichlet eigenvalues use the closed form R^2 J_{n+1}(kR)^2 / 2; other
     conditions use the general Lommel form, and the k = 0 constant mode of
-    a zero-flux order-zero basis integrates to R^2 / 2. Squares go through
-    ``_square``, so each norm is bit-identical to the per-root evaluation
-    of the same formula.
+    a zero-flux order-zero basis integrates to R^2 / 2.
     """
-    k = np.asarray(k, dtype=float)
-    if np.any(k < 0.0):
+    if k < 0.0:
         raise ValueError("eigenvalue must be nonnegative")
-    flat = k == 0.0
-    if np.any(flat) and not bc.admits_constant_mode(order):
-        raise ValueError("k = 0 is only a mode for order 0 under a zero-flux condition")
+    if k == 0.0:
+        if not bc.admits_constant_mode(order):
+            raise ValueError("k = 0 is only a mode for order 0 under a zero-flux condition")
+        return 0.5 * radius**2
     x = k * radius
     if bc.kind is BoundaryKind.DIRICHLET:
-        norm = 0.5 * radius**2 * _square(jv(order + 1, x))
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):  # order / k at k = 0
-            lommel = radius**2 - _square(order / k)
-        norm = 0.5 * lommel * _square(jv(order, x)) + 0.5 * radius**2 * _square(
-            bessel_j_prime(order, x)
-        )
-    norm = np.where(flat, 0.5 * radius**2, norm)
-    return norm if norm.ndim else float(norm)
+        return 0.5 * radius**2 * jv(order + 1, x) ** 2
+    return (
+        0.5 * (radius**2 - (order / k) ** 2) * jv(order, x) ** 2
+        + 0.5 * radius**2 * bessel_j_prime(order, x) ** 2
+    )
 
 
 @dataclass(frozen=True)
@@ -313,5 +300,5 @@ def find_eigenvalues(
         raise EigenvalueSearchError(
             f"eigencondition residual {residual:.3e} exceeds {RESIDUAL_TOL:g}"
         )
-    norms = mode_norm(order, eigenvalues, radius, bc)
+    norms = np.array([mode_norm(order, k, radius, bc) for k in eigenvalues])
     return BesselBasis(order=order, radius=radius, bc=bc, eigenvalues=eigenvalues, norms=norms)

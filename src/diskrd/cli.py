@@ -356,11 +356,12 @@ def run(config_path=None, preset: str | None = None, out_dir=None) -> int:
             raise ConfigError(f"config key output_dir: not writable ({exc})") from None
 
         w0 = _build_w0(resolved)
-        mode = isinstance(w0, tuple)
-        if mode:
+        if isinstance(w0, tuple):
             order, index, amp = w0
             if not (0 <= order <= spec.n_max and 1 <= index <= spec.j_max):
                 raise ConfigError("config key w0_order/w0_index: outside the truncation")
+            k = find_eigenvalues(order, spec.radius, spec.bc, index).eigenvalues[-1]
+            w0 = _mode_w0(order, k, amp)
 
         if config.scheme is Scheme.ETD_AB2:
             grid = None
@@ -375,8 +376,6 @@ def run(config_path=None, preset: str | None = None, out_dir=None) -> int:
                     else auto
                 )
             integrator = SpectralIntegrator(spec, config, grid)
-            if mode:
-                w0 = _mode_w0(order, integrator.bases[order].eigenvalues[index - 1], amp)
             overrides = {
                 "n_r": str(integrator.grid.n_r),
                 "n_theta": str(integrator.grid.n_theta),
@@ -385,9 +384,6 @@ def run(config_path=None, preset: str | None = None, out_dir=None) -> int:
             _write_effective_config(resolved, spec, overrides, out / "effective_config")
             result = integrator.integrate(w0)
         else:
-            if mode:
-                k = find_eigenvalues(order, spec.radius, spec.bc, index).eigenvalues[-1]
-                w0 = _mode_w0(order, k, amp)
             _write_effective_config(resolved, spec, {}, out / "effective_config")
             result = integrate(spec, config, w0)
 
