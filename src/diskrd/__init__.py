@@ -6,7 +6,7 @@ The package decomposes into:
     transform  polar grids and the eigenfunction transform
     kernel     life-history integrals and the lagged maturation source
     model      birth laws, model variants, right-hand sides, equilibria
-    solver     exponential time stepping, delay ring, FD cross-check
+    solver     exponential time stepping, lagged-births ring, FD cross-check
     cli        config-driven batch runner (``diskrd run``, ``diskrd eigen-table``)
 """
 
@@ -15,7 +15,6 @@ from .bessel import (
     BoundaryCondition,
     BoundaryKind,
     EigenvalueSearchError,
-    bessel_j,
     bessel_j_prime,
     eigencondition,
     find_eigenvalues,

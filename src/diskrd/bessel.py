@@ -36,7 +36,6 @@ __all__ = [
     "BoundaryCondition",
     "BesselBasis",
     "EigenvalueSearchError",
-    "bessel_j",
     "bessel_j_prime",
     "eigencondition",
     "find_eigenvalues",
@@ -110,15 +109,6 @@ class BoundaryCondition:
         if self.kind is BoundaryKind.MIXED:
             return f"mixed(A={self.mixed_a:g},B={self.mixed_b:g})"
         return self.kind.value
-
-
-def bessel_j(order: int, x):
-    """Bessel function of the first kind J_order(x).
-
-    Accepts scalars or arrays; absolute error stays below 1e-12 for
-    x in [0, 100] at the orders used here.
-    """
-    return jv(order, x)
 
 
 def bessel_j_prime(order: int, x):

@@ -22,8 +22,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from scipy.special import jv
 
-from .bessel import BoundaryCondition, bessel_j, find_eigenvalues
+from .bessel import BoundaryCondition, find_eigenvalues
 from .model import Logistic, ModelSpec, RickerQuadratic, Variant, homogeneous_equilibria
 from .solver import BlowUpError, Scheme, SolverConfig, SpectralIntegrator, integrate
 from .transform import DiskGrid, build_bases, default_grid, write_field_csv
@@ -223,7 +224,7 @@ def _once_per_mesh(profile):
 
 
 def _mode_w0(order: int, k: float, amp: float):
-    return _once_per_mesh(lambda r, th: amp * bessel_j(order, k * r) * np.cos(order * th))
+    return _once_per_mesh(lambda r, th: amp * jv(order, k * r) * np.cos(order * th))
 
 
 def _build_w0(resolved):

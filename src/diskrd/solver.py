@@ -7,9 +7,10 @@ Adams-Bashforth weight under the phi1 integrating factor:
     c_new = exp(-lam dt) c + phi1(lam, dt) (3/2 N_t - 1/2 N_{t-dt}),
     phi1 = (1 - exp(-lam dt)) / lam   (dt in the lam -> 0 limit).
 
-The delay is handled by a ring of past states spaced exactly dt apart;
-dt is rounded down so the delay is an integer number of steps and the
-lagged state is a lookup, never an interpolation.
+The recruitment source at t reads only the damped births of the state
+at t - delay, so the delay is handled by a ring of those births, one per
+step; dt is rounded down so the delay is an integer number of steps and
+the lagged births are a lookup, never an interpolation.
 
 A deliberately simple finite-difference integrator on a cell-centered
 polar mesh (forward Euler, conservative five-point Laplacian) is provided
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Optional
@@ -106,47 +107,27 @@ def resolve_time_step(dt: float, delay: float) -> tuple[float, int]:
 
 @dataclass
 class HistoryBuffer:
-    """Ring of the last lag_steps + 1 states, newest last, spaced dt apart.
+    """What one step reads: the head state and the births still to mature.
 
-    ``births`` runs beside ``ring``: the source coefficients each state
-    contributes once it is the lagged state (None for the forced variants
-    and seeded births, whose source needs no past state). ``head_values``
-    are the grid samples of the head state.
+    ``a, b`` are the coefficients of the head state and ``values`` its grid
+    samples. ``births`` holds the damped birth coefficients of the last
+    lag_steps + 1 states, oldest first, so ``births[0]`` is the source at
+    the head time; it stays empty for the forced variants and seeded
+    births, whose source reads no past state.
     """
 
     dt: float
-    lag_steps: int
-    ring: deque
+    a: np.ndarray
+    b: np.ndarray
+    values: np.ndarray
+    births: deque
     steps: int = 0
     prev_source: Optional[tuple[np.ndarray, np.ndarray]] = None
-    births: deque = field(default_factory=deque)
-    head_values: Optional[np.ndarray] = None
 
     @property
     def t_head(self) -> float:
         """Time of the head state; a step count times dt, so it never drifts."""
         return self.steps * self.dt
-
-    def head(self) -> SpectralField:
-        return self.ring[-1]
-
-    def lagged(self) -> SpectralField:
-        """State at t_head - delay; exact by construction of the ring."""
-        return self.ring[0]
-
-    def push(
-        self,
-        state: SpectralField,
-        values: Optional[np.ndarray] = None,
-        births: Optional[tuple[np.ndarray, np.ndarray]] = None,
-    ) -> None:
-        self.ring.append(state)
-        self.births.append(births)
-        while len(self.ring) > self.lag_steps + 1:
-            self.ring.popleft()
-            self.births.popleft()
-        self.head_values = values
-        self.steps += 1
 
 
 class BlowUpError(RuntimeError):
@@ -197,7 +178,9 @@ class SpectralIntegrator:
     The source is built in coefficient space and each new state is
     synthesised once; those grid values give its diagnostics row, the
     forced-birth term, and the births it contributes once lagged
-    (``HistoryBuffer.births``).
+    (``HistoryBuffer.births``). Steps run on raw coefficient arrays: a
+    ``SpectralField`` is built only from the validated initial field and
+    for the result's ``final_state``.
     """
 
     def __init__(self, spec: ModelSpec, config: SolverConfig, grid: DiskGrid | None = None):
@@ -213,7 +196,6 @@ class SpectralIntegrator:
         phi = _phi1(self.rates, self.dt)
         self._phi_a = phi
         self._phi_b = phi[1:]
-        self._norm_stack = np.stack([basis.norms for basis in self.bases])
         self._damp = damping_factors(self.bases, spec.survival, spec.spread)
         # Static source pieces: the damped forcing mode scaled by f(t), or a
         # seeded birth mode scaled by its amplitude at t - delay.
@@ -234,43 +216,45 @@ class SpectralIntegrator:
             self._lagged_birth = birth
 
     def initialize_history(self, w0: Callable[[float, np.ndarray, np.ndarray], np.ndarray]) -> HistoryBuffer:
-        """Fill the ring by analysing w0(t, r, theta) over [-delay, 0].
+        """Analyse w0(t, r, theta) at t = 0 and queue the births of [-delay, 0].
 
-        A sample equal to the previous one reuses its state and births, so
-        a time-independent history costs one analysis.
+        Only a density-dependent maturation source reads past states, so
+        only then is w0 sampled before t = 0, at t = i dt for
+        i = -lag_steps .. 0. A sample equal to the previous one reuses its
+        state and births, so a time-independent history costs one analysis.
         """
         r, th = self.grid.mesh()
-        ring, births = deque(), deque()
+        births = deque(maxlen=self.lag_steps + 1)
+        first = -self.lag_steps if self._lagged_birth is not None else 0
         sample = entry = None
-        for i in range(self.lag_steps + 1):
-            t = -self.spec.delay + i * self.dt
+        for i in range(first, 1):
+            t = i * self.dt
             values = np.asarray(w0(t, r, th), dtype=float) + np.zeros_like(r)
             if entry is None or not np.array_equal(values, sample):
                 state = self.transform.analyze(DiskField(self.grid, values))
                 synthesized = self.transform.synthesize_values(state.a, state.b)
                 with _overflow_is_blowup(t, 0):
-                    entry = (state, synthesized, self._births(state, synthesized))
+                    entry = (state, synthesized, self._births(state.a, synthesized))
             sample = values
-            ring.append(entry[0])
-            births.append(entry[2])
-        return HistoryBuffer(
-            self.dt, self.lag_steps, ring, births=births, head_values=entry[1]
-        )
+            if entry[2] is not None:
+                births.append(entry[2])
+        state, synthesized, _ = entry
+        return HistoryBuffer(self.dt, state.a, state.b, synthesized, births)
 
-    def _births(self, state: SpectralField, values: np.ndarray):
-        """Damped birth coefficients ``state`` (sampled as ``values``) adds
-        to the source once it is the lagged state; the radial variant keeps
-        order zero only.
+    def _births(self, a: np.ndarray, values: np.ndarray):
+        """Damped birth coefficients the state ``a`` (sampled as ``values``)
+        adds to the source once it is the lagged state; the radial variant
+        keeps order zero only.
         """
         birth = self._lagged_birth
         if birth is None:
             return None
         if self.spec.variant is Variant.RADIAL:
-            profile = self.transform.synthesize_profile(state.a[0])
-            a = np.zeros_like(state.a)
+            profile = self.transform.synthesize_profile(a[0])
+            out = np.zeros_like(a)
             births = np.asarray(birth(profile), dtype=float)
-            a[0] = self._damp[0] * self.transform.analyze_profile(births)
-            return a, np.zeros_like(state.b)
+            out[0] = self._damp[0] * self.transform.analyze_profile(births)
+            return out, np.zeros_like(a[1:])
         return damped_births(values, birth, self._damp, self.transform)
 
     def source(self, buffer: HistoryBuffer) -> tuple[np.ndarray, np.ndarray]:
@@ -280,7 +264,7 @@ class SpectralIntegrator:
             f = self.spec.forcing_value(t)
             a, b = f * self._forcing[0], f * self._forcing[1]
             if self._local_birth is not None:
-                births = np.asarray(self._local_birth(buffer.head_values), dtype=float)
+                births = np.asarray(self._local_birth(buffer.values), dtype=float)
                 ba, bb = self.transform.analyze_values(births)
                 a, b = a + ba, b + bb
             return a, b
@@ -289,16 +273,8 @@ class SpectralIntegrator:
             return amp * self._seed[0], amp * self._seed[1]
         return buffer.births[0]
 
-    def _rate_norm(self, da: np.ndarray, db: np.ndarray) -> float:
-        """Disk L2 norm of a coefficient increment divided by dt."""
-        total = 2.0 * np.pi * np.dot(self._norm_stack[0], da[0] ** 2)
-        if len(self.bases) > 1:
-            total += np.pi * np.sum(self._norm_stack[1:] * (da[1:] ** 2 + db**2))
-        return float(np.sqrt(total)) / self.dt
-
     def step(self, buffer: HistoryBuffer, step_index: int = 0) -> HistoryBuffer:
         """Advance one dt; the first step uses the one-step Euler weights."""
-        state = buffer.head()
         t_new = (buffer.steps + 1) * self.dt
         with _overflow_is_blowup(t_new, step_index):
             src_a, src_b = self.source(buffer)
@@ -308,30 +284,32 @@ class SpectralIntegrator:
                 prev_a, prev_b = buffer.prev_source
                 stage_a = 1.5 * src_a - 0.5 * prev_a
                 stage_b = 1.5 * src_b - 0.5 * prev_b
-            new_a = self._decay_a * state.a + self._phi_a * stage_a
-            new_b = self._decay_b * state.b + self._phi_b * stage_b
-            new_state = SpectralField(self.bases, new_a, new_b)
-            peak = new_state.max_abs()
+            a = self._decay_a * buffer.a + self._phi_a * stage_a
+            b = self._decay_b * buffer.b + self._phi_b * stage_b
+            peak = float(np.maximum(np.max(np.abs(a)), np.max(np.abs(b), initial=0.0)))
             if not np.isfinite(peak) or peak > self.config.blowup_threshold:
                 raise BlowUpError(t_new, step_index, peak)
-            values = self.transform.synthesize_values(new_a, new_b)
-            births = self._births(new_state, values)
+            values = self.transform.synthesize_values(a, b)
+            births = self._births(a, values)
+        buffer.a, buffer.b, buffer.values = a, b, values
         buffer.prev_source = (src_a, src_b)
-        buffer.push(new_state, values, births)
+        if births is not None:
+            buffer.births.append(births)
+        buffer.steps += 1
         return buffer
 
     def integrate(self, w0) -> SimulationResult:
         buffer = self.initialize_history(w0)
         n_steps = _step_count(self.config.t_end, self.dt)
         recorder = _Recorder(n_steps, self.grid, self.config)
-        recorder.record(0, 0.0, buffer.head_values, 0.0)
+        recorder.record(0, 0.0, buffer.values, 0.0)
         for i in range(1, n_steps + 1):
-            previous = buffer.head()
+            a, b = buffer.a, buffer.b
             self.step(buffer, i)
-            state = buffer.head()
-            rate = self._rate_norm(state.a - previous.a, state.b - previous.b)
-            recorder.record(i, buffer.t_head, buffer.head_values, rate)
-        return recorder.result(buffer.head(), self.spec, self.dt)
+            rate = self.transform.weighted_l2(buffer.a - a, buffer.b - b) / self.dt
+            recorder.record(i, buffer.t_head, buffer.values, rate)
+        final_state = SpectralField(self.bases, buffer.a, buffer.b)
+        return recorder.result(final_state, self.spec, self.dt)
 
 
 def _step_count(t_end: float, dt: float) -> int:
@@ -392,11 +370,11 @@ def _phi1(lam: np.ndarray, dt: float) -> np.ndarray:
     return np.where(small, series, direct)
 
 
-def integrate(spec: ModelSpec, config: SolverConfig, w0, grid: DiskGrid | None = None) -> SimulationResult:
+def integrate(spec: ModelSpec, config: SolverConfig, w0) -> SimulationResult:
     """Run the configured scheme; the FD scheme suits short cross-check horizons."""
     if config.scheme is Scheme.REFERENCE_FD:
         return _integrate_reference(spec, config, w0)
-    return SpectralIntegrator(spec, config, grid).integrate(w0)
+    return SpectralIntegrator(spec, config).integrate(w0)
 
 
 def _integrate_reference(spec: ModelSpec, config: SolverConfig, w0) -> SimulationResult:

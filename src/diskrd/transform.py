@@ -105,10 +105,6 @@ class DiskGrid:
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         return np.meshgrid(self.r_nodes, self.theta_nodes, indexing="ij")
 
-    def cartesian(self) -> tuple[np.ndarray, np.ndarray]:
-        r, th = self.mesh()
-        return r * np.cos(th), r * np.sin(th)
-
     def integrate(self, values: np.ndarray) -> float:
         """Disk integral ``integral integral f r dr dtheta`` of grid samples."""
         return float(self.theta_spacing * np.dot(self.r_weights * self.r_nodes, values.sum(axis=1)))
@@ -137,11 +133,6 @@ class DiskField:
     def from_polar(cls, grid: DiskGrid, fn) -> "DiskField":
         r, th = grid.mesh()
         return cls(grid, np.asarray(fn(r, th), dtype=float) + np.zeros_like(r))
-
-    @classmethod
-    def from_cartesian(cls, grid: DiskGrid, fn) -> "DiskField":
-        x, y = grid.cartesian()
-        return cls(grid, np.asarray(fn(x, y), dtype=float) + np.zeros_like(x))
 
 
 @dataclass(frozen=True)
@@ -189,23 +180,6 @@ class SpectralField:
     @property
     def radius(self) -> float:
         return self.bases[0].radius
-
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.bases, self.a.copy(), self.b.copy())
-
-    def max_abs(self) -> float:
-        peak = float(np.max(np.abs(self.a)))
-        if self.b.size:
-            peak = max(peak, float(np.max(np.abs(self.b))))
-        return peak
-
-    def weighted_l2(self) -> float:
-        """Disk L2 norm computed from coefficients and stored mode norms."""
-        norms = np.stack([basis.norms for basis in self.bases])
-        total = 2.0 * np.pi * np.dot(norms[0], self.a[0] ** 2)
-        if self.n_max:
-            total += np.pi * np.sum(norms[1:] * (self.a[1:] ** 2 + self.b**2))
-        return float(np.sqrt(total))
 
     def is_radial(self, tol: float = 1e-12) -> bool:
         angular = 0.0
@@ -262,7 +236,8 @@ class DiskTransform:
         self._weights = grid.r_weights * grid.r_nodes
         scale = np.full(n_max + 1, grid.theta_spacing / np.pi)
         scale[0] *= 0.5
-        self._coef_scale = scale[:, None] / np.stack([basis.norms for basis in bases])
+        self._norms = np.stack([basis.norms for basis in bases])
+        self._coef_scale = scale[:, None] / self._norms
         # Rows cos(n theta) for n = 0..n_max, then sin(n theta) for n = 1..n_max.
         angles = np.outer(np.arange(n_max + 1), grid.theta_nodes)
         self._trig = np.vstack([np.cos(angles), np.sin(angles[1:])])
@@ -309,6 +284,13 @@ class DiskTransform:
     def synthesize_profile(self, coeffs: np.ndarray) -> np.ndarray:
         """Radial profile sum_j c_j J_0(k_0j r) on the grid radii."""
         return coeffs @ self._j_table[0]
+
+    def weighted_l2(self, a: np.ndarray, b: np.ndarray) -> float:
+        """Disk L2 norm of the expansion (a, b), from the stored mode norms."""
+        total = 2.0 * np.pi * np.dot(self._norms[0], a[0] ** 2)
+        if self.n_max:
+            total += np.pi * np.sum(self._norms[1:] * (a[1:] ** 2 + b**2))
+        return float(np.sqrt(total))
 
     def analyze(self, field: DiskField) -> SpectralField:
         if field.grid is not self.grid and not (

@@ -251,7 +251,7 @@ class TestInitialHistory:
             calls.append(order)
             return jv(order, x)
 
-        monkeypatch.setattr(cli, "bessel_j", counting)
+        monkeypatch.setattr(cli, "jv", counting)
         return calls
 
     def test_mode_history_evaluated_once_per_run(self, tmp_path, monkeypatch):

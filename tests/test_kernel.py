@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import jv
 
-from diskrd.bessel import BoundaryCondition, bessel_j
+from diskrd.bessel import BoundaryCondition
 from diskrd.kernel import (
     LifeHistory,
     alpha_of,
@@ -60,7 +61,7 @@ class TestMaturationTerm:
         grid, bases, _ = setup_zero_flux
         eps, alpha = 0.8, 0.05
         k = bases[0].eigenvalues[1]
-        field = DiskField.from_polar(grid, lambda r, th: bessel_j(0, k * r))
+        field = DiskField.from_polar(grid, lambda r, th: jv(0, k * r))
         out = maturation_term(field, identity, eps, alpha, bases)
         expected = eps * np.exp(-(k**2) * alpha) * field.values
         assert np.max(np.abs(out.values - expected)) < 1e-8
@@ -71,7 +72,7 @@ class TestMaturationTerm:
         for n, basis in enumerate(bases):
             for j, k in enumerate(basis.eigenvalues):
                 field = DiskField.from_polar(
-                    grid, lambda r, th: bessel_j(n, k * r) * np.cos(n * th)
+                    grid, lambda r, th: jv(n, k * r) * np.cos(n * th)
                 )
                 out = maturation_term(field, identity, eps, alpha, bases, tr)
                 expected = eps * np.exp(-(k**2) * alpha) * field.values

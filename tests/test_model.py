@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import jv
 
-from diskrd.bessel import BoundaryCondition, bessel_j
+from diskrd.bessel import BoundaryCondition
 from diskrd.model import (
     Identity,
     Logistic,
@@ -81,7 +82,7 @@ class TestBirthLaws:
         bases = build_bases(1, 3, 1.0, BoundaryCondition.dirichlet())
         grid = default_grid(bases)
         r, th = grid.mesh()
-        assert_allclose(seed.field(grid, 0.0), 2.0 * bessel_j(1, 3.8317 * r) * np.cos(th))
+        assert_allclose(seed.field(grid, 0.0), 2.0 * jv(1, 3.8317 * r) * np.cos(th))
 
 
 class TestModelSpecValidation:
@@ -152,7 +153,7 @@ class TestRhs:
         _, source = rhs(0.0, state, None, spec, tr)
         r, th = tr.grid.mesh()
         amp = 0.1 * np.exp(-(3.8317**2) * 0.1)
-        expected = amp * bessel_j(1, 3.8317 * r) * np.cos(th)
+        expected = amp * jv(1, 3.8317 * r) * np.cos(th)
         assert np.max(np.abs(source.values - expected)) < 1e-14
 
     def test_additivity_for_identity_birth(self):
@@ -321,4 +322,4 @@ class TestForcingProfile:
         spec, _, tr = forced_setup
         values = forcing_profile(spec, tr.grid)
         r, th = tr.grid.mesh()
-        assert_allclose(values, bessel_j(1, spec.forcing_mode_k * r) * np.cos(th))
+        assert_allclose(values, jv(1, spec.forcing_mode_k * r) * np.cos(th))

@@ -1,12 +1,15 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
+from scipy.special import jv
 
-from diskrd.bessel import BesselBasis, BoundaryCondition, bessel_j
+from diskrd.bessel import BesselBasis, BoundaryCondition
 from diskrd.model import Identity, Logistic, ModelSpec, ModeSeed, RickerQuadratic, Variant, rhs
 from diskrd import solver
-from diskrd.transform import DiskTransform, build_bases
+from diskrd.transform import DiskField, DiskTransform, SpectralField, build_bases
 from diskrd.solver import (
     BlowUpError,
     FDGrid,
@@ -78,34 +81,38 @@ class TestInitializeHistory:
     def test_zero_history(self):
         ig = SpectralIntegrator(forced_spec(), SolverConfig(dt=0.1, t_end=1.0))
         buf = ig.initialize_history(lambda t, r, th: np.zeros_like(r))
-        assert len(buf.ring) == ig.lag_steps + 1
-        assert all(state.max_abs() == 0.0 for state in buf.ring)
+        assert not np.any(buf.a) and not np.any(buf.b)
 
     def test_constant_patch_fills_identical_states(self):
-        ig = SpectralIntegrator(forced_spec(), SolverConfig(dt=0.1, t_end=1.0))
+        spec = forced_spec(variant=Variant.FULL_ZERO_FLUX, birth=RickerQuadratic(0.25, 0.1))
+        ig = SpectralIntegrator(spec, SolverConfig(dt=0.1, t_end=1.0))
         buf = ig.initialize_history(patch_w0)
-        head = buf.head()
-        assert len(buf.ring) == 11
-        for state in buf.ring:
-            assert np.array_equal(state.a, head.a)
+        assert len(buf.births) == 11
+        head_a, head_b = buf.births[-1]
+        for a, b in buf.births:
+            assert np.array_equal(a, head_a) and np.array_equal(b, head_b)
         # Zero-flux: the constant mode carries the 0.2 mean of the patch.
-        assert head.a[0, 0] == pytest.approx(0.2, abs=1e-10)
+        assert buf.a[0, 0] == pytest.approx(0.2, abs=1e-10)
 
     def test_single_mode_history(self):
         ig = SpectralIntegrator(forced_spec(), SolverConfig(dt=0.1, t_end=1.0))
         k = ig.bases[0].eigenvalues[1]
-        buf = ig.initialize_history(lambda t, r, th: bessel_j(0, k * r))
-        head = buf.head()
-        assert head.a[0, 1] == pytest.approx(1.0, abs=1e-10)
-        rest = head.a.copy()
+        buf = ig.initialize_history(lambda t, r, th: jv(0, k * r))
+        assert buf.a[0, 1] == pytest.approx(1.0, abs=1e-10)
+        rest = buf.a.copy()
         rest[0, 1] = 0.0
         assert np.max(np.abs(rest)) < 1e-8
 
     def test_time_varying_history(self):
-        ig = SpectralIntegrator(forced_spec(delay=0.5), SolverConfig(dt=0.25, t_end=1.0))
+        # Identity births, all surviving and undamped: the births queued
+        # for the head time are the history at t = -delay.
+        spec = forced_spec(
+            variant=Variant.FULL_ZERO_FLUX, birth=Identity(), survival=1.0, spread=0.0, delay=0.5
+        )
+        ig = SpectralIntegrator(spec, SolverConfig(dt=0.25, t_end=1.0))
         buf = ig.initialize_history(lambda t, r, th: np.exp(t) * np.ones_like(r))
-        assert buf.lagged().a[0, 0] == pytest.approx(np.exp(-0.5), abs=1e-10)
-        assert buf.head().a[0, 0] == pytest.approx(1.0, abs=1e-10)
+        assert buf.births[0][0][0, 0] == pytest.approx(np.exp(-0.5), abs=1e-10)
+        assert buf.a[0, 0] == pytest.approx(1.0, abs=1e-10)
 
 
 class TestStep:
@@ -115,13 +122,13 @@ class TestStep:
         ig = SpectralIntegrator(spec, config)
         k = ig.bases[1].eigenvalues[0]
         lam = spec.diffusion * k**2 + spec.mortality
-        buf = ig.initialize_history(lambda t, r, th: bessel_j(1, k * r) * np.cos(th))
-        c0 = buf.head().a[1, 0]
+        buf = ig.initialize_history(lambda t, r, th: jv(1, k * r) * np.cos(th))
+        c0 = buf.a[1, 0]
         for s in range(1, 21):
             ig.step(buf, s)
             expected = np.exp(-lam * s * 0.5) * c0
             # Exponential integrator: exact per-mode decay for any dt.
-            assert buf.head().a[1, 0] == pytest.approx(expected, rel=1e-12)
+            assert buf.a[1, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_zero_state_is_fixed_point(self):
         spec = forced_spec(
@@ -133,7 +140,7 @@ class TestStep:
         buf = ig.initialize_history(lambda t, r, th: np.zeros_like(r))
         for s in range(10):
             ig.step(buf, s)
-        assert buf.head().max_abs() == 0.0
+        assert not np.any(buf.a) and not np.any(buf.b)
 
     def test_blowup_detection(self):
         spec = forced_spec(forcing=lambda t: 1e20)
@@ -156,15 +163,20 @@ class TestStep:
             delay=tau,
         )
         ig = SpectralIntegrator(spec, SolverConfig(dt=0.05, t_end=1.0))
+        tr = ig.transform
         k = ig.bases[0].eigenvalues[1]
-        buf = ig.initialize_history(
-            lambda t, r, th: np.exp(sigma * t) * bessel_j(0, k * r)
-        )
-        lagged_field = ig.transform.synthesize(buf.lagged())
-        _, source = rhs(buf.t_head, buf.head(), lagged_field, spec, ig.transform)
-        sa, _ = ig.transform.analyze_values(source.values)
-        expected = np.exp(-sigma * tau) * buf.head().a[0, 1]
+
+        def w0(t, r, th):
+            return np.exp(sigma * t) * jv(0, k * r)
+
+        buf = ig.initialize_history(w0)
+        lagged = tr.analyze(DiskField.from_polar(ig.grid, lambda r, th: w0(-tau, r, th)))
+        head = SpectralField(ig.bases, buf.a, buf.b)
+        _, source = rhs(buf.t_head, head, tr.synthesize(lagged), spec, tr)
+        sa, _ = tr.analyze_values(source.values)
+        expected = np.exp(-sigma * tau) * buf.a[0, 1]
         assert sa[0, 1] == pytest.approx(expected, abs=1e-9)
+        assert ig.source(buf)[0][0, 1] == pytest.approx(expected, abs=1e-9)
 
 
 def drifting_patch(t, r, th):
@@ -202,17 +214,26 @@ class TestCoefficientSource:
         ig = self.integrator(case)
         buf = ig.initialize_history(drifting_patch)
         tr = ig.transform
+        # The integrator keeps no past states, so the test keeps them: the
+        # history at t = i dt, i = -lag_steps .. 0, then each stepped head.
+        r, th = ig.grid.mesh()
+        states = deque(
+            (tr.analyze_values(drifting_patch(i * ig.dt, r, th)) for i in range(-ig.lag_steps, 1)),
+            maxlen=ig.lag_steps + 1,
+        )
         # Check on the history, then once the lagged state is a stepped one.
         for s in range(7):
             if s in (0, 6):
-                lagged = tr.synthesize(buf.lagged())
-                _, field = rhs(buf.t_head, buf.head(), lagged, ig.spec, tr)
+                lagged = DiskField(ig.grid, tr.synthesize_values(*states[0]))
+                head = SpectralField(ig.bases, buf.a, buf.b)
+                _, field = rhs(buf.t_head, head, lagged, ig.spec, tr)
                 ea, eb = tr.analyze_values(field.values)
                 sa, sb = ig.source(buf)
                 scale = max(np.max(np.abs(ea)), np.max(np.abs(eb)))
                 assert np.max(np.abs(sa - ea)) <= 1e-12 * scale
                 assert np.max(np.abs(sb - eb)) <= 1e-12 * scale
             ig.step(buf, s + 1)
+            states.append((buf.a, buf.b))
 
     @pytest.mark.parametrize(
         "case, analyses",
@@ -222,13 +243,15 @@ class TestCoefficientSource:
             ("full_zero_flux", 1),
             ("full_dirichlet", 1),
             ("full_zero_flux_seed", 0),
+            ("full_dirichlet_seed", 0),
             ("radial", 0),
         ],
     )
     def test_transforms_per_step(self, monkeypatch, case, analyses):
+        # Steps run on raw coefficient arrays: no SpectralField is built.
         ig = self.integrator(case)
         buf = ig.initialize_history(patch_w0)
-        counts = {"analyze": 0, "synthesize": 0, "radial_table": 0}
+        counts = {"analyze": 0, "synthesize": 0, "radial_table": 0, "spectral_field": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -241,14 +264,20 @@ class TestCoefficientSource:
             (DiskTransform, "analyze_values", "analyze"),
             (DiskTransform, "synthesize_values", "synthesize"),
             (BesselBasis, "radial_table", "radial_table"),
+            (SpectralField, "__post_init__", "spectral_field"),
         ):
             monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
         for s in range(1, 6):
             ig.step(buf, s)
-        assert counts == {"analyze": 5 * analyses, "synthesize": 5, "radial_table": 0}
+        assert counts == {
+            "analyze": 5 * analyses,
+            "synthesize": 5,
+            "radial_table": 0,
+            "spectral_field": 0,
+        }
 
-    def test_constant_history_is_analysed_once(self, monkeypatch):
-        ig = self.integrator("full_zero_flux")
+    @staticmethod
+    def count_analyses(monkeypatch):
         calls = []
         original = DiskTransform.analyze_values
 
@@ -257,10 +286,41 @@ class TestCoefficientSource:
             return original(self, values)
 
         monkeypatch.setattr(DiskTransform, "analyze_values", counting)
+        return calls
+
+    def test_constant_history_is_analysed_once(self, monkeypatch):
+        ig = self.integrator("full_zero_flux")
+        calls = self.count_analyses(monkeypatch)
         buf = ig.initialize_history(patch_w0)
         # One analysis of the state, one of its births, for all five samples.
         assert len(calls) == 2
-        assert len(buf.ring) == len(buf.births) == ig.lag_steps + 1
+        assert len(buf.births) == ig.lag_steps + 1
+
+    def test_forced_history_samples_only_t0(self, monkeypatch):
+        # The forced source reads no past state, so a time-varying history
+        # is sampled once, at t = 0, and analysed once.
+        ig = self.integrator("mode_forced")
+        assert ig.lag_steps == 4
+        calls = self.count_analyses(monkeypatch)
+        times = []
+
+        def w0(t, r, th):
+            times.append(t)
+            return drifting_patch(t, r, th)
+
+        ig.initialize_history(w0)
+        assert times == [0.0] and len(calls) == 1
+
+    @pytest.mark.parametrize("case", sorted(SOURCE_CASES))
+    def test_births_queued_only_where_the_source_reads_them(self, case):
+        ig = self.integrator(case)
+        reads_births = case in ("full_zero_flux", "full_dirichlet", "radial")
+        expected = ig.lag_steps + 1 if reads_births else 0
+        buf = ig.initialize_history(drifting_patch)
+        assert len(buf.births) == expected
+        for s in range(1, 4):
+            ig.step(buf, s)
+            assert len(buf.births) == expected
 
 
 class TestDelayOracle:
@@ -291,12 +351,12 @@ class TestDelayOracle:
         k = ig.bases[0].eigenvalues[index]
         lam = spec.diffusion * k**2 + spec.mortality
         beta = spec.survival * np.exp(-(k**2) * spec.spread)
-        buf = ig.initialize_history(lambda t, r, th: self.C0 * bessel_j(0, k * r))
+        buf = ig.initialize_history(lambda t, r, th: self.C0 * jv(0, k * r))
         worst = 0.0
         for s in range(1, 2 * ig.lag_steps + 1):
             ig.step(buf, s)
             if s >= ig.lag_steps:
-                err = abs(buf.head().a[0, index] - self.exact(buf.t_head, lam, beta))
+                err = abs(buf.a[0, index] - self.exact(buf.t_head, lam, beta))
                 worst = max(worst, err)
         return worst
 
@@ -364,12 +424,12 @@ class TestCriticalPatchRadius:
         )
         ig = SpectralIntegrator(spec, SolverConfig(dt=0.05, t_end=20.0))
         k = ig.bases[0].eigenvalues[0]
-        buf = ig.initialize_history(lambda t, r, th: 1e-3 * bessel_j(0, k * r))
+        buf = ig.initialize_history(lambda t, r, th: 1e-3 * jv(0, k * r))
         for s in range(1, 401):
             ig.step(buf, s)
             if s == 200:
-                middle = buf.head().a[0, 0]
-        return buf.head().a[0, 0] / middle
+                middle = buf.a[0, 0]
+        return buf.a[0, 0] / middle
 
     def test_decays_below_and_grows_above(self):
         r_star = self.critical_radius()
@@ -385,8 +445,9 @@ class TestIntegrate:
         assert result.times.size == 1
         assert len(result.snapshots) == 1
         ig = SpectralIntegrator(spec, SolverConfig(dt=0.01, t_end=0.0))
-        projected = ig.transform.synthesize(ig.initialize_history(patch_w0).head())
-        assert_allclose(result.final_field.values, projected.values, atol=1e-14)
+        buf = ig.initialize_history(patch_w0)
+        projected = ig.transform.synthesize_values(buf.a, buf.b)
+        assert_allclose(result.final_field.values, projected, atol=1e-14)
 
     def test_diagnostics_lengths_and_monotone_time(self):
         spec = forced_spec()
@@ -419,7 +480,7 @@ class TestIntegrate:
         def w0(t, r, th):
             basis = SpectralIntegrator(spec, SolverConfig(dt=0.05, t_end=1.0)).bases[0]
             return sum(
-                c[j] * bessel_j(0, basis.eigenvalues[j] * r) for j in range(5)
+                c[j] * jv(0, basis.eigenvalues[j] * r) for j in range(5)
             )
 
         result = integrate(spec, SolverConfig(dt=0.05, t_end=1.0), w0)
@@ -480,7 +541,7 @@ class TestReferenceFD:
         k = 2.404825557695773
         lam = spec.diffusion * k**2
         r, _ = fd.mesh()
-        values = bessel_j(0, k * r) * np.ones((fd.n_r, fd.n_theta))
+        values = jv(0, k * r) * np.ones((fd.n_r, fd.n_theta))
         t_end = 0.02
         final, _ = integrate_fd(spec, fd, values, t_end)
         rate = -np.log(final[0, 0] / values[0, 0]) / t_end
