@@ -365,7 +365,7 @@ def run(config_path=None, preset: str | None = None, out_dir=None) -> int:
             w0 = _mode_w0(order, k, amp)
 
         if config.scheme is Scheme.ETD_AB2:
-            grid = None
+            grid = bases = None
             n_r = _to_int(resolved, "n_r")
             n_theta = _to_int(resolved, "n_theta")
             if n_r > 0 or n_theta > 0:
@@ -376,7 +376,7 @@ def run(config_path=None, preset: str | None = None, out_dir=None) -> int:
                     if n_r > 0
                     else auto
                 )
-            integrator = SpectralIntegrator(spec, config, grid)
+            integrator = SpectralIntegrator(spec, config, grid, bases)
             overrides = {
                 "n_r": str(integrator.grid.n_r),
                 "n_theta": str(integrator.grid.n_theta),
@@ -397,7 +397,7 @@ def run(config_path=None, preset: str | None = None, out_dir=None) -> int:
                     f"{_format(result.dwdt_norm[i])}\n"
                 )
         for t, snapshot in result.snapshots:
-            write_field_csv(snapshot, out / f"snapshot_{t:g}.csv")
+            write_field_csv(snapshot, out / f"snapshot_{t:.15g}.csv")
         _write_summary(result, spec, out / "summary")
         print(f"[diskrd] wrote {out / 'summary'}")
         return 0

@@ -10,7 +10,10 @@ Adams-Bashforth weight under the phi1 integrating factor:
 The recruitment source at t reads only the damped births of the state
 at t - delay, so the delay is handled by a ring of those births, one per
 step; dt is rounded down so the delay is an integer number of steps and
-the lagged births are a lookup, never an interpolation.
+the lagged births are a lookup, never an interpolation. The next
+lag_steps + 1 states read only births already in the ring, so they are
+marched as one block (the method of steps), with one batched synthesis
+and one batched analysis of their births.
 
 A deliberately simple finite-difference integrator on a cell-centered
 polar mesh (forward Euler, conservative five-point Laplacian) is provided
@@ -29,7 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bessel import BoundaryKind
+from .bessel import BesselBasis, BoundaryKind
 from .kernel import damped_births, damping_factors
 from .model import ModelSpec, ModeSeed, Variant, forcing_profile, linear_rates
 from .model import rhs  # noqa: F401  (bound here for tools that wrap solver.rhs)
@@ -59,6 +62,9 @@ __all__ = [
 ]
 
 CONVERGED_STREAK = 100
+# Byte budget for the two value-sized stacks a block keeps live at once
+# (its grid samples and their angular moments): 5 states on a 194 x 66 grid.
+_BLOCK_BYTES = 1 << 20
 _FORCED = (Variant.MODE_FORCED, Variant.MODE_FORCED_BIRTH)
 
 
@@ -111,9 +117,9 @@ class HistoryBuffer:
 
     ``a, b`` are the coefficients of the head state and ``values`` its grid
     samples. ``births`` holds the damped birth coefficients of the last
-    lag_steps + 1 states, oldest first, so ``births[0]`` is the source at
-    the head time; it stays empty for the forced variants and seeded
-    births, whose source reads no past state.
+    lag_steps + 1 states, oldest first, so ``births[m]`` is the source m
+    steps after the head time; it stays empty for the forced variants and
+    seeded births, whose source reads no past state.
     """
 
     dt: float
@@ -181,12 +187,32 @@ class SpectralIntegrator:
     (``HistoryBuffer.births``). Steps run on raw coefficient arrays: a
     ``SpectralField`` is built only from the validated initial field and
     for the result's ``final_state``.
+
+    States are marched in blocks of ``block`` (method of steps): the
+    lagged source of the next lag_steps + 1 states is already queued, so a
+    block advances its coefficients one state at a time and then
+    synthesises, and analyses its births, in one call each. ``block`` is
+    min(lag_steps + 1, cap) for the density-dependent maturation variants,
+    the cap for the forced variant and a seeded birth (their source is known
+    for all t), and 1 for the forced birth, which reads the head state.
     """
 
-    def __init__(self, spec: ModelSpec, config: SolverConfig, grid: DiskGrid | None = None):
+    def __init__(
+        self,
+        spec: ModelSpec,
+        config: SolverConfig,
+        grid: DiskGrid | None = None,
+        bases: tuple[BesselBasis, ...] | None = None,
+    ):
         self.spec = spec
         self.config = config
-        self.bases = build_bases(spec.n_max, spec.j_max, spec.radius, spec.bc)
+        if bases is None:
+            bases = build_bases(spec.n_max, spec.j_max, spec.radius, spec.bc)
+        elif [(basis.order, basis.count, basis.radius, basis.bc) for basis in bases] != [
+            (n, spec.j_max, spec.radius, spec.bc) for n in range(spec.n_max + 1)
+        ]:
+            raise ValueError("bases do not match the model's truncation, radius and bc")
+        self.bases = bases
         self.grid = grid if grid is not None else default_grid(self.bases)
         self.transform = DiskTransform(self.grid, self.bases)
         self.rates = linear_rates(spec, self.bases)
@@ -214,6 +240,15 @@ class SpectralIntegrator:
             self._seed = (self._damp * a, self._damp[1:] * b)
         else:
             self._lagged_birth = birth
+        cap = max(1, _BLOCK_BYTES // (2 * self.grid.n_r * self.grid.n_theta * 8))
+        if self._local_birth is not None:
+            self.block = 1
+        elif self._lagged_birth is not None:
+            self.block = min(self.lag_steps + 1, cap)
+        else:
+            self.block = cap
+        # Grid samples of one block, reused: the birth law overwrites them.
+        self._values = np.empty((self.block, self.grid.n_r, self.grid.n_theta))
 
     def initialize_history(self, w0: Callable[[float, np.ndarray, np.ndarray], np.ndarray]) -> HistoryBuffer:
         """Analyse w0(t, r, theta) at t = 0 and queue the births of [-delay, 0].
@@ -228,38 +263,49 @@ class SpectralIntegrator:
         first = -self.lag_steps if self._lagged_birth is not None else 0
         sample = entry = None
         for i in range(first, 1):
-            t = i * self.dt
-            values = np.asarray(w0(t, r, th), dtype=float) + np.zeros_like(r)
+            values = np.asarray(w0(i * self.dt, r, th), dtype=float) + np.zeros_like(r)
             if entry is None or not np.array_equal(values, sample):
                 state = self.transform.analyze(DiskField(self.grid, values))
                 synthesized = self.transform.synthesize_values(state.a, state.b)
-                with _overflow_is_blowup(t, 0):
-                    entry = (state, synthesized, self._births(state.a, synthesized))
+                entry = (state, synthesized, self._births(state.a[None], synthesized[None].copy(), i, 0))
             sample = values
-            if entry[2] is not None:
-                births.append(entry[2])
+            births.extend(entry[2])
         state, synthesized, _ = entry
         return HistoryBuffer(self.dt, state.a, state.b, synthesized, births)
 
-    def _births(self, a: np.ndarray, values: np.ndarray):
-        """Damped birth coefficients the state ``a`` (sampled as ``values``)
-        adds to the source once it is the lagged state; the radial variant
-        keeps order zero only.
+    def _births(self, a: np.ndarray, values: np.ndarray, first: int, step_index: int) -> list:
+        """Damped birth coefficients (a, b), one pair per state of the stack
+        ``a`` (sampled as ``values``), that each adds to the source once it
+        is the lagged state; empty where the source reads no past state.
+
+        State m is step ``first + m``: its birth law runs under the overflow
+        guard at ``step_index + m`` and overwrites ``values[m]``. The radial
+        variant keeps order zero only.
         """
         birth = self._lagged_birth
         if birth is None:
-            return None
-        if self.spec.variant is Variant.RADIAL:
-            profile = self.transform.synthesize_profile(a[0])
-            out = np.zeros_like(a)
-            births = np.asarray(birth(profile), dtype=float)
-            out[0] = self._damp[0] * self.transform.analyze_profile(births)
-            return out, np.zeros_like(a[1:])
-        return damped_births(values, birth, self._damp, self.transform)
+            return []
+        radial = self.spec.variant is Variant.RADIAL
+        samples = self.transform.synthesize_profile(a[:, 0]) if radial else values
+        for m, sample in enumerate(samples):
+            with _overflow_is_blowup((first + m) * self.dt, step_index + m):
+                samples[m] = birth(sample)
+        # A batched transform overflows only near the float range; such an
+        # overflow is reported at the block's first step.
+        with _overflow_is_blowup(first * self.dt, step_index):
+            if radial:
+                ba = np.zeros_like(a)
+                ba[:, 0] = self._damp[0] * self.transform.analyze_profile(samples)
+                return list(zip(ba, np.zeros_like(a[:, 1:])))
+            ba, bb = self.transform.analyze_values(samples)
+        return [(self._damp * x, self._damp[1:] * y) for x, y in zip(ba, bb)]
 
-    def source(self, buffer: HistoryBuffer) -> tuple[np.ndarray, np.ndarray]:
-        """Source coefficients (a, b) at the head time."""
-        t = buffer.t_head
+    def source(self, buffer: HistoryBuffer, ahead: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Source coefficients (a, b) at the head time plus ``ahead`` steps.
+
+        The forced birth reads the head state, so it has no source ahead.
+        """
+        t = (buffer.steps + ahead) * self.dt
         if self._forcing is not None:
             f = self.spec.forcing_value(t)
             a, b = f * self._forcing[0], f * self._forcing[1]
@@ -271,31 +317,75 @@ class SpectralIntegrator:
         if self._seed is not None:
             amp = float(self.spec.birth.amplitude(t - self.spec.delay))
             return amp * self._seed[0], amp * self._seed[1]
-        return buffer.births[0]
+        return buffer.births[ahead]
 
-    def step(self, buffer: HistoryBuffer, step_index: int = 0) -> HistoryBuffer:
-        """Advance one dt; the first step uses the one-step Euler weights."""
-        t_new = (buffer.steps + 1) * self.dt
-        with _overflow_is_blowup(t_new, step_index):
-            src_a, src_b = self.source(buffer)
-            if buffer.prev_source is None:
-                stage_a, stage_b = src_a, src_b
-            else:
-                prev_a, prev_b = buffer.prev_source
-                stage_a = 1.5 * src_a - 0.5 * prev_a
-                stage_b = 1.5 * src_b - 0.5 * prev_b
-            a = self._decay_a * buffer.a + self._phi_a * stage_a
-            b = self._decay_b * buffer.b + self._phi_b * stage_b
-            peak = float(np.maximum(np.max(np.abs(a)), np.max(np.abs(b), initial=0.0)))
-            if not np.isfinite(peak) or peak > self.config.blowup_threshold:
-                raise BlowUpError(t_new, step_index, peak)
-            values = self.transform.synthesize_values(a, b)
-            births = self._births(a, values)
-        buffer.a, buffer.b, buffer.values = a, b, values
-        buffer.prev_source = (src_a, src_b)
-        if births is not None:
-            buffer.births.append(births)
-        buffer.steps += 1
+    def step(
+        self,
+        buffer: HistoryBuffer,
+        step_index: int = 0,
+        states: int = 1,
+        record: Callable[[int, float, np.ndarray, float], None] | None = None,
+    ) -> HistoryBuffer:
+        """Advance ``states`` dt steps (at most ``block``); the first step of
+        a run uses the one-step Euler weights.
+
+        State m is step ``step_index + m``. Its coefficients are advanced and
+        checked for blow-up in order; a blow-up at state p is raised after
+        states 0 .. p-1 are finished. The states are then synthesised in one
+        call, passed to ``record(i, t, values, rate)``, and their births
+        analysed in one call.
+        """
+        if not 1 <= states <= self.block:
+            raise ValueError(f"states must lie in [1, {self.block}]")
+        first = buffer.steps + 1
+        stack_a = np.empty((states,) + buffer.a.shape)
+        stack_b = np.empty((states,) + buffer.b.shape)
+        a, b, prev = buffer.a, buffer.b, buffer.prev_source
+        sources = []
+        blowup = None
+        with np.errstate(over="raise", invalid="raise"):
+            for m in range(states):
+                try:
+                    src_a, src_b = self.source(buffer, m)
+                    if prev is None:
+                        stage_a, stage_b = src_a, src_b
+                    else:
+                        stage_a = 1.5 * src_a - 0.5 * prev[0]
+                        stage_b = 1.5 * src_b - 0.5 * prev[1]
+                    a = np.add(self._decay_a * a, self._phi_a * stage_a, out=stack_a[m])
+                    b = np.add(self._decay_b * b, self._phi_b * stage_b, out=stack_b[m])
+                except FloatingPointError:
+                    blowup, states = BlowUpError((first + m) * self.dt, step_index + m, math.inf), m
+                    break
+                prev = (src_a, src_b)
+                sources.append(prev)
+            peaks = np.maximum(
+                np.abs(stack_a[:states]).max(axis=(1, 2)),
+                np.abs(stack_b[:states]).max(axis=(1, 2), initial=0.0),
+            )
+            if not peaks.max(initial=0.0) <= self.config.blowup_threshold:  # NaN fails too
+                states = int(np.argmin(peaks <= self.config.blowup_threshold))
+                blowup = BlowUpError((first + states) * self.dt, step_index + states, float(peaks[states]))
+            stack_a, stack_b = stack_a[:states], stack_b[:states]
+            if states:
+                try:
+                    values = self.transform.synthesize_values(stack_a, stack_b, self._values[:states])
+                except FloatingPointError:
+                    # Only coefficients near the float range overflow here.
+                    raise BlowUpError(first * self.dt, step_index, math.inf) from None
+        if states:
+            if record is not None:
+                a, b = buffer.a, buffer.b
+                for m in range(states):
+                    rate = self.transform.weighted_l2(stack_a[m] - a, stack_b[m] - b) / self.dt
+                    record(step_index + m, (first + m) * self.dt, values[m], rate)
+                    a, b = stack_a[m], stack_b[m]
+            buffer.a, buffer.b, buffer.values = stack_a[-1], stack_b[-1], values[-1].copy()
+            buffer.births.extend(self._births(stack_a, values, first, step_index))
+            buffer.prev_source = sources[states - 1]
+            buffer.steps += states
+        if blowup is not None:
+            raise blowup
         return buffer
 
     def integrate(self, w0) -> SimulationResult:
@@ -303,13 +393,11 @@ class SpectralIntegrator:
         n_steps = _step_count(self.config.t_end, self.dt)
         recorder = _Recorder(n_steps, self.grid, self.config)
         recorder.record(0, 0.0, buffer.values, 0.0)
-        for i in range(1, n_steps + 1):
-            a, b = buffer.a, buffer.b
-            self.step(buffer, i)
-            rate = self.transform.weighted_l2(buffer.a - a, buffer.b - b) / self.dt
-            recorder.record(i, buffer.t_head, buffer.values, rate)
+        # The partition depends on n_steps and the block length only.
+        for i in range(1, n_steps + 1, self.block):
+            self.step(buffer, i, min(self.block, n_steps + 1 - i), recorder.record)
         final_state = SpectralField(self.bases, buffer.a, buffer.b)
-        return recorder.result(final_state, self.spec, self.dt)
+        return recorder.result(final_state, buffer.values, self.spec, self.dt)
 
 
 def _step_count(t_end: float, dt: float) -> int:
@@ -328,7 +416,6 @@ class _Recorder:
         self.snapshots: list = []
         self.converged_at: Optional[float] = None
         self.streak = 0
-        self.last: Optional[np.ndarray] = None
 
     def record(self, i: int, t: float, values: np.ndarray, rate: float) -> None:
         self.rows[:, i] = (t, values.max(), values.min(), self.grid.integrate(values), rate)
@@ -337,10 +424,12 @@ class _Recorder:
             if self.streak >= CONVERGED_STREAK and self.converged_at is None:
                 self.converged_at = t
         if i == 0 or i == self.n_steps or i % self.config.snapshot_every == 0:
-            self.snapshots.append((t, DiskField(self.grid, values)))
-        self.last = values
+            # A copy: the caller may reuse ``values`` once the row is taken.
+            self.snapshots.append((t, DiskField(self.grid, values.copy())))
 
-    def result(self, final_state: SpectralField, spec: ModelSpec, dt: float) -> SimulationResult:
+    def result(
+        self, final_state: SpectralField, final_values: np.ndarray, spec: ModelSpec, dt: float
+    ) -> SimulationResult:
         times, max_density, min_density, total_population, dwdt_norm = self.rows
         return SimulationResult(
             times=times,
@@ -352,7 +441,7 @@ class _Recorder:
             converged=self.converged_at is not None,
             converged_at=self.converged_at,
             final_state=final_state,
-            final_field=DiskField(self.grid, self.last),
+            final_field=DiskField(self.grid, final_values),
             grid=self.grid,
             spec=spec,
             config=self.config,
@@ -405,7 +494,7 @@ def _integrate_reference(spec: ModelSpec, config: SolverConfig, w0) -> Simulatio
             raise BlowUpError(t, i, peak)
         rate = math.sqrt(grid.integrate((values - previous) ** 2)) / dt_fd
         recorder.record(i, t, values, rate)
-    return recorder.result(transform.analyze(DiskField(grid, values)), spec, dt_fd)
+    return recorder.result(transform.analyze(DiskField(grid, values)), values, spec, dt_fd)
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,8 @@ class DiskTransform:
         # Rows cos(n theta) for n = 0..n_max, then sin(n theta) for n = 1..n_max.
         angles = np.outer(np.arange(n_max + 1), grid.theta_nodes)
         self._trig = np.vstack([np.cos(angles), np.sin(angles[1:])])
+        self._scratch = np.empty(0)
+        self._shape = (grid.n_r, grid.n_theta)
 
     @property
     def n_max(self) -> int:
@@ -265,24 +267,63 @@ class DiskTransform:
             ):
                 raise ValueError("coefficient bases do not match the transform")
 
-    def analyze_values(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        moments = (self._trig @ values.T) * self._weights  # (2 n_max + 1, n_r)
-        n1 = self.n_max + 1
-        a = np.matmul(self._j_table, moments[:n1, :, None])[..., 0] * self._coef_scale
-        b = np.matmul(self._j_table[1:], moments[n1:, :, None])[..., 0] * self._coef_scale[1:]
-        return a, b
+    def _work(self, k: int) -> np.ndarray:
+        """Flat scratch for the (2 n_max + 1) x n_r intermediate of k states.
 
-    def synthesize_values(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        radial_cos = np.matmul(a[:, None, :], self._j_table)[:, 0]
-        radial_sin = np.matmul(b[:, None, :], self._j_table[1:])[:, 0]
-        return np.concatenate([radial_cos, radial_sin]).T @ self._trig
+        One buffer, grown on demand, serves every call, so a stacked call
+        allocates no value-sized array besides its result.
+        """
+        size = k * self._trig.shape[0] * self._shape[0]
+        if self._scratch.size < size:
+            self._scratch = np.empty(size)
+        return self._scratch[:size]
+
+    def analyze_values(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients of grid samples shaped (n_r, n_theta), or of a stack of
+        K of them shaped (K, n_r, n_theta); a stack costs one pass over the
+        J_n table, with K right-hand sides per order.
+        """
+        n_r, n_theta = self._shape
+        stack = values.reshape(-1, n_r, n_theta)
+        k, n1 = len(stack), len(self.bases)
+        moments = self._work(k).reshape(k, -1, n_r)  # (K, 2 n_max + 1, n_r)
+        np.matmul(self._trig, stack.transpose(0, 2, 1), out=moments)
+        moments *= self._weights
+        moments = moments.transpose(1, 2, 0)  # (2 n_max + 1, n_r, K)
+        a = np.matmul(self._j_table, moments[:n1]) * self._coef_scale[..., None]
+        b = np.matmul(self._j_table[1:], moments[n1:]) * self._coef_scale[1:, :, None]
+        if values.ndim == 3:
+            return a.transpose(2, 0, 1), b.transpose(2, 0, 1)
+        return a[..., 0], b[..., 0]
+
+    def synthesize_values(
+        self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Grid samples of the expansion (a, b), or of a stack of K expansions
+        shaped (K, n_max + 1, j_max) and (K, n_max, j_max), which gives
+        (K, n_r, n_theta) for one pass over the J_n table. ``out``, if given,
+        is a C-contiguous array of the result's shape.
+        """
+        n1, j_max, n_r = self._j_table.shape
+        k = a.size // (n1 * j_max)
+        radial = self._work(k).reshape(-1, k, n_r)  # (2 n_max + 1, K, n_r)
+        np.matmul(a.reshape(k, n1, j_max).transpose(1, 0, 2), self._j_table, out=radial[:n1])
+        np.matmul(b.reshape(k, n1 - 1, j_max).transpose(1, 0, 2), self._j_table[1:], out=radial[n1:])
+        if out is None:
+            out = np.empty(a.shape[:-2] + self._shape)
+        elif not out.flags.c_contiguous:
+            raise ValueError("out must be C-contiguous")
+        np.matmul(radial.transpose(1, 2, 0), self._trig, out=out.reshape((k,) + self._shape))
+        return out
 
     def analyze_profile(self, profile: np.ndarray) -> np.ndarray:
-        """Order-zero coefficients of a radial profile sampled on the grid radii."""
-        return self._j_table[0] @ (self._weights * profile) / self.bases[0].norms
+        """Order-zero coefficients of a radial profile sampled on the grid
+        radii, or of a stack of profiles shaped (K, n_r)."""
+        return (self._weights * profile) @ self._j_table[0].T / self.bases[0].norms
 
     def synthesize_profile(self, coeffs: np.ndarray) -> np.ndarray:
-        """Radial profile sum_j c_j J_0(k_0j r) on the grid radii."""
+        """Radial profile sum_j c_j J_0(k_0j r) on the grid radii (one per row
+        of a (K, j_max) stack)."""
         return coeffs @ self._j_table[0]
 
     def weighted_l2(self, a: np.ndarray, b: np.ndarray) -> float:

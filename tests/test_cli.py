@@ -243,6 +243,50 @@ w0_amp = 0.1
 """
 
 
+class TestRunSetupAndFiles:
+    @pytest.mark.parametrize(
+        "grid_keys", ["", "n_r = 20\n", "n_theta = 80\n"], ids=["default_grid", "n_r", "n_theta"]
+    )
+    def test_bases_built_once(self, tmp_path, monkeypatch, grid_keys):
+        from diskrd import transform
+
+        calls = []
+        search = transform.find_eigenvalues
+
+        def counting(*args):
+            calls.append(args[0])
+            return search(*args)
+
+        monkeypatch.setattr(transform, "find_eigenvalues", counting)
+        text = SMALL_CONFIG.format(t_end="0.05").replace("n_max = 2", "n_max = 4") + grid_keys
+        assert run(write_config(tmp_path, text), out_dir=tmp_path / "out") == 0
+        # One search per angular order 0..4, whether or not the grid is sized by hand.
+        assert calls == [0, 1, 2, 3, 4]
+
+    def test_one_snapshot_file_per_time(self, tmp_path, monkeypatch):
+        # Snapshot times a millisecond apart near t = 1000 (dt = 0.001 run
+        # that long) first differ in their seventh significant digit.
+        integrate = SpectralIntegrator.integrate
+
+        def late(self, w0):
+            result = integrate(self, w0)
+            result.snapshots = [
+                (1000.0 + 0.001 * i, field) for i, (_, field) in enumerate(result.snapshots)
+            ]
+            return result
+
+        monkeypatch.setattr(SpectralIntegrator, "integrate", late)
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, SMALL_CONFIG.format(t_end="0.5")), out_dir=out) == 0
+        names = sorted(path.name for path in out.glob("snapshot_*.csv"))
+        assert names == [
+            "snapshot_1000.001.csv",
+            "snapshot_1000.002.csv",
+            "snapshot_1000.003.csv",
+            "snapshot_1000.csv",
+        ]
+
+
 class TestInitialHistory:
     def count_bessel_calls(self, monkeypatch):
         calls = []

@@ -1,10 +1,12 @@
+import dataclasses
+import math
 from collections import deque
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
-from scipy.special import jv
+from scipy.special import jv, lambertw
 
 from diskrd.bessel import BesselBasis, BoundaryCondition
 from diskrd.model import Identity, Logistic, ModelSpec, ModeSeed, RickerQuadratic, Variant, rhs
@@ -250,6 +252,7 @@ class TestCoefficientSource:
     def test_transforms_per_step(self, monkeypatch, case, analyses):
         # Steps run on raw coefficient arrays: no SpectralField is built.
         ig = self.integrator(case)
+        assert ig.block > 1 or case == "mode_forced_birth"
         buf = ig.initialize_history(patch_w0)
         counts = {"analyze": 0, "synthesize": 0, "radial_table": 0, "spectral_field": 0}
 
@@ -269,9 +272,11 @@ class TestCoefficientSource:
             monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
         for s in range(1, 6):
             ig.step(buf, s)
+        # A whole block costs what one state does: one stacked call each.
+        ig.step(buf, 6, ig.block)
         assert counts == {
-            "analyze": 5 * analyses,
-            "synthesize": 5,
+            "analyze": 6 * analyses,
+            "synthesize": 6,
             "radial_table": 0,
             "spectral_field": 0,
         }
@@ -321,6 +326,170 @@ class TestCoefficientSource:
         for s in range(1, 4):
             ig.step(buf, s)
             assert len(buf.births) == expected
+
+
+class TestBlockedDriver:
+    """``integrate`` marches blocks of states; single-state ``step`` calls are its oracle."""
+
+    @staticmethod
+    def integrator(case, **config):
+        spec = forced_spec(delay=0.2, **SOURCE_CASES[case])
+        return SpectralIntegrator(spec, SolverConfig(**{"dt": 0.05, "t_end": 2.1, **config}))
+
+    @staticmethod
+    def chain(ig, w0):
+        """Diagnostics rows, grid samples and final buffer from one step at a
+        time, with every diagnostic computed on the test side."""
+        buf = ig.initialize_history(w0)
+        tr = ig.transform
+        values = tr.synthesize_values(buf.a, buf.b)
+        rows = [(0.0, values.max(), values.min(), ig.grid.integrate(values), 0.0)]
+        samples = [values]
+        for i in range(1, round(ig.config.t_end / ig.dt) + 1):
+            a, b = buf.a, buf.b
+            ig.step(buf, i)
+            values = tr.synthesize_values(buf.a, buf.b)
+            rate = tr.weighted_l2(buf.a - a, buf.b - b) / ig.dt
+            rows.append((buf.t_head, values.max(), values.min(), ig.grid.integrate(values), rate))
+            samples.append(values)
+        return np.array(rows).T, samples, buf
+
+    @pytest.mark.parametrize("case", sorted(SOURCE_CASES))
+    def test_integrate_matches_single_steps(self, case):
+        ig = self.integrator(case, snapshot_every=3)
+        if case == "mode_forced_birth":  # the birth law reads the head state
+            assert ig.block == 1
+        elif case in ("full_zero_flux", "full_dirichlet", "radial"):
+            assert ig.block == ig.lag_steps + 1
+        else:  # forced or seeded: the source is known, the cap alone applies
+            assert ig.block > ig.lag_steps + 1
+        rows, samples, buf = self.chain(self.integrator(case), drifting_patch)
+        result = ig.integrate(drifting_patch)
+        columns = (
+            result.times,
+            result.max_density,
+            result.min_density,
+            result.total_population,
+            result.dwdt_norm,
+        )
+        for got, want in zip(columns, rows):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        for got, want in ((result.final_state.a, buf.a), (result.final_state.b, buf.b)):
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * np.max(np.abs(buf.a))
+        final = samples[-1]
+        assert np.max(np.abs(result.final_field.values - final)) <= 1e-12 * np.max(np.abs(final))
+        # Snapshots fall inside blocks (every third step); each keeps its own
+        # state although the block's samples are overwritten by its births.
+        assert [t for t, _ in result.snapshots] == [i * ig.dt for i in range(0, 42, 3)] + [42 * ig.dt]
+        for t, field in result.snapshots:
+            want = samples[round(t / ig.dt)]
+            assert np.max(np.abs(field.values - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_snapshot_survives_the_next_block(self):
+        ig = self.integrator("full_zero_flux", snapshot_every=2)
+        assert ig.block == 5
+        buf = ig.initialize_history(drifting_patch)
+        recorder = solver._Recorder(10, ig.grid, ig.config)
+        ig.step(buf, 1, 5, recorder.record)
+        taken = [(t, field.values.copy()) for t, field in recorder.snapshots]
+        assert [t for t, _ in taken] == [2 * ig.dt, 4 * ig.dt]
+        ig.step(buf, 6, 5, recorder.record)
+        for (t, before), (t_after, field) in zip(taken, recorder.snapshots):
+            assert t == t_after and np.array_equal(field.values, before)
+
+    @pytest.mark.parametrize("case", ["mode_forced_birth", "full_zero_flux"])
+    def test_more_states_than_the_block_are_rejected(self, case):
+        ig = self.integrator(case)
+        buf = ig.initialize_history(patch_w0)
+        with pytest.raises(ValueError, match="states"):
+            ig.step(buf, 1, ig.block + 1)
+
+    @staticmethod
+    def growing_spec(birth):
+        # Every state survives and none diffuses away, so the mean grows.
+        return forced_spec(
+            variant=Variant.FULL_ZERO_FLUX, birth=birth, survival=1.0, spread=0.0, delay=0.2
+        )
+
+    @staticmethod
+    def first_blowup(run):
+        with pytest.raises(BlowUpError) as info:
+            run()
+        return info.value
+
+    BLOWUPS = {
+        # A finite coefficient crosses the threshold.
+        "coefficient_threshold": (dict(birth=Identity()), 20.0),
+        # The birth law of a state overflows while its coefficients are small.
+        "birth_law_overflow": (dict(birth=np.exp), 1e12),
+        # The forcing, and so a coefficient, overflows; no threshold applies.
+        "coefficient_overflow": (
+            dict(variant=Variant.MODE_FORCED, forcing=lambda t: np.power(10.0, 100.0 * t)),
+            math.inf,
+        ),
+    }
+
+    # Past |c| ~ 1e154 the dw/dt norm of a recorded row overflows to inf.
+    @pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
+    @pytest.mark.parametrize("case", sorted(BLOWUPS))
+    def test_blowup_reports_the_chain_step(self, case):
+        changes, threshold = self.BLOWUPS[case]
+        spec = self.growing_spec(Identity())
+        spec = dataclasses.replace(spec, **changes)
+        config = SolverConfig(dt=0.05, t_end=100.0, blowup_threshold=threshold)
+
+        def chain():
+            ig = SpectralIntegrator(spec, config)
+            buf = ig.initialize_history(patch_w0)
+            for i in range(1, 2001):
+                ig.step(buf, i)
+
+        ig = SpectralIntegrator(spec, config)
+        blocked = self.first_blowup(lambda: ig.integrate(patch_w0))
+        single = self.first_blowup(chain)
+        assert blocked.step_index == single.step_index
+        assert blocked.t == single.t and blocked.magnitude == single.magnitude
+        assert (blocked.step_index - 1) % ig.block != 0  # raised mid-block
+        assert math.isinf(blocked.magnitude) == (case != "coefficient_threshold")
+
+    def test_block_finishes_states_before_a_coefficient_blowup(self):
+        config = SolverConfig(dt=0.05, t_end=100.0, blowup_threshold=20.0)
+        ig = SpectralIntegrator(self.growing_spec(Identity()), config)
+        states = []
+        buf = ig.initialize_history(patch_w0)
+        for i in range(1, 2001):
+            try:
+                ig.step(buf, i)
+            except BlowUpError as exc:
+                bad = exc.step_index
+                break
+            states.append((buf.a, buf.b))
+        buf = ig.initialize_history(patch_w0)
+        first = bad - (bad - 1) % ig.block
+        for i in range(1, first, ig.block):
+            ig.step(buf, i, ig.block)
+        with pytest.raises(BlowUpError):
+            ig.step(buf, first, ig.block)
+        # States first .. bad - 1 of the failing block were completed.
+        assert buf.steps == bad - 1 > first - 1
+        want_a, want_b = states[bad - 2]
+        assert np.max(np.abs(buf.a - want_a)) <= 1e-12 * np.max(np.abs(want_a))
+        assert np.max(np.abs(buf.b - want_b), initial=0.0) <= 1e-12 * np.max(np.abs(want_a))
+
+    @pytest.mark.parametrize("case", ["mode_forced", "full_dirichlet", "radial"])
+    def test_repeated_runs_are_identical(self, case):
+        ig = self.integrator(case, snapshot_every=4)
+        runs = [ig.integrate(drifting_patch), ig.integrate(drifting_patch)]
+        runs.append(self.integrator(case, snapshot_every=4).integrate(drifting_patch))
+        first = runs[0]
+        for other in runs[1:]:
+            for attr in ("times", "max_density", "min_density", "total_population", "dwdt_norm"):
+                assert np.array_equal(getattr(first, attr), getattr(other, attr))
+            assert np.array_equal(first.final_state.a, other.final_state.a)
+            assert np.array_equal(first.final_state.b, other.final_state.b)
+            assert np.array_equal(first.final_field.values, other.final_field.values)
+            for (t1, f1), (t2, f2) in zip(first.snapshots, other.snapshots, strict=True):
+                assert t1 == t2 and np.array_equal(f1.values, f2.values)
 
 
 class TestDelayOracle:
@@ -384,6 +553,55 @@ class TestDelayOracle:
         assert np.all((orders >= 1.9) & (orders <= 2.1)), (errors, orders)
 
 
+class TestLongHorizonDelayOracle:
+    """Leading growth rate of c' = -lam c + beta c(t - tau) through ``integrate``.
+
+    With an identity birth law one eigenmode evolves on its own. Its
+    characteristic equation s + lam = beta e^{-s tau} has the real root
+    s = -lam + W0(beta tau e^{lam tau}) / tau (Lambert W, principal branch),
+    which dominates once the complex roots have decayed. The log-slope of
+    the mode's amplitude over t in [5 tau, 20 tau] must match s within
+    0.02 dt^2: ETD-AB2 is second order, and the observed error is
+    0.0018 dt^2 (zero flux, k = 3.832) and 0.0067 dt^2 (Dirichlet, k = 2.405).
+    """
+
+    TAU = 1.0
+
+    @pytest.mark.parametrize("dt", [0.1, 0.05])
+    @pytest.mark.parametrize(
+        "variant, bc, index",
+        [(Variant.FULL_ZERO_FLUX, ZERO_FLUX, 1), (Variant.FULL_DIRICHLET, DIRICHLET, 0)],
+        ids=["zero_flux_k3.832", "dirichlet_k2.405"],
+    )
+    def test_log_slope_matches_lambert_w_root(self, variant, bc, index, dt):
+        spec = ModelSpec(
+            variant=variant,
+            diffusion=0.05,
+            mortality=0.3,
+            survival=0.9,
+            spread=0.01,
+            delay=self.TAU,
+            radius=1.0,
+            bc=bc,
+            birth=Identity(),
+            n_max=2,
+            j_max=6,
+        )
+        ig = SpectralIntegrator(spec, SolverConfig(dt=dt, t_end=20.0 * self.TAU))
+        n_steps = round(20.0 * self.TAU / ig.dt)
+        assert 1 < ig.block < n_steps and n_steps % ig.block  # many blocks, a partial last one
+        k = ig.bases[0].eigenvalues[index]
+        lam = spec.diffusion * k**2 + spec.mortality
+        beta = spec.survival * np.exp(-(k**2) * spec.spread)
+        s = -lam + lambertw(beta * self.TAU * np.exp(lam * self.TAU)).real / self.TAU
+        result = ig.integrate(lambda t, r, th: 0.7 * jv(0, k * r))
+        # The field is c(t) J0(k r) with c > 0, so its grid maximum is c(t)
+        # times a fixed factor.
+        window = (result.times >= 5.0 * self.TAU - 1e-9) & (result.times <= 20.0 * self.TAU + 1e-9)
+        slope = np.polyfit(result.times[window], np.log(result.max_density[window]), 1)[0]
+        assert abs(slope - s) <= 0.02 * dt**2, (slope, s)
+
+
 class TestCriticalPatchRadius:
     """Persistence threshold of the radial model under a lethal edge.
 
@@ -436,6 +654,39 @@ class TestCriticalPatchRadius:
         assert 2.5 < r_star < 3.5
         assert self.first_mode_ratio(0.9 * r_star) < 0.8
         assert self.first_mode_ratio(1.1 * r_star) > 1.2
+
+    def full_disk_ratio(self, radius, order):
+        """c(20) / c(10) of the first order-``order`` mode of ``full_dirichlet``,
+        each from its own ``integrate`` run on the same small seed."""
+        spec = ModelSpec(
+            variant=Variant.FULL_DIRICHLET,
+            diffusion=self.D,
+            mortality=self.MU,
+            survival=self.SURVIVAL,
+            spread=self.SPREAD,
+            delay=1.0,
+            radius=radius,
+            bc=DIRICHLET,
+            birth=Logistic(self.SLOPE, 1.0),
+            n_max=1,
+            j_max=8,
+        )
+        coefficients = []
+        for t_end in (10.0, 20.0):
+            ig = SpectralIntegrator(spec, SolverConfig(dt=0.05, t_end=t_end))
+            k = ig.bases[order].eigenvalues[0]
+            result = ig.integrate(lambda t, r, th: 1e-3 * jv(order, k * r) * np.cos(order * th))
+            coefficients.append(result.final_state.a[order, 0])
+        return coefficients[1] / coefficients[0]
+
+    def test_full_dirichlet_shares_the_threshold(self):
+        # The 2-D model's order-0 mode obeys the radial model's linearisation,
+        # so it crosses over at the same R*; the first order-1 mode (k = j11 / R,
+        # j11 = 3.832) is still far below its own threshold at 1.1 R*.
+        r_star = self.critical_radius()
+        assert self.full_disk_ratio(0.9 * r_star, 0) < 0.8
+        assert self.full_disk_ratio(1.1 * r_star, 0) > 1.2
+        assert self.full_disk_ratio(1.1 * r_star, 1) < 0.5
 
 
 class TestIntegrate:

@@ -149,6 +149,51 @@ class TestSynthesize:
         assert_allclose(direct, tr.synthesize(coeffs).values, atol=1e-12)
 
 
+class TestStacked:
+    """A leading stack axis transforms each state as a call of its own would."""
+
+    @pytest.mark.parametrize("n_max", [0, 4])
+    def test_stack_matches_single_calls(self, n_max):
+        bases = build_bases(n_max, 6, 1.0, ZERO_FLUX)
+        tr = DiskTransform(default_grid(bases), bases)
+        rng = np.random.default_rng(5)
+        a = rng.uniform(-1.0, 1.0, (3, n_max + 1, 6))
+        b = rng.uniform(-1.0, 1.0, (3, n_max, 6))
+        values = tr.synthesize_values(a, b)
+        assert values.shape == (3, tr.grid.n_r, tr.grid.n_theta)
+        sa, sb = tr.analyze_values(values)
+        assert sa.shape == a.shape and sb.shape == b.shape
+        for k in range(3):
+            single = tr.synthesize_values(a[k], b[k])
+            assert np.max(np.abs(values[k] - single)) <= 1e-14 * np.max(np.abs(single))
+            ka, kb = tr.analyze_values(single)
+            assert np.max(np.abs(sa[k] - ka)) <= 1e-14 * np.max(np.abs(ka))
+            assert np.max(np.abs(sb[k] - kb), initial=0.0) <= 1e-14 * np.max(np.abs(ka))
+
+    def test_out_receives_the_samples(self, small_setup):
+        grid, bases, tr = small_setup
+        rng = np.random.default_rng(6)
+        a = rng.uniform(-1.0, 1.0, (2, 5, 6))
+        b = rng.uniform(-1.0, 1.0, (2, 4, 6))
+        out = np.empty((4, grid.n_r, grid.n_theta))
+        view = out[:2]
+        assert tr.synthesize_values(a, b, view) is view
+        assert np.array_equal(out[:2], tr.synthesize_values(a, b))
+        with pytest.raises(ValueError, match="contiguous"):
+            tr.synthesize_values(a, b, out[::2])
+
+    def test_profile_stack_matches_single_profiles(self, small_setup):
+        grid, bases, tr = small_setup
+        rng = np.random.default_rng(7)
+        coeffs = rng.uniform(-1.0, 1.0, (3, 6))
+        profiles = tr.synthesize_profile(coeffs)
+        stacked = tr.analyze_profile(profiles)
+        for k in range(3):
+            assert_allclose(profiles[k], tr.synthesize_profile(coeffs[k]), rtol=0, atol=1e-14)
+            assert_allclose(stacked[k], tr.analyze_profile(profiles[k]), rtol=0, atol=1e-13)
+            assert_allclose(stacked[k], coeffs[k], rtol=0, atol=1e-10)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_round_trip_property(seed):
