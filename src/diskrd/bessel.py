@@ -12,10 +12,13 @@ This module evaluates J_n and its derivative, brackets and refines the
 admissible k for each angular order, and supplies the weighted norms
 ``integral_0^R r J_n(k r)^2 dr`` needed to normalise expansions.
 
-Tables of J_n(k r) come from j0 / j1 and the upward recurrence
+J_{n-1} and J_n come from j0 / j1 and the upward recurrence
 J_{m+1}(x) = (2m / x) J_m(x) - J_{m-1}(x), which is stable while m < x
 (Abramowitz & Stegun 9.12; Gautschi 1967); the entries with x < n, where
-upward recurrence loses accuracy, use ``jv`` directly.
+upward recurrence loses accuracy, use ``jv`` directly. Tables, the
+eigenvalue scan, its Newton refinement and the norms all share that one
+evaluation. Every positive root of the three conditions lies at kR > n,
+so the refinement runs on recurrence values alone.
 
 Everything here is pure and the returned bases are immutable, so they can
 be shared freely across threads.
@@ -27,7 +30,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import j0, j1, jv
 
 __all__ = [
@@ -46,6 +48,9 @@ MAX_EIGENVALUES = 256
 
 # Residual tolerance every accepted eigenvalue must meet.
 RESIDUAL_TOL = 1e-10
+
+# Newton steps allowed per bracket; bisection alone needs about 55.
+_MAX_NEWTON = 100
 
 
 class BoundaryKind(Enum):
@@ -137,12 +142,71 @@ class EigenvalueSearchError(RuntimeError):
     """The scan window could not bracket the requested number of roots."""
 
 
+def _bessel_pair(order: int, x: np.ndarray, lower: bool = True):
+    """(J_{order-1}(x), J_order(x)) for an array of x >= 0, in one pass.
+
+    Entries with x >= order recur upward from j0 / j1; the rest, where that
+    recurrence is unstable, come from ``jv``. With ``lower=False`` the first
+    item is None and ``jv`` is called for J_order alone.
+    """
+    if order == 0:
+        return (-j1(x) if lower else None), j0(x)
+    if order == 1:
+        return (j0(x) if lower else None), j1(x)
+    below = x < order  # includes x = 0, where J_n(0) = 0 for n >= 1
+    above = ~below
+    jn = np.empty_like(x)
+    jn[below] = jv(order, x[below])
+    two_over_x = 2.0 / x[above]
+    prev, cur = j0(x[above]), j1(x[above])
+    for m in range(1, order):
+        prev, cur = cur, m * two_over_x * cur - prev
+    jn[above] = cur
+    if not lower:
+        return None, jn
+    jm = np.empty_like(x)
+    jm[below] = jv(order - 1, x[below])
+    jm[above] = prev
+    return jm, jn
+
+
+def _residual(order: int, k: np.ndarray, radius: float, a: float, b: float):
+    """Eigencondition g(k) = A k J_n'(kR) + B J_n(kR) and dg/dk, for k > 0.
+
+    J_n' = J_{n-1} - (n/x) J_n, and the Bessel ODE
+    x J_n'' + J_n' = -(x - n^2/x) J_n gives d/dk [k J_n'(kR)] without a
+    further Bessel evaluation.
+    """
+    x = k * radius
+    lower, jn = _bessel_pair(order, x)
+    dj = lower - (order / x) * jn
+    return a * (k * dj) + b * jn, b * radius * dj - a * (x - order * order / x) * jn
+
+
+def _jv_rows(order: int, x: np.ndarray):
+    """J_n(x), J_n'(x) and J_{n+1}(x) from ``jv``, with the arithmetic of
+    ``eigencondition`` and ``bessel_j_prime``."""
+    upper = jv(order + 1, x)
+    return jv(order, x), (jv(order - 1, x) - upper) / 2.0, upper
+
+
+def _norms(order: int, k: np.ndarray, radius: float, bc: BoundaryCondition, rows) -> np.ndarray:
+    """Weighted norms ``integral_0^R r J_order(k r)^2 dr`` for k > 0, from
+    the ``_jv_rows`` at kR: R^2 J_{n+1}(kR)^2 / 2 at Dirichlet eigenvalues,
+    the general Lommel form otherwise."""
+    jn, djn, upper = rows
+    if bc.kind is BoundaryKind.DIRICHLET:
+        return 0.5 * radius**2 * upper**2
+    return 0.5 * (radius**2 - (order / k) ** 2) * jn**2 + 0.5 * radius**2 * djn**2
+
+
 def mode_norm(order: int, k: float, radius: float, bc: BoundaryCondition) -> float:
     """Weighted norm ``integral_0^R r J_order(k r)^2 dr`` of one mode.
 
     Dirichlet eigenvalues use the closed form R^2 J_{n+1}(kR)^2 / 2; other
     conditions use the general Lommel form, and the k = 0 constant mode of
-    a zero-flux order-zero basis integrates to R^2 / 2.
+    a zero-flux order-zero basis integrates to R^2 / 2. The arithmetic is
+    that of the norms ``find_eigenvalues`` stores.
     """
     if k < 0.0:
         raise ValueError("eigenvalue must be nonnegative")
@@ -150,13 +214,8 @@ def mode_norm(order: int, k: float, radius: float, bc: BoundaryCondition) -> flo
         if not bc.admits_constant_mode(order):
             raise ValueError("k = 0 is only a mode for order 0 under a zero-flux condition")
         return 0.5 * radius**2
-    x = k * radius
-    if bc.kind is BoundaryKind.DIRICHLET:
-        return 0.5 * radius**2 * jv(order + 1, x) ** 2
-    return (
-        0.5 * (radius**2 - (order / k) ** 2) * jv(order, x) ** 2
-        + 0.5 * radius**2 * bessel_j_prime(order, x) ** 2
-    )
+    k = np.array([float(k)])
+    return float(_norms(order, k, radius, bc, _jv_rows(order, k * radius))[0])
 
 
 @dataclass(frozen=True)
@@ -197,22 +256,8 @@ class BesselBasis:
         agrees with 30-digit values to 1.5e-15 absolute for k r up to 250
         at orders up to 48.
         """
-        n = self.order
         x = np.outer(self.eigenvalues, np.asarray(r, dtype=float))
-        if n == 0:
-            return j0(x)
-        if n == 1:
-            return j1(x)
-        table = np.empty_like(x)
-        below = x < n  # includes x = 0, where J_n(0) = 0 for n >= 1
-        above = ~below
-        table[below] = jv(n, x[below])
-        two_over_x = 2.0 / x[above]
-        prev, cur = j0(x[above]), j1(x[above])
-        for m in range(1, n):
-            prev, cur = cur, m * two_over_x * cur - prev
-        table[above] = cur
-        return table
+        return _bessel_pair(self.order, x, lower=False)[1]
 
 
 def find_eigenvalues(
@@ -226,9 +271,10 @@ def find_eigenvalues(
     """First ``count`` admissible wavenumbers of one angular order.
 
     Scans k in (0, (count + order + 2) pi / R] with step pi / (4R),
-    brackets sign changes of the eigencondition and refines each root to
-    a residual below 1e-10. The k = 0 constant mode is prepended when the
-    boundary condition admits it.
+    brackets sign changes of the eigencondition and refines all brackets
+    at once by safeguarded Newton (``_refine``); every root is then checked
+    with ``jv`` to a residual below 1e-10. The k = 0 constant mode is
+    prepended when the boundary condition admits it.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -237,23 +283,8 @@ def find_eigenvalues(
     if not 1 <= count <= max_count:
         raise ValueError(f"count must be in [1, {max_count}]")
 
-    ks: list[float] = []
-    if bc.admits_constant_mode(order):
-        ks.append(0.0)
-
+    constant = int(bc.admits_constant_mode(order))
     a, b = bc.coefficients()
-
-    def g(k: float) -> float:
-        # eigencondition for one k, without the array overhead brentq
-        # would pay per call; the arithmetic, hence every value, is the same.
-        x = k * radius
-        val = 0.0
-        if a != 0.0:
-            val += a * k * bessel_j_prime(order, x)
-        if b != 0.0:
-            val += b * jv(order, x)
-        return val
-
     step = np.pi / (4.0 * radius)
     ceiling = (count + order + 2) * np.pi / radius
     lattice = np.arange(0.0, ceiling + step, step)
@@ -261,34 +292,71 @@ def find_eigenvalues(
     # condition stay bracketed while the trivial k = 0 zero of the
     # residual (order >= 1) is skipped.
     lattice[0] = 1e-9 * step
-    values = eigencondition(order, lattice, radius, bc)
+    values = _residual(order, lattice, radius, a, b)[0]
 
-    rtol = 4.0 * np.finfo(float).eps
-    for i in range(lattice.size - 1):
-        if len(ks) >= count:
-            break
-        lo, hi = lattice[i], lattice[i + 1]
-        flo, fhi = values[i], values[i + 1]
-        if flo == 0.0:
-            if lo > step * 1e-6:
-                ks.append(float(lo))
-            continue
-        if flo * fhi < 0.0:
-            root = brentq(g, lo, hi, xtol=1e-15, rtol=rtol)
-            ks.append(float(root))
-
-    if len(ks) < count:
+    here, there = values[:-1], values[1:]
+    on_point = (here == 0.0) & (lattice[:-1] > 1e-6 * step)
+    straddle = here * there < 0.0
+    cells = np.flatnonzero(on_point | straddle)[: count - constant]
+    if constant + cells.size < count:
         raise EigenvalueSearchError(
-            f"found {len(ks)} of {count} eigenvalues for order {order} "
+            f"found {constant + cells.size} of {count} eigenvalues for order {order} "
             f"({bc.label()}) below the scan ceiling {ceiling:g}; widen the scan"
         )
 
-    eigenvalues = np.array(ks[:count])
-    residuals = np.abs(eigencondition(order, eigenvalues[eigenvalues > 0.0], radius, bc))
-    residual = float(np.max(residuals, initial=0.0))
+    roots = lattice[cells]
+    inside = straddle[cells]
+    bracket = cells[inside]
+    roots[inside] = _refine(
+        order, radius, a, b, lattice[bracket], lattice[bracket + 1], here[bracket], there[bracket]
+    )
+    # The independent check: the arithmetic of ``eigencondition`` on jv
+    # values, whose rows also give the norms.
+    rows = _jv_rows(order, roots * radius)
+    residual = float(np.max(np.abs(a * roots * rows[1] + b * rows[0]), initial=0.0))
     if residual >= RESIDUAL_TOL:
         raise EigenvalueSearchError(
             f"eigencondition residual {residual:.3e} exceeds {RESIDUAL_TOL:g}"
         )
-    norms = np.array([mode_norm(order, k, radius, bc) for k in eigenvalues])
-    return BesselBasis(order=order, radius=radius, bc=bc, eigenvalues=eigenvalues, norms=norms)
+    norms = _norms(order, roots, radius, bc, rows)
+    if constant:
+        roots = np.concatenate(([0.0], roots))
+        norms = np.concatenate(([0.5 * radius**2], norms))
+    return BesselBasis(order=order, radius=radius, bc=bc, eigenvalues=roots, norms=norms)
+
+
+def _refine(order, radius, a, b, lo, hi, g_lo, g_hi) -> np.ndarray:
+    """Roots of the eigencondition in the brackets (lo, hi), in lock step.
+
+    Each bracket starts from its secant point and takes Newton steps with
+    the slope from ``_residual``; a step that would leave the bracket is
+    replaced by bisection, and every evaluation shrinks the bracket. An
+    element stops once its Newton step is at most 2 eps k or its bracket
+    has collapsed to that width.
+    """
+    tiny = 2.0 * np.finfo(float).eps
+    k = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+    side = np.sign(g_lo)
+    roots = np.empty_like(lo)
+    todo = np.arange(lo.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_NEWTON):
+            if not todo.size:
+                return roots
+            g, slope = _residual(order, k, radius, a, b)
+            low_side = np.sign(g) == side
+            lo = np.where(low_side, k, lo)
+            hi = np.where(low_side, hi, k)
+            newton = k - g / slope
+            converged = np.abs(newton - k) <= tiny * k
+            new = np.where(
+                converged | ((newton > lo) & (newton < hi)), newton, 0.5 * (lo + hi)
+            )
+            done = converged | (hi - lo <= tiny * k)
+            roots[todo[done]] = new[done]
+            keep = ~done
+            todo, k, lo, hi, side = todo[keep], new[keep], lo[keep], hi[keep], side[keep]
+    raise EigenvalueSearchError(
+        f"{todo.size} eigenvalue brackets of order {order} did not converge "
+        f"in {_MAX_NEWTON} Newton steps"
+    )

@@ -412,10 +412,14 @@ def run(config_path=None, preset: str | None = None, out_dir=None) -> int:
 def dump_eigen_table(n_max: int, j_max: int, radius: float, bc: BoundaryCondition, out_path) -> int:
     """Write the eigenvalue/norm table as CSV rows (n, j, k, norm)."""
     try:
+        bases = build_bases(n_max, j_max, radius, bc)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write("n,j,k,norm\n")
-            for n in range(n_max + 1):
-                basis = find_eigenvalues(n, radius, bc, j_max)
+            for n, basis in enumerate(bases):
                 for j in range(j_max):
                     fh.write(
                         f"{n},{j + 1},{_format(basis.eigenvalues[j])},{_format(basis.norms[j])}\n"

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .bessel import BesselBasis
 from .transform import (
@@ -53,6 +52,8 @@ def epsilon_of(history: LifeHistory) -> float:
     """Fraction surviving immaturity: exp(-integral_0^tau d_I(a) da)."""
     if history.tau == 0.0:
         return 1.0
+    from scipy.integrate import quad  # off the import path of the CLI
+
     total, _ = quad(history.immature_death, 0.0, history.tau, limit=200)
     return float(np.exp(-total))
 
@@ -61,6 +62,8 @@ def alpha_of(history: LifeHistory) -> float:
     """Diffusivity accumulated while immature: integral_0^tau D_I(a) da."""
     if history.tau == 0.0:
         return 0.0
+    from scipy.integrate import quad  # off the import path of the CLI
+
     total, _ = quad(history.immature_diffusion, 0.0, history.tau, limit=200)
     return float(total)
 

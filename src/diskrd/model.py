@@ -18,8 +18,7 @@ from enum import Enum
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import jv
+from scipy.special import jv, lambertw
 
 from .bessel import BesselBasis, BoundaryCondition, BoundaryKind
 from .kernel import damping_factors, maturation_term, maturation_term_radial
@@ -267,32 +266,31 @@ def rhs(
 
 
 def homogeneous_equilibria(spec: ModelSpec, w_scan_max: float | None = None) -> np.ndarray:
-    """Nonnegative roots of b(w) = mortality * w, the flat steady states.
+    """Nonnegative roots of b(w) = mortality * w, the flat states of
+    ``mode_forced_birth``.
 
-    Located by bracketing sign changes of b(w) - mortality * w on a dense
-    scan and bisecting each bracket to 1e-10; w = 0 is always included.
+    Closed forms: logistic ``K (1 - mu / r)`` when mu < r; Ricker
+    ``w = -W_b(-d mu / s) / d`` on the Lambert-W branches b = 0, -1 when
+    -d mu / s >= -1/e. w = 0 is always included; roots at or beyond
+    ``w_scan_max`` (default 2 K for logistic, 10 / d for Ricker) are
+    dropped and roots within 1e-9 of each other are merged.
     """
     birth = spec.birth
-    if not isinstance(birth, (Logistic, RickerQuadratic)):
-        raise ValueError("equilibria are defined for the density-dependent birth laws")
-    if w_scan_max is None:
-        if isinstance(birth, RickerQuadratic):
+    mu = spec.mortality
+    if isinstance(birth, RickerQuadratic):
+        if w_scan_max is None:
             w_scan_max = 10.0 / birth.decay
-        else:
+        z = -birth.decay * mu / birth.scale
+        branches = (0, -1) if z >= -np.exp(-1.0) else ()
+        candidates = [-lambertw(z, branch).real / birth.decay for branch in branches]
+    elif isinstance(birth, Logistic):
+        if w_scan_max is None:
             w_scan_max = 2.0 * birth.capacity
+        candidates = [birth.capacity * (1.0 - mu / birth.rate)] if mu < birth.rate else []
+    else:
+        raise ValueError("equilibria are defined for the density-dependent birth laws")
 
-    def excess(w: float) -> float:
-        return float(birth(w) - spec.mortality * w)
-
-    roots = [0.0]
-    grid = np.linspace(0.0, w_scan_max, 4001)
-    vals = np.array([excess(w) for w in grid])
-    for i in range(grid.size - 1):
-        lo, hi = grid[i], grid[i + 1]
-        if vals[i] == 0.0 and lo > 0.0:
-            roots.append(float(lo))
-        elif vals[i] * vals[i + 1] < 0.0:
-            roots.append(float(brentq(excess, lo, hi, xtol=1e-10)))
+    roots = [0.0] + [float(w) for w in candidates if np.isfinite(w) and 0.0 < w < w_scan_max]
     unique = []
     for w in sorted(roots):
         if not unique or w - unique[-1] > 1e-9:

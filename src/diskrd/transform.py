@@ -15,6 +15,7 @@ Gauss-Legendre rule; both are spectrally accurate for smooth fields.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -327,10 +328,18 @@ class DiskTransform:
         return coeffs @ self._j_table[0]
 
     def weighted_l2(self, a: np.ndarray, b: np.ndarray) -> float:
-        """Disk L2 norm of the expansion (a, b), from the stored mode norms."""
-        total = 2.0 * np.pi * np.dot(self._norms[0], a[0] ** 2)
-        if self.n_max:
-            total += np.pi * np.sum(self._norms[1:] * (a[1:] ** 2 + b**2))
+        """Disk L2 norm of the expansion (a, b), from the stored mode norms.
+
+        Finite coefficients past ~1e154 overflow the squares; the sum is then
+        taken again with the coefficients scaled by their largest magnitude.
+        """
+        with np.errstate(over="ignore"):
+            total = 2.0 * np.pi * np.dot(self._norms[0], a[0] ** 2)
+            if self.n_max:
+                total += np.pi * np.sum(self._norms[1:] * (a[1:] ** 2 + b**2))
+        if math.isinf(total) and np.isfinite(a).all() and np.isfinite(b).all():
+            scale = max(np.abs(a).max(), np.abs(b).max(initial=0.0))
+            return float(scale * self.weighted_l2(a / scale, b / scale))
         return float(np.sqrt(total))
 
     def analyze(self, field: DiskField) -> SpectralField:

@@ -1,17 +1,18 @@
 """Independent oracles the tests check the package against.
 
 Everything here is deliberately written from scratch (truncated power
-series, hand-rolled bisection, adaptive quadrature of the integrand) so
-the expected values never flow through the code paths under test.
+series, hand-rolled bisection, adaptive quadrature of the integrand) or
+taken from 30-digit mpmath, so the expected values never flow through the
+code paths under test.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
 from scipy.special import jv, jvp
 
 
@@ -94,34 +95,35 @@ def equilibria_scan(birth, mortality: float, hi: float, points: int = 20001) -> 
     return roots
 
 
-def scalar_eigenvalues(order: int, radius: float, a: float, b: float, count: int) -> np.ndarray:
-    """First ``count`` positive roots of A k J_n'(kR) + B J_n(kR), one scalar
-    ``jvp`` / ``jv`` call per point: scan k on a pi / (4R) lattice up to
-    (count + order + 2) pi / R, starting just above zero, and refine each
-    sign change with brentq. The k = 0 constant mode is not included.
-    """
+@functools.lru_cache(maxsize=None)
+def mp_bessel_zeros(order: int, count: int, derivative: int) -> tuple:
+    """First ``count`` positive zeros of J_order (derivative 0) or of
+    J_order' (derivative 1), to 30 digits, by ``mpmath.besseljzero``."""
+    import mpmath
 
-    def g(k: float) -> float:
-        x = k * radius
-        val = 0.0
-        if a != 0.0:
-            val += a * k * jvp(order, x)
-        if b != 0.0:
-            val += b * jv(order, x)
-        return val
+    with mpmath.workdps(30):
+        zeros = (mpmath.besseljzero(order, m, derivative) for m in range(1, count + 2))
+        return tuple(z for z in zeros if z > 0)[:count]
 
-    step = np.pi / (4.0 * radius)
-    lattice = np.arange(0.0, (count + order + 2) * np.pi / radius + step, step)
-    lattice[0] = 1e-9 * step
-    values = [g(k) for k in lattice]
-    rtol = 4.0 * np.finfo(float).eps
-    roots: list[float] = []
-    for i in range(lattice.size - 1):
-        if len(roots) == count:
-            break
-        if values[i] * values[i + 1] < 0.0:
-            roots.append(brentq(g, lattice[i], lattice[i + 1], xtol=1e-15, rtol=rtol))
-    return np.array(roots)
+
+def mp_mixed_root(order: int, radius: float, a: float, b: float, lo, hi):
+    """30-digit root of A k J_n'(kR) + B J_n(kR) with kR in the bracket
+    (lo, hi), by ``mpmath.findroot``; returned as k. The bracket must hold
+    one sign change."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        scale = mpmath.mpf(a) / mpmath.mpf(radius)
+
+        def g(x):
+            # x J_n'(x) = x J_{n-1}(x) - n J_n(x), finite at x = 0.
+            jn = mpmath.besselj(order, x)
+            return scale * (x * mpmath.besselj(order - 1, x) - order * jn) + b * jn
+
+        if g(mpmath.mpf(lo)) * g(mpmath.mpf(hi)) >= 0:
+            raise ValueError("mixed-condition bracket does not straddle a root")
+        x = mpmath.findroot(g, (mpmath.mpf(lo), mpmath.mpf(hi)), solver="anderson")
+        return x / mpmath.mpf(radius)
 
 
 def scalar_mode_norm(order: int, k: float, radius: float, dirichlet: bool) -> float:

@@ -8,6 +8,8 @@ from scipy.special import jv
 from diskrd.bessel import (
     BesselBasis,
     BoundaryCondition,
+    _bessel_pair,
+    _residual,
     bessel_j_prime,
     eigencondition,
     find_eigenvalues,
@@ -17,9 +19,10 @@ from diskrd.bessel import (
 from oracles import (
     bessel_zero,
     jn_series,
+    mp_bessel_zeros,
+    mp_mixed_root,
     quad_mode_norm,
     quad_mode_overlap,
-    scalar_eigenvalues,
     scalar_mode_norm,
 )
 
@@ -253,9 +256,10 @@ class TestRadialTable:
 
 
 class TestEigenvalueScan:
-    """The vectorised scan and the jv-based brentq residual reproduce a
-    scalar brentq-on-jvp search bit for bit."""
+    """The recurrence scan and the lock-step Newton refinement against
+    30-digit mpmath roots, and the stored norms against the jv formula."""
 
+    @pytest.mark.parametrize("radius", [1.0, 1.3])
     @pytest.mark.parametrize(
         "bc",
         [
@@ -266,14 +270,49 @@ class TestEigenvalueScan:
         ],
         ids=["dirichlet", "zero_flux", "mixed_1_2", "mixed_small_ratio"],
     )
-    @pytest.mark.parametrize("order", [0, 1, 7, 20])
-    def test_bit_identical_to_scalar_search(self, bc, order):
-        radius, count = 1.3, 24
-        basis = find_eigenvalues(order, radius, bc, count)
-        positive = basis.eigenvalues[basis.eigenvalues > 0.0]
+    @pytest.mark.parametrize("order", [0, 1, 7, 20, 32])
+    def test_within_two_ulp_of_mpmath(self, order, bc, radius):
+        mpmath = pytest.importorskip("mpmath")
+        basis = find_eigenvalues(order, radius, bc, 64)
+        k = basis.eigenvalues[basis.eigenvalues > 0.0]
         a, b = bc.coefficients()
-        expected = scalar_eigenvalues(order, radius, a, b, positive.size)
-        assert np.array_equal(positive, expected)
+        zeros = mp_bessel_zeros(order, 64, 0)
+        flats = mp_bessel_zeros(order, 64, 1)
+        if a == 0.0 or b == 0.0:
+            exact = [x / mpmath.mpf(radius) for x in (zeros if b else flats)[: k.size]]
+        else:
+            # The m-th mixed root lies between the m-th zeros of J_n' and
+            # J_n (k = 0 counts as a zero of J_0'); check the index there,
+            # then find the root in a 1e-13 bracket around the found one.
+            if order == 0:
+                flats = (0,) + flats
+            kr = k * radius
+            assert all(lo < x < hi for lo, x, hi in zip(flats, kr, zeros))
+            exact = [
+                mp_mixed_root(order, radius, a, b, x * (1 - 1e-13), x * (1 + 1e-13))
+                for x in kr
+            ]
+        ulps = [
+            float(abs(mpmath.mpf(float(got)) - want)) / np.spacing(float(want))
+            for got, want in zip(k, exact)
+        ]
+        assert max(ulps) <= 2.0
+
+    def test_root_on_a_lattice_point(self):
+        # Choose (A, B) so the recurrence residual vanishes exactly at the
+        # lattice point k = pi/4 (R = 1): A = J_0(k), B = -k J_0'(k) > 0.
+        k = np.array([np.pi / 4.0])
+        lower, jn = _bessel_pair(0, k)
+        dj = lower - (0 / k) * jn
+        bc = BoundaryCondition.mixed(jn[0], -(k * dj)[0])
+        a, b = bc.coefficients()
+        assert _residual(0, k, 1.0, a, b)[0][0] == 0.0
+        basis = find_eigenvalues(0, 1.0, bc, 4)
+        assert basis.eigenvalues[0] == np.pi / 4.0
+        assert abs(eigencondition(0, basis.eigenvalues, 1.0, bc)).max() < 1e-10
+        expected = scalar_mode_norm(0, np.pi / 4.0, 1.0, False)
+        assert abs(basis.norms[0] - expected) <= 4e-16 * expected
+        assert mode_norm(0, np.pi / 4.0, 1.0, bc) == basis.norms[0]
 
     @pytest.mark.parametrize(
         "bc", [DIRICHLET, ZERO_FLUX, BoundaryCondition.mixed(1.0, 2.0)]

@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -378,6 +382,12 @@ class TestEigenTable:
         assert status == 2
         assert "cannot write" in capsys.readouterr().err
 
+    def test_count_out_of_range_exits_2_without_a_file(self, tmp_path, capsys):
+        path = tmp_path / "eig.csv"
+        assert dump_eigen_table(0, 0, 1.0, BoundaryCondition.dirichlet(), path) == 2
+        assert "count must be in" in capsys.readouterr().err
+        assert not path.exists()
+
 
 class TestMain:
     def test_eigen_table_subcommand(self, tmp_path):
@@ -407,3 +417,18 @@ class TestMain:
         cfg = write_config(tmp_path, SMALL_CONFIG.format(t_end="0.0"))
         status = main(["run", str(cfg), "--out", str(tmp_path / "out")])
         assert status == 0
+
+
+class TestImports:
+    def test_cli_leaves_optimize_and_integrate_unloaded(self):
+        # A fresh interpreter: the run path needs scipy.special alone.
+        src = Path(cli.__file__).resolve().parents[1]
+        code = (
+            "import sys, diskrd.cli; "
+            "print(' '.join(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == ""

@@ -293,6 +293,24 @@ class TestHomogeneousEquilibria:
         assert roots[1] == pytest.approx(0.0402, abs=1e-4)
         assert roots[2] == pytest.approx(75.5, abs=0.1)
 
+    def test_ricker_root_below_a_scan_spacing(self):
+        # s w exp(-d w) = mu has a root near mu / s = 1e-3, below the 2.5e-3
+        # spacing of a 4001-point scan of [0, 10 / d]; the closed form keeps it.
+        birth = RickerQuadratic(2.0, 1.0)
+        spec = make_spec(Variant.MODE_FORCED_BIRTH, bc=ZERO_FLUX, mortality=0.002, birth=birth)
+        roots = homogeneous_equilibria(spec)
+        assert roots.size == 3 and roots[0] == 0.0
+        assert roots[1] < 2.5e-3 < roots[2] < 10.0
+        for w in roots[1:]:
+            assert birth(w) == pytest.approx(0.002 * w, rel=1e-14)
+
+    def test_ricker_above_the_tangent_mortality(self):
+        # -d mu / s = -0.4 < -1/e: b(w) stays below mu w for every w > 0.
+        spec = make_spec(
+            Variant.MODE_FORCED_BIRTH, bc=ZERO_FLUX, mortality=1.0, birth=RickerQuadratic(0.25, 0.1)
+        )
+        assert_allclose(homogeneous_equilibria(spec), [0.0])
+
     def test_logistic_without_mortality(self):
         spec = make_spec(
             Variant.MODE_FORCED_BIRTH,

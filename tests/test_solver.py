@@ -429,8 +429,6 @@ class TestBlockedDriver:
         ),
     }
 
-    # Past |c| ~ 1e154 the dw/dt norm of a recorded row overflows to inf.
-    @pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
     @pytest.mark.parametrize("case", sorted(BLOWUPS))
     def test_blowup_reports_the_chain_step(self, case):
         changes, threshold = self.BLOWUPS[case]

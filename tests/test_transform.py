@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -294,6 +296,20 @@ class TestSpectralField:
         assert tr.weighted_l2(coeffs.a, coeffs.b) == pytest.approx(
             np.sqrt(grid.integrate(field.values**2)), rel=1e-8
         )
+
+    def test_weighted_l2_of_huge_coefficients_is_finite(self):
+        # Squares of 1e200 overflow; the norm itself is about 1e200.
+        bases = build_bases(3, 5, 1.0, ZERO_FLUX)
+        tr = DiskTransform(default_grid(bases), bases)
+        rng = np.random.default_rng(9)
+        a, b = rng.uniform(-1, 1, (4, 5)), rng.uniform(-1, 1, (3, 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = tr.weighted_l2(1e200 * a, 1e200 * b)
+            plain = tr.weighted_l2(a, b)
+        assert np.isfinite(huge)
+        assert huge == pytest.approx(1e200 * plain, rel=1e-14)
+        assert tr.weighted_l2(np.full((4, 5), np.inf), b) == np.inf
 
 
 class TestCSV:
