@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import jv, jvp
+from scipy.special import j0, j1, jv, jvp
 
 
 def jn_series(order: int, x: float, terms: int = 60) -> float:
@@ -93,6 +93,74 @@ def equilibria_scan(birth, mortality: float, hi: float, points: int = 20001) -> 
         if vals[i] * vals[i + 1] < 0.0:
             roots.append(bisect(excess, float(grid[i]), float(grid[i + 1]), tol=1e-11))
     return roots
+
+
+def scalar_eigenvalues(order: int, radius: float, a: float, b: float, count: int) -> np.ndarray:
+    """First ``count`` positive roots of A k J_n'(kR) + B J_n(kR), found one
+    point and one bracket at a time with scalar arithmetic.
+
+    J_{n-1} and J_n come from scalar ``j0`` / ``j1`` and the upward
+    recurrence where x >= n, from ``jv`` below. k runs over a pi / (4R)
+    lattice up to (count + order + 2) pi / R, starting at 1e-9 of a step; a
+    lattice point with a zero residual is a root, and every sign change is
+    refined alone: secant start, Newton steps (slope from the Bessel ODE),
+    bisection when a step would leave the bracket, stop once the step or
+    the bracket is at most 2 eps k. The k = 0 constant mode is not
+    included.
+    """
+
+    def pair(x: float) -> tuple[float, float]:
+        if order == 0:
+            return -j1(x), j0(x)
+        if order == 1:
+            return j0(x), j1(x)
+        if x < order:
+            return jv(order - 1, x), jv(order, x)
+        two_over_x = 2.0 / x
+        prev, cur = j0(x), j1(x)
+        for m in range(1, order):
+            prev, cur = cur, m * two_over_x * cur - prev
+        return prev, cur
+
+    def g_and_slope(k: float) -> tuple[float, float]:
+        x = k * radius
+        lower, jn = pair(x)
+        dj = lower - (order / x) * jn
+        return a * (k * dj) + b * jn, b * radius * dj - a * (x - order * order / x) * jn
+
+    tiny = 2.0 * np.finfo(float).eps
+
+    def refine(lo: float, hi: float, g_lo: float, g_hi: float) -> float:
+        k = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+        side = np.sign(g_lo)
+        for _ in range(100):
+            g, slope = g_and_slope(k)
+            if np.sign(g) == side:
+                lo = k
+            else:
+                hi = k
+            newton = k - g / slope
+            converged = abs(newton - k) <= tiny * k
+            new = newton if converged or lo < newton < hi else 0.5 * (lo + hi)
+            if converged or hi - lo <= tiny * k:
+                return new
+            k = new
+        raise RuntimeError("bracket did not converge")
+
+    step = np.pi / (4.0 * radius)
+    lattice = np.arange(0.0, (count + order + 2) * np.pi / radius + step, step)
+    lattice[0] = 1e-9 * step
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = [g_and_slope(k)[0] for k in lattice]
+        roots: list[float] = []
+        for i in range(lattice.size - 1):
+            if len(roots) == count:
+                break
+            if values[i] == 0.0 and lattice[i] > 1e-6 * step:
+                roots.append(lattice[i])
+            elif values[i] * values[i + 1] < 0.0:
+                roots.append(refine(lattice[i], lattice[i + 1], values[i], values[i + 1]))
+    return np.array(roots, dtype=float)
 
 
 @functools.lru_cache(maxsize=None)

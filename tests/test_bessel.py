@@ -23,6 +23,7 @@ from oracles import (
     mp_mixed_root,
     quad_mode_norm,
     quad_mode_overlap,
+    scalar_eigenvalues,
     scalar_mode_norm,
 )
 
@@ -256,8 +257,30 @@ class TestRadialTable:
 
 
 class TestEigenvalueScan:
-    """The recurrence scan and the lock-step Newton refinement against
-    30-digit mpmath roots, and the stored norms against the jv formula."""
+    """The recurrence scan and the lock-step Newton refinement against a
+    scalar search and 30-digit mpmath roots, and the stored norms against
+    the jv formula."""
+
+    @pytest.mark.parametrize(
+        "bc",
+        [
+            DIRICHLET,
+            ZERO_FLUX,
+            BoundaryCondition.mixed(1.0, 2.0),
+            BoundaryCondition.mixed(1.0, 0.1),
+        ],
+        ids=["dirichlet", "zero_flux", "mixed_1_2", "mixed_small_ratio"],
+    )
+    @pytest.mark.parametrize("order", [0, 1, 7, 20])
+    def test_bit_identical_to_scalar_search(self, bc, order):
+        # Refining every bracket in lock step must not change any root
+        # against refining each bracket alone.
+        radius, count = 1.3, 24
+        basis = find_eigenvalues(order, radius, bc, count)
+        positive = basis.eigenvalues[basis.eigenvalues > 0.0]
+        a, b = bc.coefficients()
+        expected = scalar_eigenvalues(order, radius, a, b, positive.size)
+        assert np.array_equal(positive, expected)
 
     @pytest.mark.parametrize("radius", [1.0, 1.3])
     @pytest.mark.parametrize(
