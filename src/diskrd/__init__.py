@@ -15,6 +15,7 @@ from .bessel import (
     BoundaryCondition,
     BoundaryKind,
     EigenvalueSearchError,
+    bessel_j,
     bessel_j_prime,
     eigencondition,
     find_eigenvalues,

@@ -22,9 +22,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.special import jv
 
-from .bessel import BoundaryCondition, find_eigenvalues
+from .bessel import BoundaryCondition, bessel_j, find_eigenvalues
 from .model import Logistic, ModelSpec, RickerQuadratic, Variant, homogeneous_equilibria
 from .solver import BlowUpError, Scheme, SolverConfig, SpectralIntegrator, integrate
 from .transform import DiskGrid, build_bases, default_grid, write_field_csv
@@ -224,7 +223,12 @@ def _once_per_mesh(profile):
 
 
 def _mode_w0(order: int, k: float, amp: float):
-    return _once_per_mesh(lambda r, th: amp * jv(order, k * r) * np.cos(order * th))
+    def profile(r, th):
+        # On a polar mesh r is constant along theta: one J_n per radius.
+        radii = r[:, :1] if r.ndim == 2 and np.all(r == r[:, :1]) else r
+        return amp * bessel_j(order, k * radii) * np.cos(order * th)
+
+    return _once_per_mesh(profile)
 
 
 def _build_w0(resolved):

@@ -13,14 +13,21 @@ their source term:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.special import jv, lambertw
 
-from .bessel import BesselBasis, BoundaryCondition, BoundaryKind
+from .bessel import (
+    MAX_EIGENVALUES,
+    MAX_ORDER,
+    BesselBasis,
+    BoundaryCondition,
+    BoundaryKind,
+    bessel_j,
+)
 from .kernel import damping_factors, maturation_term, maturation_term_radial
 from .transform import DiskField, DiskTransform, SpectralField
 
@@ -93,7 +100,7 @@ class ModeSeed:
 
     def profile(self, grid) -> np.ndarray:
         r, th = grid.mesh()
-        return jv(1, self.mode_k * r) * np.cos(th)
+        return bessel_j(1, self.mode_k * r) * np.cos(th)
 
     def field(self, grid, t: float) -> np.ndarray:
         return float(self.amplitude(t)) * self.profile(grid)
@@ -157,8 +164,11 @@ class ModelSpec:
             raise ValueError("spread and delay must be nonnegative")
         if self.radius <= 0.0:
             raise ValueError("radius must be positive")
-        if self.n_max < 0 or self.j_max < 1:
-            raise ValueError("truncation must satisfy n_max >= 0, j_max >= 1")
+        if not (0 <= self.n_max <= MAX_ORDER and 1 <= self.j_max <= MAX_EIGENVALUES):
+            raise ValueError(
+                f"truncation must satisfy 0 <= n_max <= {MAX_ORDER}, "
+                f"1 <= j_max <= {MAX_EIGENVALUES}"
+            )
         bc = self.bc if self.bc is not None else _DEFAULT_BC[self.variant]()
         object.__setattr__(self, "bc", bc)
         if self.variant is Variant.FULL_DIRICHLET and bc.kind is not BoundaryKind.DIRICHLET:
@@ -209,7 +219,7 @@ def linear_rates(spec: ModelSpec, bases: tuple[BesselBasis, ...]) -> np.ndarray:
 def forcing_profile(spec: ModelSpec, grid) -> np.ndarray:
     """Unit spatial profile J_1(mode_k r) cos(theta) of the seeded mode."""
     r, th = grid.mesh()
-    return jv(1, spec.forcing_mode_k * r) * np.cos(th)
+    return bessel_j(1, spec.forcing_mode_k * r) * np.cos(th)
 
 
 def rhs(
@@ -265,12 +275,63 @@ def rhs(
     return rates, DiskField(grid, values)
 
 
+# 1/e as the sum of two doubles, so that z + 1/e keeps its digits near the
+# branch point of Lambert W.
+_INV_E_HI = 0.36787944117144233
+_INV_E_LO = -1.2428753672788363e-17
+
+
+def _lambert_w(z: float, branch: int) -> float:
+    """Real Lambert W, the solution w of w e^w = z on branch 0 (w >= -1,
+    z >= -1/e) or branch -1 (w <= -1, -1/e <= z < 0), by Halley's
+    iteration.
+
+    z + 1/e is formed in two parts, and within |w + 1| < 1/2 the residual is
+    e^-1 ((v - 1) expm1(v) + v) - (z + 1/e) with v = w + 1, so the root
+    stays accurate up to the branch point, where w = -1. The start is the
+    branch-point series in p = sqrt(2 (e z + 1)) near it, log1p(z) or
+    log z - log log z on branch 0, and log(-z) - log(-log(-z)) on branch -1.
+    """
+    d = (z + _INV_E_HI) + _INV_E_LO
+    if branch == -1 and z >= 0.0:
+        if z == 0.0:
+            return -math.inf
+        raise ValueError("branch -1 of Lambert W needs -1/e <= z < 0")
+    if d <= 0.0:
+        if z < -_INV_E_HI:
+            raise ValueError("Lambert W has no real value below z = -1/e")
+        return -1.0
+    if z == 0.0:
+        return 0.0
+    sign = 1.0 if branch == 0 else -1.0
+    p = math.sqrt(2.0 * math.e * d)
+    if p < 0.5:
+        w = -1.0 + sign * p - p * p / 3.0 + sign * 11.0 / 72.0 * p**3
+    elif branch == 0:
+        w = math.log1p(z) if z < 3.0 else math.log(z) - math.log(math.log(z))
+    else:
+        w = math.log(-z) - math.log(-math.log(-z))
+    for _ in range(64):
+        # Halley's step for f(w) = w e^w - z, with f' = e^w v and
+        # f'' = e^w (v + 1), written in r = f e^-w so nothing overflows.
+        v = w + 1.0
+        if abs(v) < 0.5:
+            r = (_INV_E_HI * ((v - 1.0) * math.expm1(v) + v) - d) * math.exp(-w)
+        else:
+            r = w - z * math.exp(-w)
+        step = r / (v - r * (v + 1.0) / (2.0 * v))
+        w -= step
+        if abs(step) <= 4.0 * math.ulp(w):
+            return w
+    raise ArithmeticError(f"Lambert W did not converge at z = {z!r}, branch {branch}")
+
+
 def homogeneous_equilibria(spec: ModelSpec, w_scan_max: float | None = None) -> np.ndarray:
     """Nonnegative roots of b(w) = mortality * w, the flat states of
     ``mode_forced_birth``.
 
     Closed forms: logistic ``K (1 - mu / r)`` when mu < r; Ricker
-    ``w = -W_b(-d mu / s) / d`` on the Lambert-W branches b = 0, -1 when
+    ``w = -W_b(-d mu / s) / d`` on the real Lambert-W branches b = 0, -1 when
     -d mu / s >= -1/e. w = 0 is always included; roots at or beyond
     ``w_scan_max`` (default 2 K for logistic, 10 / d for Ricker) are
     dropped and roots within 1e-9 of each other are merged.
@@ -282,7 +343,7 @@ def homogeneous_equilibria(spec: ModelSpec, w_scan_max: float | None = None) -> 
             w_scan_max = 10.0 / birth.decay
         z = -birth.decay * mu / birth.scale
         branches = (0, -1) if z >= -np.exp(-1.0) else ()
-        candidates = [-lambertw(z, branch).real / birth.decay for branch in branches]
+        candidates = [-_lambert_w(z, branch) / birth.decay for branch in branches]
     elif isinstance(birth, Logistic):
         if w_scan_max is None:
             w_scan_max = 2.0 * birth.capacity

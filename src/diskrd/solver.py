@@ -263,12 +263,13 @@ class SpectralIntegrator:
         first = -self.lag_steps if self._lagged_birth is not None else 0
         sample = entry = None
         for i in range(first, 1):
-            values = np.asarray(w0(i * self.dt, r, th), dtype=float) + np.zeros_like(r)
-            if entry is None or not np.array_equal(values, sample):
+            raw = w0(i * self.dt, r, th)
+            if entry is None or not np.array_equal(raw, sample):
+                sample = np.array(raw, dtype=float)  # a copy: w0 may reuse its array
+                values = sample + np.zeros_like(r)
                 state = self.transform.analyze(DiskField(self.grid, values))
                 synthesized = self.transform.synthesize_values(state.a, state.b)
                 entry = (state, synthesized, self._births(state.a[None], synthesized[None].copy(), i, 0))
-            sample = values
             births.extend(entry[2])
         state, synthesized, _ = entry
         return HistoryBuffer(self.dt, state.a, state.b, synthesized, births)

@@ -19,8 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
-from .bessel import BesselBasis, BoundaryCondition, find_eigenvalues
+from .bessel import BesselBasis, BoundaryCondition, find_bases, radial_tables
 
 __all__ = [
     "DiskGrid",
@@ -76,7 +77,7 @@ class DiskGrid:
     @classmethod
     def gauss_legendre(cls, radius: float, n_r: int, n_theta: int) -> "DiskGrid":
         """Gauss-Legendre radii mapped to (0, R), uniform angles."""
-        x, w = np.polynomial.legendre.leggauss(n_r)
+        x, w = leggauss(n_r)
         r = 0.5 * radius * (x + 1.0)
         wr = 0.5 * radius * w
         theta = np.arange(n_theta) * (2.0 * np.pi / n_theta)
@@ -192,8 +193,8 @@ class SpectralField:
 def build_bases(
     n_max: int, j_max: int, radius: float, bc: BoundaryCondition
 ) -> tuple[BesselBasis, ...]:
-    """Eigenvalue bases for all angular orders 0..n_max."""
-    return tuple(find_eigenvalues(n, radius, bc, j_max) for n in range(n_max + 1))
+    """Eigenvalue bases for all angular orders 0..n_max, found together."""
+    return find_bases(range(n_max + 1), radius, bc, j_max)
 
 
 def default_grid(bases: tuple[BesselBasis, ...], n_theta: int | None = None) -> DiskGrid:
@@ -233,7 +234,7 @@ class DiskTransform:
         self.grid = grid
         self.bases = bases
         # J[n, j, i] = J_n(k_nj r_i), shared by analysis and synthesis.
-        self._j_table = np.stack([basis.radial_table(grid.r_nodes) for basis in bases])
+        self._j_table = radial_tables(bases, grid.r_nodes)
         self._weights = grid.r_weights * grid.r_nodes
         scale = np.full(n_max + 1, grid.theta_spacing / np.pi)
         scale[0] *= 0.5

@@ -3,7 +3,9 @@
 Everything here is deliberately written from scratch (truncated power
 series, hand-rolled bisection, adaptive quadrature of the integrand) or
 taken from 30-digit mpmath, so the expected values never flow through the
-code paths under test.
+code paths under test. The one exception, ``scalar_eigenvalues``, reuses
+the package's Bessel evaluator on purpose: it checks the lock-step search
+against a one-bracket-at-a-time search, not the evaluator.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import j0, j1, jv, jvp
+from scipy.special import jv
+
+from diskrd.bessel import _bessel_pair
 
 
 def jn_series(order: int, x: float, terms: int = 60) -> float:
@@ -99,8 +103,8 @@ def scalar_eigenvalues(order: int, radius: float, a: float, b: float, count: int
     """First ``count`` positive roots of A k J_n'(kR) + B J_n(kR), found one
     point and one bracket at a time with scalar arithmetic.
 
-    J_{n-1} and J_n come from scalar ``j0`` / ``j1`` and the upward
-    recurrence where x >= n, from ``jv`` below. k runs over a pi / (4R)
+    J_{n-1} and J_n come from the package evaluator one point at a time,
+    so this checks the search, not the evaluator. k runs over a pi / (4R)
     lattice up to (count + order + 2) pi / R, starting at 1e-9 of a step; a
     lattice point with a zero residual is a root, and every sign change is
     refined alone: secant start, Newton steps (slope from the Bessel ODE),
@@ -110,17 +114,8 @@ def scalar_eigenvalues(order: int, radius: float, a: float, b: float, count: int
     """
 
     def pair(x: float) -> tuple[float, float]:
-        if order == 0:
-            return -j1(x), j0(x)
-        if order == 1:
-            return j0(x), j1(x)
-        if x < order:
-            return jv(order - 1, x), jv(order, x)
-        two_over_x = 2.0 / x
-        prev, cur = j0(x), j1(x)
-        for m in range(1, order):
-            prev, cur = cur, m * two_over_x * cur - prev
-        return prev, cur
+        lower, jn = _bessel_pair(order, np.array([x]))
+        return float(lower[0]), float(jn[0])
 
     def g_and_slope(k: float) -> tuple[float, float]:
         x = k * radius
@@ -194,13 +189,20 @@ def mp_mixed_root(order: int, radius: float, a: float, b: float, lo, hi):
         return x / mpmath.mpf(radius)
 
 
-def scalar_mode_norm(order: int, k: float, radius: float, dirichlet: bool) -> float:
-    """integral_0^R r J_n(k r)^2 dr at one eigenvalue k > 0, by the closed
-    form R^2 J_{n+1}(kR)^2 / 2 (Dirichlet) or the Lommel form otherwise."""
-    x = k * radius
-    if dirichlet:
-        return 0.5 * radius**2 * jv(order + 1, x) ** 2
-    return (
-        0.5 * (radius**2 - (order / k) ** 2) * jv(order, x) ** 2
-        + 0.5 * radius**2 * jvp(order, x) ** 2
-    )
+def mp_mode_norm(order: int, k: float, radius: float, dirichlet: bool) -> float:
+    """integral_0^R r J_n(k r)^2 dr at one eigenvalue k > 0 to 30 digits, by
+    the closed form R^2 J_{n+1}(kR)^2 / 2 (Dirichlet) or the Lommel form
+    otherwise, in ``mpmath``."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        k, radius = mpmath.mpf(float(k)), mpmath.mpf(radius)
+        x = k * radius
+        upper = mpmath.besselj(order + 1, x)
+        if dirichlet:
+            return float(radius**2 / 2 * upper**2)
+        slope = (mpmath.besselj(order - 1, x) - upper) / 2
+        return float(
+            (radius**2 - (order / k) ** 2) / 2 * mpmath.besselj(order, x) ** 2
+            + radius**2 / 2 * slope**2
+        )

@@ -10,6 +10,7 @@ from diskrd.bessel import (
     BoundaryCondition,
     _bessel_pair,
     _residual,
+    bessel_j,
     bessel_j_prime,
     eigencondition,
     find_eigenvalues,
@@ -21,31 +22,35 @@ from oracles import (
     jn_series,
     mp_bessel_zeros,
     mp_mixed_root,
+    mp_mode_norm,
     quad_mode_norm,
     quad_mode_overlap,
     scalar_eigenvalues,
-    scalar_mode_norm,
 )
 
 DIRICHLET = BoundaryCondition.dirichlet()
 ZERO_FLUX = BoundaryCondition.zero_flux()
 
+# Relative bound on stored norms against 30-digit values (2.5e-15 measured
+# at R = 2, 64 roots, orders 0 / 3 / 16 / 32).
+NORM_RTOL = 4e-15
+
 
 class TestBesselJ:
     def test_order_zero_at_origin(self):
-        assert jv(0, 0.0) == 1.0
+        assert bessel_j(0, 0.0) == 1.0
 
     def test_order_one_at_origin(self):
-        assert jv(1, 0.0) == 0.0
+        assert bessel_j(1, 0.0) == 0.0
 
     def test_vanishes_at_first_zero(self):
-        assert abs(jv(0, 2.404826)) < 1e-6
+        assert abs(bessel_j(0, 2.404826)) < 1e-6
 
     @pytest.mark.parametrize("order", [0, 1, 2, 5, 10, 16])
     def test_matches_series_at_moderate_arguments(self, order):
         # The series oracle itself is only trustworthy to ~1e-13 up to 12.
         for x in np.linspace(0.0, 12.0, 25):
-            assert abs(jv(order, x) - jn_series(order, float(x))) < 1e-12
+            assert abs(bessel_j(order, x) - jn_series(order, float(x))) < 1e-12
 
     def test_absolute_error_budget_to_100(self):
         # Independent high-precision reference over the full working range.
@@ -55,7 +60,64 @@ class TestBesselJ:
         for order in (0, 1, 3, 8, 16):
             for x in rng.uniform(0.0, 100.0, 25):
                 exact = float(mpmath.besselj(order, mpmath.mpf(float(x))))
-                assert abs(jv(order, float(x)) - exact) < 1e-12
+                assert abs(bessel_j(order, float(x)) - exact) < 1e-12
+
+    def test_odd_and_even_in_x(self):
+        x = np.linspace(-30.0, 30.0, 121)
+        for order in (0, 1, 2, 7):
+            assert np.array_equal(bessel_j(order, -x), (-1) ** order * bessel_j(order, x))
+
+
+class TestEvaluator:
+    """The numpy evaluator against 30-digit mpmath in every region and on
+    both sides of each seam: the series below x = 2, the Taylor nodes up to
+    x = 40, the Hankel expansion above it, Miller's recurrence below x = n
+    and the upward recurrence above."""
+
+    BOUND = 1e-15
+
+    def test_j0_j1_to_300(self):
+        mpmath = pytest.importorskip("mpmath")
+        seams = [2.0, 40.0]
+        around = [s * (1.0 + d) for s in seams for d in (-4e-16, -2.2e-16, 0.0, 2.2e-16, 4e-16)]
+        midpoints = [2.25, 2.75, 39.25, 39.75]  # farthest from a Taylor node
+        x = np.concatenate([np.linspace(0.0, 300.0, 1201), around, midpoints, [1e-300, 1e-9]])
+        for order in (0, 1):
+            with mpmath.workdps(30):
+                exact = [float(mpmath.besselj(order, mpmath.mpf(float(v)))) for v in x]
+            assert np.max(np.abs(bessel_j(order, x) - exact)) < self.BOUND
+
+    @pytest.mark.parametrize("order", range(49))
+    def test_pairs_on_both_sides_of_x_equal_n(self, order):
+        mpmath = pytest.importorskip("mpmath")
+        near = [order * (1.0 + d) for d in (-1e-3, -2.2e-16, 0.0, 2.2e-16, 1e-3)]
+        x = np.sort(np.concatenate([np.linspace(0.0, 2.0 * order + 60.0, 24), near, [1.9, 2.0]]))
+        lower, jn = _bessel_pair(order, x)
+        with mpmath.workdps(30):
+            exact = [
+                [float(mpmath.besselj(q, mpmath.mpf(float(v)))) for v in x] for q in (order - 1, order)
+            ]
+        assert np.max(np.abs(lower - exact[0])) < self.BOUND
+        assert np.max(np.abs(jn - exact[1])) < self.BOUND
+
+    @pytest.mark.parametrize("order", range(49))
+    def test_origin_is_kronecker_delta_without_warnings(self, order):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lower, jn = _bessel_pair(order, np.zeros(3))
+        assert np.all(jn == (1.0 if order == 0 else 0.0))
+        assert np.all(lower == (1.0 if order == 1 else 0.0))
+
+    def test_value_independent_of_the_rest_of_the_array(self):
+        # Miller's per-element start and the suffix-wise upward recurrence
+        # keep each element's bits those of its evaluation alone.
+        rng = np.random.default_rng(3)
+        x = rng.uniform(0.0, 120.0, 400)
+        order = np.sort(rng.integers(0, 40, 400))
+        lower, jn = _bessel_pair(order, x)
+        for i in range(0, 400, 37):
+            alone = _bessel_pair(int(order[i]), x[i : i + 1])
+            assert lower[i] == alone[0][0] and jn[i] == alone[1][0]
 
 
 class TestBesselJPrime:
@@ -64,12 +126,12 @@ class TestBesselJPrime:
 
     def test_derivative_identity(self):
         for x in np.linspace(0.0, 30.0, 61):
-            assert abs(bessel_j_prime(0, x) + jv(1, x)) < 1e-12
+            assert abs(bessel_j_prime(0, x) + bessel_j(1, x)) < 1e-12
 
     def test_vanishes_at_first_j1_zero(self):
         # J1 peaks where its derivative crosses zero at 3.831706's... the
         # first positive zero of J1 is where J0' also vanishes.
-        assert abs(jv(1, 3.831706)) < 1e-6
+        assert abs(bessel_j(1, 3.831706)) < 1e-6
 
 
 class TestBoundaryCondition:
@@ -226,7 +288,7 @@ class TestBesselBasis:
 
 
 class TestRadialTable:
-    """Tables recur upward from j0 / j1 where k r >= order and use jv below."""
+    """Tables of the evaluator on both sides of k r = order."""
 
     K = np.array([0.5, 1.7, 4.0, 9.3, 16.0, 25.0])
     R = np.array([0.0, 0.05, 0.4, 1.1, 2.3, 3.9, 5.2, 7.7, 10.0])
@@ -259,7 +321,7 @@ class TestRadialTable:
 class TestEigenvalueScan:
     """The recurrence scan and the lock-step Newton refinement against a
     scalar search and 30-digit mpmath roots, and the stored norms against
-    the jv formula."""
+    30-digit closed forms."""
 
     @pytest.mark.parametrize(
         "bc",
@@ -333,20 +395,23 @@ class TestEigenvalueScan:
         basis = find_eigenvalues(0, 1.0, bc, 4)
         assert basis.eigenvalues[0] == np.pi / 4.0
         assert abs(eigencondition(0, basis.eigenvalues, 1.0, bc)).max() < 1e-10
-        expected = scalar_mode_norm(0, np.pi / 4.0, 1.0, False)
-        assert abs(basis.norms[0] - expected) <= 4e-16 * expected
+        expected = mp_mode_norm(0, np.pi / 4.0, 1.0, False)
+        assert abs(basis.norms[0] - expected) <= NORM_RTOL * expected
         assert mode_norm(0, np.pi / 4.0, 1.0, bc) == basis.norms[0]
 
     @pytest.mark.parametrize(
         "bc", [DIRICHLET, ZERO_FLUX, BoundaryCondition.mixed(1.0, 2.0)]
     )
-    @pytest.mark.parametrize("order", [0, 3, 16])
+    @pytest.mark.parametrize("order", [0, 3, 16, 32])
     def test_norms_match_scalar_formula(self, bc, order):
-        basis = find_eigenvalues(order, 2.0, bc, 32)
+        # The closed forms in 30-digit mpmath at the found roots; norms from
+        # scipy's jv miss them by up to 1.2e-13 here.
+        pytest.importorskip("mpmath")
+        basis = find_eigenvalues(order, 2.0, bc, 64)
         for k, norm in zip(basis.eigenvalues, basis.norms):
             if k == 0.0:
                 expected = 0.5 * 2.0**2
             else:
-                expected = scalar_mode_norm(order, float(k), 2.0, bc is DIRICHLET)
-            assert abs(norm - expected) <= 4e-16 * expected
+                expected = mp_mode_norm(order, float(k), 2.0, bc is DIRICHLET)
+            assert abs(norm - expected) <= NORM_RTOL * expected
             assert mode_norm(order, float(k), 2.0, bc) == norm

@@ -7,11 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scipy.special import jv
-
 from diskrd import cli
 from diskrd.cli import DEFAULTS, PRESETS, ConfigError, dump_eigen_table, main, parse_config, run
-from diskrd.bessel import BoundaryCondition, find_eigenvalues
+from diskrd.bessel import BoundaryCondition, bessel_j, find_eigenvalues
 from diskrd.solver import SpectralIntegrator
 
 from oracles import bessel_zero
@@ -158,6 +156,8 @@ class TestRun:
                 + "scheme = reference_fd\nfd_n_r = 2\nfd_n_theta = 4\n",
                 "fd_n_r",
             ),
+            (SMALL_CONFIG.format(t_end="0.1") + "n_max = 201\n", "n_max"),
+            (SMALL_CONFIG.format(t_end="0.1") + "j_max = 257\n", "j_max"),
         ],
         ids=[
             "negative_diffusion",
@@ -166,6 +166,8 @@ class TestRun:
             "reference_fd_delay",
             "negative_robin_ratio",
             "fd_n_r_below_3",
+            "n_max_above_200",
+            "j_max_above_256",
         ],
     )
     def test_invalid_model_or_solver_exits_2(self, tmp_path, capsys, text, key):
@@ -255,17 +257,17 @@ class TestRunSetupAndFiles:
         from diskrd import transform
 
         calls = []
-        search = transform.find_eigenvalues
+        search = transform.find_bases
 
-        def counting(*args):
-            calls.append(args[0])
-            return search(*args)
+        def counting(orders, *args):
+            calls.append(list(orders))
+            return search(orders, *args)
 
-        monkeypatch.setattr(transform, "find_eigenvalues", counting)
+        monkeypatch.setattr(transform, "find_bases", counting)
         text = SMALL_CONFIG.format(t_end="0.05").replace("n_max = 2", "n_max = 4") + grid_keys
         assert run(write_config(tmp_path, text), out_dir=tmp_path / "out") == 0
-        # One search per angular order 0..4, whether or not the grid is sized by hand.
-        assert calls == [0, 1, 2, 3, 4]
+        # One search over angular orders 0..4, whether or not the grid is sized by hand.
+        assert calls == [[0, 1, 2, 3, 4]]
 
     def test_one_snapshot_file_per_time(self, tmp_path, monkeypatch):
         # Snapshot times a millisecond apart near t = 1000 (dt = 0.001 run
@@ -297,9 +299,9 @@ class TestInitialHistory:
 
         def counting(order, x):
             calls.append(order)
-            return jv(order, x)
+            return bessel_j(order, x)
 
-        monkeypatch.setattr(cli, "jv", counting)
+        monkeypatch.setattr(cli, "bessel_j", counting)
         return calls
 
     def test_mode_history_evaluated_once_per_run(self, tmp_path, monkeypatch):
@@ -321,7 +323,7 @@ class TestInitialHistory:
         assert len(samples) == 5 and calls == [2]
         k = find_eigenvalues(2, 1.0, BoundaryCondition.dirichlet(), 3).eigenvalues[-1]
         for r, th, values in samples:
-            assert np.array_equal(values, 0.1 * jv(2, k * r) * np.cos(2 * th))
+            assert np.array_equal(values, 0.1 * bessel_j(2, k * r) * np.cos(2 * th))
 
     def test_mode_history_on_reference_scheme(self, tmp_path, monkeypatch):
         calls = self.count_bessel_calls(monkeypatch)
@@ -420,6 +422,32 @@ class TestMain:
 
 
 class TestImports:
+    def test_run_and_eigen_table_load_no_scipy(self, tmp_path):
+        # A fresh interpreter runs both commands (the Ricker birth law puts
+        # the Lambert-W equilibria in the summary); no scipy module may load.
+        text = SMALL_CONFIG.format(t_end="0.1").replace(
+            "variant = mode_forced",
+            "variant = mode_forced_birth\nbirth = ricker_quadratic\nw0_kind = mode\n"
+            "w0_order = 1\nw0_index = 2\nw0_amp = 0.1",
+        ).replace("w0_kind = trig_patch\n", "")
+        cfg = write_config(tmp_path, text)
+        code = (
+            "import sys; from diskrd import cli; "
+            f"a = cli.main(['run', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]); "
+            "b = cli.main(['eigen-table', '--n-max', '3', '--j-max', '4', '--bc', 'mixed', "
+            f"'--mixed-a', '1', '--mixed-b', '2', '--out', {str(tmp_path / 'table.csv')!r}]); "
+            "print(a, b, *sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.splitlines()[-1].split() == ["0", "0"]
+        summary = (tmp_path / "out" / "summary").read_text()
+        assert len(summary.split("equilibria = ")[1].splitlines()[0].split(",")) == 3
+        assert (tmp_path / "table.csv").exists()
+
     def test_cli_leaves_optimize_and_integrate_unloaded(self):
         # A fresh interpreter: the run path needs scipy.special alone.
         src = Path(cli.__file__).resolve().parents[1]

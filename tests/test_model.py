@@ -11,6 +11,7 @@ from diskrd.model import (
     ModelSpec,
     RickerQuadratic,
     Variant,
+    _lambert_w,
     forcing_profile,
     homogeneous_equilibria,
     linear_rates,
@@ -333,6 +334,52 @@ class TestHomogeneousEquilibria:
         spec = make_spec(Variant.MODE_FORCED, bc=ZERO_FLUX)
         with pytest.raises(ValueError):
             homogeneous_equilibria(spec)
+
+
+class TestLambertW:
+    """The real branches 0 and -1 against 30-digit mpmath, up to the branch
+    point z = -1/e and down to z -> 0-."""
+
+    ULPS = 4.0
+
+    @staticmethod
+    def ulps(z, branch):
+        import mpmath
+
+        with mpmath.workdps(30):
+            exact = mpmath.lambertw(mpmath.mpf(float(z)), branch)
+            assert mpmath.im(exact) == 0
+            got = _lambert_w(float(z), branch)
+            return float(abs(mpmath.mpf(got) - mpmath.re(exact))) / np.spacing(abs(got))
+
+    @pytest.mark.parametrize("branch", [0, -1])
+    def test_toward_the_branch_point(self, branch):
+        pytest.importorskip("mpmath")
+        inv_e = np.exp(-1.0)  # one ulp above 1/e, so -inv_e lies just below -1/e
+        for offset in np.concatenate([np.logspace(-15, -0.5, 60), [2 * np.spacing(inv_e)]]):
+            assert self.ulps(-inv_e + offset, branch) <= self.ULPS
+
+    @pytest.mark.parametrize("branch", [0, -1])
+    def test_toward_zero_from_below(self, branch):
+        pytest.importorskip("mpmath")
+        for z in -np.logspace(-300, np.log10(0.3), 80):
+            assert self.ulps(z, branch) <= self.ULPS
+
+    def test_principal_branch_for_positive_z(self):
+        pytest.importorskip("mpmath")
+        for z in np.logspace(-300, 300, 80):
+            assert self.ulps(z, 0) <= self.ULPS
+
+    def test_branch_point_and_ends(self):
+        # -exp(-1) rounds to just below -1/e: both branches meet at w = -1.
+        assert _lambert_w(-np.exp(-1.0), 0) == -1.0
+        assert _lambert_w(-np.exp(-1.0), -1) == -1.0
+        assert _lambert_w(0.0, 0) == 0.0
+        assert _lambert_w(0.0, -1) == -np.inf
+        with pytest.raises(ValueError):
+            _lambert_w(-0.37, 0)
+        with pytest.raises(ValueError):
+            _lambert_w(0.5, -1)
 
 
 class TestForcingProfile:
