@@ -12,7 +12,7 @@ This module evaluates J_n and its derivative, brackets and refines the
 admissible k for each angular order, and supplies the weighted norms
 ``integral_0^R r J_n(k r)^2 dr`` needed to normalise expansions.
 
-J_{n-1} and J_n come from one numpy evaluator with four regions:
+J_{n-1} and J_n come from one numpy evaluator with three regions:
 
     x < 2               the power series
     2 <= x < n          Miller's downward recurrence from order n + 40 (more
@@ -182,9 +182,9 @@ def _groups(values: np.ndarray) -> dict[int, np.ndarray]:
     """Indices of ``values`` grouped by value."""
     perm = np.argsort(values, kind="stable")
     ordered = values[perm]
-    cuts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
-    keys = ordered[np.concatenate(([0], cuts))]
-    return dict(zip(keys.tolist(), np.split(perm, cuts)))
+    starts = np.flatnonzero(np.diff(ordered, prepend=ordered[0] - 1)).tolist()
+    ends = starts[1:] + [perm.size]
+    return {int(ordered[a]): perm[a:b] for a, b in zip(starts, ends)}
 
 
 def _miller(order: np.ndarray, x: np.ndarray, top: np.ndarray) -> np.ndarray:
@@ -216,7 +216,7 @@ def _miller(order: np.ndarray, x: np.ndarray, top: np.ndarray) -> np.ndarray:
             cur[seeds[m]] = 1.0
         np.multiply(cur, cur, out=step)
         squares += step
-        np.divide(2 * m, x, out=step)
+        np.divide(2.0 * m, x, out=step)
         step *= cur
         step -= later
         later, cur, step = cur, step, later
@@ -302,7 +302,7 @@ def _upward(order: np.ndarray, x: np.ndarray, j0: np.ndarray, j1: np.ndarray):
     prev, cur = j0, j1
     for m in range(1, top):
         s = bounds[m + 1]
-        step = m * two_over_x[s:]
+        step = float(m) * two_over_x[s:]
         step *= cur[s:]
         np.subtract(step, prev[s:], out=prev[s:])
         prev, cur = cur, prev
@@ -626,10 +626,9 @@ def find_bases(
         )
     norms = _norms(owner, roots, radius, bc, rows)
     bases = []
-    splits = np.cumsum([count - constant for constant in constants])[:-1]
-    for n, constant, k_n, norm_n in zip(
-        orders, constants, np.split(roots, splits), np.split(norms, splits)
-    ):
+    ends = np.cumsum([count - constant for constant in constants]).tolist()
+    for n, constant, lo, hi in zip(orders, constants, [0] + ends, ends):
+        k_n, norm_n = roots[lo:hi], norms[lo:hi]
         if constant:
             k_n = np.concatenate(([0.0], k_n))
             norm_n = np.concatenate(([0.5 * radius**2], norm_n))
