@@ -53,6 +53,7 @@ from .transform import (
     analyze_radial,
     build_bases,
     default_grid,
+    pack,
     synthesize_on,
     synthesize_radial,
 )

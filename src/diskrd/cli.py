@@ -26,7 +26,14 @@ import numpy as np
 from .bessel import BoundaryCondition, bessel_j, find_eigenvalues
 from .model import Logistic, ModelSpec, RickerQuadratic, Variant, homogeneous_equilibria
 from .solver import BlowUpError, Scheme, SolverConfig, SpectralIntegrator, integrate
-from .transform import DiskGrid, build_bases, default_grid, write_field_csv
+from .transform import (
+    DiskGrid,
+    build_bases,
+    default_grid,
+    field_csv_prefixes,
+    least_grid,
+    write_field_csv,
+)
 
 __all__ = ["run", "dump_eigen_table", "main", "parse_config", "PRESETS"]
 
@@ -372,6 +379,17 @@ def run(config_path=None, preset: str | None = None, out_dir=None) -> int:
             grid = bases = None
             n_r = _to_int(resolved, "n_r")
             n_theta = _to_int(resolved, "n_theta")
+            least_r, least_theta = least_grid(spec.n_max, spec.j_max)
+            if n_theta and n_theta < least_theta:
+                raise ConfigError(
+                    f"config key n_theta: {n_theta} cannot resolve order {spec.n_max}; "
+                    f"need 0 (auto) or at least {least_theta}"
+                )
+            if n_r and n_r < least_r:
+                raise ConfigError(
+                    f"config key n_r: {n_r} too small for {spec.j_max} radial modes; "
+                    f"need 0 (auto) or at least {least_r}"
+                )
             if n_r > 0 or n_theta > 0:
                 bases = build_bases(spec.n_max, spec.j_max, spec.radius, spec.bc)
                 auto = default_grid(bases, n_theta if n_theta > 0 else None)
@@ -400,8 +418,9 @@ def run(config_path=None, preset: str | None = None, out_dir=None) -> int:
                     f"{_format(result.min_density[i])},{_format(result.total_population[i])},"
                     f"{_format(result.dwdt_norm[i])}\n"
                 )
+        prefixes = field_csv_prefixes(result.grid)
         for t, snapshot in result.snapshots:
-            write_field_csv(snapshot, out / f"snapshot_{t:.15g}.csv")
+            write_field_csv(snapshot, out / f"snapshot_{t:.15g}.csv", prefixes)
         _write_summary(result, spec, out / "summary")
         print(f"[diskrd] wrote {out / 'summary'}")
         return 0

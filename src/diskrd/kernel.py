@@ -21,6 +21,7 @@ from .transform import (
     DiskGrid,
     DiskTransform,
     analyze_radial,
+    pack,
     synthesize_radial,
 )
 
@@ -71,7 +72,8 @@ def alpha_of(history: LifeHistory) -> float:
 def damping_factors(
     bases: tuple[BesselBasis, ...], survival: float, spread: float
 ) -> np.ndarray:
-    """Per-mode factors survival * exp(-k^2 * spread), shaped like ``a``.
+    """Per-mode factors survival * exp(-k^2 * spread), one row per order
+    (``pack(d, d[1:])`` spreads them over the packed layout).
 
     The k = 0 constant mode is damped by survival alone: diffusion moves
     births around but the survival fraction still applies.
@@ -89,14 +91,13 @@ def damped_births(
     birth: Callable[[np.ndarray], np.ndarray],
     damp: np.ndarray,
     transform: DiskTransform,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients (a, b) of the recruits the grid samples ``values`` produce.
+) -> np.ndarray:
+    """Packed coefficients of the recruits the grid samples ``values`` produce.
 
     The birth law is applied pointwise, the result analysed and each mode
-    scaled by its damping factor (see ``damping_factors``).
+    scaled by its packed damping factor (see ``damping_factors``).
     """
-    a, b = transform.analyze_values(np.asarray(birth(values), dtype=float))
-    return damp * a, damp[1:] * b
+    return damp * transform.analyze_values(np.asarray(birth(values), dtype=float))
 
 
 def maturation_term(
@@ -115,8 +116,8 @@ def maturation_term(
     if transform is None:
         transform = DiskTransform(lagged.grid, bases)
     damp = damping_factors(bases, survival, spread)
-    a, b = damped_births(lagged.values, birth, damp, transform)
-    return DiskField(transform.grid, transform.synthesize_values(a, b))
+    coeffs = damped_births(lagged.values, birth, pack(damp, damp[1:]), transform)
+    return DiskField(transform.grid, transform.synthesize_values(coeffs))
 
 
 def maturation_term_radial(

@@ -29,7 +29,7 @@ from .bessel import (
     bessel_j,
 )
 from .kernel import damping_factors, maturation_term, maturation_term_radial
-from .transform import DiskField, DiskTransform, SpectralField
+from .transform import DiskField, DiskTransform, SpectralField, pack
 
 __all__ = [
     "Identity",
@@ -208,9 +208,9 @@ class ModelSpec:
 
 
 def linear_rates(spec: ModelSpec, bases: tuple[BesselBasis, ...]) -> np.ndarray:
-    """Per-mode decay rates diffusion * k^2 + mortality, shaped like ``a``.
+    """Per-mode decay rates diffusion * k^2 + mortality, one row per order.
 
-    Sine coefficients of order n share row n of the result.
+    Both packed slots of order n (cosine and sine) share row n of the result.
     """
     k = np.stack([basis.eigenvalues for basis in bases])
     return spec.diffusion * k**2 + spec.mortality
@@ -247,9 +247,9 @@ def rhs(
             raise ValueError("maturation variants need the lagged field")
         if isinstance(spec.birth, ModeSeed):
             births = spec.birth.field(grid, t - spec.delay)
-            a, b = transform.analyze_values(births)
             damp = damping_factors(transform.bases, spec.survival, spec.spread)
-            values += transform.synthesize_values(a * damp, b * damp[1:])
+            coeffs = pack(damp, damp[1:]) * transform.analyze_values(births)
+            values += transform.synthesize_values(coeffs)
         else:
             values += maturation_term(
                 lagged, spec.birth, spec.survival, spec.spread, transform.bases, transform
@@ -269,7 +269,7 @@ def rhs(
             unit_forcing = forcing_profile(spec, grid)
         values += amp * unit_forcing
         if spec.variant is Variant.MODE_FORCED_BIRTH and spec.birth is not None:
-            current = transform.synthesize_values(state.a, state.b)
+            current = transform.synthesize(state).values
             values += np.asarray(spec.birth(current), dtype=float)
 
     return rates, DiskField(grid, values)

@@ -15,6 +15,13 @@ lag_steps + 1 states read only births already in the ring, so they are
 marched as one block (the method of steps), with one batched synthesis
 and one batched analysis of their births.
 
+Every coefficient array is packed (see ``transform``): one array
+(n_max + 1, 2, j_max) per state, cosine and sine slots side by side, since
+the decay, the phi1 weight and the recruitment damping of a mode depend on
+its order and index only. So each state costs one AB2 stage, one update
+and one blow-up maximum, and a block advances all its states under one
+``np.errstate`` (a lagged birth law runs under one more).
+
 A deliberately simple finite-difference integrator on a cell-centered
 polar mesh (forward Euler, conservative five-point Laplacian) is provided
 as an independent cross-check.
@@ -24,7 +31,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -43,6 +49,7 @@ from .transform import (
     SpectralField,
     build_bases,
     default_grid,
+    pack,
 )
 
 __all__ = [
@@ -115,20 +122,21 @@ def resolve_time_step(dt: float, delay: float) -> tuple[float, int]:
 class HistoryBuffer:
     """What one step reads: the head state and the births still to mature.
 
-    ``a, b`` are the coefficients of the head state and ``values`` its grid
-    samples. ``births`` holds the damped birth coefficients of the last
+    ``coeffs`` are the packed coefficients of the head state, ``values`` its
+    grid samples and ``peak`` an upper bound on |coeffs| (inf if unknown).
+    ``births`` holds the packed damped birth coefficients of the last
     lag_steps + 1 states, oldest first, so ``births[m]`` is the source m
     steps after the head time; it stays empty for the forced variants and
     seeded births, whose source reads no past state.
     """
 
     dt: float
-    a: np.ndarray
-    b: np.ndarray
+    coeffs: np.ndarray
     values: np.ndarray
     births: deque
     steps: int = 0
-    prev_source: Optional[tuple[np.ndarray, np.ndarray]] = None
+    prev_source: Optional[np.ndarray] = None
+    peak: float = math.inf
 
     @property
     def t_head(self) -> float:
@@ -146,16 +154,6 @@ class BlowUpError(RuntimeError):
         self.t = t
         self.step_index = step_index
         self.magnitude = magnitude
-
-
-@contextmanager
-def _overflow_is_blowup(t: float, step_index: int):
-    """Report a floating-point overflow (say, of a birth law) as a blow-up."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except FloatingPointError:
-        raise BlowUpError(t, step_index, math.inf) from None
 
 
 @dataclass
@@ -184,9 +182,8 @@ class SpectralIntegrator:
     The source is built in coefficient space and each new state is
     synthesised once; those grid values give its diagnostics row, the
     forced-birth term, and the births it contributes once lagged
-    (``HistoryBuffer.births``). Steps run on raw coefficient arrays: a
-    ``SpectralField`` is built only from the validated initial field and
-    for the result's ``final_state``.
+    (``HistoryBuffer.births``). Steps run on packed coefficient arrays: a
+    ``SpectralField`` is built only for the result's ``final_state``.
 
     States are marched in blocks of ``block`` (method of steps): the
     lagged source of the next lag_steps + 1 states is already queued, so a
@@ -217,12 +214,14 @@ class SpectralIntegrator:
         self.transform = DiskTransform(self.grid, self.bases)
         self.rates = linear_rates(spec, self.bases)
         self.dt, self.lag_steps = resolve_time_step(config.dt, spec.delay)
-        self._decay_a = np.exp(-self.rates * self.dt)
-        self._decay_b = self._decay_a[1:]
+        # Per-mode factors in the packed layout. Each is 0 at the order-0
+        # sine slot, so that slot stays exactly 0.
+        decay = np.exp(-self.rates * self.dt)
         phi = _phi1(self.rates, self.dt)
-        self._phi_a = phi
-        self._phi_b = phi[1:]
-        self._damp = damping_factors(self.bases, spec.survival, spec.spread)
+        damp = damping_factors(self.bases, spec.survival, spec.spread)
+        self._decay = pack(decay, decay[1:])
+        self._phi = pack(phi, phi[1:])
+        self._damp = pack(damp, damp[1:])
         # Static source pieces: the damped forcing mode scaled by f(t), or a
         # seeded birth mode scaled by its amplitude at t - delay.
         self._forcing = self._seed = None
@@ -236,8 +235,7 @@ class SpectralIntegrator:
             if spec.variant is Variant.MODE_FORCED_BIRTH:
                 self._local_birth = birth
         elif isinstance(birth, ModeSeed):
-            a, b = self.transform.analyze_values(birth.profile(self.grid))
-            self._seed = (self._damp * a, self._damp[1:] * b)
+            self._seed = self._damp * self.transform.analyze_values(birth.profile(self.grid))
         else:
             self._lagged_birth = birth
         cap = max(1, _BLOCK_BYTES // (2 * self.grid.n_r * self.grid.n_theta * 8))
@@ -266,58 +264,60 @@ class SpectralIntegrator:
             raw = w0(i * self.dt, r, th)
             if entry is None or not np.array_equal(raw, sample):
                 sample = np.array(raw, dtype=float)  # a copy: w0 may reuse its array
-                values = sample + np.zeros_like(r)
-                state = self.transform.analyze(DiskField(self.grid, values))
-                synthesized = self.transform.synthesize_values(state.a, state.b)
-                entry = (state, synthesized, self._births(state.a[None], synthesized[None].copy(), i, 0))
+                values = DiskField(self.grid, sample + np.zeros_like(r)).values
+                coeffs = self.transform.analyze_values(values)
+                synthesized = self.transform.synthesize_values(coeffs)
+                stack = coeffs[:, :, None]
+                entry = (coeffs, synthesized, self._births(stack, synthesized[None].copy(), i, 0))
             births.extend(entry[2])
-        state, synthesized, _ = entry
-        return HistoryBuffer(self.dt, state.a, state.b, synthesized, births)
+        coeffs, synthesized, _ = entry
+        return HistoryBuffer(self.dt, coeffs, synthesized, births, peak=float(np.abs(coeffs).max()))
 
-    def _births(self, a: np.ndarray, values: np.ndarray, first: int, step_index: int) -> list:
-        """Damped birth coefficients (a, b), one pair per state of the stack
-        ``a`` (sampled as ``values``), that each adds to the source once it
-        is the lagged state; empty where the source reads no past state.
+    def _births(self, stack: np.ndarray, values: np.ndarray, first: int, step_index: int) -> list:
+        """Packed damped birth coefficients, one per state of the packed stack
+        ``stack`` (sampled as ``values``), that each adds to the source once
+        it is the lagged state; empty where the source reads no past state.
 
-        State m is step ``first + m``: its birth law runs under the overflow
-        guard at ``step_index + m`` and overwrites ``values[m]``. The radial
+        State m is step ``first + m``: its birth law overwrites ``values[m]``,
+        and an overflow there is a blow-up at ``step_index + m``. The radial
         variant keeps order zero only.
         """
         birth = self._lagged_birth
         if birth is None:
             return []
         radial = self.spec.variant is Variant.RADIAL
-        samples = self.transform.synthesize_profile(a[:, 0]) if radial else values
-        for m, sample in enumerate(samples):
-            with _overflow_is_blowup((first + m) * self.dt, step_index + m):
-                samples[m] = birth(sample)
-        # A batched transform overflows only near the float range; such an
-        # overflow is reported at the block's first step.
-        with _overflow_is_blowup(first * self.dt, step_index):
-            if radial:
-                ba = np.zeros_like(a)
-                ba[:, 0] = self._damp[0] * self.transform.analyze_profile(samples)
-                return list(zip(ba, np.zeros_like(a[:, 1:])))
-            ba, bb = self.transform.analyze_values(samples)
-        return [(self._damp * x, self._damp[1:] * y) for x, y in zip(ba, bb)]
+        samples = self.transform.synthesize_profile(stack[0, 0]) if radial else values
+        m = 0
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                for m, sample in enumerate(samples):
+                    samples[m] = birth(sample)
+                # A batched transform overflows only near the float range;
+                # such an overflow is reported at the block's first step.
+                m = 0
+                if radial:
+                    births = np.zeros_like(stack)
+                    births[0, 0] = self._damp[0, 0] * self.transform.analyze_profile(samples)
+                else:
+                    births = self._damp[:, :, None] * self.transform.analyze_values(samples)
+        except FloatingPointError:
+            raise BlowUpError((first + m) * self.dt, step_index + m, math.inf) from None
+        return [births[:, :, m] for m in range(len(samples))]
 
-    def source(self, buffer: HistoryBuffer, ahead: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """Source coefficients (a, b) at the head time plus ``ahead`` steps.
+    def source(self, buffer: HistoryBuffer, ahead: int = 0) -> np.ndarray:
+        """Packed source coefficients at the head time plus ``ahead`` steps.
 
         The forced birth reads the head state, so it has no source ahead.
         """
         t = (buffer.steps + ahead) * self.dt
         if self._forcing is not None:
-            f = self.spec.forcing_value(t)
-            a, b = f * self._forcing[0], f * self._forcing[1]
+            src = self.spec.forcing_value(t) * self._forcing
             if self._local_birth is not None:
                 births = np.asarray(self._local_birth(buffer.values), dtype=float)
-                ba, bb = self.transform.analyze_values(births)
-                a, b = a + ba, b + bb
-            return a, b
+                src += self.transform.analyze_values(births)
+            return src
         if self._seed is not None:
-            amp = float(self.spec.birth.amplitude(t - self.spec.delay))
-            return amp * self._seed[0], amp * self._seed[1]
+            return float(self.spec.birth.amplitude(t - self.spec.delay)) * self._seed
         return buffer.births[ahead]
 
     def step(
@@ -339,51 +339,47 @@ class SpectralIntegrator:
         if not 1 <= states <= self.block:
             raise ValueError(f"states must lie in [1, {self.block}]")
         first = buffer.steps + 1
-        stack_a = np.empty((states,) + buffer.a.shape)
-        stack_b = np.empty((states,) + buffer.b.shape)
-        a, b, prev = buffer.a, buffer.b, buffer.prev_source
-        sources = []
+        n1, _, j_max = buffer.coeffs.shape
+        stack = np.empty((n1, 2, states, j_max))
+        coeffs, prev = buffer.coeffs, buffer.prev_source
+        peaks = []
         blowup = None
         with np.errstate(over="raise", invalid="raise"):
             for m in range(states):
                 try:
-                    src_a, src_b = self.source(buffer, m)
-                    if prev is None:
-                        stage_a, stage_b = src_a, src_b
-                    else:
-                        stage_a = 1.5 * src_a - 0.5 * prev[0]
-                        stage_b = 1.5 * src_b - 0.5 * prev[1]
-                    a = np.add(self._decay_a * a, self._phi_a * stage_a, out=stack_a[m])
-                    b = np.add(self._decay_b * b, self._phi_b * stage_b, out=stack_b[m])
+                    src = self.source(buffer, m)
+                    stage = src if prev is None else 1.5 * src - 0.5 * prev
+                    coeffs = np.add(self._decay * coeffs, self._phi * stage, out=stack[:, :, m])
                 except FloatingPointError:
-                    blowup, states = BlowUpError((first + m) * self.dt, step_index + m, math.inf), m
+                    blowup = BlowUpError((first + m) * self.dt, step_index + m, math.inf)
                     break
-                prev = (src_a, src_b)
-                sources.append(prev)
-            peaks = np.maximum(
-                np.abs(stack_a[:states]).max(axis=(1, 2)),
-                np.abs(stack_b[:states]).max(axis=(1, 2), initial=0.0),
-            )
-            if not peaks.max(initial=0.0) <= self.config.blowup_threshold:  # NaN fails too
-                states = int(np.argmin(peaks <= self.config.blowup_threshold))
-                blowup = BlowUpError((first + states) * self.dt, step_index + states, float(peaks[states]))
-            stack_a, stack_b = stack_a[:states], stack_b[:states]
+                peak = float(np.abs(coeffs).max())
+                if not peak <= self.config.blowup_threshold:  # NaN fails too
+                    blowup = BlowUpError((first + m) * self.dt, step_index + m, peak)
+                    break
+                prev = src
+                peaks.append(peak)
+            states = len(peaks)
+            stack = stack[:, :, :states]
             if states:
                 try:
-                    values = self.transform.synthesize_values(stack_a, stack_b, self._values[:states])
+                    values = self.transform.synthesize_values(stack, self._values[:states])
                 except FloatingPointError:
                     # Only coefficients near the float range overflow here.
                     raise BlowUpError(first * self.dt, step_index, math.inf) from None
         if states:
             if record is not None:
-                a, b = buffer.a, buffer.b
+                coeffs, peak = buffer.coeffs, buffer.peak
                 for m in range(states):
-                    rate = self.transform.weighted_l2(stack_a[m] - a, stack_b[m] - b) / self.dt
+                    # |difference| <= peaks[m] + peak bounds the norm's squares.
+                    change = stack[:, :, m] - coeffs
+                    rate = self.transform.weighted_l2(change, peaks[m] + peak) / self.dt
                     record(step_index + m, (first + m) * self.dt, values[m], rate)
-                    a, b = stack_a[m], stack_b[m]
-            buffer.a, buffer.b, buffer.values = stack_a[-1], stack_b[-1], values[-1].copy()
-            buffer.births.extend(self._births(stack_a, values, first, step_index))
-            buffer.prev_source = sources[states - 1]
+                    coeffs, peak = stack[:, :, m], peaks[m]
+            buffer.coeffs, buffer.peak = stack[:, :, -1], peaks[-1]
+            buffer.values = values[-1].copy()
+            buffer.births.extend(self._births(stack, values, first, step_index))
+            buffer.prev_source = prev
             buffer.steps += states
         if blowup is not None:
             raise blowup
@@ -397,7 +393,7 @@ class SpectralIntegrator:
         # The partition depends on n_steps and the block length only.
         for i in range(1, n_steps + 1, self.block):
             self.step(buffer, i, min(self.block, n_steps + 1 - i), recorder.record)
-        final_state = SpectralField(self.bases, buffer.a, buffer.b)
+        final_state = SpectralField(self.bases, buffer.coeffs[:, 0], buffer.coeffs[1:, 1])
         return recorder.result(final_state, buffer.values, self.spec, self.dt)
 
 
@@ -610,7 +606,8 @@ class _FDStepper:
             self._unit = spec.forcing_damping() * forcing_profile(spec, fd)
         else:
             self.transform = _fd_transform(spec, fd)
-            self._damp = damping_factors(self.transform.bases, spec.survival, spec.spread)
+            damp = damping_factors(self.transform.bases, spec.survival, spec.spread)
+            self._damp = pack(damp, damp[1:])
 
     def __call__(
         self, values: np.ndarray, dt: float, t: float, lagged: np.ndarray | None = None
@@ -631,8 +628,8 @@ class _FDStepper:
             birth = spec.birth
             if isinstance(birth, ModeSeed):
                 lagged, birth = birth.field(self.transform.grid, t - spec.delay), (lambda w: w)
-            a, b = damped_births(lagged, birth, self._damp, self.transform)
-            source = self.transform.synthesize_values(a, b)
+            births = damped_births(lagged, birth, self._damp, self.transform)
+            source = self.transform.synthesize_values(births)
         lap = fd_laplacian(values, spec, self.fd)
         return values + dt * (spec.diffusion * lap - spec.mortality * values + source)
 

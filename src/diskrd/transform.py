@@ -6,6 +6,15 @@ of the truncated expansion
 
     w = sum_n sum_j J_n(k_nj r) (a_nj cos n*theta + b_nj sin n*theta).
 
+The transform holds the coefficients of a state as one packed array
+``c[n, s, j]`` shaped (n_max + 1, 2, j_max): slot s = 0 is the cosine
+coefficient a_nj, s = 1 the sine coefficient b_nj. The order-0 sine slot
+is not a mode (sin 0 = 0) and holds exactly 0. A stack of K states is
+shaped (n_max + 1, 2, K, j_max), so state m is ``c[:, :, m]``; with that
+layout each transform is one matmul with the interleaved cos/sin table and
+one pass over the J_n table with 2K right-hand sides per order, and needs
+no transposed copy. ``SpectralField`` keeps the (a, b) split for callers.
+
 Coefficients are stored pre-normalised: analysis applies the
 1/(pi N_nj) weights (1/(2 pi N_0j) for order zero, N_nj the weighted
 norm of the mode), so synthesis is a plain sum. Angular integration uses
@@ -16,7 +25,7 @@ Gauss-Legendre rule; both are spectrally accurate for smooth fields.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -28,11 +37,14 @@ __all__ = [
     "DiskField",
     "SpectralField",
     "DiskTransform",
+    "pack",
     "build_bases",
     "default_grid",
+    "least_grid",
     "analyze_radial",
     "synthesize_radial",
     "synthesize_on",
+    "field_csv_prefixes",
     "write_field_csv",
     "write_coefficients_csv",
 ]
@@ -44,13 +56,16 @@ class DiskGrid:
 
     ``r_weights`` integrate dr (the r of the area element is left in the
     integrand), and the radial nodes never touch the r = 0 coordinate
-    singularity.
+    singularity. ``area_weights`` are the products
+    ``theta_spacing * r_weights * r_nodes``, the weight of each grid radius
+    in a disk integral.
     """
 
     radius: float
     r_nodes: np.ndarray
     r_weights: np.ndarray
     theta_nodes: np.ndarray
+    area_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         r = np.asarray(self.r_nodes, dtype=float)
@@ -68,11 +83,13 @@ class DiskGrid:
         expected = np.arange(th.size) * (2.0 * np.pi / th.size)
         if not np.allclose(th, expected, rtol=0.0, atol=1e-12):
             raise ValueError("theta nodes must be uniform starting at 0")
-        for arr in (r, w, th):
+        area = (2.0 * np.pi / th.size) * w * r
+        for arr in (r, w, th, area):
             arr.setflags(write=False)
         object.__setattr__(self, "r_nodes", r)
         object.__setattr__(self, "r_weights", w)
         object.__setattr__(self, "theta_nodes", th)
+        object.__setattr__(self, "area_weights", area)
 
     @classmethod
     def gauss_legendre(cls, radius: float, n_r: int, n_theta: int) -> "DiskGrid":
@@ -109,7 +126,7 @@ class DiskGrid:
 
     def integrate(self, values: np.ndarray) -> float:
         """Disk integral ``integral integral f r dr dtheta`` of grid samples."""
-        return float(self.theta_spacing * np.dot(self.r_weights * self.r_nodes, values.sum(axis=1)))
+        return float(np.dot(self.area_weights, values).sum())
 
 
 @dataclass(frozen=True)
@@ -190,6 +207,23 @@ class SpectralField:
         return angular <= tol
 
 
+def pack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The packed array (n_max + 1, 2, j_max) of cosine coefficients ``a``
+    (orders 0..n_max) and sine coefficients ``b`` (orders 1..n_max); the
+    order-0 sine slot is 0. ``pack(f, f[1:])`` spreads per-order factors
+    over both slots.
+    """
+    packed = np.zeros((len(a), 2) + a.shape[1:])
+    packed[:, 0] = a
+    packed[1:, 1] = b
+    return packed
+
+
+def least_grid(n_max: int, j_max: int) -> tuple[int, int]:
+    """Smallest (n_r, n_theta) a transform of this truncation accepts."""
+    return j_max + 2, 2 * n_max + 2
+
+
 def build_bases(
     n_max: int, j_max: int, radius: float, bc: BoundaryCondition
 ) -> tuple[BesselBasis, ...]:
@@ -205,14 +239,15 @@ def default_grid(bases: tuple[BesselBasis, ...], n_theta: int | None = None) -> 
     k_max = max(float(basis.eigenvalues[-1]) for basis in bases)
     # Gauss-Legendre needs roughly 0.7 nodes per unit of k R to integrate
     # mode products to machine accuracy; keep a little slack on top.
-    n_r = max(j_max + 2, int(np.ceil(0.75 * k_max * radius)) + 8)
+    least_r, least_theta = least_grid(n_max, j_max)
+    n_r = max(least_r, int(np.ceil(0.75 * k_max * radius)) + 8)
     if n_theta is None:
-        n_theta = max(2 * n_max + 2, 64)
+        n_theta = max(least_theta, 64)
     return DiskGrid.gauss_legendre(radius, n_r, n_theta)
 
 
 class DiskTransform:
-    """Precomputed tables mapping grid samples to coefficients and back."""
+    """Precomputed tables mapping grid samples to packed coefficients and back."""
 
     def __init__(self, grid: DiskGrid, bases: tuple[BesselBasis, ...]):
         bases = tuple(bases)
@@ -223,12 +258,13 @@ class DiskTransform:
             raise ValueError("grid radius does not match the basis radius")
         n_max = len(bases) - 1
         j_max = bases[0].count
-        if grid.n_theta < 2 * n_max + 2:
+        least_r, least_theta = least_grid(n_max, j_max)
+        if grid.n_theta < least_theta:
             raise ValueError(
                 f"n_theta={grid.n_theta} cannot resolve order {n_max}; "
-                f"need at least {2 * n_max + 2}"
+                f"need at least {least_theta}"
             )
-        if grid.n_r < j_max + 2:
+        if grid.n_r < least_r:
             raise ValueError(f"n_r={grid.n_r} too small for {j_max} radial modes")
 
         self.grid = grid
@@ -238,11 +274,19 @@ class DiskTransform:
         self._weights = grid.r_weights * grid.r_nodes
         scale = np.full(n_max + 1, grid.theta_spacing / np.pi)
         scale[0] *= 0.5
-        self._norms = np.stack([basis.norms for basis in bases])
-        self._coef_scale = scale[:, None] / self._norms
-        # Rows cos(n theta) for n = 0..n_max, then sin(n theta) for n = 1..n_max.
+        norms = np.stack([basis.norms for basis in bases])
+        # Shaped to scale a packed stack (n_max + 1, 2, K, j_max).
+        self._coef_scale = (scale[:, None] / norms)[:, None, None, :]
+        # The disk integral of a mode's square, per packed slot, flattened.
+        squares = np.pi * norms
+        squares[0] *= 2.0
+        self._l2_weights = pack(squares, squares[1:]).ravel()
+        # Below this coefficient magnitude no weighted square sum overflows.
+        self._l2_safe = 0.5 * math.sqrt(np.finfo(float).max / self._l2_weights.sum())
+        # Row 2n + s is cos(n theta) (s = 0) or sin(n theta) (s = 1); the
+        # order-0 sine row is exactly zero, so analysis gives that slot 0.
         angles = np.outer(np.arange(n_max + 1), grid.theta_nodes)
-        self._trig = np.vstack([np.cos(angles), np.sin(angles[1:])])
+        self._trig = np.stack([np.cos(angles), np.sin(angles)], axis=1).reshape(2 * (n_max + 1), -1)
         self._scratch = np.empty(0)
         self._shape = (grid.n_r, grid.n_theta)
 
@@ -270,7 +314,7 @@ class DiskTransform:
                 raise ValueError("coefficient bases do not match the transform")
 
     def _work(self, k: int) -> np.ndarray:
-        """Flat scratch for the (2 n_max + 1) x n_r intermediate of k states.
+        """Flat scratch for the 2 (n_max + 1) x K n_r intermediate of k states.
 
         One buffer, grown on demand, serves every call, so a stacked call
         allocates no value-sized array besides its result.
@@ -280,42 +324,35 @@ class DiskTransform:
             self._scratch = np.empty(size)
         return self._scratch[:size]
 
-    def analyze_values(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficients of grid samples shaped (n_r, n_theta), or of a stack of
-        K of them shaped (K, n_r, n_theta); a stack costs one pass over the
-        J_n table, with K right-hand sides per order.
-        """
-        n_r, n_theta = self._shape
-        stack = values.reshape(-1, n_r, n_theta)
-        k, n1 = len(stack), len(self.bases)
-        moments = self._work(k).reshape(k, -1, n_r)  # (K, 2 n_max + 1, n_r)
-        np.matmul(self._trig, stack.transpose(0, 2, 1), out=moments)
-        moments *= self._weights
-        moments = moments.transpose(1, 2, 0)  # (2 n_max + 1, n_r, K)
-        a = np.matmul(self._j_table, moments[:n1]) * self._coef_scale[..., None]
-        b = np.matmul(self._j_table[1:], moments[n1:]) * self._coef_scale[1:, :, None]
-        if values.ndim == 3:
-            return a.transpose(2, 0, 1), b.transpose(2, 0, 1)
-        return a[..., 0], b[..., 0]
-
-    def synthesize_values(
-        self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Grid samples of the expansion (a, b), or of a stack of K expansions
-        shaped (K, n_max + 1, j_max) and (K, n_max, j_max), which gives
-        (K, n_r, n_theta) for one pass over the J_n table. ``out``, if given,
-        is a C-contiguous array of the result's shape.
+    def analyze_values(self, values: np.ndarray) -> np.ndarray:
+        """Packed coefficients (n_max + 1, 2, j_max) of grid samples shaped
+        (n_r, n_theta), or the packed stack (n_max + 1, 2, K, j_max) of K
+        of them shaped (K, n_r, n_theta).
         """
         n1, j_max, n_r = self._j_table.shape
-        k = a.size // (n1 * j_max)
-        radial = self._work(k).reshape(-1, k, n_r)  # (2 n_max + 1, K, n_r)
-        np.matmul(a.reshape(k, n1, j_max).transpose(1, 0, 2), self._j_table, out=radial[:n1])
-        np.matmul(b.reshape(k, n1 - 1, j_max).transpose(1, 0, 2), self._j_table[1:], out=radial[n1:])
+        k = values.size // (n_r * self._shape[1])
+        moments = self._work(k).reshape(2 * n1, k * n_r)
+        np.matmul(self._trig, values.reshape(k * n_r, -1).T, out=moments)
+        moments = moments.reshape(n1, 2 * k, n_r)
+        moments *= self._weights
+        coeffs = np.matmul(moments, self._j_table.transpose(0, 2, 1)).reshape(n1, 2, k, j_max)
+        coeffs *= self._coef_scale
+        return coeffs if values.ndim == 3 else coeffs.reshape(n1, 2, j_max)
+
+    def synthesize_values(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Grid samples (n_r, n_theta) of packed coefficients, or the stack
+        (K, n_r, n_theta) of a packed stack (n_max + 1, 2, K, j_max).
+        ``out``, if given, is a C-contiguous array of the result's shape.
+        """
+        n1, j_max, n_r = self._j_table.shape
+        k = coeffs.size // (2 * n1 * j_max)
+        radial = self._work(k).reshape(n1, 2 * k, n_r)
+        np.matmul(coeffs.reshape(n1, 2 * k, j_max), self._j_table, out=radial)
         if out is None:
-            out = np.empty(a.shape[:-2] + self._shape)
+            out = np.empty(coeffs.shape[2:-1] + self._shape)
         elif not out.flags.c_contiguous:
             raise ValueError("out must be C-contiguous")
-        np.matmul(radial.transpose(1, 2, 0), self._trig, out=out.reshape((k,) + self._shape))
+        np.matmul(radial.reshape(2 * n1, k * n_r).T, self._trig, out=out.reshape(k * n_r, -1))
         return out
 
     def analyze_profile(self, profile: np.ndarray) -> np.ndarray:
@@ -328,20 +365,23 @@ class DiskTransform:
         of a (K, j_max) stack)."""
         return coeffs @ self._j_table[0]
 
-    def weighted_l2(self, a: np.ndarray, b: np.ndarray) -> float:
-        """Disk L2 norm of the expansion (a, b), from the stored mode norms.
+    def weighted_l2(self, coeffs: np.ndarray, bound: float | None = None) -> float:
+        """Disk L2 norm of packed coefficients, from the stored mode norms.
 
-        Finite coefficients past ~1e154 overflow the squares; the sum is then
-        taken again with the coefficients scaled by their largest magnitude.
+        ``bound``, if given, is an upper bound on |coeffs| the caller knows.
+        While the largest magnitude (or the bound) keeps the weighted squares
+        below overflow the norm is one weighted dot; finite coefficients past
+        that (~1e150 on a unit disk) are first scaled by their largest
+        magnitude. Either way no overflow is raised or warned.
         """
-        with np.errstate(over="ignore"):
-            total = 2.0 * np.pi * np.dot(self._norms[0], a[0] ** 2)
-            if self.n_max:
-                total += np.pi * np.sum(self._norms[1:] * (a[1:] ** 2 + b**2))
-        if math.isinf(total) and np.isfinite(a).all() and np.isfinite(b).all():
-            scale = max(np.abs(a).max(), np.abs(b).max(initial=0.0))
-            return float(scale * self.weighted_l2(a / scale, b / scale))
-        return float(np.sqrt(total))
+        flat = coeffs.ravel()
+        if bound is None or not bound <= self._l2_safe:
+            bound = float(np.abs(flat).max())
+            if not bound <= self._l2_safe:
+                if not math.isfinite(bound):
+                    return bound
+                return bound * self.weighted_l2(coeffs / bound, 1.0)
+        return math.sqrt(np.dot(self._l2_weights * flat, flat))
 
     def analyze(self, field: DiskField) -> SpectralField:
         if field.grid is not self.grid and not (
@@ -349,12 +389,12 @@ class DiskTransform:
             and field.grid.n_theta == self.grid.n_theta
         ):
             raise ValueError("field grid does not match the transform grid")
-        a, b = self.analyze_values(field.values)
-        return SpectralField(self.bases, a, b)
+        coeffs = self.analyze_values(field.values)
+        return SpectralField(self.bases, coeffs[:, 0], coeffs[1:, 1])
 
     def synthesize(self, field: SpectralField) -> DiskField:
         self._check_bases(field)
-        return DiskField(self.grid, self.synthesize_values(field.a, field.b))
+        return DiskField(self.grid, self.synthesize_values(pack(field.a, field.b)))
 
 
 def synthesize_on(spectral: SpectralField, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -395,13 +435,28 @@ def synthesize_radial(coeffs: np.ndarray, basis: BesselBasis, r: np.ndarray) -> 
     return basis.radial_table(r).T @ np.asarray(coeffs, dtype=float)
 
 
-def write_field_csv(field: DiskField, path) -> None:
-    """Dump a field as CSV rows (r, theta, value), row-major over the grid."""
+def field_csv_prefixes(grid: DiskGrid) -> tuple[list[str], list[str]]:
+    """The ``r,`` texts of the grid radii and the ``theta,`` texts of the
+    grid angles that prefix the values of a field dump on ``grid``."""
+    return (
+        [f"{r:.17g}," for r in grid.r_nodes.tolist()],
+        [f"{th:.17g}," for th in grid.theta_nodes.tolist()],
+    )
+
+
+def write_field_csv(
+    field: DiskField, path, prefixes: tuple[list[str], list[str]] | None = None
+) -> None:
+    """Dump a field as CSV rows (r, theta, value), row-major over the grid.
+
+    ``prefixes`` is ``field_csv_prefixes(field.grid)``, which a caller
+    writing many fields on one grid formats once and passes to every call.
+    """
+    r_texts, theta_texts = prefixes or field_csv_prefixes(field.grid)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("r,theta,value\n")
-        for i, r in enumerate(field.grid.r_nodes):
-            for j, th in enumerate(field.grid.theta_nodes):
-                fh.write(f"{r:.17g},{th:.17g},{field.values[i, j]:.17g}\n")
+        for r, values in zip(r_texts, field.values):
+            fh.write("".join([f"{r}{th}{v:.17g}\n" for th, v in zip(theta_texts, values.tolist())]))
 
 
 def write_coefficients_csv(spectral: SpectralField, path) -> None:

@@ -206,3 +206,46 @@ def mp_mode_norm(order: int, k: float, radius: float, dirichlet: bool) -> float:
             (radius**2 - (order / k) ** 2) / 2 * mpmath.besselj(order, x) ** 2
             + radius**2 / 2 * slope**2
         )
+
+
+def loop_analyze(grid, bases, values: np.ndarray) -> np.ndarray:
+    """Packed coefficients (n_max + 1, 2, j_max) of grid samples shaped
+    (n_r, n_theta), one order and one of cos / sin at a time:
+
+        c[n, s, j] = dtheta / (pi N_nj) sum_i w_i r_i J_n(k_nj r_i) sum_l trig_s(n theta_l) v_il,
+
+    halved at order 0, with the radial table taken from each basis and the
+    order-0 sine slot left at 0.
+    """
+    weights = grid.r_weights * grid.r_nodes
+    theta = grid.theta_nodes
+    coeffs = np.zeros((len(bases), 2, bases[0].count))
+    for n, basis in enumerate(bases):
+        table = basis.radial_table(grid.r_nodes)
+        scale = (2.0 * np.pi / theta.size) / (np.pi * basis.norms) * (0.5 if n == 0 else 1.0)
+        coeffs[n, 0] = scale * (table @ (weights * (values @ np.cos(n * theta))))
+        if n:
+            coeffs[n, 1] = scale * (table @ (weights * (values @ np.sin(n * theta))))
+    return coeffs
+
+
+def loop_synthesize(grid, bases, coeffs: np.ndarray) -> np.ndarray:
+    """Grid samples of packed coefficients, summed one order and one of
+    cos / sin at a time."""
+    theta = grid.theta_nodes
+    values = np.zeros((grid.n_r, grid.n_theta))
+    for n, basis in enumerate(bases):
+        table = basis.radial_table(grid.r_nodes)
+        values += np.outer(coeffs[n, 0] @ table, np.cos(n * theta))
+        if n:
+            values += np.outer(coeffs[n, 1] @ table, np.sin(n * theta))
+    return values
+
+
+def two_term_l2(bases, a: np.ndarray, b: np.ndarray) -> float:
+    """Disk L2 norm of the expansion (a, b) from the mode norms:
+    sqrt(2 pi sum N_0j a_0j^2 + pi sum_{n >= 1} N_nj (a_nj^2 + b_nj^2))."""
+    norms = np.stack([basis.norms for basis in bases])
+    total = 2.0 * np.pi * np.dot(norms[0], a[0] ** 2)
+    total += np.pi * np.sum(norms[1:] * (a[1:] ** 2 + b**2))
+    return float(np.sqrt(total))

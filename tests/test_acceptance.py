@@ -27,6 +27,7 @@ from diskrd.transform import (
     SpectralField,
     build_bases,
     default_grid,
+    pack,
     synthesize_on,
 )
 
@@ -166,10 +167,10 @@ class TestLinearModeOracle:
                 return jv(n, k * r) * np.cos(n * th)
 
             buf = ig.initialize_history(w0)
-            c0 = buf.a[n, j - 1]
+            c0 = buf.coeffs[n, 0, j - 1]
             for s in range(1, 101):
                 ig.step(buf, s)
-            err = abs(buf.a[n, j - 1] / c0 - np.exp(-lam)) / np.exp(-lam)
+            err = abs(buf.coeffs[n, 0, j - 1] / c0 - np.exp(-lam)) / np.exp(-lam)
             worst = max(worst, err)
         report(
             "linear mode decay",
@@ -209,10 +210,8 @@ class TestTransformSuite:
         rng = np.random.default_rng(42)
         worst = 0.0
         for _ in range(100):
-            a = rng.uniform(-1.0, 1.0, (17, 32))
-            b = rng.uniform(-1.0, 1.0, (16, 32))
-            a2, b2 = tr.analyze_values(tr.synthesize_values(a, b))
-            worst = max(worst, float(np.max(np.abs(a2 - a))), float(np.max(np.abs(b2 - b))))
+            c = pack(rng.uniform(-1.0, 1.0, (17, 32)), rng.uniform(-1.0, 1.0, (16, 32)))
+            worst = max(worst, float(np.max(np.abs(tr.analyze_values(tr.synthesize_values(c)) - c))))
         report(
             "transform round trip",
             worst < 1e-8,
@@ -258,9 +257,9 @@ class TestKernelDiagonality:
             )
             for n in range(17):
                 for j in range(32):
-                    a = np.zeros((17, 32))
-                    a[n, j] = 1.0
-                    mode = tr.synthesize_values(a, np.zeros((16, 32)))
+                    c = np.zeros((17, 2, 32))
+                    c[n, 0, j] = 1.0
+                    mode = tr.synthesize_values(c)
                     out = maturation_term(
                         DiskField(grid, mode), lambda w: w, survival, spread, bases, tr
                     )
@@ -280,9 +279,9 @@ class TestKernelDiagonality:
         rng = np.random.default_rng(13)
         worst = 0.0
         for _ in range(5):
-            a = np.zeros((17, 32))
-            a[0] = rng.uniform(0.0, 0.5, 32)
-            values = tr.synthesize_values(a, np.zeros((16, 32)))
+            c = np.zeros((17, 2, 32))
+            c[0, 0] = rng.uniform(0.0, 0.5, 32)
+            values = tr.synthesize_values(c)
             full = maturation_term(DiskField(grid, values), birth, 0.9, 0.05, bases, tr)
             radial = maturation_term_radial(values[:, 0], birth, 0.9, 0.05, bases[0], grid)
             worst = max(worst, float(np.max(np.abs(full.values - radial[:, None]))))
@@ -302,7 +301,7 @@ class TestCrossIntegrator:
 
         fd = FDGrid(1.0, 24, 16)
         buf = ig.initialize_history(patch_w0)
-        initial = synthesize_on(SpectralField(ig.bases, buf.a, buf.b), fd.r, fd.theta)
+        initial = synthesize_on(SpectralField(ig.bases, buf.coeffs[:, 0], buf.coeffs[1:, 1]), fd.r, fd.theta)
         started = time.perf_counter()
         final, dt_used = integrate_fd(spec, fd, initial, 1.0)
         elapsed = time.perf_counter() - started

@@ -175,6 +175,20 @@ class TestRun:
         assert run(cfg, out_dir=tmp_path / "out") == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "grid_key, key",
+        [("n_theta = 8\n", "n_theta"), ("n_r = 20\n", "n_r"), ("n_theta = -1\n", "n_theta")],
+        ids=["n_theta_below_34", "n_r_below_34", "negative_n_theta"],
+    )
+    def test_unresolvable_grid_override_exits_2(self, tmp_path, capsys, grid_key, key):
+        # n_max = 16 needs n_theta >= 34 and j_max = 32 needs n_r >= 34.
+        text = SMALL_CONFIG.format(t_end="0.05").replace("n_max = 2", "n_max = 16")
+        text = text.replace("j_max = 3", "j_max = 32") + grid_key
+        cfg = write_config(tmp_path, text)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key {key}: ") and "Traceback" not in err
+
     def test_equilibria_reported_for_density_dependent_birth(self, tmp_path):
         text = SMALL_CONFIG.format(t_end="0.0").replace(
             "variant = mode_forced",

@@ -11,7 +11,7 @@ from scipy.special import jv, lambertw
 from diskrd.bessel import BesselBasis, BoundaryCondition
 from diskrd.model import Identity, Logistic, ModelSpec, ModeSeed, RickerQuadratic, Variant, rhs
 from diskrd import solver
-from diskrd.transform import DiskField, DiskTransform, SpectralField, build_bases
+from diskrd.transform import DiskField, DiskTransform, SpectralField, build_bases, pack
 from diskrd.solver import (
     BlowUpError,
     FDGrid,
@@ -83,26 +83,25 @@ class TestInitializeHistory:
     def test_zero_history(self):
         ig = SpectralIntegrator(forced_spec(), SolverConfig(dt=0.1, t_end=1.0))
         buf = ig.initialize_history(lambda t, r, th: np.zeros_like(r))
-        assert not np.any(buf.a) and not np.any(buf.b)
+        assert not np.any(buf.coeffs)
 
     def test_constant_patch_fills_identical_states(self):
         spec = forced_spec(variant=Variant.FULL_ZERO_FLUX, birth=RickerQuadratic(0.25, 0.1))
         ig = SpectralIntegrator(spec, SolverConfig(dt=0.1, t_end=1.0))
         buf = ig.initialize_history(patch_w0)
         assert len(buf.births) == 11
-        head_a, head_b = buf.births[-1]
-        for a, b in buf.births:
-            assert np.array_equal(a, head_a) and np.array_equal(b, head_b)
+        for births in buf.births:
+            assert np.array_equal(births, buf.births[-1])
         # Zero-flux: the constant mode carries the 0.2 mean of the patch.
-        assert buf.a[0, 0] == pytest.approx(0.2, abs=1e-10)
+        assert buf.coeffs[0, 0, 0] == pytest.approx(0.2, abs=1e-10)
 
     def test_single_mode_history(self):
         ig = SpectralIntegrator(forced_spec(), SolverConfig(dt=0.1, t_end=1.0))
         k = ig.bases[0].eigenvalues[1]
         buf = ig.initialize_history(lambda t, r, th: jv(0, k * r))
-        assert buf.a[0, 1] == pytest.approx(1.0, abs=1e-10)
-        rest = buf.a.copy()
-        rest[0, 1] = 0.0
+        assert buf.coeffs[0, 0, 1] == pytest.approx(1.0, abs=1e-10)
+        rest = buf.coeffs.copy()
+        rest[0, 0, 1] = 0.0
         assert np.max(np.abs(rest)) < 1e-8
 
     def test_time_varying_history(self):
@@ -113,8 +112,8 @@ class TestInitializeHistory:
         )
         ig = SpectralIntegrator(spec, SolverConfig(dt=0.25, t_end=1.0))
         buf = ig.initialize_history(lambda t, r, th: np.exp(t) * np.ones_like(r))
-        assert buf.births[0][0][0, 0] == pytest.approx(np.exp(-0.5), abs=1e-10)
-        assert buf.a[0, 0] == pytest.approx(1.0, abs=1e-10)
+        assert buf.births[0][0, 0, 0] == pytest.approx(np.exp(-0.5), abs=1e-10)
+        assert buf.coeffs[0, 0, 0] == pytest.approx(1.0, abs=1e-10)
 
 
 class TestStep:
@@ -125,12 +124,12 @@ class TestStep:
         k = ig.bases[1].eigenvalues[0]
         lam = spec.diffusion * k**2 + spec.mortality
         buf = ig.initialize_history(lambda t, r, th: jv(1, k * r) * np.cos(th))
-        c0 = buf.a[1, 0]
+        c0 = buf.coeffs[1, 0, 0]
         for s in range(1, 21):
             ig.step(buf, s)
             expected = np.exp(-lam * s * 0.5) * c0
             # Exponential integrator: exact per-mode decay for any dt.
-            assert buf.a[1, 0] == pytest.approx(expected, rel=1e-12)
+            assert buf.coeffs[1, 0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_zero_state_is_fixed_point(self):
         spec = forced_spec(
@@ -142,7 +141,7 @@ class TestStep:
         buf = ig.initialize_history(lambda t, r, th: np.zeros_like(r))
         for s in range(10):
             ig.step(buf, s)
-        assert not np.any(buf.a) and not np.any(buf.b)
+        assert not np.any(buf.coeffs)
 
     def test_blowup_detection(self):
         spec = forced_spec(forcing=lambda t: 1e20)
@@ -173,12 +172,11 @@ class TestStep:
 
         buf = ig.initialize_history(w0)
         lagged = tr.analyze(DiskField.from_polar(ig.grid, lambda r, th: w0(-tau, r, th)))
-        head = SpectralField(ig.bases, buf.a, buf.b)
+        head = SpectralField(ig.bases, buf.coeffs[:, 0], buf.coeffs[1:, 1])
         _, source = rhs(buf.t_head, head, tr.synthesize(lagged), spec, tr)
-        sa, _ = tr.analyze_values(source.values)
-        expected = np.exp(-sigma * tau) * buf.a[0, 1]
-        assert sa[0, 1] == pytest.approx(expected, abs=1e-9)
-        assert ig.source(buf)[0][0, 1] == pytest.approx(expected, abs=1e-9)
+        expected = np.exp(-sigma * tau) * buf.coeffs[0, 0, 1]
+        assert tr.analyze_values(source.values)[0, 0, 1] == pytest.approx(expected, abs=1e-9)
+        assert ig.source(buf)[0, 0, 1] == pytest.approx(expected, abs=1e-9)
 
 
 def drifting_patch(t, r, th):
@@ -226,16 +224,14 @@ class TestCoefficientSource:
         # Check on the history, then once the lagged state is a stepped one.
         for s in range(7):
             if s in (0, 6):
-                lagged = DiskField(ig.grid, tr.synthesize_values(*states[0]))
-                head = SpectralField(ig.bases, buf.a, buf.b)
+                lagged = DiskField(ig.grid, tr.synthesize_values(states[0]))
+                head = SpectralField(ig.bases, buf.coeffs[:, 0], buf.coeffs[1:, 1])
                 _, field = rhs(buf.t_head, head, lagged, ig.spec, tr)
-                ea, eb = tr.analyze_values(field.values)
-                sa, sb = ig.source(buf)
-                scale = max(np.max(np.abs(ea)), np.max(np.abs(eb)))
-                assert np.max(np.abs(sa - ea)) <= 1e-12 * scale
-                assert np.max(np.abs(sb - eb)) <= 1e-12 * scale
+                expected = tr.analyze_values(field.values)
+                scale = np.max(np.abs(expected))
+                assert np.max(np.abs(ig.source(buf) - expected)) <= 1e-12 * scale
             ig.step(buf, s + 1)
-            states.append((buf.a, buf.b))
+            states.append(buf.coeffs)
 
     @pytest.mark.parametrize(
         "case, analyses",
@@ -280,6 +276,17 @@ class TestCoefficientSource:
             "radial_table": 0,
             "spectral_field": 0,
         }
+
+    @pytest.mark.parametrize("case", sorted(SOURCE_CASES))
+    def test_order_zero_sine_slot_stays_zero(self, case):
+        # sin(0 theta) = 0: the packed slot is not a mode and is never filled.
+        ig = self.integrator(case)
+        buf = ig.initialize_history(drifting_patch)
+        assert np.all(buf.coeffs[0, 1] == 0.0)
+        for s in range(1, 51):
+            ig.step(buf, s)
+        assert np.all(buf.coeffs[0, 1] == 0.0)
+        assert all(np.all(births[0, 1] == 0.0) for births in buf.births)
 
     @staticmethod
     def count_analyses(monkeypatch):
@@ -342,14 +349,14 @@ class TestBlockedDriver:
         time, with every diagnostic computed on the test side."""
         buf = ig.initialize_history(w0)
         tr = ig.transform
-        values = tr.synthesize_values(buf.a, buf.b)
+        values = tr.synthesize_values(buf.coeffs)
         rows = [(0.0, values.max(), values.min(), ig.grid.integrate(values), 0.0)]
         samples = [values]
         for i in range(1, round(ig.config.t_end / ig.dt) + 1):
-            a, b = buf.a, buf.b
+            previous = buf.coeffs
             ig.step(buf, i)
-            values = tr.synthesize_values(buf.a, buf.b)
-            rate = tr.weighted_l2(buf.a - a, buf.b - b) / ig.dt
+            values = tr.synthesize_values(buf.coeffs)
+            rate = tr.weighted_l2(buf.coeffs - previous) / ig.dt
             rows.append((buf.t_head, values.max(), values.min(), ig.grid.integrate(values), rate))
             samples.append(values)
         return np.array(rows).T, samples, buf
@@ -374,8 +381,8 @@ class TestBlockedDriver:
         )
         for got, want in zip(columns, rows):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        for got, want in ((result.final_state.a, buf.a), (result.final_state.b, buf.b)):
-            assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * np.max(np.abs(buf.a))
+        got = pack(result.final_state.a, result.final_state.b)
+        assert np.max(np.abs(got - buf.coeffs)) <= 1e-12 * np.max(np.abs(buf.coeffs[:, 0]))
         final = samples[-1]
         assert np.max(np.abs(result.final_field.values - final)) <= 1e-12 * np.max(np.abs(final))
         # Snapshots fall inside blocks (every third step); each keeps its own
@@ -461,7 +468,7 @@ class TestBlockedDriver:
             except BlowUpError as exc:
                 bad = exc.step_index
                 break
-            states.append((buf.a, buf.b))
+            states.append(buf.coeffs)
         buf = ig.initialize_history(patch_w0)
         first = bad - (bad - 1) % ig.block
         for i in range(1, first, ig.block):
@@ -470,9 +477,8 @@ class TestBlockedDriver:
             ig.step(buf, first, ig.block)
         # States first .. bad - 1 of the failing block were completed.
         assert buf.steps == bad - 1 > first - 1
-        want_a, want_b = states[bad - 2]
-        assert np.max(np.abs(buf.a - want_a)) <= 1e-12 * np.max(np.abs(want_a))
-        assert np.max(np.abs(buf.b - want_b), initial=0.0) <= 1e-12 * np.max(np.abs(want_a))
+        want = states[bad - 2]
+        assert np.max(np.abs(buf.coeffs - want)) <= 1e-12 * np.max(np.abs(want[:, 0]))
 
     @pytest.mark.parametrize("case", ["mode_forced", "full_dirichlet", "radial"])
     def test_repeated_runs_are_identical(self, case):
@@ -523,7 +529,7 @@ class TestDelayOracle:
         for s in range(1, 2 * ig.lag_steps + 1):
             ig.step(buf, s)
             if s >= ig.lag_steps:
-                err = abs(buf.a[0, index] - self.exact(buf.t_head, lam, beta))
+                err = abs(buf.coeffs[0, 0, index] - self.exact(buf.t_head, lam, beta))
                 worst = max(worst, err)
         return worst
 
@@ -644,8 +650,8 @@ class TestCriticalPatchRadius:
         for s in range(1, 401):
             ig.step(buf, s)
             if s == 200:
-                middle = buf.a[0, 0]
-        return buf.a[0, 0] / middle
+                middle = buf.coeffs[0, 0, 0]
+        return buf.coeffs[0, 0, 0] / middle
 
     def test_decays_below_and_grows_above(self):
         r_star = self.critical_radius()
@@ -695,7 +701,7 @@ class TestIntegrate:
         assert len(result.snapshots) == 1
         ig = SpectralIntegrator(spec, SolverConfig(dt=0.01, t_end=0.0))
         buf = ig.initialize_history(patch_w0)
-        projected = ig.transform.synthesize_values(buf.a, buf.b)
+        projected = ig.transform.synthesize_values(buf.coeffs)
         assert_allclose(result.final_field.values, projected, atol=1e-14)
 
     def test_diagnostics_lengths_and_monotone_time(self):

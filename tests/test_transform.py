@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.special import jv
 
 from diskrd.bessel import BoundaryCondition
+from oracles import loop_analyze, loop_synthesize, two_term_l2
 from diskrd.transform import (
     DiskField,
     DiskGrid,
@@ -16,8 +17,10 @@ from diskrd.transform import (
     analyze_radial,
     build_bases,
     default_grid,
+    pack,
     synthesize_on,
     synthesize_radial,
+    field_csv_prefixes,
     write_coefficients_csv,
     write_field_csv,
 )
@@ -46,6 +49,12 @@ class TestDiskGrid:
         ):
             moment = np.dot(grid.r_weights, grid.r_nodes)
             assert moment == pytest.approx(0.5 * 1.7**2, rel=1e-13)
+
+    def test_area_weights_are_stored_once(self):
+        grid = DiskGrid.gauss_legendre(1.7, 12, 8)
+        expected = grid.theta_spacing * grid.r_weights * grid.r_nodes
+        assert_allclose(grid.area_weights, expected, rtol=1e-15, atol=0.0)
+        assert not grid.area_weights.flags.writeable
 
     def test_integrate_area(self):
         grid = DiskGrid.gauss_legendre(1.0, 24, 16)
@@ -135,11 +144,8 @@ class TestSynthesize:
         grid, bases, tr = small_setup
         rng = np.random.default_rng(11)
         for _ in range(20):
-            a = rng.uniform(-1.0, 1.0, (5, 6))
-            b = rng.uniform(-1.0, 1.0, (4, 6))
-            a2, b2 = tr.analyze_values(tr.synthesize_values(a, b))
-            assert np.max(np.abs(a2 - a)) < 1e-8
-            assert np.max(np.abs(b2 - b)) < 1e-8
+            c = pack(rng.uniform(-1.0, 1.0, (5, 6)), rng.uniform(-1.0, 1.0, (4, 6)))
+            assert np.max(np.abs(tr.analyze_values(tr.synthesize_values(c)) - c)) < 1e-8
 
     def test_synthesize_on_matches_grid_synthesis(self, small_setup):
         grid, bases, tr = small_setup
@@ -154,35 +160,40 @@ class TestSynthesize:
 class TestStacked:
     """A leading stack axis transforms each state as a call of its own would."""
 
+    @staticmethod
+    def packed_stack(rng, n_max, k, j_max=6):
+        """K random packed states as the stack (n_max + 1, 2, K, j_max)."""
+        states = [
+            pack(rng.uniform(-1.0, 1.0, (n_max + 1, j_max)), rng.uniform(-1.0, 1.0, (n_max, j_max)))
+            for _ in range(k)
+        ]
+        return np.stack(states, axis=2)
+
     @pytest.mark.parametrize("n_max", [0, 4])
     def test_stack_matches_single_calls(self, n_max):
         bases = build_bases(n_max, 6, 1.0, ZERO_FLUX)
         tr = DiskTransform(default_grid(bases), bases)
-        rng = np.random.default_rng(5)
-        a = rng.uniform(-1.0, 1.0, (3, n_max + 1, 6))
-        b = rng.uniform(-1.0, 1.0, (3, n_max, 6))
-        values = tr.synthesize_values(a, b)
+        stack = self.packed_stack(np.random.default_rng(5), n_max, 3)
+        values = tr.synthesize_values(stack)
         assert values.shape == (3, tr.grid.n_r, tr.grid.n_theta)
-        sa, sb = tr.analyze_values(values)
-        assert sa.shape == a.shape and sb.shape == b.shape
+        analysed = tr.analyze_values(values)
+        assert analysed.shape == stack.shape
         for k in range(3):
-            single = tr.synthesize_values(a[k], b[k])
+            single = tr.synthesize_values(stack[:, :, k])
             assert np.max(np.abs(values[k] - single)) <= 1e-14 * np.max(np.abs(single))
-            ka, kb = tr.analyze_values(single)
-            assert np.max(np.abs(sa[k] - ka)) <= 1e-14 * np.max(np.abs(ka))
-            assert np.max(np.abs(sb[k] - kb), initial=0.0) <= 1e-14 * np.max(np.abs(ka))
+            alone = tr.analyze_values(single)
+            assert alone.shape == (n_max + 1, 2, 6)
+            assert np.max(np.abs(analysed[:, :, k] - alone)) <= 1e-14 * np.max(np.abs(alone))
 
     def test_out_receives_the_samples(self, small_setup):
         grid, bases, tr = small_setup
-        rng = np.random.default_rng(6)
-        a = rng.uniform(-1.0, 1.0, (2, 5, 6))
-        b = rng.uniform(-1.0, 1.0, (2, 4, 6))
+        stack = self.packed_stack(np.random.default_rng(6), 4, 2)
         out = np.empty((4, grid.n_r, grid.n_theta))
         view = out[:2]
-        assert tr.synthesize_values(a, b, view) is view
-        assert np.array_equal(out[:2], tr.synthesize_values(a, b))
+        assert tr.synthesize_values(stack, view) is view
+        assert np.array_equal(out[:2], tr.synthesize_values(stack))
         with pytest.raises(ValueError, match="contiguous"):
-            tr.synthesize_values(a, b, out[::2])
+            tr.synthesize_values(stack, out[::2])
 
     def test_profile_stack_matches_single_profiles(self, small_setup):
         grid, bases, tr = small_setup
@@ -202,11 +213,8 @@ def test_round_trip_property(seed):
     bases = test_round_trip_property.bases
     tr = test_round_trip_property.transform
     rng = np.random.default_rng(seed)
-    a = rng.uniform(-1.0, 1.0, (3, 4))
-    b = rng.uniform(-1.0, 1.0, (2, 4))
-    a2, b2 = tr.analyze_values(tr.synthesize_values(a, b))
-    assert np.max(np.abs(a2 - a)) < 1e-8
-    assert np.max(np.abs(b2 - b)) < 1e-8
+    c = pack(rng.uniform(-1.0, 1.0, (3, 4)), rng.uniform(-1.0, 1.0, (2, 4)))
+    assert np.max(np.abs(tr.analyze_values(tr.synthesize_values(c)) - c)) < 1e-8
 
 
 test_round_trip_property.bases = build_bases(2, 4, 1.0, ZERO_FLUX)
@@ -223,7 +231,7 @@ class TestParseval:
         for _ in range(5):
             a = rng.uniform(-1.0, 1.0, (5, 6))
             b = rng.uniform(-1.0, 1.0, (4, 6))
-            values = tr.synthesize_values(a, b)
+            values = tr.synthesize_values(pack(a, b))
             quadrature = grid.integrate(values**2)
             modal = 2.0 * np.pi * np.dot(norms[0], a[0] ** 2) + np.pi * np.sum(
                 norms[1:] * (a[1:] ** 2 + b**2)
@@ -293,7 +301,7 @@ class TestSpectralField:
             bases, rng.uniform(-1, 1, (4, 5)), rng.uniform(-1, 1, (3, 5))
         )
         field = tr.synthesize(coeffs)
-        assert tr.weighted_l2(coeffs.a, coeffs.b) == pytest.approx(
+        assert tr.weighted_l2(pack(coeffs.a, coeffs.b)) == pytest.approx(
             np.sqrt(grid.integrate(field.values**2)), rel=1e-8
         )
 
@@ -305,14 +313,94 @@ class TestSpectralField:
         a, b = rng.uniform(-1, 1, (4, 5)), rng.uniform(-1, 1, (3, 5))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            huge = tr.weighted_l2(1e200 * a, 1e200 * b)
-            plain = tr.weighted_l2(a, b)
+            huge = tr.weighted_l2(pack(1e200 * a, 1e200 * b))
+            plain = tr.weighted_l2(pack(a, b))
         assert np.isfinite(huge)
         assert huge == pytest.approx(1e200 * plain, rel=1e-14)
-        assert tr.weighted_l2(np.full((4, 5), np.inf), b) == np.inf
+        assert tr.weighted_l2(pack(np.full((4, 5), np.inf), b)) == np.inf
+
+
+class TestPackedLayout:
+    """The packed transform against a per-order loop of the (a, b) arithmetic."""
+
+    @staticmethod
+    def setup(n_max, j_max):
+        bases = build_bases(n_max, j_max, 1.0, ZERO_FLUX)
+        return bases, DiskTransform(default_grid(bases), bases)
+
+    @staticmethod
+    def random_packed(rng, n_max, j_max):
+        return pack(rng.uniform(-1.0, 1.0, (n_max + 1, j_max)), rng.uniform(-1.0, 1.0, (n_max, j_max)))
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("n_max, j_max", [(4, 6), (16, 32)])
+    def test_matches_per_order_loop(self, n_max, j_max, k):
+        bases, tr = self.setup(n_max, j_max)
+        grid = tr.grid
+        rng = np.random.default_rng(100 + k)
+        states = [self.random_packed(rng, n_max, j_max) for _ in range(k)]
+        expected_values = [loop_synthesize(grid, bases, c) for c in states]
+        if k == 1:
+            values = tr.synthesize_values(states[0])[None]
+            coeffs = tr.analyze_values(expected_values[0])[:, :, None]
+        else:
+            values = tr.synthesize_values(np.stack(states, axis=2))
+            coeffs = tr.analyze_values(np.stack(expected_values))
+        assert values.shape == (k, grid.n_r, grid.n_theta)
+        assert coeffs.shape == (n_max + 1, 2, k, j_max)
+        for m in range(k):
+            want = expected_values[m]
+            assert np.max(np.abs(values[m] - want)) <= 1e-14 * np.max(np.abs(want))
+            want = loop_analyze(grid, bases, expected_values[m])
+            assert np.max(np.abs(coeffs[:, :, m] - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_order_zero_sine_slot_is_exactly_zero(self):
+        bases, tr = self.setup(4, 6)
+        rng = np.random.default_rng(12)
+        values = rng.uniform(-1.0, 1.0, (3, tr.grid.n_r, tr.grid.n_theta))
+        assert np.all(tr.analyze_values(values[0])[0, 1] == 0.0)
+        assert np.all(tr.analyze_values(values)[0, 1] == 0.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e155, 1e200])
+    def test_weighted_l2_matches_two_term_formula(self, scale):
+        bases, tr = self.setup(4, 6)
+        rng = np.random.default_rng(13)
+        a, b = rng.uniform(-1.0, 1.0, (5, 6)), rng.uniform(-1.0, 1.0, (4, 6))
+        # Past ~1e154 the squares of the two-term formula overflow, so the
+        # packed norm (its rescale path) is compared with the scaled formula;
+        # 1e155 sits just past the largest magnitude the one-dot path takes.
+        want = scale * two_term_l2(bases, a, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = tr.weighted_l2(pack(scale * a, scale * b))
+            bounded = tr.weighted_l2(pack(scale * a, scale * b), scale)
+        assert got == pytest.approx(want, rel=1e-14)
+        assert bounded == pytest.approx(want, rel=1e-14)
 
 
 class TestCSV:
+    @staticmethod
+    def per_point_dump(field, path):
+        """The field dump formatted point by point, r and theta included."""
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("r,theta,value\n")
+            for i, r in enumerate(field.grid.r_nodes):
+                for j, th in enumerate(field.grid.theta_nodes):
+                    fh.write(f"{r:.17g},{th:.17g},{field.values[i, j]:.17g}\n")
+
+    def test_field_dump_is_byte_identical_to_per_point_formatting(self, tmp_path):
+        grid = DiskGrid.gauss_legendre(1.3, 17, 12)
+        field = DiskField.from_polar(
+            grid, lambda r, th: 75.0 + np.exp(3.0 * r) * np.cos(3.0 * th) - 1e-300 * np.sin(th)
+        )
+        self.per_point_dump(field, tmp_path / "expected.csv")
+        write_field_csv(field, tmp_path / "alone.csv")
+        write_field_csv(field, tmp_path / "shared.csv", field_csv_prefixes(grid))
+        expected = (tmp_path / "expected.csv").read_bytes()
+        assert (tmp_path / "alone.csv").read_bytes() == expected
+        assert (tmp_path / "shared.csv").read_bytes() == expected
+
+
     def test_field_dump_shape(self, tmp_path):
         grid = DiskGrid.gauss_legendre(1.0, 4, 3)
         field = DiskField.from_polar(grid, lambda r, th: r * np.cos(th))
