@@ -17,9 +17,7 @@ from .bessel import (
     EigenvalueSearchError,
     bessel_j,
     bessel_j_prime,
-    eigencondition,
     find_eigenvalues,
-    mode_norm,
 )
 from .kernel import LifeHistory, alpha_of, damping_factors, epsilon_of, maturation_term
 from .model import (
@@ -35,15 +33,12 @@ from .model import (
 )
 from .solver import (
     BlowUpError,
-    FDGrid,
     HistoryBuffer,
+    Scheme,
     SimulationResult,
     SolverConfig,
     SpectralIntegrator,
-    fd_stability_limit,
     integrate,
-    integrate_fd,
-    reference_fd_step,
 )
 from .transform import (
     DiskField,
@@ -53,7 +48,6 @@ from .transform import (
     analyze_radial,
     build_bases,
     default_grid,
-    pack,
     synthesize_on,
     synthesize_radial,
 )

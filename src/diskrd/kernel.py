@@ -16,14 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .bessel import BesselBasis
-from .transform import (
-    DiskField,
-    DiskGrid,
-    DiskTransform,
-    analyze_radial,
-    pack,
-    synthesize_radial,
-)
+from .transform import DiskField, DiskGrid, DiskTransform, analyze_radial, synthesize_radial
 
 __all__ = [
     "LifeHistory",
@@ -72,8 +65,8 @@ def alpha_of(history: LifeHistory) -> float:
 def damping_factors(
     bases: tuple[BesselBasis, ...], survival: float, spread: float
 ) -> np.ndarray:
-    """Per-mode factors survival * exp(-k^2 * spread), one row per order
-    (``pack(d, d[1:])`` spreads them over the packed layout).
+    """Per-mode factors survival * exp(-k^2 * spread), packed like the
+    coefficients (n_max + 1, 2, j_max): both slots of order n share them.
 
     The k = 0 constant mode is damped by survival alone: diffusion moves
     births around but the survival fraction still applies.
@@ -82,7 +75,7 @@ def damping_factors(
         raise ValueError("survival must lie in [0, 1]")
     if spread < 0.0:
         raise ValueError("spread must be nonnegative")
-    k = np.stack([basis.eigenvalues for basis in bases])
+    k = np.stack([(basis.eigenvalues,) * 2 for basis in bases])
     return survival * np.exp(-(k**2) * spread)
 
 
@@ -95,7 +88,7 @@ def damped_births(
     """Packed coefficients of the recruits the grid samples ``values`` produce.
 
     The birth law is applied pointwise, the result analysed and each mode
-    scaled by its packed damping factor (see ``damping_factors``).
+    scaled by its damping factor (see ``damping_factors``).
     """
     return damp * transform.analyze_values(np.asarray(birth(values), dtype=float))
 
@@ -116,7 +109,7 @@ def maturation_term(
     if transform is None:
         transform = DiskTransform(lagged.grid, bases)
     damp = damping_factors(bases, survival, spread)
-    coeffs = damped_births(lagged.values, birth, pack(damp, damp[1:]), transform)
+    coeffs = damped_births(lagged.values, birth, damp, transform)
     return DiskField(transform.grid, transform.synthesize_values(coeffs))
 
 
@@ -130,5 +123,5 @@ def maturation_term_radial(
 ) -> np.ndarray:
     """Order-zero path of the maturation source for radial profiles."""
     coeffs = analyze_radial(np.asarray(birth(profile), dtype=float), basis, grid)
-    coeffs = coeffs * damping_factors((basis,), survival, spread)[0]
+    coeffs = coeffs * damping_factors((basis,), survival, spread)[0, 0]
     return synthesize_radial(coeffs, basis, grid.r_nodes)

@@ -29,7 +29,7 @@ from .bessel import (
     bessel_j,
 )
 from .kernel import damping_factors, maturation_term, maturation_term_radial
-from .transform import DiskField, DiskTransform, SpectralField, pack
+from .transform import DiskField, DiskTransform, SpectralField
 
 __all__ = [
     "Identity",
@@ -208,11 +208,10 @@ class ModelSpec:
 
 
 def linear_rates(spec: ModelSpec, bases: tuple[BesselBasis, ...]) -> np.ndarray:
-    """Per-mode decay rates diffusion * k^2 + mortality, one row per order.
-
-    Both packed slots of order n (cosine and sine) share row n of the result.
+    """Per-mode decay rates diffusion * k^2 + mortality, packed like the
+    coefficients (n_max + 1, 2, j_max): both slots of order n share them.
     """
-    k = np.stack([basis.eigenvalues for basis in bases])
+    k = np.stack([(basis.eigenvalues,) * 2 for basis in bases])
     return spec.diffusion * k**2 + spec.mortality
 
 
@@ -248,7 +247,7 @@ def rhs(
         if isinstance(spec.birth, ModeSeed):
             births = spec.birth.field(grid, t - spec.delay)
             damp = damping_factors(transform.bases, spec.survival, spec.spread)
-            coeffs = pack(damp, damp[1:]) * transform.analyze_values(births)
+            coeffs = damp * transform.analyze_values(births)
             values += transform.synthesize_values(coeffs)
         else:
             values += maturation_term(

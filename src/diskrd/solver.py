@@ -16,15 +16,17 @@ marched as one block (the method of steps), with one batched synthesis
 and one batched analysis of their births.
 
 Every coefficient array is packed (see ``transform``): one array
-(n_max + 1, 2, j_max) per state, cosine and sine slots side by side, since
-the decay, the phi1 weight and the recruitment damping of a mode depend on
-its order and index only. So each state costs one AB2 stage, one update
-and one blow-up maximum, and a block advances all its states under one
-``np.errstate`` (a lagged birth law runs under one more).
+(n_max + 1, 2, j_max) per state, cosine and sine slots side by side. The
+decay, the phi1 weight and the recruitment damping of a mode depend on its
+order and index only, and are packed the same way. So each state costs one
+AB2 stage, one update and one blow-up maximum, and a block advances all its
+states under one ``np.errstate`` (a lagged birth law runs under one more).
 
-A deliberately simple finite-difference integrator on a cell-centered
-polar mesh (forward Euler, conservative five-point Laplacian) is provided
-as an independent cross-check.
+A deliberately simple finite-difference integrator on the cell-centered
+polar mesh ``DiskGrid.cell_centered`` (forward Euler, conservative
+five-point Laplacian) is an independent cross-check, run by ``integrate``
+under ``Scheme.REFERENCE_FD``. Its source is the model's: the radial
+variant feeds only the angular mean of the field to the order-zero kernel.
 """
 
 from __future__ import annotations
@@ -33,24 +35,15 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 from .bessel import BesselBasis, BoundaryKind
-from .kernel import damped_births, damping_factors
+from .kernel import damped_births, damping_factors, maturation_term_radial
 from .model import ModelSpec, ModeSeed, Variant, forcing_profile, linear_rates
 from .model import rhs  # noqa: F401  (bound here for tools that wrap solver.rhs)
-from .transform import (
-    DiskField,
-    DiskGrid,
-    DiskTransform,
-    SpectralField,
-    build_bases,
-    default_grid,
-    pack,
-)
+from .transform import DiskField, DiskGrid, DiskTransform, SpectralField, build_bases, default_grid
 
 __all__ = [
     "Scheme",
@@ -61,11 +54,8 @@ __all__ = [
     "SpectralIntegrator",
     "resolve_time_step",
     "integrate",
-    "FDGrid",
     "fd_stability_limit",
     "fd_laplacian",
-    "reference_fd_step",
-    "integrate_fd",
 ]
 
 CONVERGED_STREAK = 100
@@ -214,14 +204,11 @@ class SpectralIntegrator:
         self.transform = DiskTransform(self.grid, self.bases)
         self.rates = linear_rates(spec, self.bases)
         self.dt, self.lag_steps = resolve_time_step(config.dt, spec.delay)
-        # Per-mode factors in the packed layout. Each is 0 at the order-0
-        # sine slot, so that slot stays exactly 0.
-        decay = np.exp(-self.rates * self.dt)
-        phi = _phi1(self.rates, self.dt)
-        damp = damping_factors(self.bases, spec.survival, spec.spread)
-        self._decay = pack(decay, decay[1:])
-        self._phi = pack(phi, phi[1:])
-        self._damp = pack(damp, damp[1:])
+        # Per-mode factors in the packed layout. They are finite and every
+        # source is 0 at the order-0 sine slot, so that slot stays exactly 0.
+        self._decay = np.exp(-self.rates * self.dt)
+        self._phi = _phi1(self.rates, self.dt)
+        self._damp = damping_factors(self.bases, spec.survival, spec.spread)
         # Static source pieces: the damped forcing mode scaled by f(t), or a
         # seeded birth mode scaled by its amplitude at t - delay.
         self._forcing = self._seed = None
@@ -393,7 +380,7 @@ class SpectralIntegrator:
         # The partition depends on n_steps and the block length only.
         for i in range(1, n_steps + 1, self.block):
             self.step(buffer, i, min(self.block, n_steps + 1 - i), recorder.record)
-        final_state = SpectralField(self.bases, buffer.coeffs[:, 0], buffer.coeffs[1:, 1])
+        final_state = SpectralField(self.bases, buffer.coeffs)
         return recorder.result(final_state, buffer.values, self.spec, self.dt)
 
 
@@ -467,18 +454,21 @@ def _integrate_reference(spec: ModelSpec, config: SolverConfig, w0) -> Simulatio
     """SimulationResult-shaped run of the FD scheme.
 
     The FD step is stability-bounded, so diagnostics are recorded on the
-    requested dt cadence rather than every internal step.
+    requested dt cadence rather than every internal step. The transform of
+    the source and the terminal projection is truncated to what the mesh
+    resolves.
     """
-    fd = FDGrid(spec.radius, config.fd_n_r, config.fd_n_theta)
-    stepper = _FDStepper(spec, fd)
-    transform = stepper.transform or _fd_transform(spec, fd)
-    grid = transform.grid
-    dt_fd = 0.8 * fd_stability_limit(spec, fd)
+    grid = DiskGrid.cell_centered(spec.radius, config.fd_n_r, config.fd_n_theta)
+    n_max = min(spec.n_max, (grid.n_theta - 2) // 2)
+    j_max = min(spec.j_max, grid.n_r - 2)
+    transform = DiskTransform(grid, build_bases(n_max, j_max, spec.radius, spec.bc))
+    stepper = _FDStepper(spec, transform)
+    dt_fd = 0.8 * fd_stability_limit(spec, grid)
     inner = max(1, math.ceil(config.dt / dt_fd - 1e-12))
     dt_fd = config.dt / inner
     n_records = _step_count(config.t_end, config.dt)
 
-    r, th = fd.mesh()
+    r, th = grid.mesh()
     values = DiskField(grid, np.asarray(w0(0.0, r, th), dtype=float) + np.zeros_like(r)).values
     recorder = _Recorder(n_records, grid, config)
     recorder.record(0, 0.0, values, 0.0)
@@ -499,46 +489,17 @@ def _integrate_reference(spec: ModelSpec, config: SolverConfig, w0) -> Simulatio
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FDGrid:
-    """Cell-centered polar mesh: r_i = (i + 1/2) dr, periodic theta."""
-
-    radius: float
-    n_r: int
-    n_theta: int
-
-    @property
-    def dr(self) -> float:
-        return self.radius / self.n_r
-
-    @property
-    def dtheta(self) -> float:
-        return 2.0 * np.pi / self.n_theta
-
-    @cached_property
-    def r(self) -> np.ndarray:
-        return (np.arange(self.n_r) + 0.5) * self.dr
-
-    @cached_property
-    def theta(self) -> np.ndarray:
-        return np.arange(self.n_theta) * self.dtheta
-
-    def mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.meshgrid(self.r, self.theta, indexing="ij")
-
-    def quadrature_grid(self) -> DiskGrid:
-        return DiskGrid.cell_centered(self.radius, self.n_r, self.n_theta)
-
-
-def fd_stability_limit(spec: ModelSpec, fd: FDGrid) -> float:
-    """Explicit-Euler dt bound for the diffusion operator on this mesh.
+def fd_stability_limit(spec: ModelSpec, grid: DiskGrid) -> float:
+    """Explicit-Euler dt bound for the diffusion operator on the
+    cell-centered mesh ``grid``.
 
     Gershgorin bound on the discrete operator: every row of the negated
     Laplacian satisfies diag + |offdiag| <= 4/dr^2 + 4/(r^2 dtheta^2),
     worst at the innermost cell r = dr/2.
     """
-    r0 = 0.5 * fd.dr
-    spectral_radius = 4.0 / fd.dr**2 + 4.0 / (r0**2 * fd.dtheta**2)
+    dr = grid.radius / grid.n_r
+    r0 = 0.5 * dr
+    spectral_radius = 4.0 / dr**2 + 4.0 / (r0**2 * grid.theta_spacing**2)
     return 2.0 / (spec.diffusion * spectral_radius + spec.mortality)
 
 
@@ -556,14 +517,15 @@ def _ghost_row(edge: np.ndarray, spec: ModelSpec, dr: float) -> np.ndarray:
     return edge * (a / dr - 0.5 * b) / denom
 
 
-def fd_laplacian(values: np.ndarray, spec: ModelSpec, fd: FDGrid) -> np.ndarray:
-    """Conservative five-point polar Laplacian with ghost-cell edges.
+def fd_laplacian(values: np.ndarray, spec: ModelSpec, grid: DiskGrid) -> np.ndarray:
+    """Conservative five-point polar Laplacian with ghost-cell edges on the
+    cell-centered mesh ``grid`` (cells of width dr = radius / n_r).
 
     The inner face of the first cell sits at r = 0 and carries no area,
     which removes the coordinate singularity without special casing.
     """
-    dr, dth = fd.dr, fd.dtheta
-    r = fd.r[:, None]
+    dr, dth = grid.radius / grid.n_r, grid.theta_spacing
+    r = grid.r_nodes[:, None]
     r_plus = r + 0.5 * dr
     r_minus = r - 0.5 * dr
 
@@ -582,103 +544,44 @@ def fd_laplacian(values: np.ndarray, spec: ModelSpec, fd: FDGrid) -> np.ndarray:
     return radial + angular
 
 
-def _fd_transform(spec: ModelSpec, fd: FDGrid) -> DiskTransform:
-    """Transform on the FD midpoint mesh, truncated to what the mesh resolves."""
-    n_max = min(spec.n_max, (fd.n_theta - 2) // 2)
-    j_max = min(spec.j_max, fd.n_r - 2)
-    bases = build_bases(n_max, j_max, spec.radius, spec.bc)
-    return DiskTransform(fd.quadrature_grid(), bases)
-
-
 class _FDStepper:
-    """Forward-Euler update on one FD mesh with the static source pieces built once.
+    """Forward-Euler update on the grid of ``transform`` with the static
+    source pieces built once.
 
     Forced variants scale the damped seeded-mode profile by f(t); the
-    maturation variants evaluate the spectral kernel through a transform
-    on the midpoint mesh.
+    maturation variants, which it accepts only without delay, evaluate the
+    spectral kernel through ``transform``: the full variants on the whole
+    field, the radial variant on its angular mean, as ``model.rhs`` does.
     """
 
-    def __init__(self, spec: ModelSpec, fd: FDGrid):
+    def __init__(self, spec: ModelSpec, transform: DiskTransform):
+        if spec.variant not in _FORCED and spec.delay != 0.0:
+            raise ValueError("the reference integrator runs maturation variants only without delay")
         self.spec = spec
-        self.fd = fd
-        self.transform: Optional[DiskTransform] = None
+        self.transform = transform
+        self.grid = transform.grid
         if spec.variant in _FORCED:
-            self._unit = spec.forcing_damping() * forcing_profile(spec, fd)
+            self._unit = spec.forcing_damping() * forcing_profile(spec, self.grid)
         else:
-            self.transform = _fd_transform(spec, fd)
-            damp = damping_factors(self.transform.bases, spec.survival, spec.spread)
-            self._damp = pack(damp, damp[1:])
+            self._damp = damping_factors(transform.bases, spec.survival, spec.spread)
 
-    def __call__(
-        self, values: np.ndarray, dt: float, t: float, lagged: np.ndarray | None = None
-    ) -> np.ndarray:
+    def __call__(self, values: np.ndarray, dt: float, t: float) -> np.ndarray:
         spec = self.spec
         if spec.variant in _FORCED:
             source = spec.forcing_value(t) * self._unit
             if spec.variant is Variant.MODE_FORCED_BIRTH and spec.birth is not None:
                 source = source + np.asarray(spec.birth(values), dtype=float)
+        elif spec.variant is Variant.RADIAL:
+            basis = self.transform.bases[0]
+            profile = values.mean(axis=1)
+            source = maturation_term_radial(
+                profile, spec.birth, spec.survival, spec.spread, basis, self.grid
+            )[:, None]
         else:
-            if lagged is None:
-                if spec.delay != 0.0:
-                    raise ValueError(
-                        "the reference integrator handles maturation variants only "
-                        "without delay (pass the lagged field explicitly otherwise)"
-                    )
-                lagged = values
-            birth = spec.birth
+            lagged, birth = values, spec.birth
             if isinstance(birth, ModeSeed):
-                lagged, birth = birth.field(self.transform.grid, t - spec.delay), (lambda w: w)
+                lagged, birth = birth.field(self.grid, t - spec.delay), (lambda w: w)
             births = damped_births(lagged, birth, self._damp, self.transform)
             source = self.transform.synthesize_values(births)
-        lap = fd_laplacian(values, spec, self.fd)
+        lap = fd_laplacian(values, spec, self.grid)
         return values + dt * (spec.diffusion * lap - spec.mortality * values + source)
-
-
-def reference_fd_step(
-    values: np.ndarray,
-    spec: ModelSpec,
-    fd: FDGrid,
-    dt: float,
-    t: float = 0.0,
-    lagged: np.ndarray | None = None,
-) -> np.ndarray:
-    """One forward-Euler update on the FD mesh.
-
-    Supports the forced variants directly; the maturation variants are
-    accepted without delay (the lagged field defaults to the current one),
-    evaluated through the same spectral kernel on the midpoint mesh, with
-    the truncation capped to what the mesh resolves.
-    """
-    if dt > fd_stability_limit(spec, fd):
-        raise ValueError(
-            f"dt={dt:g} exceeds the explicit stability bound "
-            f"{fd_stability_limit(spec, fd):g} for this mesh"
-        )
-    return _FDStepper(spec, fd)(values, dt, t, lagged)
-
-
-def integrate_fd(
-    spec: ModelSpec,
-    fd: FDGrid,
-    values: np.ndarray,
-    t_end: float,
-    dt: float | None = None,
-    safety: float = 0.8,
-) -> tuple[np.ndarray, float]:
-    """March the FD scheme to t_end; returns (final values, dt used).
-
-    Equivalent to chaining reference_fd_step, with the static pieces of
-    the source built once for the (stability-bounded, hence long) loop.
-    """
-    limit = fd_stability_limit(spec, fd)
-    if dt is None:
-        dt = safety * limit
-    n_steps = max(1, int(math.ceil(t_end / dt - 1e-12)))
-    dt = t_end / n_steps
-    if dt > limit:
-        raise ValueError("requested dt violates the stability bound")
-
-    stepper = _FDStepper(spec, fd)
-    for s in range(n_steps):
-        values = stepper(values, dt, s * dt)
-    return values, dt

@@ -13,7 +13,10 @@ is not a mode (sin 0 = 0) and holds exactly 0. A stack of K states is
 shaped (n_max + 1, 2, K, j_max), so state m is ``c[:, :, m]``; with that
 layout each transform is one matmul with the interleaved cos/sin table and
 one pass over the J_n table with 2K right-hand sides per order, and needs
-no transposed copy. ``SpectralField`` keeps the (a, b) split for callers.
+no transposed copy. ``SpectralField`` holds one such array; its ``a`` and
+``b`` are read-only views. Per-mode factors (decay rates, damping, the L2
+weights) are packed the same way, both slots of order n holding the order-n
+value: they multiply the order-0 sine slot's 0 and leave it 0.
 
 Coefficients are stored pre-normalised: analysis applies the
 1/(pi N_nj) weights (1/(2 pi N_0j) for order zero, N_nj the weighted
@@ -37,7 +40,6 @@ __all__ = [
     "DiskField",
     "SpectralField",
     "DiskTransform",
-    "pack",
     "build_bases",
     "default_grid",
     "least_grid",
@@ -46,7 +48,6 @@ __all__ = [
     "synthesize_on",
     "field_csv_prefixes",
     "write_field_csv",
-    "write_coefficients_csv",
 ]
 
 
@@ -158,35 +159,44 @@ class DiskField:
 class SpectralField:
     """Truncated expansion coefficients over bases of orders 0..n_max.
 
-    ``a`` holds cosine coefficients, one row per order; ``b`` holds sine
-    coefficients for orders 1..n_max only (sin 0 is identically zero).
+    ``coeffs`` is a read-only copy of the packed array (n_max + 1, 2, j_max);
+    its order-0 sine slot is 0, since sin 0 is identically zero.
     """
 
     bases: tuple[BesselBasis, ...]
-    a: np.ndarray
-    b: np.ndarray
+    coeffs: np.ndarray
 
     def __post_init__(self) -> None:
         bases = tuple(self.bases)
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
+        coeffs = np.array(self.coeffs, dtype=float)
         if not bases or [basis.order for basis in bases] != list(range(len(bases))):
             raise ValueError("bases must cover orders 0..n_max in order")
         j_max = bases[0].count
         if any(basis.count != j_max for basis in bases):
             raise ValueError("all bases must hold the same number of modes")
-        if a.shape != (len(bases), j_max) or b.shape != (len(bases) - 1, j_max):
-            raise ValueError("coefficient arrays do not match the bases")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        if coeffs.shape != (len(bases), 2, j_max):
+            raise ValueError("coefficient array does not match the bases")
+        if not np.all(np.isfinite(coeffs)):
             raise ValueError("coefficients must be finite")
+        if np.any(coeffs[0, 1]):
+            raise ValueError("the order-0 sine slot must be 0")
+        coeffs.setflags(write=False)
         object.__setattr__(self, "bases", bases)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def zeros(cls, bases: tuple[BesselBasis, ...]) -> "SpectralField":
-        j_max = bases[0].count
-        return cls(bases, np.zeros((len(bases), j_max)), np.zeros((len(bases) - 1, j_max)))
+        return cls(bases, np.zeros((len(bases), 2, bases[0].count)))
+
+    @property
+    def a(self) -> np.ndarray:
+        """Cosine coefficients, one row per order 0..n_max."""
+        return self.coeffs[:, 0]
+
+    @property
+    def b(self) -> np.ndarray:
+        """Sine coefficients, one row per order 1..n_max."""
+        return self.coeffs[1:, 1]
 
     @property
     def n_max(self) -> int:
@@ -199,24 +209,6 @@ class SpectralField:
     @property
     def radius(self) -> float:
         return self.bases[0].radius
-
-    def is_radial(self, tol: float = 1e-12) -> bool:
-        angular = 0.0
-        if self.n_max:
-            angular = max(float(np.max(np.abs(self.a[1:]))), float(np.max(np.abs(self.b))))
-        return angular <= tol
-
-
-def pack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The packed array (n_max + 1, 2, j_max) of cosine coefficients ``a``
-    (orders 0..n_max) and sine coefficients ``b`` (orders 1..n_max); the
-    order-0 sine slot is 0. ``pack(f, f[1:])`` spreads per-order factors
-    over both slots.
-    """
-    packed = np.zeros((len(a), 2) + a.shape[1:])
-    packed[:, 0] = a
-    packed[1:, 1] = b
-    return packed
 
 
 def least_grid(n_max: int, j_max: int) -> tuple[int, int]:
@@ -280,7 +272,7 @@ class DiskTransform:
         # The disk integral of a mode's square, per packed slot, flattened.
         squares = np.pi * norms
         squares[0] *= 2.0
-        self._l2_weights = pack(squares, squares[1:]).ravel()
+        self._l2_weights = np.repeat(squares, 2, axis=0).ravel()
         # Below this coefficient magnitude no weighted square sum overflows.
         self._l2_safe = 0.5 * math.sqrt(np.finfo(float).max / self._l2_weights.sum())
         # Row 2n + s is cos(n theta) (s = 0) or sin(n theta) (s = 1); the
@@ -389,12 +381,11 @@ class DiskTransform:
             and field.grid.n_theta == self.grid.n_theta
         ):
             raise ValueError("field grid does not match the transform grid")
-        coeffs = self.analyze_values(field.values)
-        return SpectralField(self.bases, coeffs[:, 0], coeffs[1:, 1])
+        return SpectralField(self.bases, self.analyze_values(field.values))
 
     def synthesize(self, field: SpectralField) -> DiskField:
         self._check_bases(field)
-        return DiskField(self.grid, self.synthesize_values(pack(field.a, field.b)))
+        return DiskField(self.grid, self.synthesize_values(field.coeffs))
 
 
 def synthesize_on(spectral: SpectralField, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -403,12 +394,9 @@ def synthesize_on(spectral: SpectralField, r: np.ndarray, theta: np.ndarray) -> 
     theta = np.asarray(theta, dtype=float)
     values = np.zeros((r.size, theta.size))
     for n, basis in enumerate(spectral.bases):
-        table = basis.radial_table(r)
-        radial_cos = table.T @ spectral.a[n]
-        values += np.outer(radial_cos, np.cos(n * theta))
-        if n >= 1:
-            radial_sin = table.T @ spectral.b[n - 1]
-            values += np.outer(radial_sin, np.sin(n * theta))
+        table = basis.radial_table(r).T
+        values += np.outer(table @ spectral.coeffs[n, 0], np.cos(n * theta))
+        values += np.outer(table @ spectral.coeffs[n, 1], np.sin(n * theta))
     return values
 
 
@@ -457,13 +445,3 @@ def write_field_csv(
         fh.write("r,theta,value\n")
         for r, values in zip(r_texts, field.values):
             fh.write("".join([f"{r}{th}{v:.17g}\n" for th, v in zip(theta_texts, values.tolist())]))
-
-
-def write_coefficients_csv(spectral: SpectralField, path) -> None:
-    """Dump coefficients as CSV rows (n, j, a, b); b is 0 for order 0."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("n,j,a,b\n")
-        for n in range(spectral.n_max + 1):
-            for j in range(spectral.j_max):
-                b = spectral.b[n - 1, j] if n >= 1 else 0.0
-                fh.write(f"{n},{j + 1},{spectral.a[n, j]:.17g},{b:.17g}\n")

@@ -208,6 +208,16 @@ def mp_mode_norm(order: int, k: float, radius: float, dirichlet: bool) -> float:
         )
 
 
+def pack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The packed array (n_max + 1, 2, ...) of cosine coefficients ``a``
+    (orders 0..n_max) and sine coefficients ``b`` (orders 1..n_max), with
+    the order-0 sine slot 0."""
+    packed = np.zeros((len(a), 2) + a.shape[1:])
+    packed[:, 0] = a
+    packed[1:, 1] = b
+    return packed
+
+
 def loop_analyze(grid, bases, values: np.ndarray) -> np.ndarray:
     """Packed coefficients (n_max + 1, 2, j_max) of grid samples shaped
     (n_r, n_theta), one order and one of cos / sin at a time:

@@ -14,24 +14,17 @@ from scipy.special import jv
 from diskrd.bessel import BoundaryCondition, find_eigenvalues
 from diskrd.kernel import maturation_term, maturation_term_radial
 from diskrd.model import ModelSpec, RickerQuadratic, Variant
-from diskrd.solver import (
-    FDGrid,
-    SolverConfig,
-    SpectralIntegrator,
-    integrate,
-    integrate_fd,
-)
+from diskrd.solver import Scheme, SolverConfig, SpectralIntegrator, integrate
 from diskrd.transform import (
     DiskField,
     DiskTransform,
     SpectralField,
     build_bases,
     default_grid,
-    pack,
     synthesize_on,
 )
 
-from oracles import bessel_zero, equilibria_scan, quad_mode_norm
+from oracles import bessel_zero, equilibria_scan, pack, quad_mode_norm
 
 DIRICHLET = BoundaryCondition.dirichlet()
 ZERO_FLUX = BoundaryCondition.zero_flux()
@@ -299,15 +292,20 @@ class TestCrossIntegrator:
         ig = SpectralIntegrator(spec, config)
         spectral = ig.integrate(patch_w0)
 
-        fd = FDGrid(1.0, 24, 16)
-        buf = ig.initialize_history(patch_w0)
-        initial = synthesize_on(SpectralField(ig.bases, buf.coeffs[:, 0], buf.coeffs[1:, 1]), fd.r, fd.theta)
+        # The FD run starts from the spectral run's projected initial state.
+        initial = SpectralField(ig.bases, ig.initialize_history(patch_w0).coeffs)
+        fd_config = SolverConfig(
+            dt=1.0, t_end=1.0, scheme=Scheme.REFERENCE_FD, fd_n_r=24, fd_n_theta=16
+        )
         started = time.perf_counter()
-        final, dt_used = integrate_fd(spec, fd, initial, 1.0)
+        result = integrate(
+            spec, fd_config, lambda t, r, th: synthesize_on(initial, r[:, 0], th[0])
+        )
         elapsed = time.perf_counter() - started
+        fd, final, dt_used = result.grid, result.final_field.values, result.dt
 
-        reference = synthesize_on(spectral.final_state, fd.r, fd.theta)
-        weights = fd.r[:, None] * np.ones_like(final)
+        reference = synthesize_on(spectral.final_state, fd.r_nodes, fd.theta_nodes)
+        weights = fd.r_nodes[:, None] * np.ones_like(final)
         rel = float(
             np.sqrt(np.sum(weights * (final - reference) ** 2) / np.sum(weights * reference**2))
         )

@@ -474,3 +474,17 @@ class TestImports:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == ""
+
+    def test_benchmark_wrap_list_resolves(self):
+        # The traced benchmark wraps calls of every layer by name
+        # (perfbench/child.py); a name dropped from the package fails here.
+        src = Path(cli.__file__).resolve().parents[1]
+        code = "import child, spans; child.install(spans.Tracer('t'), layers=True)"
+        path = os.pathsep.join([str(src.parent / "perfbench"), str(src)])
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 0, out.stderr

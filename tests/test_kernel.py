@@ -12,7 +12,8 @@ from diskrd.kernel import (
     maturation_term,
     maturation_term_radial,
 )
-from diskrd.transform import DiskField, DiskTransform, build_bases, default_grid, pack
+from diskrd.transform import DiskField, DiskTransform, build_bases, default_grid
+from oracles import pack
 
 DIRICHLET = BoundaryCondition.dirichlet()
 ZERO_FLUX = BoundaryCondition.zero_flux()
@@ -148,11 +149,13 @@ class TestDampingFactors:
     def test_shape_and_values(self):
         bases = build_bases(1, 3, 1.0, DIRICHLET)
         damp = damping_factors(bases, 0.5, 0.2)
-        assert damp.shape == (2, 3)
+        assert damp.shape == (2, 2, 3)
         k = bases[1].eigenvalues[2]
-        assert damp[1, 2] == pytest.approx(0.5 * np.exp(-(k**2) * 0.2), rel=1e-13)
+        assert damp[1, 0, 2] == pytest.approx(0.5 * np.exp(-(k**2) * 0.2), rel=1e-13)
+        # Both packed slots of an order share its factors.
+        assert np.array_equal(damp[:, 0], damp[:, 1])
 
     def test_constant_mode_damps_by_survival_only(self):
         bases = build_bases(0, 3, 1.0, ZERO_FLUX)
         damp = damping_factors(bases, 0.37, 5.0)
-        assert damp[0, 0] == pytest.approx(0.37, rel=1e-15)
+        assert damp[0, 0, 0] == pytest.approx(0.37, rel=1e-15)

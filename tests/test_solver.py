@@ -11,18 +11,15 @@ from scipy.special import jv, lambertw
 from diskrd.bessel import BesselBasis, BoundaryCondition
 from diskrd.model import Identity, Logistic, ModelSpec, ModeSeed, RickerQuadratic, Variant, rhs
 from diskrd import solver
-from diskrd.transform import DiskField, DiskTransform, SpectralField, build_bases, pack
+from diskrd.transform import DiskField, DiskGrid, DiskTransform, SpectralField, build_bases
 from diskrd.solver import (
     BlowUpError,
-    FDGrid,
     Scheme,
     SolverConfig,
     SpectralIntegrator,
     fd_laplacian,
     fd_stability_limit,
     integrate,
-    integrate_fd,
-    reference_fd_step,
     resolve_time_step,
 )
 
@@ -172,7 +169,7 @@ class TestStep:
 
         buf = ig.initialize_history(w0)
         lagged = tr.analyze(DiskField.from_polar(ig.grid, lambda r, th: w0(-tau, r, th)))
-        head = SpectralField(ig.bases, buf.coeffs[:, 0], buf.coeffs[1:, 1])
+        head = SpectralField(ig.bases, buf.coeffs)
         _, source = rhs(buf.t_head, head, tr.synthesize(lagged), spec, tr)
         expected = np.exp(-sigma * tau) * buf.coeffs[0, 0, 1]
         assert tr.analyze_values(source.values)[0, 0, 1] == pytest.approx(expected, abs=1e-9)
@@ -225,7 +222,7 @@ class TestCoefficientSource:
         for s in range(7):
             if s in (0, 6):
                 lagged = DiskField(ig.grid, tr.synthesize_values(states[0]))
-                head = SpectralField(ig.bases, buf.coeffs[:, 0], buf.coeffs[1:, 1])
+                head = SpectralField(ig.bases, buf.coeffs)
                 _, field = rhs(buf.t_head, head, lagged, ig.spec, tr)
                 expected = tr.analyze_values(field.values)
                 scale = np.max(np.abs(expected))
@@ -381,7 +378,7 @@ class TestBlockedDriver:
         )
         for got, want in zip(columns, rows):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        got = pack(result.final_state.a, result.final_state.b)
+        got = result.final_state.coeffs
         assert np.max(np.abs(got - buf.coeffs)) <= 1e-12 * np.max(np.abs(buf.coeffs[:, 0]))
         final = samples[-1]
         assert np.max(np.abs(result.final_field.values - final)) <= 1e-12 * np.max(np.abs(final))
@@ -489,8 +486,7 @@ class TestBlockedDriver:
         for other in runs[1:]:
             for attr in ("times", "max_density", "min_density", "total_population", "dwdt_norm"):
                 assert np.array_equal(getattr(first, attr), getattr(other, attr))
-            assert np.array_equal(first.final_state.a, other.final_state.a)
-            assert np.array_equal(first.final_state.b, other.final_state.b)
+            assert np.array_equal(first.final_state.coeffs, other.final_state.coeffs)
             assert np.array_equal(first.final_field.values, other.final_field.values)
             for (t1, f1), (t2, f2) in zip(first.snapshots, other.snapshots, strict=True):
                 assert t1 == t2 and np.array_equal(f1.values, f2.values)
@@ -767,48 +763,49 @@ class TestIntegrate:
         )
 
 
+def fd_config(n_r, n_theta, dt, t_end=None):
+    """The FD scheme on an n_r x n_theta mesh, recording every dt up to
+    t_end (default: one record at dt)."""
+    return SolverConfig(
+        dt=dt,
+        t_end=dt if t_end is None else t_end,
+        scheme=Scheme.REFERENCE_FD,
+        fd_n_r=n_r,
+        fd_n_theta=n_theta,
+    )
+
+
 class TestReferenceFD:
     def test_zero_field_stays_zero(self):
         spec = forced_spec(forcing=lambda t: 0.0)
-        fd = FDGrid(1.0, 16, 8)
-        values = np.zeros((16, 8))
-        out = reference_fd_step(values, spec, fd, 0.5 * fd_stability_limit(spec, fd))
-        assert np.all(out == 0.0)
+        result = integrate(spec, fd_config(16, 8, 0.01), lambda t, r, th: np.zeros_like(r))
+        assert np.all(result.final_field.values == 0.0)
+        assert np.all(result.max_density == 0.0) and np.all(result.min_density == 0.0)
 
     def test_constant_conserved_under_zero_flux(self):
         spec = forced_spec(forcing=lambda t: 0.0, mortality=0.0)
-        fd = FDGrid(1.0, 16, 8)
-        values = np.full((16, 8), 0.7)
-        out = reference_fd_step(values, spec, fd, 0.5 * fd_stability_limit(spec, fd))
-        assert np.array_equal(out, values)
-
-    def test_stability_bound_enforced(self):
-        spec = forced_spec()
-        fd = FDGrid(1.0, 16, 8)
-        with pytest.raises(ValueError, match="stability"):
-            reference_fd_step(np.zeros((16, 8)), spec, fd, 10.0 * fd_stability_limit(spec, fd))
+        result = integrate(spec, fd_config(16, 8, 0.01), lambda t, r, th: np.full_like(r, 0.7))
+        assert np.array_equal(result.final_field.values, np.full((16, 8), 0.7))
 
     def test_eigenmode_decay_rate_within_one_percent(self):
         spec = forced_spec(
             forcing=lambda t: 0.0, diffusion=1.0, mortality=0.0, bc=DIRICHLET, delay=0.0
         )
-        fd = FDGrid(1.0, 128, 8)
         k = 2.404825557695773
         lam = spec.diffusion * k**2
-        r, _ = fd.mesh()
-        values = jv(0, k * r) * np.ones((fd.n_r, fd.n_theta))
         t_end = 0.02
-        final, _ = integrate_fd(spec, fd, values, t_end)
-        rate = -np.log(final[0, 0] / values[0, 0]) / t_end
+        result = integrate(spec, fd_config(128, 8, t_end), lambda t, r, th: jv(0, k * r))
+        initial = result.snapshots[0][1].values
+        rate = -np.log(result.final_field.values[0, 0] / initial[0, 0]) / t_end
         assert abs(rate - lam) / lam < 0.01
 
     def test_laplacian_of_radial_quadratic(self):
         # Laplacian(r^2) = 4; the conservative stencil reproduces it
         # exactly away from the boundary row.
         spec = forced_spec(forcing=lambda t: 0.0)
-        fd = FDGrid(1.0, 64, 8)
-        r, _ = fd.mesh()
-        lap = fd_laplacian(r**2 * np.ones((fd.n_r, fd.n_theta)), spec, fd)
+        grid = DiskGrid.cell_centered(1.0, 64, 8)
+        r, _ = grid.mesh()
+        lap = fd_laplacian(r**2, spec, grid)
         assert_allclose(lap[:-1], 4.0, rtol=1e-10)
 
     def test_maturation_variant_without_delay(self):
@@ -822,13 +819,46 @@ class TestReferenceFD:
             n_max=2,
             j_max=4,
         )
-        fd = FDGrid(1.0, 24, 12)
-        values = np.full((24, 12), 1.0)
-        dt = 0.5 * fd_stability_limit(spec, fd)
-        out = reference_fd_step(values, spec, fd, dt)
+        dt = 0.5 * fd_stability_limit(spec, DiskGrid.cell_centered(1.0, 24, 12))
+        result = integrate(spec, fd_config(24, 12, dt), lambda t, r, th: np.ones_like(r))
+        assert result.dt == dt  # one Euler step
         # Flat field: diffusion is silent and the source is survival * w,
         # up to the midpoint-quadrature accuracy of the projection.
-        assert_allclose((out - 1.0) / dt, 0.5, rtol=1e-2)
+        assert_allclose((result.final_field.values - 1.0) / dt, 0.5, rtol=1e-2)
+
+    def test_radial_source_is_the_order_zero_reduction(self):
+        # The radial variant's source reads the angular mean of the field
+        # only, as rhs and the spectral solver do; one Euler step recovers it.
+        spec = forced_spec(
+            variant=Variant.RADIAL,
+            bc=DIRICHLET,
+            birth=Logistic(2.0, 1.0),
+            diffusion=1.0,
+            mortality=0.1,
+            survival=0.8,
+            spread=0.02,
+            delay=0.0,
+            n_max=3,
+            j_max=8,
+        )
+        grid = DiskGrid.cell_centered(1.0, 24, 12)
+        dt = 0.5 * fd_stability_limit(spec, grid)
+
+        def w0(t, r, th):
+            return 0.4 + 0.3 * r * np.cos(th) + 0.2 * r**2 * np.sin(2.0 * th)
+
+        result = integrate(spec, fd_config(24, 12, dt), w0)
+        assert result.dt == dt
+        values = result.snapshots[0][1].values
+        source = (result.final_field.values - values) / dt
+        source += spec.mortality * values - spec.diffusion * fd_laplacian(values, spec, grid)
+        bases = build_bases(spec.n_max, spec.j_max, spec.radius, spec.bc)
+        transform = DiskTransform(grid, bases)
+        _, expected = rhs(0.0, SpectralField.zeros(bases), DiskField(grid, values), spec, transform)
+        scale = np.max(np.abs(expected.values))
+        assert scale > 0.1
+        assert np.max(np.abs(source - expected.values)) <= 1e-9 * scale
+        assert np.max(np.ptp(source, axis=1)) <= 1e-9 * scale
 
     def test_maturation_runs_build_bases_once(self, monkeypatch):
         calls = []
@@ -846,14 +876,7 @@ class TestReferenceFD:
             n_max=2,
             j_max=4,
         )
-        fd = FDGrid(1.0, 12, 8)
-        integrate_fd(spec, fd, np.ones((12, 8)), 20 * fd_stability_limit(spec, fd))
-        assert len(calls) == 1
-        calls.clear()
-        config = SolverConfig(
-            dt=0.002, t_end=0.004, scheme=Scheme.REFERENCE_FD, fd_n_r=12, fd_n_theta=8
-        )
-        integrate(spec, config, lambda t, r, th: np.ones_like(r))
+        integrate(spec, fd_config(12, 8, 0.002, 0.004), lambda t, r, th: np.ones_like(r))
         assert len(calls) == 1
 
     def test_maturation_reference_caps_truncation_to_mesh(self):
@@ -874,12 +897,11 @@ class TestReferenceFD:
         assert np.all(np.isfinite(result.final_field.values))
 
     def test_maturation_variant_with_delay_requires_lagged(self):
+        # The FD scheme keeps no past fields, so a maturation variant with a
+        # delay has no lagged field to read and is rejected before stepping.
         spec = forced_spec(variant=Variant.FULL_ZERO_FLUX, birth=Identity(), delay=1.0)
-        fd = FDGrid(1.0, 16, 8)
         with pytest.raises(ValueError, match="delay"):
-            reference_fd_step(
-                np.zeros((16, 8)), spec, fd, 0.5 * fd_stability_limit(spec, fd)
-            )
+            integrate(spec, fd_config(16, 8, 0.01), lambda t, r, th: np.zeros_like(r))
 
 
 @pytest.mark.slow

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.special import jv
 
 from diskrd.bessel import BoundaryCondition
-from oracles import loop_analyze, loop_synthesize, two_term_l2
+from oracles import loop_analyze, loop_synthesize, pack, two_term_l2
 from diskrd.transform import (
     DiskField,
     DiskGrid,
@@ -17,11 +17,9 @@ from diskrd.transform import (
     analyze_radial,
     build_bases,
     default_grid,
-    pack,
     synthesize_on,
     synthesize_radial,
     field_csv_prefixes,
-    write_coefficients_csv,
     write_field_csv,
 )
 
@@ -133,9 +131,9 @@ class TestSynthesize:
 
     def test_single_mode_scaling(self, small_setup):
         grid, bases, tr = small_setup
-        coeffs = SpectralField.zeros(bases)
-        coeffs.a[0, 0] = 2.0
-        field = tr.synthesize(coeffs)
+        c = np.zeros((5, 2, 6))
+        c[0, 0, 0] = 2.0
+        field = tr.synthesize(SpectralField(bases, c))
         k = bases[0].eigenvalues[0]
         expected = 2.0 * jv(0, k * grid.r_nodes)
         assert_allclose(field.values[:, 3], expected, atol=1e-13)
@@ -150,9 +148,7 @@ class TestSynthesize:
     def test_synthesize_on_matches_grid_synthesis(self, small_setup):
         grid, bases, tr = small_setup
         rng = np.random.default_rng(3)
-        coeffs = SpectralField(
-            bases, rng.uniform(-1, 1, (5, 6)), rng.uniform(-1, 1, (4, 6))
-        )
+        coeffs = SpectralField(bases, pack(rng.uniform(-1, 1, (5, 6)), rng.uniform(-1, 1, (4, 6))))
         direct = synthesize_on(coeffs, grid.r_nodes, grid.theta_nodes)
         assert_allclose(direct, tr.synthesize(coeffs).values, atol=1e-12)
 
@@ -279,29 +275,60 @@ class TestRadialPath:
 
 
 class TestSpectralField:
-    def test_radial_flag(self):
-        bases = build_bases(2, 3, 1.0, DIRICHLET)
-        coeffs = SpectralField.zeros(bases)
-        coeffs.a[0, 1] = 1.0
-        assert coeffs.is_radial()
-        coeffs.a[1, 0] = 1e-6
-        assert not coeffs.is_radial()
-
     def test_rejects_wrong_shapes(self):
         bases = build_bases(2, 3, 1.0, DIRICHLET)
-        with pytest.raises(ValueError):
-            SpectralField(bases, np.zeros((3, 3)), np.zeros((1, 3)))
+        for shape in [(3, 3), (2, 2, 3), (3, 2, 4), (3, 3, 3), (3, 2, 1, 3)]:
+            with pytest.raises(ValueError, match="does not match"):
+                SpectralField(bases, np.zeros(shape))
+
+    def test_rejects_nonzero_order_zero_sine_slot(self):
+        bases = build_bases(2, 3, 1.0, DIRICHLET)
+        c = np.zeros((3, 2, 3))
+        c[0, 1, 2] = 1e-300
+        with pytest.raises(ValueError, match="order-0 sine"):
+            SpectralField(bases, c)
+        c[0, 1, 2] = -0.0
+        assert SpectralField(bases, c).coeffs[0, 1, 2] == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        bases = build_bases(2, 3, 1.0, DIRICHLET)
+        c = np.zeros((3, 2, 3))
+        c[2, 1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SpectralField(bases, c)
+
+    def test_a_and_b_are_read_only_views(self):
+        bases = build_bases(2, 3, 1.0, DIRICHLET)
+        c = pack(np.arange(9.0).reshape(3, 3), -np.arange(6.0).reshape(2, 3))
+        field = SpectralField(bases, c)
+        c[1, 0, 0] = 99.0  # the field holds its own copy
+        assert np.array_equal(field.a, np.arange(9.0).reshape(3, 3))
+        assert np.array_equal(field.b, -np.arange(6.0).reshape(2, 3))
+        for view in (field.coeffs, field.a, field.b):
+            assert np.shares_memory(view, field.coeffs)
+            with pytest.raises(ValueError, match="read-only"):
+                view[-1, -1] = 1.0
+
+    def test_analyze_synthesize_round_trip(self, small_setup):
+        grid, bases, tr = small_setup
+        rng = np.random.default_rng(21)
+        c = pack(rng.uniform(-1.0, 1.0, (5, 6)), rng.uniform(-1.0, 1.0, (4, 6)))
+        field = tr.synthesize(SpectralField(bases, c))
+        analysed = tr.analyze(field)
+        assert analysed.coeffs.shape == (5, 2, 6)
+        assert np.all(analysed.coeffs[0, 1] == 0.0)
+        assert np.max(np.abs(analysed.coeffs - c)) < 1e-8
+        assert np.max(np.abs(tr.synthesize(analysed).values - field.values)) < 1e-8
 
     def test_weighted_l2_matches_quadrature(self):
         bases = build_bases(3, 5, 1.0, ZERO_FLUX)
         grid = default_grid(bases)
         tr = DiskTransform(grid, bases)
         rng = np.random.default_rng(9)
-        coeffs = SpectralField(
-            bases, rng.uniform(-1, 1, (4, 5)), rng.uniform(-1, 1, (3, 5))
-        )
+        coeffs = SpectralField(bases, pack(rng.uniform(-1, 1, (4, 5)), rng.uniform(-1, 1, (3, 5))))
         field = tr.synthesize(coeffs)
-        assert tr.weighted_l2(pack(coeffs.a, coeffs.b)) == pytest.approx(
+        assert tr.weighted_l2(coeffs.coeffs) == pytest.approx(
             np.sqrt(grid.integrate(field.values**2)), rel=1e-8
         )
 
@@ -409,13 +436,3 @@ class TestCSV:
         lines = path.read_text().splitlines()
         assert lines[0] == "r,theta,value"
         assert len(lines) == 1 + 4 * 3
-
-    def test_coefficient_dump(self, tmp_path):
-        bases = build_bases(1, 2, 1.0, DIRICHLET)
-        coeffs = SpectralField.zeros(bases)
-        coeffs.a[1, 0] = 0.5
-        path = tmp_path / "coeffs.csv"
-        write_coefficients_csv(coeffs, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "n,j,a,b"
-        assert len(lines) == 1 + 2 * 2
