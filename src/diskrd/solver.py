@@ -22,6 +22,16 @@ order and index only, and are packed the same way. So each state costs one
 AB2 stage, one update and one blow-up maximum, and a block advances all its
 states under one ``np.errstate`` (a lagged birth law runs under one more).
 
+The recruitment damping underflows to exactly 0 past some radial index, so
+births are analysed only up to the last index with a nonzero damping
+factor. Where the source is 0 past some index (``full_*`` with a
+density-dependent birth law, or a seeded birth or forcing mode that is 0
+there), each block is synthesised only up to its stack's last nonzero
+index; that index shrinks once the full-width tail of the analysed initial
+state has decayed. The damped births of ``full_*``, the decay factors and,
+where a block scans, its stepped coefficients are stored as 0 below the
+smallest normal float, so no subnormal operand slows a transform.
+
 A deliberately simple finite-difference integrator on the cell-centered
 polar mesh ``DiskGrid.cell_centered`` (forward Euler, conservative
 five-point Laplacian) is an independent cross-check, run by ``integrate``
@@ -40,7 +50,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .bessel import BesselBasis, BoundaryKind
-from .kernel import damped_births, damping_factors, maturation_term_radial
+from .kernel import damped_births, damping_factors
 from .model import ModelSpec, ModeSeed, Variant, forcing_profile, linear_rates
 from .model import rhs  # noqa: F401  (bound here for tools that wrap solver.rhs)
 from .transform import DiskField, DiskGrid, DiskTransform, SpectralField, build_bases, default_grid
@@ -62,6 +72,8 @@ CONVERGED_STREAK = 100
 # Byte budget for the two value-sized stacks a block keeps live at once
 # (its grid samples and their angular moments): 5 states on a 194 x 66 grid.
 _BLOCK_BYTES = 1 << 20
+# Magnitudes below the smallest normal float are stored as 0 (see _flush).
+_TINY = np.finfo(float).tiny
 _FORCED = (Variant.MODE_FORCED, Variant.MODE_FORCED_BIRTH)
 
 
@@ -206,7 +218,7 @@ class SpectralIntegrator:
         self.dt, self.lag_steps = resolve_time_step(config.dt, spec.delay)
         # Per-mode factors in the packed layout. They are finite and every
         # source is 0 at the order-0 sine slot, so that slot stays exactly 0.
-        self._decay = np.exp(-self.rates * self.dt)
+        self._decay = _flush(np.exp(-self.rates * self.dt))
         self._phi = _phi1(self.rates, self.dt)
         self._damp = damping_factors(self.bases, spec.survival, spec.spread)
         # Static source pieces: the damped forcing mode scaled by f(t), or a
@@ -215,16 +227,30 @@ class SpectralIntegrator:
         # Birth law applied to the head (forced birth) or to each state as it
         # enters the ring (maturation variants); None where no law applies.
         self._local_birth = self._lagged_birth = None
+        # The source is 0 past radial index ``_reach``. For lagged births that
+        # is where every damping factor has underflowed to 0, and they are
+        # analysed that wide only. The forced birth and the radial births are
+        # taken to span every index.
+        self._reach = spec.j_max
         birth = spec.birth
         if spec.variant in _FORCED:
             unit = spec.forcing_damping() * forcing_profile(spec, self.grid)
             self._forcing = self.transform.analyze_values(unit)
             if spec.variant is Variant.MODE_FORCED_BIRTH:
                 self._local_birth = birth
+            else:
+                self._reach = _span(self._forcing)
         elif isinstance(birth, ModeSeed):
-            self._seed = self._damp * self.transform.analyze_values(birth.profile(self.grid))
+            self._seed = _flush(self._damp * self.transform.analyze_values(birth.profile(self.grid)))
+            self._reach = _span(self._seed)
         else:
             self._lagged_birth = birth
+            if spec.variant is not Variant.RADIAL:
+                self._reach = _span(self._damp)
+        # Past ``_reach`` the states are 0 once the tail of the analysed
+        # initial state has decayed, so ``step`` synthesises each block up to
+        # its stack's last nonzero index.
+        self._scan = self._reach < spec.j_max
         cap = max(1, _BLOCK_BYTES // (2 * self.grid.n_r * self.grid.n_theta * 8))
         if self._local_birth is not None:
             self.block = 1
@@ -282,11 +308,14 @@ class SpectralIntegrator:
                 # A batched transform overflows only near the float range;
                 # such an overflow is reported at the block's first step.
                 m = 0
+                births = np.zeros(stack.shape)
                 if radial:
-                    births = np.zeros_like(stack)
                     births[0, 0] = self._damp[0, 0] * self.transform.analyze_profile(samples)
                 else:
-                    births = self._damp[:, :, None] * self.transform.analyze_values(samples)
+                    reach = self._reach
+                    analysis = self.transform.analyze_values(samples, reach)
+                    live = births[..., :reach]
+                    _flush(np.multiply(self._damp[:, :, None, :reach], analysis, out=live))
         except FloatingPointError:
             raise BlowUpError((first + m) * self.dt, step_index + m, math.inf) from None
         return [births[:, :, m] for m in range(len(samples))]
@@ -349,8 +378,9 @@ class SpectralIntegrator:
             states = len(peaks)
             stack = stack[:, :, :states]
             if states:
+                width = _span(_flush(stack)) if self._scan else None
                 try:
-                    values = self.transform.synthesize_values(stack, self._values[:states])
+                    values = self.transform.synthesize_values(stack, self._values[:states], width)
                 except FloatingPointError:
                     # Only coefficients near the float range overflow here.
                     raise BlowUpError(first * self.dt, step_index, math.inf) from None
@@ -382,6 +412,24 @@ class SpectralIntegrator:
             self.step(buffer, i, min(self.block, n_steps + 1 - i), recorder.record)
         final_state = SpectralField(self.bases, buffer.coeffs)
         return recorder.result(final_state, buffer.values, self.spec, self.dt)
+
+
+def _flush(coeffs: np.ndarray) -> np.ndarray:
+    """Set the subnormal entries of ``coeffs`` to 0 in place and return it.
+
+    On x86 an arithmetic operation on a subnormal operand can take a
+    hundred times longer than on a normal one, and so small a term changes
+    no sum it enters.
+    """
+    coeffs[np.abs(coeffs) < _TINY] = 0.0
+    return coeffs
+
+
+def _span(coeffs: np.ndarray) -> int:
+    """One past the last radial index (last axis) where ``coeffs`` is
+    nonzero, or 0 if it is 0 everywhere."""
+    nonzero = np.flatnonzero(coeffs.any(axis=tuple(range(coeffs.ndim - 1))))
+    return int(nonzero[-1]) + 1 if nonzero.size else 0
 
 
 def _step_count(t_end: float, dt: float) -> int:
@@ -550,8 +598,9 @@ class _FDStepper:
 
     Forced variants scale the damped seeded-mode profile by f(t); the
     maturation variants, which it accepts only without delay, evaluate the
-    spectral kernel through ``transform``: the full variants on the whole
-    field, the radial variant on its angular mean, as ``model.rhs`` does.
+    spectral kernel through ``transform`` and its stored tables: the full
+    variants on the whole field, the radial variant on its angular mean, as
+    ``model.rhs`` does.
     """
 
     def __init__(self, spec: ModelSpec, transform: DiskTransform):
@@ -572,11 +621,9 @@ class _FDStepper:
             if spec.variant is Variant.MODE_FORCED_BIRTH and spec.birth is not None:
                 source = source + np.asarray(spec.birth(values), dtype=float)
         elif spec.variant is Variant.RADIAL:
-            basis = self.transform.bases[0]
-            profile = values.mean(axis=1)
-            source = maturation_term_radial(
-                profile, spec.birth, spec.survival, spec.spread, basis, self.grid
-            )[:, None]
+            births = np.asarray(spec.birth(values.mean(axis=1)), dtype=float)
+            coeffs = self._damp[0, 0] * self.transform.analyze_profile(births)
+            source = self.transform.synthesize_profile(coeffs)[:, None]
         else:
             lagged, birth = values, spec.birth
             if isinstance(birth, ModeSeed):

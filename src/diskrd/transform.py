@@ -261,8 +261,10 @@ class DiskTransform:
 
         self.grid = grid
         self.bases = bases
-        # J[n, j, i] = J_n(k_nj r_i), shared by analysis and synthesis.
+        # J[n, j, i] = J_n(k_nj r_i), shared by analysis and synthesis; the
+        # analysis multiplies by its transposed view, one column per mode.
         self._j_table = radial_tables(bases, grid.r_nodes)
+        self._j_columns = self._j_table.transpose(0, 2, 1)
         self._weights = grid.r_weights * grid.r_nodes
         scale = np.full(n_max + 1, grid.theta_spacing / np.pi)
         scale[0] *= 0.5
@@ -316,10 +318,14 @@ class DiskTransform:
             self._scratch = np.empty(size)
         return self._scratch[:size]
 
-    def analyze_values(self, values: np.ndarray) -> np.ndarray:
+    def analyze_values(self, values: np.ndarray, width: int | None = None) -> np.ndarray:
         """Packed coefficients (n_max + 1, 2, j_max) of grid samples shaped
         (n_r, n_theta), or the packed stack (n_max + 1, 2, K, j_max) of K
         of them shaped (K, n_r, n_theta).
+
+        ``width`` (default j_max) keeps the leading ``width`` radial indices
+        only: the result's last axis is ``width`` long, and the radial stage
+        multiplies by that many columns of the J_n table.
         """
         n1, j_max, n_r = self._j_table.shape
         k = values.size // (n_r * self._shape[1])
@@ -327,19 +333,33 @@ class DiskTransform:
         np.matmul(self._trig, values.reshape(k * n_r, -1).T, out=moments)
         moments = moments.reshape(n1, 2 * k, n_r)
         moments *= self._weights
-        coeffs = np.matmul(moments, self._j_table.transpose(0, 2, 1)).reshape(n1, 2, k, j_max)
-        coeffs *= self._coef_scale
-        return coeffs if values.ndim == 3 else coeffs.reshape(n1, 2, j_max)
+        table, scale = self._j_columns, self._coef_scale
+        if width is None:
+            width = j_max
+        else:
+            table, scale = table[..., :width], scale[..., :width]
+        coeffs = np.matmul(moments, table).reshape(n1, 2, k, width)
+        coeffs *= scale
+        return coeffs if values.ndim == 3 else coeffs.reshape(n1, 2, width)
 
-    def synthesize_values(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def synthesize_values(
+        self, coeffs: np.ndarray, out: np.ndarray | None = None, width: int | None = None
+    ) -> np.ndarray:
         """Grid samples (n_r, n_theta) of packed coefficients, or the stack
         (K, n_r, n_theta) of a packed stack (n_max + 1, 2, K, j_max).
         ``out``, if given, is a C-contiguous array of the result's shape.
+
+        ``width`` (default j_max) sums the leading ``width`` radial indices
+        only, as if the rest were 0; a caller that knows its trailing
+        coefficients are 0 skips their share of the radial stage.
         """
         n1, j_max, n_r = self._j_table.shape
         k = coeffs.size // (2 * n1 * j_max)
         radial = self._work(k).reshape(n1, 2 * k, n_r)
-        np.matmul(coeffs.reshape(n1, 2 * k, j_max), self._j_table, out=radial)
+        packed, table = coeffs.reshape(n1, 2 * k, j_max), self._j_table
+        if width is not None:
+            packed, table = packed[..., :width], table[:, :width]
+        np.matmul(packed, table, out=radial)
         if out is None:
             out = np.empty(coeffs.shape[2:-1] + self._shape)
         elif not out.flags.c_contiguous:

@@ -140,6 +140,26 @@ class TestRun:
         assert run(cfg, out_dir=tmp_path / "out") == 1
         assert "blew up" in capsys.readouterr().err
 
+    def test_dead_band_blowup_exits_nonzero_without_traceback(self, tmp_path):
+        # Recruits past the 9th radial index are damped to exactly 0, and
+        # every recruit survives, so the field grows until it blows up.
+        cfg = write_config(
+            tmp_path,
+            "variant = full_zero_flux\nbc = zero_flux\nbirth = identity\nsurvival = 1.0\n"
+            "spread = 1.0\ndiffusion = 5.0\ndelay = 0.1\nn_max = 4\nj_max = 16\n"
+            "w0_value = 0.2\ndt = 0.05\nt_end = 1000.0\n",
+        )
+        src = Path(cli.__file__).resolve().parents[1]
+        code = "import sys, diskrd.cli; sys.exit(diskrd.cli.main(sys.argv[1:]))"
+        out = subprocess.run(
+            [sys.executable, "-c", code, "run", str(cfg), "--out", str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 1
+        assert "blew up" in out.stderr and "Traceback" not in out.stderr
+
     @pytest.mark.parametrize(
         "text, key",
         [

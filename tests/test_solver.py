@@ -11,6 +11,7 @@ from scipy.special import jv, lambertw
 from diskrd.bessel import BesselBasis, BoundaryCondition
 from diskrd.model import Identity, Logistic, ModelSpec, ModeSeed, RickerQuadratic, Variant, rhs
 from diskrd import solver
+from diskrd.kernel import damping_factors
 from diskrd.transform import DiskField, DiskGrid, DiskTransform, SpectralField, build_bases
 from diskrd.solver import (
     BlowUpError,
@@ -290,9 +291,9 @@ class TestCoefficientSource:
         calls = []
         original = DiskTransform.analyze_values
 
-        def counting(self, values):
+        def counting(self, values, width=None):
             calls.append(1)
-            return original(self, values)
+            return original(self, values, width)
 
         monkeypatch.setattr(DiskTransform, "analyze_values", counting)
         return calls
@@ -490,6 +491,130 @@ class TestBlockedDriver:
             assert np.array_equal(first.final_field.values, other.final_field.values)
             for (t1, f1), (t2, f2) in zip(first.snapshots, other.snapshots, strict=True):
                 assert t1 == t2 and np.array_equal(f1.values, f2.values)
+
+
+class TestDeadBand:
+    """Past the damped width every recruit is exactly 0: blocks analyse and
+    synthesise only the radial indices that can be nonzero."""
+
+    SPEC = dict(
+        variant=Variant.FULL_ZERO_FLUX,
+        birth=RickerQuadratic(0.25, 0.1),
+        spread=1.0,
+        delay=0.1,
+        n_max=4,
+        j_max=16,
+    )
+
+    @classmethod
+    def integrator(cls, **changes):
+        spec = forced_spec(**{**cls.SPEC, **changes})
+        return SpectralIntegrator(spec, SolverConfig(dt=0.02, t_end=2.0, snapshot_every=10))
+
+    @staticmethod
+    def ignore_width(monkeypatch):
+        """Transforms that take every radial index whatever the width."""
+        analyze, synthesize = DiskTransform.analyze_values, DiskTransform.synthesize_values
+
+        def full_analysis(self, values, width=None):
+            return analyze(self, values)[..., :width]
+
+        def full_synthesis(self, coeffs, out=None, width=None):
+            return synthesize(self, coeffs, out)
+
+        monkeypatch.setattr(DiskTransform, "analyze_values", full_analysis)
+        monkeypatch.setattr(DiskTransform, "synthesize_values", full_synthesis)
+
+    def test_matches_the_run_with_the_width_ignored(self, monkeypatch):
+        ig = self.integrator()
+        damp = damping_factors(ig.bases, ig.spec.survival, ig.spec.spread)
+        assert not np.any(damp[..., -1])  # the run has a dead band
+        got = ig.integrate(patch_w0)
+        self.ignore_width(monkeypatch)
+        want = self.integrator().integrate(patch_w0)
+        for attr in ("times", "max_density", "min_density", "total_population", "dwdt_norm"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+        assert np.array_equal(got.final_state.coeffs, want.final_state.coeffs)
+        for (t1, f1), (t2, f2) in zip(got.snapshots, want.snapshots, strict=True):
+            assert t1 == t2 and np.array_equal(f1.values, f2.values)
+
+    def test_ring_and_states_hold_no_subnormal(self):
+        tiny = np.finfo(float).tiny
+
+        def subnormal(coeffs):
+            return np.any((coeffs != 0.0) & (np.abs(coeffs) < tiny))
+
+        ig = self.integrator()
+        tr = ig.transform
+        damp = damping_factors(ig.bases, ig.spec.survival, ig.spec.spread)
+        buf = ig.initialize_history(drifting_patch)
+        for i in range(1, 101):
+            ig.step(buf, i)
+            assert not subnormal(buf.coeffs)
+            assert not any(subnormal(births) for births in buf.births)
+            # The newest births against a full-width analysis: equal, and 0
+            # exactly where the full-width product is below the normal range.
+            want = damp * tr.analyze_values(ig.spec.birth(tr.synthesize_values(buf.coeffs)))
+            got = buf.births[-1]
+            assert np.array_equal(got != 0.0, np.abs(want) >= tiny)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_subnormal_decay_factors_are_stored_as_zero(self):
+        tiny = np.finfo(float).tiny
+        # dt puts the fastest mode's exp(-lam dt) at e^-720, below the normal range.
+        lam = self.integrator().rates.max()
+        spec = forced_spec(**{**self.SPEC, "delay": 0.0})
+        ig = SpectralIntegrator(spec, SolverConfig(dt=720.0 / lam, t_end=1.0))
+        raw = np.exp(-ig.rates * ig.dt)
+        assert np.any((raw > 0.0) & (raw < tiny))
+        assert np.array_equal(ig._decay, np.where(raw < tiny, 0.0, raw))
+
+    def test_blocks_after_the_first_synthesise_fewer_columns(self, monkeypatch):
+        widths = []
+        synthesize = DiskTransform.synthesize_values
+
+        def recording(self, coeffs, out=None, width=None):
+            widths.append(width)
+            if width is not None:  # the skipped indices are 0, the last kept one is not
+                assert not np.any(coeffs[..., width:]) and np.any(coeffs[..., width - 1])
+            return synthesize(self, coeffs, out, width)
+
+        ig = self.integrator()
+        monkeypatch.setattr(DiskTransform, "synthesize_values", recording)
+        ig.integrate(patch_w0)
+        # The history's synthesis, then one per block of the 100 steps.
+        assert len(widths) == 1 + math.ceil(100 / ig.block)
+        assert all(width < ig.spec.j_max for width in widths[2:])
+
+    @pytest.mark.parametrize(
+        "changes",
+        [dict(variant=Variant.MODE_FORCED_BIRTH), dict(variant=Variant.RADIAL, bc=DIRICHLET)],
+        ids=["mode_forced_birth", "radial"],
+    )
+    def test_forced_birth_and_radial_never_scan(self, changes, monkeypatch):
+        ig = self.integrator(**changes)
+        scans = []
+        span = solver._span
+        monkeypatch.setattr(solver, "_span", lambda coeffs: scans.append(1) or span(coeffs))
+        ig.integrate(patch_w0)
+        assert scans == []
+
+    def test_births_overflow_is_a_blowup(self, monkeypatch):
+        # Every recruit survives, so the field grows until the analysis of
+        # its births overflows; no threshold applies.
+        spec = forced_spec(**{**self.SPEC, "birth": Identity(), "survival": 1.0})
+        config = SolverConfig(dt=0.05, t_end=1000.0, blowup_threshold=math.inf)
+
+        def first_blowup():
+            with pytest.raises(BlowUpError) as info:
+                SpectralIntegrator(spec, config).integrate(patch_w0)
+            return info.value
+
+        got = first_blowup()
+        self.ignore_width(monkeypatch)
+        want = first_blowup()
+        assert math.isinf(got.magnitude)
+        assert (got.step_index, got.t, got.magnitude) == (want.step_index, want.t, want.magnitude)
 
 
 class TestDelayOracle:

@@ -26,6 +26,7 @@ from diskrd.transform import (
 
 DIRICHLET = BoundaryCondition.dirichlet()
 ZERO_FLUX = BoundaryCondition.zero_flux()
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture(scope="module")
@@ -403,6 +404,67 @@ class TestPackedLayout:
             bounded = tr.weighted_l2(pack(scale * a, scale * b), scale)
         assert got == pytest.approx(want, rel=1e-14)
         assert bounded == pytest.approx(want, rel=1e-14)
+
+
+class TestWidth:
+    """``width`` restricts the radial stage to the leading radial indices."""
+
+    J_MAX = 8
+    TRANSFORMS = {
+        n_max: DiskTransform(default_grid(bases), bases)
+        for n_max, bases in ((n, build_bases(n, 8, 1.0, ZERO_FLUX)) for n in (0, 3))
+    }
+
+    @staticmethod
+    def shape(tr, k):
+        """Packed shape of one state (k = 0) or of a stack of k states."""
+        return (tr.n_max + 1, 2) + ((k,) if k else ()) + (tr.j_max,)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_max=st.sampled_from([0, 3]),
+        k=st.integers(0, 4),
+        width=st.integers(0, J_MAX),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_analysis_is_the_leading_columns(self, n_max, k, width, seed):
+        tr = self.TRANSFORMS[n_max]
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(-1.0, 1.0, ((k,) if k else ()) + (tr.grid.n_r, tr.grid.n_theta))
+        full = tr.analyze_values(values)
+        part = tr.analyze_values(values, width)
+        assert part.shape == full.shape[:-1] + (width,)
+        scale = np.max(np.abs(full))
+        assert np.max(np.abs(part - full[..., :width]), initial=0.0) <= 4 * EPS * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_max=st.sampled_from([0, 3]),
+        k=st.integers(0, 4),
+        width=st.integers(0, J_MAX),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_synthesis_of_a_zero_tail(self, n_max, k, width, seed):
+        tr = self.TRANSFORMS[n_max]
+        rng = np.random.default_rng(seed)
+        coeffs = rng.uniform(-1.0, 1.0, self.shape(tr, k))
+        coeffs[0, 1] = 0.0
+        coeffs[..., width:] = 0.0
+        full = tr.synthesize_values(coeffs)
+        part = tr.synthesize_values(coeffs, width=width)
+        assert part.shape == full.shape
+        # The field scale: the largest sum of |c_j J_n| any sample can reach.
+        scale = np.abs(coeffs).sum(axis=-1).sum(axis=(0, 1)).max()
+        assert np.max(np.abs(part - full)) <= 4 * EPS * scale
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_full_width_is_the_default_bit_for_bit(self, k):
+        tr = self.TRANSFORMS[3]
+        rng = np.random.default_rng(14)
+        values = rng.uniform(-1.0, 1.0, ((k,) if k else ()) + (tr.grid.n_r, tr.grid.n_theta))
+        coeffs = tr.analyze_values(values)
+        assert np.array_equal(tr.analyze_values(values, tr.j_max), coeffs)
+        assert np.array_equal(tr.synthesize_values(coeffs, width=tr.j_max), tr.synthesize_values(coeffs))
 
 
 class TestCSV:
