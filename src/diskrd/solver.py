@@ -23,14 +23,15 @@ AB2 stage, one update and one blow-up maximum, and a block advances all its
 states under one ``np.errstate`` (a lagged birth law runs under one more).
 
 The recruitment damping underflows to exactly 0 past some radial index, so
-births are analysed only up to the last index with a nonzero damping
-factor. Where the source is 0 past some index (``full_*`` with a
-density-dependent birth law, or a seeded birth or forcing mode that is 0
-there), each block is synthesised only up to its stack's last nonzero
-index; that index shrinks once the full-width tail of the analysed initial
-state has decayed. The damped births of ``full_*``, the decay factors and,
-where a block scans, its stepped coefficients are stored as 0 below the
-smallest normal float, so no subnormal operand slows a transform.
+the lagged births of ``full_*`` (a density-dependent birth law) are
+analysed only up to the last index with a nonzero damping factor, and each
+of its blocks is synthesised only up to its stack's last nonzero index;
+that index shrinks once the full-width tail of the analysed initial state
+has decayed. Every other source (forced, forced birth, seeded birth,
+radial) is taken to span every index, and its blocks transform every
+column. The damped births of ``full_*``, the decay factors and, where a
+block scans, its stepped coefficients are stored as 0 below the smallest
+normal float, so no subnormal operand slows a transform.
 
 A deliberately simple finite-difference integrator on the cell-centered
 polar mesh ``DiskGrid.cell_centered`` (forward Euler, conservative
@@ -227,10 +228,9 @@ class SpectralIntegrator:
         # Birth law applied to the head (forced birth) or to each state as it
         # enters the ring (maturation variants); None where no law applies.
         self._local_birth = self._lagged_birth = None
-        # The source is 0 past radial index ``_reach``. For lagged births that
-        # is where every damping factor has underflowed to 0, and they are
-        # analysed that wide only. The forced birth and the radial births are
-        # taken to span every index.
+        # The lagged births of ``full_*`` are 0 past radial index ``_reach``,
+        # where every damping factor has underflowed to 0, and are analysed
+        # that wide only. Every other source is taken to span every index.
         self._reach = spec.j_max
         birth = spec.birth
         if spec.variant in _FORCED:
@@ -238,11 +238,8 @@ class SpectralIntegrator:
             self._forcing = self.transform.analyze_values(unit)
             if spec.variant is Variant.MODE_FORCED_BIRTH:
                 self._local_birth = birth
-            else:
-                self._reach = _span(self._forcing)
         elif isinstance(birth, ModeSeed):
-            self._seed = _flush(self._damp * self.transform.analyze_values(birth.profile(self.grid)))
-            self._reach = _span(self._seed)
+            self._seed = self._damp * self.transform.analyze_values(birth.profile(self.grid))
         else:
             self._lagged_birth = birth
             if spec.variant is not Variant.RADIAL:

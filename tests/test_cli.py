@@ -11,6 +11,7 @@ from diskrd import cli
 from diskrd.cli import DEFAULTS, PRESETS, ConfigError, dump_eigen_table, main, parse_config, run
 from diskrd.bessel import BoundaryCondition, bessel_j, find_eigenvalues
 from diskrd.solver import SpectralIntegrator
+from diskrd.transform import DiskTransform
 
 from oracles import bessel_zero
 
@@ -140,25 +141,32 @@ class TestRun:
         assert run(cfg, out_dir=tmp_path / "out") == 1
         assert "blew up" in capsys.readouterr().err
 
-    def test_dead_band_blowup_exits_nonzero_without_traceback(self, tmp_path):
-        # Recruits past the 9th radial index are damped to exactly 0, and
-        # every recruit survives, so the field grows until it blows up.
+    def test_births_analysis_overflow_with_a_dead_band_exits_nonzero(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Recruits past the 9th radial index are damped to exactly 0, so the
+        # births are analysed 9 indices wide. The Ricker law maps w0 to a
+        # finite ~5e306 whose analysis overflows, while |c| stays far below
+        # the blow-up threshold.
+        overflowed = []
+        analyze = DiskTransform.analyze_values
+
+        def recording(self, values, width=None):
+            try:
+                return analyze(self, values, width)
+            except FloatingPointError:
+                overflowed.append(width)
+                raise
+
+        monkeypatch.setattr(DiskTransform, "analyze_values", recording)
         cfg = write_config(
             tmp_path,
-            "variant = full_zero_flux\nbc = zero_flux\nbirth = identity\nsurvival = 1.0\n"
-            "spread = 1.0\ndiffusion = 5.0\ndelay = 0.1\nn_max = 4\nj_max = 16\n"
-            "w0_value = 0.2\ndt = 0.05\nt_end = 1000.0\n",
+            "variant = full_zero_flux\nbirth = ricker_quadratic\nspread = 1.0\n"
+            "delay = 0.1\nw0_value = -6900\nn_max = 4\nj_max = 16\nt_end = 0.1\n",
         )
-        src = Path(cli.__file__).resolve().parents[1]
-        code = "import sys, diskrd.cli; sys.exit(diskrd.cli.main(sys.argv[1:]))"
-        out = subprocess.run(
-            [sys.executable, "-c", code, "run", str(cfg), "--out", str(tmp_path / "out")],
-            env=dict(os.environ, PYTHONPATH=str(src)),
-            capture_output=True,
-            text=True,
-        )
-        assert out.returncode == 1
-        assert "blew up" in out.stderr and "Traceback" not in out.stderr
+        assert run(cfg, out_dir=tmp_path / "out") == 1
+        assert overflowed and all(width < 16 for width in overflowed)
+        assert "blew up" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text, key",

@@ -588,10 +588,15 @@ class TestDeadBand:
 
     @pytest.mark.parametrize(
         "changes",
-        [dict(variant=Variant.MODE_FORCED_BIRTH), dict(variant=Variant.RADIAL, bc=DIRICHLET)],
-        ids=["mode_forced_birth", "radial"],
+        [
+            dict(variant=Variant.MODE_FORCED, birth=None),
+            dict(variant=Variant.MODE_FORCED_BIRTH),
+            dict(birth=SEED),
+            dict(variant=Variant.RADIAL, bc=DIRICHLET),
+        ],
+        ids=["mode_forced", "mode_forced_birth", "seeded_birth", "radial"],
     )
-    def test_forced_birth_and_radial_never_scan(self, changes, monkeypatch):
+    def test_only_lagged_full_births_scan(self, changes, monkeypatch):
         ig = self.integrator(**changes)
         scans = []
         span = solver._span
