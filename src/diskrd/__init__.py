@@ -6,7 +6,7 @@ The package decomposes into:
     transform  polar grids and the eigenfunction transform
     kernel     life-history integrals and the lagged maturation source
     model      birth laws, model variants, right-hand sides, equilibria
-    solver     exponential time stepping, lagged-births ring, FD cross-check
+    solver     exponential time stepping, births ring, FD cross-check
     cli        config-driven batch runner (``diskrd run``, ``diskrd eigen-table``)
 """
 

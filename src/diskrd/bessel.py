@@ -535,8 +535,6 @@ def find_eigenvalues(
     radius: float,
     bc: BoundaryCondition,
     count: int,
-    *,
-    max_count: int = MAX_EIGENVALUES,
 ) -> BesselBasis:
     """First ``count`` admissible wavenumbers of one angular order.
 
@@ -546,7 +544,7 @@ def find_eigenvalues(
     on a separate evaluation to a residual below 1e-10. The k = 0 constant
     mode is prepended when the boundary condition admits it.
     """
-    return find_bases((order,), radius, bc, count, max_count=max_count)[0]
+    return find_bases((order,), radius, bc, count)[0]
 
 
 def find_bases(
@@ -554,8 +552,6 @@ def find_bases(
     radius: float,
     bc: BoundaryCondition,
     count: int,
-    *,
-    max_count: int = MAX_EIGENVALUES,
 ) -> tuple[BesselBasis, ...]:
     """``find_eigenvalues`` for each of the ascending ``orders``, in one pass.
 
@@ -572,8 +568,8 @@ def find_bases(
         raise ValueError("orders must be a nonempty, strictly ascending sequence")
     if radius <= 0.0:
         raise ValueError("radius must be positive")
-    if not 1 <= count <= max_count:
-        raise ValueError(f"count must be in [1, {max_count}]")
+    if not 1 <= count <= MAX_EIGENVALUES:
+        raise ValueError(f"count must be in [1, {MAX_EIGENVALUES}]")
 
     a, b = bc.coefficients()
     step = np.pi / (4.0 * radius)

@@ -143,9 +143,12 @@ def parse_config(path) -> dict[str, str]:
 
 def _to_float(settings, key) -> float:
     try:
-        return float(settings[key])
+        value = float(settings[key])
     except ValueError as exc:
         raise ConfigError(f"config key {key}: {exc}") from None
+    if not np.isfinite(value):
+        raise ConfigError(f"config key {key}: expected a finite number, got {settings[key]!r}")
+    return value
 
 
 def _to_int(settings, key) -> int:

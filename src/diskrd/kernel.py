@@ -99,15 +99,10 @@ def maturation_term(
     survival: float,
     spread: float,
     bases: tuple[BesselBasis, ...],
-    transform: DiskTransform | None = None,
+    transform: DiskTransform,
 ) -> DiskField:
-    """Nonlocal maturation source produced by the lagged field.
-
-    The damped birth coefficients are resummed on the grid. Passing a
-    prebuilt transform avoids retabulating the basis functions.
-    """
-    if transform is None:
-        transform = DiskTransform(lagged.grid, bases)
+    """Nonlocal maturation source produced by the lagged field: the damped
+    birth coefficients resummed on the grid of ``transform``."""
     damp = damping_factors(bases, survival, spread)
     coeffs = damped_births(lagged.values, birth, damp, transform)
     return DiskField(transform.grid, transform.synthesize_values(coeffs))

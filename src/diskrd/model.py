@@ -40,7 +40,6 @@ __all__ = [
     "Variant",
     "ModelSpec",
     "linear_rates",
-    "forcing_profile",
     "rhs",
     "homogeneous_equilibria",
 ]
@@ -215,27 +214,19 @@ def linear_rates(spec: ModelSpec, bases: tuple[BesselBasis, ...]) -> np.ndarray:
     return spec.diffusion * k**2 + spec.mortality
 
 
-def forcing_profile(spec: ModelSpec, grid) -> np.ndarray:
-    """Unit spatial profile J_1(mode_k r) cos(theta) of the seeded mode."""
-    r, th = grid.mesh()
-    return bessel_j(1, spec.forcing_mode_k * r) * np.cos(th)
-
-
 def rhs(
     t: float,
     state: SpectralField,
     lagged: Optional[DiskField],
     spec: ModelSpec,
     transform: DiskTransform,
-    unit_forcing: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, DiskField]:
     """Time-derivative contribution split into (linear rates, source field).
 
     The linear part is the per-mode rate array; the source field gathers
     the variant's nonlocal / forced / local birth terms on the grid. The
     lagged field is the population at t - delay and is only consulted by
-    the maturation variants. ``unit_forcing`` lets callers reuse the
-    static seeded-mode profile instead of retabulating it.
+    the maturation variants.
     """
     rates = linear_rates(spec, transform.bases)
     grid = transform.grid
@@ -264,9 +255,7 @@ def rhs(
         values += out[:, None]
     else:
         amp = spec.forcing_damping() * spec.forcing_value(t)
-        if unit_forcing is None:
-            unit_forcing = forcing_profile(spec, grid)
-        values += amp * unit_forcing
+        values += amp * ModeSeed(spec.forcing_value, spec.forcing_mode_k).profile(grid)
         if spec.variant is Variant.MODE_FORCED_BIRTH and spec.birth is not None:
             current = transform.synthesize(state).values
             values += np.asarray(spec.birth(current), dtype=float)
@@ -325,32 +314,30 @@ def _lambert_w(z: float, branch: int) -> float:
     raise ArithmeticError(f"Lambert W did not converge at z = {z!r}, branch {branch}")
 
 
-def homogeneous_equilibria(spec: ModelSpec, w_scan_max: float | None = None) -> np.ndarray:
+def homogeneous_equilibria(spec: ModelSpec) -> np.ndarray:
     """Nonnegative roots of b(w) = mortality * w, the flat states of
     ``mode_forced_birth``.
 
     Closed forms: logistic ``K (1 - mu / r)`` when mu < r; Ricker
     ``w = -W_b(-d mu / s) / d`` on the real Lambert-W branches b = 0, -1 when
     -d mu / s >= -1/e. w = 0 is always included; roots at or beyond
-    ``w_scan_max`` (default 2 K for logistic, 10 / d for Ricker) are
-    dropped and roots within 1e-9 of each other are merged.
+    ``w_max`` (2 K for logistic, 10 / d for Ricker) are dropped and roots
+    within 1e-9 of each other are merged.
     """
     birth = spec.birth
     mu = spec.mortality
     if isinstance(birth, RickerQuadratic):
-        if w_scan_max is None:
-            w_scan_max = 10.0 / birth.decay
+        w_max = 10.0 / birth.decay
         z = -birth.decay * mu / birth.scale
         branches = (0, -1) if z >= -np.exp(-1.0) else ()
         candidates = [-_lambert_w(z, branch) / birth.decay for branch in branches]
     elif isinstance(birth, Logistic):
-        if w_scan_max is None:
-            w_scan_max = 2.0 * birth.capacity
+        w_max = 2.0 * birth.capacity
         candidates = [birth.capacity * (1.0 - mu / birth.rate)] if mu < birth.rate else []
     else:
         raise ValueError("equilibria are defined for the density-dependent birth laws")
 
-    roots = [0.0] + [float(w) for w in candidates if np.isfinite(w) and 0.0 < w < w_scan_max]
+    roots = [0.0] + [float(w) for w in candidates if np.isfinite(w) and 0.0 < w < w_max]
     unique = []
     for w in sorted(roots):
         if not unique or w - unique[-1] > 1e-9:

@@ -7,20 +7,28 @@ Adams-Bashforth weight under the phi1 integrating factor:
     c_new = exp(-lam dt) c + phi1(lam, dt) (3/2 N_t - 1/2 N_{t-dt}),
     phi1 = (1 - exp(-lam dt)) / lam   (dt in the lam -> 0 limit).
 
-The recruitment source at t reads only the damped births of the state
-at t - delay, so the delay is handled by a ring of those births, one per
-step; dt is rounded down so the delay is an integer number of steps and
-the lagged births are a lookup, never an interpolation. The next
-lag_steps + 1 states read only births already in the ring, so they are
-marched as one block (the method of steps), with one batched synthesis
-and one batched analysis of their births.
+Every source is one rule in coefficient space,
+
+    N_t = amplitude(t) * static + births[t],
+
+where ``static`` is a fixed mode (the damped forcing mode of the forced
+variants, or a seeded birth mode) and ``births[t]`` the analysed births of
+the state a birth law reads: the state at t - delay, damped per mode, for
+the maturation variants, and the head itself, undamped (lag 0), for the
+forced birth. So the marching state is coefficients only: the head and a
+ring of the births of the last lag + 1 states, each queued as its state is
+synthesised. dt is rounded down so the delay is an integer number of steps
+and the lagged births are a lookup, never an interpolation. The next
+lag + 1 states read only births already in the ring, so they are marched
+as one block (the method of steps), with one batched synthesis and one
+batched analysis of their births.
 
 Every coefficient array is packed (see ``transform``): one array
 (n_max + 1, 2, j_max) per state, cosine and sine slots side by side. The
 decay, the phi1 weight and the recruitment damping of a mode depend on its
 order and index only, and are packed the same way. So each state costs one
 AB2 stage, one update and one blow-up maximum, and a block advances all its
-states under one ``np.errstate`` (a lagged birth law runs under one more).
+states under one ``np.errstate`` (its birth law runs under one more).
 
 The recruitment damping underflows to exactly 0 past some radial index, so
 the lagged births of ``full_*`` (a density-dependent birth law) are
@@ -52,7 +60,7 @@ import numpy as np
 
 from .bessel import BesselBasis, BoundaryKind
 from .kernel import damped_births, damping_factors
-from .model import ModelSpec, ModeSeed, Variant, forcing_profile, linear_rates
+from .model import ModelSpec, ModeSeed, Variant, linear_rates
 from .model import rhs  # noqa: F401  (bound here for tools that wrap solver.rhs)
 from .transform import DiskField, DiskGrid, DiskTransform, SpectralField, build_bases, default_grid
 
@@ -125,17 +133,16 @@ def resolve_time_step(dt: float, delay: float) -> tuple[float, int]:
 class HistoryBuffer:
     """What one step reads: the head state and the births still to mature.
 
-    ``coeffs`` are the packed coefficients of the head state, ``values`` its
-    grid samples and ``peak`` an upper bound on |coeffs| (inf if unknown).
-    ``births`` holds the packed damped birth coefficients of the last
-    lag_steps + 1 states, oldest first, so ``births[m]`` is the source m
-    steps after the head time; it stays empty for the forced variants and
-    seeded births, whose source reads no past state.
+    ``coeffs`` are the packed coefficients of the head state and ``peak`` an
+    upper bound on |coeffs| (inf if unknown). ``births`` holds the packed
+    birth coefficients of the last lag + 1 states, oldest first, so
+    ``births[m]`` is the state-dependent source m steps after the head time;
+    it stays empty where no birth law applies (the forced variant and a
+    seeded birth, whose source reads no state).
     """
 
     dt: float
     coeffs: np.ndarray
-    values: np.ndarray
     births: deque
     steps: int = 0
     prev_source: Optional[np.ndarray] = None
@@ -182,19 +189,19 @@ class SimulationResult:
 class SpectralIntegrator:
     """Exact-linear/explicit-source marching of one configured model.
 
-    The source is built in coefficient space and each new state is
-    synthesised once; those grid values give its diagnostics row, the
-    forced-birth term, and the births it contributes once lagged
-    (``HistoryBuffer.births``). Steps run on packed coefficient arrays: a
-    ``SpectralField`` is built only for the result's ``final_state``.
+    The source is built in coefficient space (see the module docstring) and
+    each new state is synthesised once; those grid values give its
+    diagnostics row and the births it queues (``HistoryBuffer.births``).
+    Steps run on packed coefficient arrays: a ``SpectralField`` is built
+    only for the result's ``final_state``.
 
-    States are marched in blocks of ``block`` (method of steps): the
-    lagged source of the next lag_steps + 1 states is already queued, so a
-    block advances its coefficients one state at a time and then
-    synthesises, and analyses its births, in one call each. ``block`` is
-    min(lag_steps + 1, cap) for the density-dependent maturation variants,
-    the cap for the forced variant and a seeded birth (their source is known
-    for all t), and 1 for the forced birth, which reads the head state.
+    States are marched in blocks of ``block`` (method of steps): the births
+    the next lag + 1 states read are already queued, so a block advances its
+    coefficients one state at a time and then synthesises, and analyses its
+    births, in one call each. ``block`` is min(lag + 1, cap) where a birth
+    law applies (lag_steps for the maturation variants, 0 for the forced
+    birth), and the cap where none does (the forced variant and a seeded
+    birth, whose source is known for all t).
     """
 
     def __init__(
@@ -222,26 +229,29 @@ class SpectralIntegrator:
         self._decay = _flush(np.exp(-self.rates * self.dt))
         self._phi = _phi1(self.rates, self.dt)
         self._damp = damping_factors(self.bases, spec.survival, spec.spread)
-        # Static source pieces: the damped forcing mode scaled by f(t), or a
-        # seeded birth mode scaled by its amplitude at t - delay.
-        self._forcing = self._seed = None
-        # Birth law applied to the head (forced birth) or to each state as it
-        # enters the ring (maturation variants); None where no law applies.
-        self._local_birth = self._lagged_birth = None
+        # The fixed mode of the source and its time factor: the damped
+        # forcing mode scaled by f(t - delay), or a seeded birth mode by its
+        # amplitude at t - delay; None where the source has no fixed mode.
+        self._static = self._amplitude = None
+        # The birth law, the steps its births lag the source, and their
+        # per-mode damping (None: undamped); no law for a forced or seeded mode.
+        self._birth, self._birth_lag, self._birth_damp = None, 0, None
         # The lagged births of ``full_*`` are 0 past radial index ``_reach``,
         # where every damping factor has underflowed to 0, and are analysed
         # that wide only. Every other source is taken to span every index.
         self._reach = spec.j_max
         birth = spec.birth
         if spec.variant in _FORCED:
-            unit = spec.forcing_damping() * forcing_profile(spec, self.grid)
-            self._forcing = self.transform.analyze_values(unit)
+            seed = ModeSeed(spec.forcing_value, spec.forcing_mode_k)
+            unit = spec.forcing_damping() * seed.profile(self.grid)
+            self._static, self._amplitude = self.transform.analyze_values(unit), seed.amplitude
             if spec.variant is Variant.MODE_FORCED_BIRTH:
-                self._local_birth = birth
+                self._birth = birth  # reads the head: lag 0, undamped
         elif isinstance(birth, ModeSeed):
-            self._seed = self._damp * self.transform.analyze_values(birth.profile(self.grid))
+            self._static = self._damp * self.transform.analyze_values(birth.profile(self.grid))
+            self._amplitude = lambda t: float(birth.amplitude(t - spec.delay))
         else:
-            self._lagged_birth = birth
+            self._birth, self._birth_lag, self._birth_damp = birth, self.lag_steps, self._damp
             if spec.variant is not Variant.RADIAL:
                 self._reach = _span(self._damp)
         # Past ``_reach`` the states are 0 once the tail of the analysed
@@ -249,105 +259,103 @@ class SpectralIntegrator:
         # its stack's last nonzero index.
         self._scan = self._reach < spec.j_max
         cap = max(1, _BLOCK_BYTES // (2 * self.grid.n_r * self.grid.n_theta * 8))
-        if self._local_birth is not None:
-            self.block = 1
-        elif self._lagged_birth is not None:
-            self.block = min(self.lag_steps + 1, cap)
-        else:
-            self.block = cap
+        self.block = cap if self._birth is None else min(self._birth_lag + 1, cap)
         # Grid samples of one block, reused: the birth law overwrites them.
         self._values = np.empty((self.block, self.grid.n_r, self.grid.n_theta))
 
     def initialize_history(self, w0: Callable[[float, np.ndarray, np.ndarray], np.ndarray]) -> HistoryBuffer:
-        """Analyse w0(t, r, theta) at t = 0 and queue the births of [-delay, 0].
+        """Analyse w0(t, r, theta) at t = 0 and queue the births of the
+        history the birth law reads.
 
-        Only a density-dependent maturation source reads past states, so
-        only then is w0 sampled before t = 0, at t = i dt for
-        i = -lag_steps .. 0. A sample equal to the previous one reuses its
-        state and births, so a time-independent history costs one analysis.
+        Only a lagged birth law reads past states, so only then is w0 sampled
+        before t = 0, at t = i dt for i = -lag_steps .. 0. A sample equal to
+        the previous one reuses its state and births, so a time-independent
+        history costs one analysis. A sample is synthesised only for its
+        births; an overflow in its transforms is a blow-up at its step.
         """
         r, th = self.grid.mesh()
-        births = deque(maxlen=self.lag_steps + 1)
-        first = -self.lag_steps if self._lagged_birth is not None else 0
+        births = deque(maxlen=self._birth_lag + 1)
         sample = entry = None
-        for i in range(first, 1):
+        for i in range(-self._birth_lag, 1):
             raw = w0(i * self.dt, r, th)
             if entry is None or not np.array_equal(raw, sample):
                 sample = np.array(raw, dtype=float)  # a copy: w0 may reuse its array
                 values = DiskField(self.grid, sample + np.zeros_like(r)).values
-                coeffs = self.transform.analyze_values(values)
-                synthesized = self.transform.synthesize_values(coeffs)
-                stack = coeffs[:, :, None]
-                entry = (coeffs, synthesized, self._births(stack, synthesized[None].copy(), i, 0))
-            births.extend(entry[2])
-        coeffs, synthesized, _ = entry
-        return HistoryBuffer(self.dt, coeffs, synthesized, births, peak=float(np.abs(coeffs).max()))
+                try:
+                    with np.errstate(over="raise", invalid="raise"):
+                        coeffs = self.transform.analyze_values(values)
+                except FloatingPointError:
+                    raise BlowUpError(i * self.dt, i, math.inf) from None
+                entry = (coeffs, self._births(coeffs[:, :, None], None, i))
+            births.extend(entry[1])
+        coeffs = entry[0]
+        return HistoryBuffer(self.dt, coeffs, births, peak=float(np.abs(coeffs).max()))
 
-    def _births(self, stack: np.ndarray, values: np.ndarray, first: int, step_index: int) -> list:
-        """Packed damped birth coefficients, one per state of the packed stack
-        ``stack`` (sampled as ``values``), that each adds to the source once
-        it is the lagged state; empty where the source reads no past state.
+    def _births(self, stack: np.ndarray, values: np.ndarray | None, first: int) -> list:
+        """Packed birth coefficients, one per state of the packed stack
+        ``stack``, that each adds to the source once the birth law reads its
+        state; empty where no birth law applies.
 
-        State m is step ``first + m``: its birth law overwrites ``values[m]``,
-        and an overflow there is a blow-up at ``step_index + m``. The radial
-        variant keeps order zero only.
+        ``values`` are the states' grid samples (None: synthesised here),
+        which the birth law overwrites. State m is step ``first + m``, and an
+        overflow there is a blow-up at that step. The radial variant keeps
+        order zero only; the forced birth is analysed undamped at full width.
         """
-        birth = self._lagged_birth
+        birth, damp = self._birth, self._birth_damp
         if birth is None:
             return []
         radial = self.spec.variant is Variant.RADIAL
-        samples = self.transform.synthesize_profile(stack[0, 0]) if radial else values
         m = 0
         try:
             with np.errstate(over="raise", invalid="raise"):
+                if radial:
+                    samples = self.transform.synthesize_profile(stack[0, 0])
+                else:
+                    samples = self.transform.synthesize_values(stack) if values is None else values
                 for m, sample in enumerate(samples):
                     samples[m] = birth(sample)
                 # A batched transform overflows only near the float range;
                 # such an overflow is reported at the block's first step.
                 m = 0
-                births = np.zeros(stack.shape)
                 if radial:
-                    births[0, 0] = self._damp[0, 0] * self.transform.analyze_profile(samples)
+                    births = np.zeros(stack.shape)
+                    births[0, 0] = damp[0, 0] * self.transform.analyze_profile(samples)
+                elif damp is None:
+                    births = self.transform.analyze_values(samples)
                 else:
                     reach = self._reach
+                    births = np.zeros(stack.shape)
                     analysis = self.transform.analyze_values(samples, reach)
                     live = births[..., :reach]
-                    _flush(np.multiply(self._damp[:, :, None, :reach], analysis, out=live))
+                    _flush(np.multiply(damp[:, :, None, :reach], analysis, out=live))
         except FloatingPointError:
-            raise BlowUpError((first + m) * self.dt, step_index + m, math.inf) from None
+            raise BlowUpError((first + m) * self.dt, first + m, math.inf) from None
         return [births[:, :, m] for m in range(len(samples))]
 
     def source(self, buffer: HistoryBuffer, ahead: int = 0) -> np.ndarray:
-        """Packed source coefficients at the head time plus ``ahead`` steps.
-
-        The forced birth reads the head state, so it has no source ahead.
-        """
-        t = (buffer.steps + ahead) * self.dt
-        if self._forcing is not None:
-            src = self.spec.forcing_value(t) * self._forcing
-            if self._local_birth is not None:
-                births = np.asarray(self._local_birth(buffer.values), dtype=float)
-                src += self.transform.analyze_values(births)
-            return src
-        if self._seed is not None:
-            return float(self.spec.birth.amplitude(t - self.spec.delay)) * self._seed
-        return buffer.births[ahead]
+        """Packed source coefficients at the head time plus ``ahead`` steps:
+        amplitude(t) * static + births[ahead], each term where it applies."""
+        if self._static is None:
+            return buffer.births[ahead]
+        src = self._amplitude((buffer.steps + ahead) * self.dt) * self._static
+        if self._birth is not None:
+            src += buffer.births[ahead]
+        return src
 
     def step(
         self,
         buffer: HistoryBuffer,
-        step_index: int = 0,
         states: int = 1,
         record: Callable[[int, float, np.ndarray, float], None] | None = None,
     ) -> HistoryBuffer:
-        """Advance ``states`` dt steps (at most ``block``); the first step of
-        a run uses the one-step Euler weights.
+        """Advance ``states`` dt steps (at most ``block``) past the head; the
+        first step of a run uses the one-step Euler weights.
 
-        State m is step ``step_index + m``. Its coefficients are advanced and
-        checked for blow-up in order; a blow-up at state p is raised after
-        states 0 .. p-1 are finished. The states are then synthesised in one
-        call, passed to ``record(i, t, values, rate)``, and their births
-        analysed in one call.
+        State m is step ``buffer.steps + 1 + m``. Its coefficients are
+        advanced and checked for blow-up in order; a blow-up at state p is
+        raised after states 0 .. p-1 are finished. The states are then
+        synthesised in one call, passed to ``record(i, t, values, rate)``,
+        and their births analysed in one call.
         """
         if not 1 <= states <= self.block:
             raise ValueError(f"states must lie in [1, {self.block}]")
@@ -364,11 +372,11 @@ class SpectralIntegrator:
                     stage = src if prev is None else 1.5 * src - 0.5 * prev
                     coeffs = np.add(self._decay * coeffs, self._phi * stage, out=stack[:, :, m])
                 except FloatingPointError:
-                    blowup = BlowUpError((first + m) * self.dt, step_index + m, math.inf)
+                    blowup = BlowUpError((first + m) * self.dt, first + m, math.inf)
                     break
                 peak = float(np.abs(coeffs).max())
                 if not peak <= self.config.blowup_threshold:  # NaN fails too
-                    blowup = BlowUpError((first + m) * self.dt, step_index + m, peak)
+                    blowup = BlowUpError((first + m) * self.dt, first + m, peak)
                     break
                 prev = src
                 peaks.append(peak)
@@ -380,7 +388,7 @@ class SpectralIntegrator:
                     values = self.transform.synthesize_values(stack, self._values[:states], width)
                 except FloatingPointError:
                     # Only coefficients near the float range overflow here.
-                    raise BlowUpError(first * self.dt, step_index, math.inf) from None
+                    raise BlowUpError(first * self.dt, first, math.inf) from None
         if states:
             if record is not None:
                 coeffs, peak = buffer.coeffs, buffer.peak
@@ -388,11 +396,10 @@ class SpectralIntegrator:
                     # |difference| <= peaks[m] + peak bounds the norm's squares.
                     change = stack[:, :, m] - coeffs
                     rate = self.transform.weighted_l2(change, peaks[m] + peak) / self.dt
-                    record(step_index + m, (first + m) * self.dt, values[m], rate)
+                    record(first + m, (first + m) * self.dt, values[m], rate)
                     coeffs, peak = stack[:, :, m], peaks[m]
             buffer.coeffs, buffer.peak = stack[:, :, -1], peaks[-1]
-            buffer.values = values[-1].copy()
-            buffer.births.extend(self._births(stack, values, first, step_index))
+            buffer.births.extend(self._births(stack, values, first))
             buffer.prev_source = prev
             buffer.steps += states
         if blowup is not None:
@@ -403,12 +410,16 @@ class SpectralIntegrator:
         buffer = self.initialize_history(w0)
         n_steps = _step_count(self.config.t_end, self.dt)
         recorder = _Recorder(n_steps, self.grid, self.config)
-        recorder.record(0, 0.0, buffer.values, 0.0)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                values = self.transform.synthesize_values(buffer.coeffs)
+        except FloatingPointError:
+            raise BlowUpError(0.0, 0, math.inf) from None
+        recorder.record(0, 0.0, values, 0.0)
         # The partition depends on n_steps and the block length only.
-        for i in range(1, n_steps + 1, self.block):
-            self.step(buffer, i, min(self.block, n_steps + 1 - i), recorder.record)
-        final_state = SpectralField(self.bases, buffer.coeffs)
-        return recorder.result(final_state, buffer.values, self.spec, self.dt)
+        while buffer.steps < n_steps:
+            self.step(buffer, min(self.block, n_steps - buffer.steps), recorder.record)
+        return recorder.result(SpectralField(self.bases, buffer.coeffs), self.spec, self.dt)
 
 
 def _flush(coeffs: np.ndarray) -> np.ndarray:
@@ -456,9 +467,8 @@ class _Recorder:
             # A copy: the caller may reuse ``values`` once the row is taken.
             self.snapshots.append((t, DiskField(self.grid, values.copy())))
 
-    def result(
-        self, final_state: SpectralField, final_values: np.ndarray, spec: ModelSpec, dt: float
-    ) -> SimulationResult:
+    def result(self, final_state: SpectralField, spec: ModelSpec, dt: float) -> SimulationResult:
+        # The last row is always a snapshot: its field is the final one.
         times, max_density, min_density, total_population, dwdt_norm = self.rows
         return SimulationResult(
             times=times,
@@ -470,7 +480,7 @@ class _Recorder:
             converged=self.converged_at is not None,
             converged_at=self.converged_at,
             final_state=final_state,
-            final_field=DiskField(self.grid, final_values),
+            final_field=self.snapshots[-1][1],
             grid=self.grid,
             spec=spec,
             config=self.config,
@@ -526,7 +536,7 @@ def _integrate_reference(spec: ModelSpec, config: SolverConfig, w0) -> Simulatio
             raise BlowUpError(t, i, peak)
         rate = math.sqrt(grid.integrate((values - previous) ** 2)) / dt_fd
         recorder.record(i, t, values, rate)
-    return recorder.result(transform.analyze(DiskField(grid, values)), values, spec, dt_fd)
+    return recorder.result(transform.analyze(DiskField(grid, values)), spec, dt_fd)
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +617,8 @@ class _FDStepper:
         self.transform = transform
         self.grid = transform.grid
         if spec.variant in _FORCED:
-            self._unit = spec.forcing_damping() * forcing_profile(spec, self.grid)
+            seed = ModeSeed(spec.forcing_value, spec.forcing_mode_k)
+            self._unit = spec.forcing_damping() * seed.profile(self.grid)
         else:
             self._damp = damping_factors(transform.bases, spec.survival, spec.spread)
 

@@ -162,7 +162,7 @@ class TestLinearModeOracle:
             buf = ig.initialize_history(w0)
             c0 = buf.coeffs[n, 0, j - 1]
             for s in range(1, 101):
-                ig.step(buf, s)
+                ig.step(buf)
             err = abs(buf.coeffs[n, 0, j - 1] / c0 - np.exp(-lam)) / np.exp(-lam)
             worst = max(worst, err)
         report(

@@ -168,6 +168,33 @@ class TestRun:
         assert overflowed and all(width < 16 for width in overflowed)
         assert "blew up" in capsys.readouterr().err
 
+    def test_history_overflow_exits_nonzero(self, tmp_path, capsys):
+        # w0 is finite, but its analysis overflows before any step.
+        cfg = write_config(
+            tmp_path,
+            "variant = full_zero_flux\nbirth = identity\nn_max = 4\nj_max = 8\n"
+            "w0_value = 5e306\nt_end = 0.1\n",
+        )
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "blew up" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("w0_kind = constant\nw0_value = nan\n", "w0_value"),
+            ("radius = inf\n", "radius"),
+            ("dt = nan\n", "dt"),
+            ("t_end = inf\n", "t_end"),
+        ],
+        ids=["w0_value_nan", "radius_inf", "dt_nan", "t_end_inf"],
+    )
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, line, key):
+        cfg = write_config(tmp_path, SMALL_CONFIG.format(t_end="0.1") + line)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key {key}: ") and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "text, key",
         [
@@ -461,6 +488,13 @@ class TestMain:
         cfg = write_config(tmp_path, SMALL_CONFIG.format(t_end="0.0"))
         status = main(["run", str(cfg), "--out", str(tmp_path / "out")])
         assert status == 0
+
+
+class TestReadme:
+    def test_every_config_key_is_documented(self):
+        readme = Path(cli.__file__).resolve().parents[2] / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        assert [key for key in DEFAULTS if f"`{key}`" not in text] == []
 
 
 class TestImports:

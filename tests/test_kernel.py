@@ -59,11 +59,11 @@ def setup_zero_flux():
 
 class TestMaturationTerm:
     def test_eigenmode_is_scaled_eigenvector(self, setup_zero_flux):
-        grid, bases, _ = setup_zero_flux
+        grid, bases, tr = setup_zero_flux
         eps, alpha = 0.8, 0.05
         k = bases[0].eigenvalues[1]
         field = DiskField.from_polar(grid, lambda r, th: jv(0, k * r))
-        out = maturation_term(field, identity, eps, alpha, bases)
+        out = maturation_term(field, identity, eps, alpha, bases, tr)
         expected = eps * np.exp(-(k**2) * alpha) * field.values
         assert np.max(np.abs(out.values - expected)) < 1e-8
 

@@ -12,7 +12,6 @@ from diskrd.model import (
     RickerQuadratic,
     Variant,
     _lambert_w,
-    forcing_profile,
     homogeneous_equilibria,
     linear_rates,
     rhs,
@@ -385,6 +384,6 @@ class TestLambertW:
 class TestForcingProfile:
     def test_profile_shape(self, forced_setup):
         spec, _, tr = forced_setup
-        values = forcing_profile(spec, tr.grid)
+        values = ModeSeed(spec.forcing_value, spec.forcing_mode_k).profile(tr.grid)
         r, th = tr.grid.mesh()
         assert_allclose(values, jv(1, spec.forcing_mode_k * r) * np.cos(th))

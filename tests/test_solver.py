@@ -124,7 +124,7 @@ class TestStep:
         buf = ig.initialize_history(lambda t, r, th: jv(1, k * r) * np.cos(th))
         c0 = buf.coeffs[1, 0, 0]
         for s in range(1, 21):
-            ig.step(buf, s)
+            ig.step(buf)
             expected = np.exp(-lam * s * 0.5) * c0
             # Exponential integrator: exact per-mode decay for any dt.
             assert buf.coeffs[1, 0, 0] == pytest.approx(expected, rel=1e-12)
@@ -138,7 +138,7 @@ class TestStep:
         ig = SpectralIntegrator(spec, SolverConfig(dt=0.05, t_end=1.0))
         buf = ig.initialize_history(lambda t, r, th: np.zeros_like(r))
         for s in range(10):
-            ig.step(buf, s)
+            ig.step(buf)
         assert not np.any(buf.coeffs)
 
     def test_blowup_detection(self):
@@ -147,7 +147,7 @@ class TestStep:
         buf = ig.initialize_history(lambda t, r, th: np.zeros_like(r))
         with pytest.raises(BlowUpError):
             for s in range(50):
-                ig.step(buf, s)
+                ig.step(buf)
 
     def test_delayed_eigenmode_amplitude_in_source(self):
         # Exponentially growing single-mode history: the source must carry
@@ -228,7 +228,7 @@ class TestCoefficientSource:
                 expected = tr.analyze_values(field.values)
                 scale = np.max(np.abs(expected))
                 assert np.max(np.abs(ig.source(buf) - expected)) <= 1e-12 * scale
-            ig.step(buf, s + 1)
+            ig.step(buf)
             states.append(buf.coeffs)
 
     @pytest.mark.parametrize(
@@ -265,9 +265,9 @@ class TestCoefficientSource:
         ):
             monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
         for s in range(1, 6):
-            ig.step(buf, s)
+            ig.step(buf)
         # A whole block costs what one state does: one stacked call each.
-        ig.step(buf, 6, ig.block)
+        ig.step(buf, ig.block)
         assert counts == {
             "analyze": 6 * analyses,
             "synthesize": 6,
@@ -282,7 +282,7 @@ class TestCoefficientSource:
         buf = ig.initialize_history(drifting_patch)
         assert np.all(buf.coeffs[0, 1] == 0.0)
         for s in range(1, 51):
-            ig.step(buf, s)
+            ig.step(buf)
         assert np.all(buf.coeffs[0, 1] == 0.0)
         assert all(np.all(births[0, 1] == 0.0) for births in buf.births)
 
@@ -324,12 +324,14 @@ class TestCoefficientSource:
     @pytest.mark.parametrize("case", sorted(SOURCE_CASES))
     def test_births_queued_only_where_the_source_reads_them(self, case):
         ig = self.integrator(case)
-        reads_births = case in ("full_zero_flux", "full_dirichlet", "radial")
-        expected = ig.lag_steps + 1 if reads_births else 0
+        # The lagged births of the last lag_steps + 1 states; the forced
+        # birth reads the head's own births (lag 0); no law, no births.
+        reads_lagged = case in ("full_zero_flux", "full_dirichlet", "radial")
+        expected = ig.lag_steps + 1 if reads_lagged else int(case == "mode_forced_birth")
         buf = ig.initialize_history(drifting_patch)
         assert len(buf.births) == expected
         for s in range(1, 4):
-            ig.step(buf, s)
+            ig.step(buf)
             assert len(buf.births) == expected
 
 
@@ -352,7 +354,7 @@ class TestBlockedDriver:
         samples = [values]
         for i in range(1, round(ig.config.t_end / ig.dt) + 1):
             previous = buf.coeffs
-            ig.step(buf, i)
+            ig.step(buf)
             values = tr.synthesize_values(buf.coeffs)
             rate = tr.weighted_l2(buf.coeffs - previous) / ig.dt
             rows.append((buf.t_head, values.max(), values.min(), ig.grid.integrate(values), rate))
@@ -395,10 +397,10 @@ class TestBlockedDriver:
         assert ig.block == 5
         buf = ig.initialize_history(drifting_patch)
         recorder = solver._Recorder(10, ig.grid, ig.config)
-        ig.step(buf, 1, 5, recorder.record)
+        ig.step(buf, 5, recorder.record)
         taken = [(t, field.values.copy()) for t, field in recorder.snapshots]
         assert [t for t, _ in taken] == [2 * ig.dt, 4 * ig.dt]
-        ig.step(buf, 6, 5, recorder.record)
+        ig.step(buf, 5, recorder.record)
         for (t, before), (t_after, field) in zip(taken, recorder.snapshots):
             assert t == t_after and np.array_equal(field.values, before)
 
@@ -407,7 +409,7 @@ class TestBlockedDriver:
         ig = self.integrator(case)
         buf = ig.initialize_history(patch_w0)
         with pytest.raises(ValueError, match="states"):
-            ig.step(buf, 1, ig.block + 1)
+            ig.step(buf, ig.block + 1)
 
     @staticmethod
     def growing_spec(birth):
@@ -445,7 +447,7 @@ class TestBlockedDriver:
             ig = SpectralIntegrator(spec, config)
             buf = ig.initialize_history(patch_w0)
             for i in range(1, 2001):
-                ig.step(buf, i)
+                ig.step(buf)
 
         ig = SpectralIntegrator(spec, config)
         blocked = self.first_blowup(lambda: ig.integrate(patch_w0))
@@ -455,6 +457,14 @@ class TestBlockedDriver:
         assert (blocked.step_index - 1) % ig.block != 0  # raised mid-block
         assert math.isinf(blocked.magnitude) == (case != "coefficient_threshold")
 
+    def test_forced_birth_overflow_is_reported_at_its_state(self):
+        # The forced birth's law runs as its state enters the ring, so an
+        # overflow there is reported at that state: here the initial one.
+        spec = forced_spec(variant=Variant.MODE_FORCED_BIRTH, birth=np.exp)
+        ig = SpectralIntegrator(spec, SolverConfig(dt=0.05, t_end=1.0))
+        blowup = self.first_blowup(lambda: ig.integrate(lambda t, r, th: np.full_like(r, 1e3)))
+        assert (blowup.step_index, blowup.t, blowup.magnitude) == (0, 0.0, math.inf)
+
     def test_block_finishes_states_before_a_coefficient_blowup(self):
         config = SolverConfig(dt=0.05, t_end=100.0, blowup_threshold=20.0)
         ig = SpectralIntegrator(self.growing_spec(Identity()), config)
@@ -462,7 +472,7 @@ class TestBlockedDriver:
         buf = ig.initialize_history(patch_w0)
         for i in range(1, 2001):
             try:
-                ig.step(buf, i)
+                ig.step(buf)
             except BlowUpError as exc:
                 bad = exc.step_index
                 break
@@ -470,9 +480,9 @@ class TestBlockedDriver:
         buf = ig.initialize_history(patch_w0)
         first = bad - (bad - 1) % ig.block
         for i in range(1, first, ig.block):
-            ig.step(buf, i, ig.block)
+            ig.step(buf, ig.block)
         with pytest.raises(BlowUpError):
-            ig.step(buf, first, ig.block)
+            ig.step(buf, ig.block)
         # States first .. bad - 1 of the failing block were completed.
         assert buf.steps == bad - 1 > first - 1
         want = states[bad - 2]
@@ -549,7 +559,7 @@ class TestDeadBand:
         damp = damping_factors(ig.bases, ig.spec.survival, ig.spec.spread)
         buf = ig.initialize_history(drifting_patch)
         for i in range(1, 101):
-            ig.step(buf, i)
+            ig.step(buf)
             assert not subnormal(buf.coeffs)
             assert not any(subnormal(births) for births in buf.births)
             # The newest births against a full-width analysis: equal, and 0
@@ -582,9 +592,10 @@ class TestDeadBand:
         ig = self.integrator()
         monkeypatch.setattr(DiskTransform, "synthesize_values", recording)
         ig.integrate(patch_w0)
-        # The history's synthesis, then one per block of the 100 steps.
-        assert len(widths) == 1 + math.ceil(100 / ig.block)
-        assert all(width < ig.spec.j_max for width in widths[2:])
+        # The history's synthesis for its births, the one of row 0, then one
+        # per block of the 100 steps.
+        assert len(widths) == 2 + math.ceil(100 / ig.block)
+        assert all(width < ig.spec.j_max for width in widths[3:])
 
     @pytest.mark.parametrize(
         "changes",
@@ -653,7 +664,7 @@ class TestDelayOracle:
         buf = ig.initialize_history(lambda t, r, th: self.C0 * jv(0, k * r))
         worst = 0.0
         for s in range(1, 2 * ig.lag_steps + 1):
-            ig.step(buf, s)
+            ig.step(buf)
             if s >= ig.lag_steps:
                 err = abs(buf.coeffs[0, 0, index] - self.exact(buf.t_head, lam, beta))
                 worst = max(worst, err)
@@ -681,6 +692,53 @@ class TestDelayOracle:
         errors = [self.max_error(spec, index, dt) for dt in (0.04, 0.02, 0.01)]
         orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
         assert np.all((orders >= 1.9) & (orders <= 2.1)), (errors, orders)
+
+
+class TestNonlinearDelayConvergence:
+    """Self-convergence in dt of the density-dependent delayed model.
+
+    No closed form is known, so the successive differences of the final
+    coefficients over dt = 0.04 .. 0.0025 stand in for the errors: a
+    second-order scheme divides each by 4 as dt halves. The history
+    (w ~ 20) lies between the two positive flat states of survival * b(w) =
+    mortality * w (about 1.5 and 36), so the Ricker law's nonlinearity
+    shapes all ten delays of the run.
+    """
+
+    @pytest.mark.parametrize(
+        "variant, bc",
+        [
+            (Variant.FULL_ZERO_FLUX, ZERO_FLUX),
+            (Variant.FULL_DIRICHLET, DIRICHLET),
+            (Variant.RADIAL, DIRICHLET),
+        ],
+        ids=["full_zero_flux", "full_dirichlet", "radial"],
+    )
+    def test_second_order_in_dt(self, variant, bc):
+        spec = ModelSpec(
+            variant=variant,
+            diffusion=0.02,
+            mortality=0.3,
+            survival=0.9,
+            spread=0.01,
+            delay=1.0,
+            radius=1.0,
+            bc=bc,
+            birth=RickerQuadratic(0.25, 0.1),
+            n_max=4,
+            j_max=8,
+        )
+
+        def w0(t, r, th):
+            return 100.0 * patch_w0(t, r, th)
+
+        finals = [
+            SpectralIntegrator(spec, SolverConfig(dt=dt, t_end=10.0)).integrate(w0).final_state.coeffs
+            for dt in (0.04, 0.02, 0.01, 0.005, 0.0025)
+        ]
+        changes = np.array([np.max(np.abs(a - b)) for a, b in zip(finals, finals[1:])])
+        orders = np.log2(changes[:-1] / changes[1:])
+        assert np.all((orders >= 1.9) & (orders <= 2.1)), (changes, orders)
 
 
 class TestLongHorizonDelayOracle:
@@ -774,7 +832,7 @@ class TestCriticalPatchRadius:
         k = ig.bases[0].eigenvalues[0]
         buf = ig.initialize_history(lambda t, r, th: 1e-3 * jv(0, k * r))
         for s in range(1, 401):
-            ig.step(buf, s)
+            ig.step(buf)
             if s == 200:
                 middle = buf.coeffs[0, 0, 0]
         return buf.coeffs[0, 0, 0] / middle
