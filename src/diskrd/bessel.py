@@ -55,10 +55,8 @@ __all__ = [
     "EigenvalueSearchError",
     "bessel_j",
     "bessel_j_prime",
-    "eigencondition",
     "find_bases",
     "find_eigenvalues",
-    "mode_norm",
     "radial_tables",
 ]
 
@@ -365,19 +363,6 @@ def bessel_j_prime(order: int, x):
     return values if values.ndim else float(values)
 
 
-def eigencondition(order: int, k, radius: float, bc: BoundaryCondition):
-    """Residual A k J_n'(kR) + B J_n(kR); its zeros are the eigenvalues."""
-    a, b = bc.coefficients()
-    k = np.asarray(k, dtype=float)
-    x = k * radius
-    res = np.zeros_like(x)
-    if a != 0.0:
-        res += a * k * bessel_j_prime(order, x)
-    if b != 0.0:
-        res += b * _bessel_pair(order, x, lower=False)[1]
-    return res if res.ndim else float(res)
-
-
 class EigenvalueSearchError(RuntimeError):
     """The scan window could not bracket the requested number of roots."""
 
@@ -446,25 +431,6 @@ def _norms(order, k: np.ndarray, radius: float, bc: BoundaryCondition, rows) -> 
     if bc.kind is BoundaryKind.DIRICHLET:
         return 0.5 * radius**2 * upper**2
     return 0.5 * (radius**2 - (order / k) ** 2) * jn**2 + 0.5 * radius**2 * djn**2
-
-
-def mode_norm(order: int, k: float, radius: float, bc: BoundaryCondition) -> float:
-    """Weighted norm ``integral_0^R r J_order(k r)^2 dr`` of one mode.
-
-    Dirichlet eigenvalues use the closed form R^2 J_{n+1}(kR)^2 / 2; other
-    conditions use the general Lommel form, and the k = 0 constant mode of
-    a zero-flux order-zero basis integrates to R^2 / 2. The arithmetic is
-    that of the norms ``find_eigenvalues`` stores.
-    """
-    if k < 0.0:
-        raise ValueError("eigenvalue must be nonnegative")
-    if k == 0.0:
-        if not bc.admits_constant_mode(order):
-            raise ValueError("k = 0 is only a mode for order 0 under a zero-flux condition")
-        return 0.5 * radius**2
-    k = np.array([float(k)])
-    rows = _check_rows(np.array([order]), k * radius)
-    return float(_norms(order, k, radius, bc, rows)[0])
 
 
 @dataclass(frozen=True)

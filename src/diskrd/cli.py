@@ -26,14 +26,7 @@ import numpy as np
 from .bessel import BoundaryCondition, bessel_j, find_eigenvalues
 from .model import Logistic, ModelSpec, RickerQuadratic, Variant, homogeneous_equilibria
 from .solver import BlowUpError, Scheme, SolverConfig, SpectralIntegrator, integrate
-from .transform import (
-    DiskGrid,
-    build_bases,
-    default_grid,
-    field_csv_prefixes,
-    least_grid,
-    write_field_csv,
-)
+from .transform import build_bases, field_csv_prefixes, least_grid, write_field_csv
 
 __all__ = ["run", "dump_eigen_table", "main", "parse_config", "PRESETS"]
 
@@ -379,7 +372,6 @@ def run(config_path=None, preset: str | None = None, out_dir=None) -> int:
             w0 = _mode_w0(order, k, amp)
 
         if config.scheme is Scheme.ETD_AB2:
-            grid = bases = None
             n_r = _to_int(resolved, "n_r")
             n_theta = _to_int(resolved, "n_theta")
             least_r, least_theta = least_grid(spec.n_max, spec.j_max)
@@ -393,15 +385,7 @@ def run(config_path=None, preset: str | None = None, out_dir=None) -> int:
                     f"config key n_r: {n_r} too small for {spec.j_max} radial modes; "
                     f"need 0 (auto) or at least {least_r}"
                 )
-            if n_r > 0 or n_theta > 0:
-                bases = build_bases(spec.n_max, spec.j_max, spec.radius, spec.bc)
-                auto = default_grid(bases, n_theta if n_theta > 0 else None)
-                grid = (
-                    DiskGrid.gauss_legendre(spec.radius, n_r, auto.n_theta)
-                    if n_r > 0
-                    else auto
-                )
-            integrator = SpectralIntegrator(spec, config, grid, bases)
+            integrator = SpectralIntegrator(spec, config, n_r, n_theta)
             overrides = {
                 "n_r": str(integrator.grid.n_r),
                 "n_theta": str(integrator.grid.n_theta),

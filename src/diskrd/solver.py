@@ -58,7 +58,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bessel import BesselBasis, BoundaryKind
 from .kernel import damped_births, damping_factors
 from .model import ModelSpec, ModeSeed, Variant, linear_rates
 from .model import rhs  # noqa: F401  (bound here for tools that wrap solver.rhs)
@@ -187,11 +186,13 @@ class SimulationResult:
 
 
 class SpectralIntegrator:
-    """Exact-linear/explicit-source marching of one configured model.
+    """Exact-linear/explicit-source marching of one configured model, on
+    its bases and the grid ``default_grid(bases, n_r, n_theta)``: a size of
+    0 is picked automatically, a positive one is taken as given.
 
     The source is built in coefficient space (see the module docstring) and
-    each new state is synthesised once; those grid values give its
-    diagnostics row and the births it queues (``HistoryBuffer.births``).
+    each state, the t = 0 one included, is synthesised once; those grid
+    values give its diagnostics row and the births it queues.
     Steps run on packed coefficient arrays: a ``SpectralField`` is built
     only for the result's ``final_state``.
 
@@ -204,23 +205,11 @@ class SpectralIntegrator:
     birth, whose source is known for all t).
     """
 
-    def __init__(
-        self,
-        spec: ModelSpec,
-        config: SolverConfig,
-        grid: DiskGrid | None = None,
-        bases: tuple[BesselBasis, ...] | None = None,
-    ):
+    def __init__(self, spec: ModelSpec, config: SolverConfig, n_r: int = 0, n_theta: int = 0):
         self.spec = spec
         self.config = config
-        if bases is None:
-            bases = build_bases(spec.n_max, spec.j_max, spec.radius, spec.bc)
-        elif [(basis.order, basis.count, basis.radius, basis.bc) for basis in bases] != [
-            (n, spec.j_max, spec.radius, spec.bc) for n in range(spec.n_max + 1)
-        ]:
-            raise ValueError("bases do not match the model's truncation, radius and bc")
-        self.bases = bases
-        self.grid = grid if grid is not None else default_grid(self.bases)
+        self.bases = build_bases(spec.n_max, spec.j_max, spec.radius, spec.bc)
+        self.grid = default_grid(self.bases, n_r, n_theta)
         self.transform = DiskTransform(self.grid, self.bases)
         self.rates = linear_rates(spec, self.bases)
         self.dt, self.lag_steps = resolve_time_step(config.dt, spec.delay)
@@ -263,43 +252,69 @@ class SpectralIntegrator:
         # Grid samples of one block, reused: the birth law overwrites them.
         self._values = np.empty((self.block, self.grid.n_r, self.grid.n_theta))
 
-    def initialize_history(self, w0: Callable[[float, np.ndarray, np.ndarray], np.ndarray]) -> HistoryBuffer:
+    def initialize_history(
+        self,
+        w0: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
+        record: Callable[[int, float, np.ndarray, float], None] | None = None,
+    ) -> HistoryBuffer:
         """Analyse w0(t, r, theta) at t = 0 and queue the births of the
-        history the birth law reads.
+        history the birth law reads; ``record(0, 0.0, values, 0.0)``, if
+        given, takes the grid values of the analysed t = 0 state.
 
         Only a lagged birth law reads past states, so only then is w0 sampled
-        before t = 0, at t = i dt for i = -lag_steps .. 0. A sample equal to
-        the previous one reuses its state and births, so a time-independent
-        history costs one analysis. A sample is synthesised only for its
-        births; an overflow in its transforms is a blow-up at its step.
+        before t = 0, at t = i dt for i = -lag_steps .. 0. A run of equal
+        samples is one state, analysed once and synthesised at most once; its
+        births are queued when the run ends. An overflow in its transforms or
+        births is a blow-up at the run's first step.
         """
         r, th = self.grid.mesh()
         births = deque(maxlen=self._birth_lag + 1)
-        sample = entry = None
+        # Only a birth law on the whole field reads a state's grid values.
+        reads = self._birth is not None and self.spec.variant is not Variant.RADIAL
+        sample = None
         for i in range(-self._birth_lag, 1):
             raw = w0(i * self.dt, r, th)
-            if entry is None or not np.array_equal(raw, sample):
-                sample = np.array(raw, dtype=float)  # a copy: w0 may reuse its array
-                values = DiskField(self.grid, sample + np.zeros_like(r)).values
-                try:
-                    with np.errstate(over="raise", invalid="raise"):
-                        coeffs = self.transform.analyze_values(values)
-                except FloatingPointError:
-                    raise BlowUpError(i * self.dt, i, math.inf) from None
-                entry = (coeffs, self._births(coeffs[:, :, None], None, i))
-            births.extend(entry[1])
-        coeffs = entry[0]
+            if sample is not None and np.array_equal(raw, sample):
+                continue
+            if sample is not None:  # the run from step ``first`` ends at i - 1
+                births.extend(self._births(stack, values, first) * (i - first))
+            sample = np.array(raw, dtype=float)  # a copy: w0 may reuse its array
+            values = DiskField(self.grid, sample + np.zeros_like(r)).values
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    stack = self.transform.analyze_values(values[None])
+            except FloatingPointError:
+                raise BlowUpError(i * self.dt, i, math.inf) from None
+            first, values = i, self._synthesize(stack, i) if reads else None
+        if record is not None:
+            if values is None:
+                values = self._synthesize(stack, first)
+            record(0, 0.0, values[0], 0.0)
+        births.extend(self._births(stack, values, first) * (1 - first))
+        coeffs = stack[:, :, 0]
         return HistoryBuffer(self.dt, coeffs, births, peak=float(np.abs(coeffs).max()))
+
+    def _synthesize(self, stack: np.ndarray, first: int, width: int | None = None) -> np.ndarray:
+        """Grid values of the packed stack ``stack`` in the block's work
+        array (``width`` as for ``synthesize_values``). Only coefficients
+        near the float range overflow; that is a blow-up at step ``first``.
+        """
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return self.transform.synthesize_values(stack, self._values[: stack.shape[2]], width)
+        except FloatingPointError:
+            raise BlowUpError(first * self.dt, first, math.inf) from None
 
     def _births(self, stack: np.ndarray, values: np.ndarray | None, first: int) -> list:
         """Packed birth coefficients, one per state of the packed stack
         ``stack``, that each adds to the source once the birth law reads its
         state; empty where no birth law applies.
 
-        ``values`` are the states' grid samples (None: synthesised here),
-        which the birth law overwrites. State m is step ``first + m``, and an
-        overflow there is a blow-up at that step. The radial variant keeps
-        order zero only; the forced birth is analysed undamped at full width.
+        ``values`` are the states' grid samples, which the birth law
+        overwrites; the radial variant reads and keeps order zero of
+        ``stack`` only (``values`` may be None). State m is step
+        ``first + m``, and an overflow there is a blow-up at that step. The
+        forced birth is analysed undamped at full width.
         """
         birth, damp = self._birth, self._birth_damp
         if birth is None:
@@ -308,10 +323,7 @@ class SpectralIntegrator:
         m = 0
         try:
             with np.errstate(over="raise", invalid="raise"):
-                if radial:
-                    samples = self.transform.synthesize_profile(stack[0, 0])
-                else:
-                    samples = self.transform.synthesize_values(stack) if values is None else values
+                samples = self.transform.synthesize_profile(stack[0, 0]) if radial else values
                 for m, sample in enumerate(samples):
                     samples[m] = birth(sample)
                 # A batched transform overflows only near the float range;
@@ -355,7 +367,8 @@ class SpectralIntegrator:
         advanced and checked for blow-up in order; a blow-up at state p is
         raised after states 0 .. p-1 are finished. The states are then
         synthesised in one call, passed to ``record(i, t, values, rate)``,
-        and their births analysed in one call.
+        and their births analysed in one call; the buffer takes the states
+        only then, so an overflow in their births leaves it as it was.
         """
         if not 1 <= states <= self.block:
             raise ValueError(f"states must lie in [1, {self.block}]")
@@ -380,16 +393,11 @@ class SpectralIntegrator:
                     break
                 prev = src
                 peaks.append(peak)
-            states = len(peaks)
-            stack = stack[:, :, :states]
-            if states:
-                width = _span(_flush(stack)) if self._scan else None
-                try:
-                    values = self.transform.synthesize_values(stack, self._values[:states], width)
-                except FloatingPointError:
-                    # Only coefficients near the float range overflow here.
-                    raise BlowUpError(first * self.dt, first, math.inf) from None
+        states = len(peaks)
         if states:
+            stack = stack[:, :, :states]
+            width = _span(_flush(stack)) if self._scan else None
+            values = self._synthesize(stack, first, width)
             if record is not None:
                 coeffs, peak = buffer.coeffs, buffer.peak
                 for m in range(states):
@@ -398,8 +406,9 @@ class SpectralIntegrator:
                     rate = self.transform.weighted_l2(change, peaks[m] + peak) / self.dt
                     record(first + m, (first + m) * self.dt, values[m], rate)
                     coeffs, peak = stack[:, :, m], peaks[m]
+            births = self._births(stack, values, first)
             buffer.coeffs, buffer.peak = stack[:, :, -1], peaks[-1]
-            buffer.births.extend(self._births(stack, values, first))
+            buffer.births.extend(births)
             buffer.prev_source = prev
             buffer.steps += states
         if blowup is not None:
@@ -407,15 +416,9 @@ class SpectralIntegrator:
         return buffer
 
     def integrate(self, w0) -> SimulationResult:
-        buffer = self.initialize_history(w0)
         n_steps = _step_count(self.config.t_end, self.dt)
         recorder = _Recorder(n_steps, self.grid, self.config)
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                values = self.transform.synthesize_values(buffer.coeffs)
-        except FloatingPointError:
-            raise BlowUpError(0.0, 0, math.inf) from None
-        recorder.record(0, 0.0, values, 0.0)
+        buffer = self.initialize_history(w0, recorder.record)
         # The partition depends on n_steps and the block length only.
         while buffer.steps < n_steps:
             self.step(buffer, min(self.block, n_steps - buffer.steps), recorder.record)
@@ -559,17 +562,12 @@ def fd_stability_limit(spec: ModelSpec, grid: DiskGrid) -> float:
 
 
 def _ghost_row(edge: np.ndarray, spec: ModelSpec, dr: float) -> np.ndarray:
-    """Ghost-cell values encoding the boundary condition at the outer face."""
-    bc = spec.bc
-    if bc.kind is BoundaryKind.DIRICHLET:
-        return -edge
-    if bc.kind is BoundaryKind.ZERO_FLUX:
-        return edge
-    a, b = bc.coefficients()
-    denom = a / dr + 0.5 * b
-    if denom == 0.0:
-        raise ValueError("mixed condition degenerates on this mesh; refine dr")
-    return edge * (a / dr - 0.5 * b) / denom
+    """Ghost-cell values for A dw/dr + B w = 0 at the outer face, from the
+    one-sided difference and the face average: exactly -edge (Dirichlet) or
+    edge (zero flux). A and B share a sign and are not both 0, so the
+    denominator is not 0."""
+    a, b = spec.bc.coefficients()
+    return edge * ((a / dr - 0.5 * b) / (a / dr + 0.5 * b))
 
 
 def fd_laplacian(values: np.ndarray, spec: ModelSpec, grid: DiskGrid) -> np.ndarray:

@@ -223,18 +223,19 @@ def build_bases(
     return find_bases(range(n_max + 1), radius, bc, j_max)
 
 
-def default_grid(bases: tuple[BesselBasis, ...], n_theta: int | None = None) -> DiskGrid:
-    """Grid sized so quadrature resolves products of the stored modes."""
+def default_grid(bases: tuple[BesselBasis, ...], n_r: int = 0, n_theta: int = 0) -> DiskGrid:
+    """Gauss-Legendre grid for ``bases``; a positive ``n_r`` or ``n_theta``
+    sets that size, 0 picks one so quadrature resolves products of the
+    stored modes."""
+    if n_r < 0 or n_theta < 0:
+        raise ValueError("grid sizes must be 0 (auto) or positive")
     radius = bases[0].radius
-    j_max = bases[0].count
-    n_max = len(bases) - 1
     k_max = max(float(basis.eigenvalues[-1]) for basis in bases)
     # Gauss-Legendre needs roughly 0.7 nodes per unit of k R to integrate
     # mode products to machine accuracy; keep a little slack on top.
-    least_r, least_theta = least_grid(n_max, j_max)
-    n_r = max(least_r, int(np.ceil(0.75 * k_max * radius)) + 8)
-    if n_theta is None:
-        n_theta = max(least_theta, 64)
+    least_r, least_theta = least_grid(len(bases) - 1, bases[0].count)
+    n_r = n_r or max(least_r, int(np.ceil(0.75 * k_max * radius)) + 8)
+    n_theta = n_theta or max(least_theta, 64)
     return DiskGrid.gauss_legendre(radius, n_r, n_theta)
 
 

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import jv
+from scipy.special import jv, jvp
 
 from diskrd.bessel import _bessel_pair
 
@@ -77,6 +77,13 @@ def quad_mode_norm(order: int, k: float, radius: float) -> float:
     """Adaptive quadrature of integral_0^R r J_order(k r)^2 dr."""
     value, _ = quad(lambda r: r * jv(order, k * r) ** 2, 0.0, radius, limit=200)
     return value
+
+
+def residual(order: int, k, radius: float, bc) -> np.ndarray:
+    """Eigencondition A k J_n'(kR) + B J_n(kR) by scipy's jv and jvp."""
+    a, b = bc.coefficients()
+    k = np.asarray(k, dtype=float)
+    return a * k * jvp(order, k * radius) + b * jv(order, k * radius)
 
 
 def quad_mode_overlap(order: int, k1: float, k2: float, radius: float) -> float:

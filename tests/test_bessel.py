@@ -12,9 +12,7 @@ from diskrd.bessel import (
     _residual,
     bessel_j,
     bessel_j_prime,
-    eigencondition,
     find_eigenvalues,
-    mode_norm,
 )
 
 from oracles import (
@@ -25,6 +23,7 @@ from oracles import (
     mp_mode_norm,
     quad_mode_norm,
     quad_mode_overlap,
+    residual,
     scalar_eigenvalues,
 )
 
@@ -178,7 +177,7 @@ class TestFindEigenvalues:
         for bc in (DIRICHLET, ZERO_FLUX, BoundaryCondition.mixed(1.0, 2.0)):
             for order in (0, 1, 4):
                 basis = find_eigenvalues(order, 2.5, bc, 8)
-                res = eigencondition(order, basis.eigenvalues[basis.eigenvalues > 0], 2.5, bc)
+                res = residual(order, basis.eigenvalues[basis.eigenvalues > 0], 2.5, bc)
                 assert np.max(np.abs(res)) < 1e-10
 
     def test_scaling_with_radius(self):
@@ -203,7 +202,7 @@ class TestFindEigenvalues:
         bc = BoundaryCondition.mixed(1.0, 0.1)
         basis = find_eigenvalues(0, 1.0, bc, 3)
         assert basis.eigenvalues[0] < np.pi / 4.0
-        assert abs(eigencondition(0, basis.eigenvalues[0], 1.0, bc)) < 1e-12
+        assert abs(residual(0, basis.eigenvalues[0], 1.0, bc)) < 1e-12
 
     def test_count_cap(self):
         with pytest.raises(ValueError):
@@ -221,27 +220,31 @@ class TestFindEigenvalues:
 
 
 class TestModeNorm:
+    """The norms ``find_eigenvalues`` stores, against quadrature."""
+
     def test_constant_mode_norm(self):
-        assert mode_norm(0, 0.0, 1.0, ZERO_FLUX) == pytest.approx(0.5, abs=1e-15)
+        basis = find_eigenvalues(0, 1.0, ZERO_FLUX, 1)
+        assert basis.eigenvalues[0] == 0.0
+        assert basis.norms[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_first_dirichlet_norm_vs_quadrature(self):
-        k = bessel_zero(0, 1)
-        assert mode_norm(0, k, 1.0, DIRICHLET) == pytest.approx(
-            quad_mode_norm(0, k, 1.0), rel=1e-10
-        )
-        assert mode_norm(0, k, 1.0, DIRICHLET) == pytest.approx(0.13475, abs=1e-5)
+        basis = find_eigenvalues(0, 1.0, DIRICHLET, 1)
+        k, value = basis.eigenvalues[0], basis.norms[0]
+        assert value == pytest.approx(quad_mode_norm(0, k, 1.0), rel=1e-10)
+        assert value == pytest.approx(0.13475, abs=1e-5)
 
     def test_order_one_dirichlet_norm_vs_quadrature(self):
-        k = bessel_zero(1, 1)
-        value = mode_norm(1, k, 1.0, DIRICHLET)
+        basis = find_eigenvalues(1, 1.0, DIRICHLET, 1)
+        k, value = basis.eigenvalues[0], basis.norms[0]
         assert value == pytest.approx(quad_mode_norm(1, k, 1.0), rel=1e-10)
         assert value == pytest.approx(0.5 * jv(2, k) ** 2, rel=1e-12)
 
     def test_rejects_k_zero_where_inadmissible(self):
-        with pytest.raises(ValueError):
-            mode_norm(1, 0.0, 1.0, ZERO_FLUX)
-        with pytest.raises(ValueError):
-            mode_norm(0, 0.0, 1.0, DIRICHLET)
+        # k = 0 is a mode of the order-0 zero-flux basis only.
+        for order, bc in ((1, ZERO_FLUX), (0, DIRICHLET), (0, BoundaryCondition.mixed(1.0, 1.0))):
+            with pytest.raises(ValueError, match="k = 0"):
+                BesselBasis(order, 1.0, bc, np.array([0.0, 3.0]), np.array([0.5, 0.1]))
+        assert BesselBasis(0, 1.0, ZERO_FLUX, np.array([0.0, 3.0]), np.array([0.5, 0.1])).count == 2
 
     @pytest.mark.parametrize(
         "bc", [DIRICHLET, ZERO_FLUX, BoundaryCondition.mixed(1.0, 1.5)]
@@ -394,10 +397,9 @@ class TestEigenvalueScan:
         assert _residual(0, k, 1.0, a, b)[0][0] == 0.0
         basis = find_eigenvalues(0, 1.0, bc, 4)
         assert basis.eigenvalues[0] == np.pi / 4.0
-        assert abs(eigencondition(0, basis.eigenvalues, 1.0, bc)).max() < 1e-10
+        assert abs(residual(0, basis.eigenvalues, 1.0, bc)).max() < 1e-10
         expected = mp_mode_norm(0, np.pi / 4.0, 1.0, False)
         assert abs(basis.norms[0] - expected) <= NORM_RTOL * expected
-        assert mode_norm(0, np.pi / 4.0, 1.0, bc) == basis.norms[0]
 
     @pytest.mark.parametrize(
         "bc", [DIRICHLET, ZERO_FLUX, BoundaryCondition.mixed(1.0, 2.0)]
@@ -414,4 +416,3 @@ class TestEigenvalueScan:
             else:
                 expected = mp_mode_norm(order, float(k), 2.0, bc is DIRICHLET)
             assert abs(norm - expected) <= NORM_RTOL * expected
-            assert mode_norm(order, float(k), 2.0, bc) == norm

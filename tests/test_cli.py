@@ -378,13 +378,13 @@ class TestInitialHistory:
         samples = []
         fill = SpectralIntegrator.initialize_history
 
-        def recording_fill(self, w0):
+        def recording_fill(self, w0, record=None):
             def recorded(t, r, th):
                 values = w0(t, r, th)
                 samples.append((r, th, np.array(values)))
                 return values
 
-            return fill(self, recorded)
+            return fill(self, recorded, record)
 
         monkeypatch.setattr(SpectralIntegrator, "initialize_history", recording_fill)
         assert run(write_config(tmp_path, MODE_CONFIG), out_dir=tmp_path / "out") == 0
@@ -488,6 +488,15 @@ class TestMain:
         cfg = write_config(tmp_path, SMALL_CONFIG.format(t_end="0.0"))
         status = main(["run", str(cfg), "--out", str(tmp_path / "out")])
         assert status == 0
+
+    @pytest.mark.parametrize(
+        "config",
+        sorted((Path(cli.__file__).resolve().parents[2] / "configs").glob("*.cfg")),
+        ids=lambda path: path.name,
+    )
+    def test_bundled_config_runs(self, tmp_path, config):
+        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "summary").exists()
 
 
 class TestReadme:

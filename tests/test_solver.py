@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 from scipy.special import jv, lambertw
 
-from diskrd.bessel import BesselBasis, BoundaryCondition
+from diskrd.bessel import BesselBasis, BoundaryCondition, find_eigenvalues
 from diskrd.model import Identity, Logistic, ModelSpec, ModeSeed, RickerQuadratic, Variant, rhs
 from diskrd import solver
 from diskrd.kernel import damping_factors
@@ -404,6 +404,26 @@ class TestBlockedDriver:
         for (t, before), (t_after, field) in zip(taken, recorder.snapshots):
             assert t == t_after and np.array_equal(field.values, before)
 
+    def test_births_overflow_leaves_the_buffer_as_it_was(self):
+        # The birth law overflows while the block's coefficients are finite.
+        spec = dataclasses.replace(self.growing_spec(Identity()), birth=np.exp)
+        ig = SpectralIntegrator(spec, SolverConfig(dt=0.05, t_end=100.0))
+        buf = ig.initialize_history(patch_w0)
+        with pytest.raises(BlowUpError) as info:
+            while True:
+                steps, peak, prev = buf.steps, buf.peak, buf.prev_source
+                coeffs, births = buf.coeffs.copy(), [b.copy() for b in buf.births]
+                ig.step(buf, ig.block)
+        assert math.isinf(info.value.magnitude) and info.value.step_index > steps
+        assert (buf.steps, buf.peak) == (steps, peak) and buf.prev_source is prev
+        assert np.array_equal(buf.coeffs, coeffs)
+        assert all(np.array_equal(got, want) for got, want in zip(buf.births, births, strict=True))
+        # The head is the state of step ``buf.steps``.
+        replay = ig.initialize_history(patch_w0)
+        while replay.steps < buf.steps:
+            ig.step(replay, ig.block)
+        assert replay.steps == buf.steps and np.array_equal(replay.coeffs, buf.coeffs)
+
     @pytest.mark.parametrize("case", ["mode_forced_birth", "full_zero_flux"])
     def test_more_states_than_the_block_are_rejected(self, case):
         ig = self.integrator(case)
@@ -592,10 +612,10 @@ class TestDeadBand:
         ig = self.integrator()
         monkeypatch.setattr(DiskTransform, "synthesize_values", recording)
         ig.integrate(patch_w0)
-        # The history's synthesis for its births, the one of row 0, then one
+        # The t = 0 state's one synthesis, for its births and row 0, then one
         # per block of the 100 steps.
-        assert len(widths) == 2 + math.ceil(100 / ig.block)
-        assert all(width < ig.spec.j_max for width in widths[3:])
+        assert len(widths) == 1 + math.ceil(100 / ig.block)
+        assert all(width < ig.spec.j_max for width in widths[2:])
 
     @pytest.mark.parametrize(
         "changes",
@@ -975,17 +995,24 @@ class TestReferenceFD:
         result = integrate(spec, fd_config(16, 8, 0.01), lambda t, r, th: np.full_like(r, 0.7))
         assert np.array_equal(result.final_field.values, np.full((16, 8), 0.7))
 
-    def test_eigenmode_decay_rate_within_one_percent(self):
-        spec = forced_spec(
-            forcing=lambda t: 0.0, diffusion=1.0, mortality=0.0, bc=DIRICHLET, delay=0.0
-        )
-        k = 2.404825557695773
+    @pytest.mark.parametrize(
+        "bc",
+        [DIRICHLET, ZERO_FLUX, BoundaryCondition.mixed(1.0, 1.0)],
+        ids=["dirichlet", "zero_flux", "mixed"],
+    )
+    def test_eigenmode_decay_rate_within_one_percent(self, bc):
+        # The first decaying radial mode of each edge condition.
+        spec = forced_spec(forcing=lambda t: 0.0, diffusion=1.0, mortality=0.0, bc=bc, delay=0.0)
+        k = next(k for k in find_eigenvalues(0, 1.0, bc, 2).eigenvalues if k > 0.0)
         lam = spec.diffusion * k**2
         t_end = 0.02
         result = integrate(spec, fd_config(128, 8, t_end), lambda t, r, th: jv(0, k * r))
         initial = result.snapshots[0][1].values
-        rate = -np.log(result.final_field.values[0, 0] / initial[0, 0]) / t_end
-        assert abs(rate - lam) / lam < 0.01
+        rates = -np.log(result.final_field.values[:, 0] / initial[:, 0]) / t_end
+        assert abs(rates[0] - lam) / lam < 0.01
+        # The edge cell reads the ghost cell. Its Dirichlet value is O(dr),
+        # so its rate carries a first-order error: 1.7% on 128 cells.
+        assert abs(rates[-1] - lam) / lam < 0.02
 
     def test_laplacian_of_radial_quadratic(self):
         # Laplacian(r^2) = 4; the conservative stencil reproduces it
@@ -1047,6 +1074,41 @@ class TestReferenceFD:
         assert scale > 0.1
         assert np.max(np.abs(source - expected.values)) <= 1e-9 * scale
         assert np.max(np.ptp(source, axis=1)) <= 1e-9 * scale
+
+    @pytest.mark.parametrize(
+        "changes",
+        [dict(variant=Variant.MODE_FORCED_BIRTH, birth=Logistic(2.0, 1.0)), dict(birth=SEED)],
+        ids=["mode_forced_birth", "seeded_birth"],
+    )
+    def test_source_is_the_rhs_source(self, changes):
+        # One Euler step recovers the FD source. The initial field is a
+        # synthesis on the mesh, so rhs reads the same values from its state.
+        spec = forced_spec(
+            **{"variant": Variant.FULL_ZERO_FLUX, **changes},
+            diffusion=1.0,
+            mortality=0.1,
+            survival=0.8,
+            spread=0.02,
+            delay=0.0,
+            n_max=3,
+            j_max=8,
+        )
+        grid = DiskGrid.cell_centered(1.0, 24, 12)
+        dt = 0.5 * fd_stability_limit(spec, grid)
+        bases = build_bases(spec.n_max, spec.j_max, spec.radius, spec.bc)
+        transform = DiskTransform(grid, bases)
+        patch = DiskField.from_polar(grid, lambda r, th: 0.4 + 0.3 * r * np.cos(th))
+        state = transform.analyze(patch)
+        values = transform.synthesize(state).values
+
+        result = integrate(spec, fd_config(24, 12, dt), lambda t, r, th: values)
+        assert result.dt == dt
+        source = (result.final_field.values - values) / dt
+        source += spec.mortality * values - spec.diffusion * fd_laplacian(values, spec, grid)
+        _, expected = rhs(0.0, state, DiskField(grid, values), spec, transform)
+        scale = np.max(np.abs(expected.values))
+        assert scale > 0.1
+        assert np.max(np.abs(source - expected.values)) <= 1e-9 * scale
 
     def test_maturation_runs_build_bases_once(self, monkeypatch):
         calls = []

@@ -64,6 +64,19 @@ class TestDiskGrid:
         with pytest.raises(ValueError):
             DiskGrid(1.0, np.array([0.5]), np.array([0.5]), np.array([0.1, 3.0]))
 
+    def test_default_grid_sizes(self):
+        # 0 sizes a dimension automatically, a positive size is taken as given.
+        bases = build_bases(4, 6, 1.0, DIRICHLET)
+        auto = default_grid(bases)
+        assert auto.n_r >= 8 and auto.n_theta == 64
+        for n_r, n_theta, want in ((20, 0, (20, 64)), (0, 40, (auto.n_r, 40)), (20, 40, (20, 40))):
+            grid = default_grid(bases, n_r, n_theta)
+            assert (grid.n_r, grid.n_theta) == want
+            assert np.array_equal(grid.r_nodes, DiskGrid.gauss_legendre(1.0, *want).r_nodes)
+        for sizes in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="grid sizes"):
+                default_grid(bases, *sizes)
+
 
 class TestAnalyze:
     def test_zero_field(self, small_setup):
@@ -145,6 +158,20 @@ class TestSynthesize:
         for _ in range(20):
             c = pack(rng.uniform(-1.0, 1.0, (5, 6)), rng.uniform(-1.0, 1.0, (4, 6)))
             assert np.max(np.abs(tr.analyze_values(tr.synthesize_values(c)) - c)) < 1e-8
+
+    def test_rejects_coefficients_on_other_bases(self, small_setup):
+        grid, bases, tr = small_setup
+        # Equal bases found apart are accepted; another truncation, edge
+        # condition or radius is not.
+        twin = tr.synthesize(SpectralField.zeros(build_bases(4, 6, 1.0, DIRICHLET)))
+        assert np.array_equal(twin.values, np.zeros((grid.n_r, grid.n_theta)))
+        for other in (
+            build_bases(3, 6, 1.0, DIRICHLET),
+            build_bases(4, 6, 1.0, ZERO_FLUX),
+            build_bases(4, 6, 1.5, DIRICHLET),
+        ):
+            with pytest.raises(ValueError, match="bases do not match"):
+                tr.synthesize(SpectralField.zeros(other))
 
     def test_synthesize_on_matches_grid_synthesis(self, small_setup):
         grid, bases, tr = small_setup
