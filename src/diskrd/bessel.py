@@ -123,6 +123,8 @@ class BoundaryCondition:
     mixed_b: float = 0.0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.mixed_a) and math.isfinite(self.mixed_b)):
+            raise ValueError("boundary coefficients A, B (bc_mixed_a, bc_mixed_b) must be finite")
         if self.kind is BoundaryKind.MIXED and self.mixed_a == 0.0 and self.mixed_b == 0.0:
             raise ValueError("mixed boundary condition requires (A, B) != (0, 0)")
         if self.kind is BoundaryKind.MIXED and self.mixed_a * self.mixed_b < 0.0:
@@ -532,12 +534,15 @@ def find_bases(
         raise ValueError(f"order must be at most {MAX_ORDER}")
     if not orders or orders != sorted(set(orders)):
         raise ValueError("orders must be a nonempty, strictly ascending sequence")
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise ValueError("radius must be positive and finite")
     if not 1 <= count <= MAX_EIGENVALUES:
         raise ValueError(f"count must be in [1, {MAX_EIGENVALUES}]")
 
+    # (c A, c B) is one condition for every c > 0: scaled to max(|A|, |B|) = 1.
     a, b = bc.coefficients()
+    scale = max(abs(a), abs(b))
+    a, b = a / scale, b / scale
     step = np.pi / (4.0 * radius)
     # One lattice per order, each a prefix of the longest; the first probe
     # sits just above zero: small roots of a mixed condition stay bracketed
@@ -579,9 +584,11 @@ def find_bases(
     roots[inside] = _refine(
         owner[inside], radius, a, b, k[bracket], k[bracket + 1], here[bracket], there[bracket]
     )
-    # The independent check, whose rows also give the norms.
+    # The independent check, whose rows also give the norms, on the radius-free
+    # form (A/R) x J_n'(x) + B J_n(x) of the condition over max(|A/R|, |B|).
     rows = _check_rows(owner, roots * radius)
-    residual = float(np.max(np.abs(a * roots * rows[1] + b * rows[0]), initial=0.0))
+    residual = np.abs(a * roots * rows[1] + b * rows[0]) / max(abs(a) / radius, abs(b))
+    residual = float(np.max(residual, initial=0.0))
     if not residual < RESIDUAL_TOL:
         raise EigenvalueSearchError(
             f"eigencondition residual {residual:.3e} exceeds {RESIDUAL_TOL:g}"

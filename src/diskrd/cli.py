@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .bessel import BoundaryCondition, bessel_j, find_eigenvalues
-from .model import Logistic, ModelSpec, RickerQuadratic, Variant, homogeneous_equilibria
+from .model import _FORCED, Logistic, ModelSpec, RickerQuadratic, Variant, homogeneous_equilibria
 from .solver import BlowUpError, Scheme, SolverConfig, SpectralIntegrator, integrate
 from .transform import build_bases, field_csv_prefixes, least_grid, write_field_csv
 
@@ -234,7 +234,7 @@ def _mode_w0(order: int, k: float, amp: float):
     return _once_per_mesh(profile)
 
 
-def _build_w0(resolved):
+def _build_w0(resolved, spec):
     kind = resolved["w0_kind"].lower()
     if kind == "constant":
         value = _to_float(resolved, "w0_value")
@@ -252,12 +252,11 @@ def _build_w0(resolved):
 
         return _once_per_mesh(profile)
     if kind == "mode":
-        # Needs the run's eigenvalues; run() binds it through _mode_w0.
-        return (
-            _to_int(resolved, "w0_order"),
-            _to_int(resolved, "w0_index"),
-            _to_float(resolved, "w0_amp"),
-        )
+        order, index = _to_int(resolved, "w0_order"), _to_int(resolved, "w0_index")
+        if not (0 <= order <= spec.n_max and 1 <= index <= spec.j_max):
+            raise ConfigError("config key w0_order/w0_index: outside the truncation")
+        k = find_eigenvalues(order, spec.radius, spec.bc, index).eigenvalues[-1]
+        return _mode_w0(order, k, _to_float(resolved, "w0_amp"))
     raise ConfigError(f"config key w0_kind: unknown initial condition {kind!r}")
 
 
@@ -301,8 +300,7 @@ def _build_run(resolved):
     except ValueError as exc:
         # Model, solver, birth-law and boundary-condition checks.
         raise ConfigError(f"invalid config: {exc}") from None
-    forced = spec.variant in (Variant.MODE_FORCED, Variant.MODE_FORCED_BIRTH)
-    if config.scheme is Scheme.REFERENCE_FD and not forced and spec.delay > 0.0:
+    if config.scheme is Scheme.REFERENCE_FD and spec.variant not in _FORCED and spec.delay > 0.0:
         raise ConfigError(
             "config key delay: the reference_fd scheme runs maturation variants "
             "only with delay = 0"
@@ -363,13 +361,7 @@ def run(config_path=None, preset: str | None = None, out_dir=None) -> int:
         except OSError as exc:
             raise ConfigError(f"config key output_dir: not writable ({exc})") from None
 
-        w0 = _build_w0(resolved)
-        if isinstance(w0, tuple):
-            order, index, amp = w0
-            if not (0 <= order <= spec.n_max and 1 <= index <= spec.j_max):
-                raise ConfigError("config key w0_order/w0_index: outside the truncation")
-            k = find_eigenvalues(order, spec.radius, spec.bc, index).eigenvalues[-1]
-            w0 = _mode_w0(order, k, amp)
+        w0 = _build_w0(resolved, spec)
 
         if config.scheme is Scheme.ETD_AB2:
             n_r = _to_int(resolved, "n_r")
@@ -385,7 +377,10 @@ def run(config_path=None, preset: str | None = None, out_dir=None) -> int:
                     f"config key n_r: {n_r} too small for {spec.j_max} radial modes; "
                     f"need 0 (auto) or at least {least_r}"
                 )
-            integrator = SpectralIntegrator(spec, config, n_r, n_theta)
+            try:
+                integrator = SpectralIntegrator(spec, config, n_r, n_theta)
+            except ValueError as exc:  # the step count after dt is rounded to the delay
+                raise ConfigError(f"invalid config: {exc}") from None
             overrides = {
                 "n_r": str(integrator.grid.n_r),
                 "n_theta": str(integrator.grid.n_theta),

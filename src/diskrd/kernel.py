@@ -23,7 +23,6 @@ __all__ = [
     "epsilon_of",
     "alpha_of",
     "damping_factors",
-    "damped_births",
     "maturation_term",
     "maturation_term_radial",
 ]
@@ -79,20 +78,6 @@ def damping_factors(
     return survival * np.exp(-(k**2) * spread)
 
 
-def damped_births(
-    values: np.ndarray,
-    birth: Callable[[np.ndarray], np.ndarray],
-    damp: np.ndarray,
-    transform: DiskTransform,
-) -> np.ndarray:
-    """Packed coefficients of the recruits the grid samples ``values`` produce.
-
-    The birth law is applied pointwise, the result analysed and each mode
-    scaled by its damping factor (see ``damping_factors``).
-    """
-    return damp * transform.analyze_values(np.asarray(birth(values), dtype=float))
-
-
 def maturation_term(
     lagged: DiskField,
     birth: Callable[[np.ndarray], np.ndarray],
@@ -104,7 +89,7 @@ def maturation_term(
     """Nonlocal maturation source produced by the lagged field: the damped
     birth coefficients resummed on the grid of ``transform``."""
     damp = damping_factors(bases, survival, spread)
-    coeffs = damped_births(lagged.values, birth, damp, transform)
+    coeffs = damp * transform.analyze_values(np.asarray(birth(lagged.values), dtype=float))
     return DiskField(transform.grid, transform.synthesize_values(coeffs))
 
 

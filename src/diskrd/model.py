@@ -9,6 +9,11 @@ their source term:
     RADIAL                            the same, restricted to order zero
     MODE_FORCED                       a fixed single-mode birth pulse
     MODE_FORCED_BIRTH                 the pulse plus a local birth law b(w)
+
+``grid_source`` states each variant's source once on a grid: the
+finite-difference reference steps with it, and ``rhs`` pairs it with the
+linear rates. The spectral integrator applies the same rule to
+coefficients (see ``solver``).
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from .bessel import (
     BoundaryKind,
     bessel_j,
 )
-from .kernel import damping_factors, maturation_term, maturation_term_radial
+# maturation_term* have no caller here: bound for perfbench/child.py, which wraps them.
+from .kernel import damping_factors, maturation_term, maturation_term_radial  # noqa: F401
 from .transform import DiskField, DiskTransform, SpectralField
 
 __all__ = [
@@ -40,6 +46,7 @@ __all__ = [
     "Variant",
     "ModelSpec",
     "linear_rates",
+    "grid_source",
     "rhs",
     "homogeneous_equilibria",
 ]
@@ -101,9 +108,6 @@ class ModeSeed:
         r, th = grid.mesh()
         return bessel_j(1, self.mode_k * r) * np.cos(th)
 
-    def field(self, grid, t: float) -> np.ndarray:
-        return float(self.amplitude(t)) * self.profile(grid)
-
 
 BirthLaw = Union[Identity, Logistic, RickerQuadratic, ModeSeed]
 
@@ -125,6 +129,7 @@ _DEFAULT_BC = {
     Variant.MODE_FORCED: BoundaryCondition.dirichlet,
     Variant.MODE_FORCED_BIRTH: BoundaryCondition.dirichlet,
 }
+_FORCED = (Variant.MODE_FORCED, Variant.MODE_FORCED_BIRTH)
 
 
 @dataclass(frozen=True)
@@ -161,8 +166,8 @@ class ModelSpec:
             raise ValueError("survival must lie in (0, 1]")
         if self.spread < 0.0 or self.delay < 0.0:
             raise ValueError("spread and delay must be nonnegative")
-        if self.radius <= 0.0:
-            raise ValueError("radius must be positive")
+        if not 1e-100 <= self.radius <= 1e100:
+            raise ValueError("radius must lie in [1e-100, 1e100]")
         if not (0 <= self.n_max <= MAX_ORDER and 1 <= self.j_max <= MAX_EIGENVALUES):
             raise ValueError(
                 f"truncation must satisfy 0 <= n_max <= {MAX_ORDER}, "
@@ -182,11 +187,11 @@ class ModelSpec:
                 "the radial variant cannot take a ModeSeed birth: the seed is an order-1 "
                 "mode, which the radial (order-zero) reduction drops"
             )
-        if self.variant in (Variant.MODE_FORCED, Variant.MODE_FORCED_BIRTH):
+        if self.variant in _FORCED:
             if self.variant is Variant.MODE_FORCED_BIRTH and isinstance(self.birth, ModeSeed):
                 raise ValueError("the forced-with-birth variant needs a density-dependent law")
-            if self.forcing_mode_k <= 0.0:
-                raise ValueError("forcing_mode_k must be positive")
+            if not 0.0 < self.forcing_mode_k <= 1e100:  # its damping squares it
+                raise ValueError("forcing_mode_k must lie in (0, 1e100]")
 
     def forcing_value(self, t: float) -> float:
         """Forcing time factor f(t - delay); defaults to 1."""
@@ -214,6 +219,46 @@ def linear_rates(spec: ModelSpec, bases: tuple[BesselBasis, ...]) -> np.ndarray:
     return spec.diffusion * k**2 + spec.mortality
 
 
+def grid_source(spec: ModelSpec, transform: DiskTransform) -> Callable:
+    """``source(t, current, lagged)``: the variant's source on the grid of
+    ``transform`` from the samples of the state at t and at t - delay.
+
+    It is the integrator's rule ``amplitude(t) * static + births`` on the
+    grid. ``static``, built once, is the damped forcing or seeded birth
+    mode; ``births`` is ``b(current)`` for the forced birth, the damped
+    births of ``b(lagged)`` for ``full_*``, and for ``radial`` those of the
+    angular mean of ``lagged`` by the order-zero kernel, at every angle.
+    """
+    birth, grid = spec.birth, transform.grid
+    damp = damping_factors(transform.bases, spec.survival, spec.spread)
+    static = births = None
+    if spec.variant in _FORCED:
+        amplitude = spec.forcing_value
+        static = spec.forcing_damping() * ModeSeed(amplitude, spec.forcing_mode_k).profile(grid)
+        if spec.variant is Variant.MODE_FORCED_BIRTH and birth is not None:
+            births = lambda current, lagged: np.asarray(birth(current), dtype=float)  # noqa: E731
+    elif isinstance(birth, ModeSeed):
+        static = transform.synthesize_values(damp * transform.analyze_values(birth.profile(grid)))
+        amplitude = lambda t: float(birth.amplitude(t - spec.delay))  # noqa: E731
+    elif spec.variant is Variant.RADIAL:
+        def births(current, lagged):
+            profile = np.asarray(birth(lagged.mean(axis=1)), dtype=float)
+            coeffs = damp[0, 0] * transform.analyze_profile(profile)
+            return np.broadcast_to(transform.synthesize_profile(coeffs)[:, None], lagged.shape)
+    else:
+        def births(current, lagged):
+            analysis = transform.analyze_values(np.asarray(birth(lagged), dtype=float))
+            return transform.synthesize_values(damp * analysis)
+
+    def source(t: float, current: np.ndarray, lagged: Optional[np.ndarray]) -> np.ndarray:
+        if static is None:
+            return births(current, lagged)
+        values = amplitude(t) * static
+        return values if births is None else values + births(current, lagged)
+
+    return source
+
+
 def rhs(
     t: float,
     state: SpectralField,
@@ -223,44 +268,15 @@ def rhs(
 ) -> tuple[np.ndarray, DiskField]:
     """Time-derivative contribution split into (linear rates, source field).
 
-    The linear part is the per-mode rate array; the source field gathers
-    the variant's nonlocal / forced / local birth terms on the grid. The
-    lagged field is the population at t - delay and is only consulted by
-    the maturation variants.
+    The linear part is the per-mode rate array; the source field is
+    ``grid_source`` at the synthesis of ``state`` and the lagged field, the
+    population at t - delay, which the maturation variants need.
     """
-    rates = linear_rates(spec, transform.bases)
-    grid = transform.grid
-    values = np.zeros((grid.n_r, grid.n_theta))
-
-    if spec.variant in (Variant.FULL_DIRICHLET, Variant.FULL_ZERO_FLUX):
-        if lagged is None:
-            raise ValueError("maturation variants need the lagged field")
-        if isinstance(spec.birth, ModeSeed):
-            births = spec.birth.field(grid, t - spec.delay)
-            damp = damping_factors(transform.bases, spec.survival, spec.spread)
-            coeffs = damp * transform.analyze_values(births)
-            values += transform.synthesize_values(coeffs)
-        else:
-            values += maturation_term(
-                lagged, spec.birth, spec.survival, spec.spread, transform.bases, transform
-            ).values
-    elif spec.variant is Variant.RADIAL:
-        if lagged is None:
-            raise ValueError("maturation variants need the lagged field")
-        # Radial reduction: only the order-zero content feeds the source.
-        profile = lagged.values.mean(axis=1)
-        out = maturation_term_radial(
-            profile, spec.birth, spec.survival, spec.spread, transform.bases[0], grid
-        )
-        values += out[:, None]
-    else:
-        amp = spec.forcing_damping() * spec.forcing_value(t)
-        values += amp * ModeSeed(spec.forcing_value, spec.forcing_mode_k).profile(grid)
-        if spec.variant is Variant.MODE_FORCED_BIRTH and spec.birth is not None:
-            current = transform.synthesize(state).values
-            values += np.asarray(spec.birth(current), dtype=float)
-
-    return rates, DiskField(grid, values)
+    if spec.variant not in _FORCED and lagged is None:
+        raise ValueError("maturation variants need the lagged field")
+    current = transform.synthesize(state).values
+    source = grid_source(spec, transform)(t, current, None if lagged is None else lagged.values)
+    return linear_rates(spec, transform.bases), DiskField(transform.grid, source)
 
 
 # 1/e as the sum of two doubles, so that z + 1/e keeps its digits near the

@@ -44,8 +44,9 @@ normal float, so no subnormal operand slows a transform.
 A deliberately simple finite-difference integrator on the cell-centered
 polar mesh ``DiskGrid.cell_centered`` (forward Euler, conservative
 five-point Laplacian) is an independent cross-check, run by ``integrate``
-under ``Scheme.REFERENCE_FD``. Its source is the model's: the radial
-variant feeds only the angular mean of the field to the order-zero kernel.
+under ``Scheme.REFERENCE_FD``. It steps with ``model.grid_source``, the
+rule ``model.rhs`` wraps, built once per run: the radial variant feeds only
+the angular mean of the field to the order-zero kernel.
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .kernel import damped_births, damping_factors
-from .model import ModelSpec, ModeSeed, Variant, linear_rates
+from .kernel import damping_factors
+from .model import _FORCED, ModelSpec, ModeSeed, Variant, grid_source, linear_rates
 from .model import rhs  # noqa: F401  (bound here for tools that wrap solver.rhs)
 from .transform import DiskField, DiskGrid, DiskTransform, SpectralField, build_bases, default_grid
 
@@ -82,7 +83,8 @@ CONVERGED_STREAK = 100
 _BLOCK_BYTES = 1 << 20
 # Magnitudes below the smallest normal float are stored as 0 (see _flush).
 _TINY = np.finfo(float).tiny
-_FORCED = (Variant.MODE_FORCED, Variant.MODE_FORCED_BIRTH)
+# Most steps in one run or one delay: each keeps a diagnostics row or a ring entry.
+_MAX_STEPS = 10**8
 
 
 class Scheme(Enum):
@@ -115,6 +117,7 @@ class SolverConfig:
             raise ValueError("fd_n_r must be at least 3")
         if self.fd_n_theta < 2:
             raise ValueError("fd_n_theta must be at least 2")
+        _step_count(self.t_end, self.dt)
 
 
 def resolve_time_step(dt: float, delay: float) -> tuple[float, int]:
@@ -208,11 +211,12 @@ class SpectralIntegrator:
     def __init__(self, spec: ModelSpec, config: SolverConfig, n_r: int = 0, n_theta: int = 0):
         self.spec = spec
         self.config = config
+        self.dt, self.lag_steps = resolve_time_step(config.dt, spec.delay)
+        _step_count(max(config.t_end, spec.delay), self.dt, "t_end or delay over the rounded dt")
         self.bases = build_bases(spec.n_max, spec.j_max, spec.radius, spec.bc)
         self.grid = default_grid(self.bases, n_r, n_theta)
         self.transform = DiskTransform(self.grid, self.bases)
         self.rates = linear_rates(spec, self.bases)
-        self.dt, self.lag_steps = resolve_time_step(config.dt, spec.delay)
         # Per-mode factors in the packed layout. They are finite and every
         # source is 0 at the order-0 sine slot, so that slot stays exactly 0.
         self._decay = _flush(np.exp(-self.rates * self.dt))
@@ -443,9 +447,13 @@ def _span(coeffs: np.ndarray) -> int:
     return int(nonzero[-1]) + 1 if nonzero.size else 0
 
 
-def _step_count(t_end: float, dt: float) -> int:
-    """Number of dt-spaced diagnostics rows after the initial one."""
-    return int(math.ceil(t_end / dt - 1e-9)) if t_end else 0
+def _step_count(t_end: float, dt: float, keys: str = "t_end / dt") -> int:
+    """Number of dt-spaced diagnostics rows after the initial one; more than
+    ``_MAX_STEPS`` raises a ``ValueError`` naming ``keys``."""
+    steps = t_end / dt - 1e-9
+    if not steps <= _MAX_STEPS:
+        raise ValueError(f"{keys} needs more than {_MAX_STEPS:.0e} steps")
+    return math.ceil(steps) if t_end else 0
 
 
 class _Recorder:
@@ -516,11 +524,13 @@ def _integrate_reference(spec: ModelSpec, config: SolverConfig, w0) -> Simulatio
     the source and the terminal projection is truncated to what the mesh
     resolves.
     """
+    if spec.variant not in _FORCED and spec.delay != 0.0:
+        raise ValueError("the reference integrator runs maturation variants only without delay")
     grid = DiskGrid.cell_centered(spec.radius, config.fd_n_r, config.fd_n_theta)
     n_max = min(spec.n_max, (grid.n_theta - 2) // 2)
     j_max = min(spec.j_max, grid.n_r - 2)
     transform = DiskTransform(grid, build_bases(n_max, j_max, spec.radius, spec.bc))
-    stepper = _FDStepper(spec, transform)
+    source = grid_source(spec, transform)
     dt_fd = 0.8 * fd_stability_limit(spec, grid)
     inner = max(1, math.ceil(config.dt / dt_fd - 1e-12))
     dt_fd = config.dt / inner
@@ -532,7 +542,9 @@ def _integrate_reference(spec: ModelSpec, config: SolverConfig, w0) -> Simulatio
     recorder.record(0, 0.0, values, 0.0)
     for i in range(1, n_records + 1):
         for s in range((i - 1) * inner, i * inner):
-            previous, values = values, stepper(values, dt_fd, s * dt_fd)
+            lap = spec.diffusion * fd_laplacian(values, spec, grid)
+            change = lap - spec.mortality * values + source(s * dt_fd, values, values)
+            previous, values = values, values + dt_fd * change
         t = i * inner * dt_fd
         peak = float(np.max(np.abs(values)))
         if not np.isfinite(peak) or peak > config.blowup_threshold:
@@ -595,46 +607,3 @@ def fd_laplacian(values: np.ndarray, spec: ModelSpec, grid: DiskGrid) -> np.ndar
         r**2 * dth**2
     )
     return radial + angular
-
-
-class _FDStepper:
-    """Forward-Euler update on the grid of ``transform`` with the static
-    source pieces built once.
-
-    Forced variants scale the damped seeded-mode profile by f(t); the
-    maturation variants, which it accepts only without delay, evaluate the
-    spectral kernel through ``transform`` and its stored tables: the full
-    variants on the whole field, the radial variant on its angular mean, as
-    ``model.rhs`` does.
-    """
-
-    def __init__(self, spec: ModelSpec, transform: DiskTransform):
-        if spec.variant not in _FORCED and spec.delay != 0.0:
-            raise ValueError("the reference integrator runs maturation variants only without delay")
-        self.spec = spec
-        self.transform = transform
-        self.grid = transform.grid
-        if spec.variant in _FORCED:
-            seed = ModeSeed(spec.forcing_value, spec.forcing_mode_k)
-            self._unit = spec.forcing_damping() * seed.profile(self.grid)
-        else:
-            self._damp = damping_factors(transform.bases, spec.survival, spec.spread)
-
-    def __call__(self, values: np.ndarray, dt: float, t: float) -> np.ndarray:
-        spec = self.spec
-        if spec.variant in _FORCED:
-            source = spec.forcing_value(t) * self._unit
-            if spec.variant is Variant.MODE_FORCED_BIRTH and spec.birth is not None:
-                source = source + np.asarray(spec.birth(values), dtype=float)
-        elif spec.variant is Variant.RADIAL:
-            births = np.asarray(spec.birth(values.mean(axis=1)), dtype=float)
-            coeffs = self._damp[0, 0] * self.transform.analyze_profile(births)
-            source = self.transform.synthesize_profile(coeffs)[:, None]
-        else:
-            lagged, birth = values, spec.birth
-            if isinstance(birth, ModeSeed):
-                lagged, birth = birth.field(self.grid, t - spec.delay), (lambda w: w)
-            births = damped_births(lagged, birth, self._damp, self.transform)
-            source = self.transform.synthesize_values(births)
-        lap = fd_laplacian(values, spec, self.grid)
-        return values + dt * (spec.diffusion * lap - spec.mortality * values + source)

@@ -12,6 +12,7 @@ from diskrd.bessel import (
     _residual,
     bessel_j,
     bessel_j_prime,
+    find_bases,
     find_eigenvalues,
 )
 
@@ -151,6 +152,11 @@ class TestBoundaryCondition:
         assert DIRICHLET.coefficients() == (0.0, 1.0)
         assert ZERO_FLUX.coefficients() == (1.0, 0.0)
 
+    @pytest.mark.parametrize("a, b", [(np.nan, 1.0), (1.0, np.inf), (-np.inf, -1.0)])
+    def test_mixed_rejects_non_finite_coefficients(self, a, b):
+        with pytest.raises(ValueError, match="finite"):
+            BoundaryCondition.mixed(a, b)
+
     def test_constant_mode_admission(self):
         assert ZERO_FLUX.admits_constant_mode(0)
         assert not ZERO_FLUX.admits_constant_mode(1)
@@ -203,6 +209,40 @@ class TestFindEigenvalues:
         basis = find_eigenvalues(0, 1.0, bc, 3)
         assert basis.eigenvalues[0] < np.pi / 4.0
         assert abs(residual(0, basis.eigenvalues[0], 1.0, bc)) < 1e-12
+
+    @pytest.mark.parametrize("c", [1e-6, 3.0, 1e6])
+    def test_mixed_condition_is_scale_invariant(self, c):
+        # (c A, c B) is the condition (A, B): the same bases for every c > 0.
+        unit = find_bases(range(17), 1.0, BoundaryCondition.mixed(1.0, 1.0), 32)
+        scaled = find_bases(range(17), 1.0, BoundaryCondition.mixed(c, c), 32)
+        for plain, basis in zip(unit, scaled):
+            assert np.array_equal(basis.eigenvalues, plain.eigenvalues)
+            assert np.array_equal(basis.norms, plain.norms)
+
+    def test_large_robin_coefficient_approaches_dirichlet(self):
+        # k J_n' + 1e8 J_n = 0 is a Dirichlet edge up to a relative 1e-8 shift.
+        mixed = find_bases(range(17), 1.0, BoundaryCondition.mixed(1.0, 1e8), 32)
+        plain = find_bases(range(17), 1.0, DIRICHLET, 32)
+        for near, basis in zip(mixed, plain):
+            assert_allclose(near.eigenvalues, basis.eigenvalues, rtol=1e-7, atol=0.0)
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["zero_flux", "mixed"])
+    @pytest.mark.parametrize("radius", [1e-6, 1e-100, 1e100])
+    def test_roots_scale_as_one_over_radius(self, mixed, radius):
+        # A k J_n'(kR) + B J_n(kR) = 0 fixes x = kR through B R / A alone, so
+        # (R, 1) on radius R has the x roots of (1, 1) on the unit disk; the
+        # residual check must not depend on the size of k.
+        unit_bc = BoundaryCondition.mixed(1.0, 1.0) if mixed else ZERO_FLUX
+        bc = BoundaryCondition.mixed(radius, 1.0) if mixed else ZERO_FLUX
+        unit = find_bases(range(5), 1.0, unit_bc, 16)
+        scaled = find_bases(range(5), radius, bc, 16)
+        for plain, basis in zip(unit, scaled):
+            assert_allclose(basis.eigenvalues * radius, plain.eigenvalues, rtol=1e-13)
+
+    def test_rejects_non_finite_radius(self):
+        for radius in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="radius"):
+                find_bases(range(2), radius, DIRICHLET, 4)
 
     def test_count_cap(self):
         with pytest.raises(ValueError):

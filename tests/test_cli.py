@@ -213,6 +213,13 @@ class TestRun:
             ),
             (SMALL_CONFIG.format(t_end="0.1") + "n_max = 201\n", "n_max"),
             (SMALL_CONFIG.format(t_end="0.1") + "j_max = 257\n", "j_max"),
+            # Each of these overflowed or underflowed while the run was set up.
+            (SMALL_CONFIG.format(t_end="0.1") + "radius = 1e-200\n", "radius"),
+            (SMALL_CONFIG.format(t_end="0.1") + "radius = 1e200\n", "radius"),
+            (SMALL_CONFIG.format(t_end="0.1") + "forcing_mode_k = 1e300\n", "forcing_mode_k"),
+            (SMALL_CONFIG.format(t_end="0.1") + "dt = 1e-300\n", "dt"),
+            (SMALL_CONFIG.format(t_end="0.1") + "t_end = 1e300\n", "t_end"),
+            (SMALL_CONFIG.format(t_end="0.1") + "delay = 1e-300\n", "delay"),
         ],
         ids=[
             "negative_diffusion",
@@ -223,6 +230,12 @@ class TestRun:
             "fd_n_r_below_3",
             "n_max_above_200",
             "j_max_above_256",
+            "tiny_radius",
+            "huge_radius",
+            "huge_forcing_k",
+            "tiny_dt",
+            "huge_t_end",
+            "tiny_delay",
         ],
     )
     def test_invalid_model_or_solver_exits_2(self, tmp_path, capsys, text, key):
@@ -478,6 +491,22 @@ class TestMain:
         )
         assert status == 2
         assert "A * B >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--radius", "inf"],
+            ["--bc", "mixed", "--mixed-a", "nan"],
+            ["--bc", "mixed", "--mixed-b", "inf"],
+        ],
+        ids=["radius_inf", "mixed_a_nan", "mixed_b_inf"],
+    )
+    def test_eigen_table_rejects_non_finite_input(self, tmp_path, capsys, flags):
+        out = tmp_path / "table.csv"
+        assert main(["eigen-table", "--n-max", "1", "--j-max", "2", "--out", str(out)] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_run_requires_config_or_preset(self, capsys):

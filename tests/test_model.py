@@ -82,7 +82,8 @@ class TestBirthLaws:
         bases = build_bases(1, 3, 1.0, BoundaryCondition.dirichlet())
         grid = default_grid(bases)
         r, th = grid.mesh()
-        assert_allclose(seed.field(grid, 0.0), 2.0 * jv(1, 3.8317 * r) * np.cos(th))
+        births = seed.amplitude(0.0) * seed.profile(grid)
+        assert_allclose(births, 2.0 * jv(1, 3.8317 * r) * np.cos(th))
 
 
 class TestModelSpecValidation:

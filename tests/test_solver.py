@@ -1110,6 +1110,23 @@ class TestReferenceFD:
         assert scale > 0.1
         assert np.max(np.abs(source - expected.values)) <= 1e-9 * scale
 
+    def test_seeded_birth_field_is_built_once(self, monkeypatch):
+        # The seeded source is amplitude(t) times one damped field: its
+        # profile is evaluated once per run, not once per Euler step.
+        calls = []
+        profile = ModeSeed.profile
+
+        def counting(seed, grid):
+            calls.append(grid)
+            return profile(seed, grid)
+
+        monkeypatch.setattr(ModeSeed, "profile", counting)
+        spec = forced_spec(
+            variant=Variant.FULL_ZERO_FLUX, birth=SEED, diffusion=1.0, delay=0.0, n_max=2, j_max=4
+        )
+        result = integrate(spec, fd_config(12, 8, 0.002, 0.004), lambda t, r, th: np.ones_like(r))
+        assert result.dt < 0.001 and len(calls) == 1
+
     def test_maturation_runs_build_bases_once(self, monkeypatch):
         calls = []
 

@@ -282,6 +282,23 @@ class TestRadialPath:
             expected = 2.0 / (k * jv(1, k))
             assert coeffs[j] == pytest.approx(expected, rel=1e-10)
 
+    # The stored order-0 row of the transform (what rhs and both schemes'
+    # radial sources read) against the same closed forms.
+    def test_single_mode_stored_row(self):
+        bases = build_bases(0, 5, 1.0, DIRICHLET)
+        grid = DiskGrid.gauss_legendre(1.0, 32, 4)
+        profile = jv(0, bases[0].eigenvalues[0] * grid.r_nodes)
+        coeffs = DiskTransform(grid, bases).analyze_profile(profile)
+        assert coeffs[0] == pytest.approx(1.0, abs=1e-10)
+        assert np.max(np.abs(coeffs[1:])) < 1e-10
+
+    def test_expansion_of_unity_stored_row(self):
+        bases = build_bases(0, 6, 1.0, DIRICHLET)
+        grid = DiskGrid.gauss_legendre(1.0, 48, 4)
+        coeffs = DiskTransform(grid, bases).analyze_profile(np.ones(grid.n_r))
+        for j, k in enumerate(bases[0].eigenvalues):
+            assert coeffs[j] == pytest.approx(2.0 / (k * jv(1, k)), rel=1e-10)
+
     def test_zero_profile(self):
         basis = build_bases(0, 4, 1.0, DIRICHLET)[0]
         grid = DiskGrid.gauss_legendre(1.0, 24, 4)
