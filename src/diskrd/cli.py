@@ -390,7 +390,10 @@ def run(config_path=None, preset: str | None = None, out_dir=None) -> int:
             result = integrator.integrate(w0)
         else:
             _write_effective_config(resolved, spec, {}, out / "effective_config")
-            result = integrate(spec, config, w0)
+            try:
+                result = integrate(spec, config, w0)
+            except ValueError as exc:  # the FD step count
+                raise ConfigError(f"invalid config: {exc}") from None
 
         with open(out / "diagnostics.csv", "w", encoding="utf-8") as fh:
             fh.write("t,max,min,total_population,dwdt_norm\n")

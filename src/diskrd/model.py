@@ -6,14 +6,15 @@ theta) evolves at rate -(diffusion * k^2 + mortality). Variants differ in
 their source term:
 
     FULL_DIRICHLET / FULL_ZERO_FLUX   nonlocal maturation of the lagged field
-    RADIAL                            the same, restricted to order zero
+    RADIAL                            the same at n_max = 0 (no angular part)
     MODE_FORCED                       a fixed single-mode birth pulse
     MODE_FORCED_BIRTH                 the pulse plus a local birth law b(w)
 
 ``grid_source`` states each variant's source once on a grid: the
 finite-difference reference steps with it, and ``rhs`` pairs it with the
 linear rates. The spectral integrator applies the same rule to
-coefficients (see ``solver``).
+coefficients (see ``solver``). At n_max = 0 every state is constant in
+theta, so the ``full_*`` rule gives RADIAL the paper's radial births.
 """
 
 from __future__ import annotations
@@ -158,14 +159,13 @@ class ModelSpec:
     j_max: int = 32
 
     def __post_init__(self) -> None:
-        if self.diffusion <= 0.0:
-            raise ValueError("diffusion must be positive")
-        if self.mortality < 0.0:
-            raise ValueError("mortality must be nonnegative")
+        if not 0.0 < self.diffusion < math.inf:
+            raise ValueError("diffusion must be positive and finite")
+        for name in ("mortality", "spread", "delay"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
         if not 0.0 < self.survival <= 1.0:
             raise ValueError("survival must lie in (0, 1]")
-        if self.spread < 0.0 or self.delay < 0.0:
-            raise ValueError("spread and delay must be nonnegative")
         if not 1e-100 <= self.radius <= 1e100:
             raise ValueError("radius must lie in [1e-100, 1e100]")
         if not (0 <= self.n_max <= MAX_ORDER and 1 <= self.j_max <= MAX_EIGENVALUES):
@@ -187,6 +187,8 @@ class ModelSpec:
                 "the radial variant cannot take a ModeSeed birth: the seed is an order-1 "
                 "mode, which the radial (order-zero) reduction drops"
             )
+        if self.variant is Variant.RADIAL and self.n_max != 0:
+            raise ValueError("the radial variant has no angular part: it needs n_max = 0")
         if self.variant in _FORCED:
             if self.variant is Variant.MODE_FORCED_BIRTH and isinstance(self.birth, ModeSeed):
                 raise ValueError("the forced-with-birth variant needs a density-dependent law")
@@ -225,9 +227,8 @@ def grid_source(spec: ModelSpec, transform: DiskTransform) -> Callable:
 
     It is the integrator's rule ``amplitude(t) * static + births`` on the
     grid. ``static``, built once, is the damped forcing or seeded birth
-    mode; ``births`` is ``b(current)`` for the forced birth, the damped
-    births of ``b(lagged)`` for ``full_*``, and for ``radial`` those of the
-    angular mean of ``lagged`` by the order-zero kernel, at every angle.
+    mode; ``births`` is ``b(current)`` for the forced birth and the damped
+    births of ``b(lagged)`` for ``full_*`` and ``radial``.
     """
     birth, grid = spec.birth, transform.grid
     damp = damping_factors(transform.bases, spec.survival, spec.spread)
@@ -240,11 +241,6 @@ def grid_source(spec: ModelSpec, transform: DiskTransform) -> Callable:
     elif isinstance(birth, ModeSeed):
         static = transform.synthesize_values(damp * transform.analyze_values(birth.profile(grid)))
         amplitude = lambda t: float(birth.amplitude(t - spec.delay))  # noqa: E731
-    elif spec.variant is Variant.RADIAL:
-        def births(current, lagged):
-            profile = np.asarray(birth(lagged.mean(axis=1)), dtype=float)
-            coeffs = damp[0, 0] * transform.analyze_profile(profile)
-            return np.broadcast_to(transform.synthesize_profile(coeffs)[:, None], lagged.shape)
     else:
         def births(current, lagged):
             analysis = transform.analyze_values(np.asarray(birth(lagged), dtype=float))

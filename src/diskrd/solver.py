@@ -31,22 +31,22 @@ AB2 stage, one update and one blow-up maximum, and a block advances all its
 states under one ``np.errstate`` (its birth law runs under one more).
 
 The recruitment damping underflows to exactly 0 past some radial index, so
-the lagged births of ``full_*`` (a density-dependent birth law) are
-analysed only up to the last index with a nonzero damping factor, and each
-of its blocks is synthesised only up to its stack's last nonzero index;
-that index shrinks once the full-width tail of the analysed initial state
-has decayed. Every other source (forced, forced birth, seeded birth,
-radial) is taken to span every index, and its blocks transform every
-column. The damped births of ``full_*``, the decay factors and, where a
-block scans, its stepped coefficients are stored as 0 below the smallest
-normal float, so no subnormal operand slows a transform.
+the lagged births of ``full_*`` and ``radial`` (``full_*`` at n_max = 0)
+are analysed only up to the last index with a nonzero damping factor, and
+where that is below j_max each block is synthesised only up to its stack's
+last nonzero index, which shrinks once the full-width tail of the analysed
+initial state has decayed. Every other source (forced, forced birth,
+seeded birth) is taken to span every index, and its blocks transform every
+column. The damped lagged births, the decay factors and, where a block
+scans, its stepped coefficients are stored as 0 below the smallest normal
+float, so no subnormal operand slows a transform.
 
 A deliberately simple finite-difference integrator on the cell-centered
 polar mesh ``DiskGrid.cell_centered`` (forward Euler, conservative
 five-point Laplacian) is an independent cross-check, run by ``integrate``
 under ``Scheme.REFERENCE_FD``. It steps with ``model.grid_source``, the
-rule ``model.rhs`` wraps, built once per run: the radial variant feeds only
-the angular mean of the field to the order-zero kernel.
+rule ``model.rhs`` wraps, built once per run, and refuses a run that
+needs more than ``_MAX_STEPS`` Euler steps.
 """
 
 from __future__ import annotations
@@ -229,9 +229,9 @@ class SpectralIntegrator:
         # The birth law, the steps its births lag the source, and their
         # per-mode damping (None: undamped); no law for a forced or seeded mode.
         self._birth, self._birth_lag, self._birth_damp = None, 0, None
-        # The lagged births of ``full_*`` are 0 past radial index ``_reach``,
-        # where every damping factor has underflowed to 0, and are analysed
-        # that wide only. Every other source is taken to span every index.
+        # Lagged births are 0 past radial index ``_reach``, where every
+        # damping factor has underflowed to 0, and are analysed that wide
+        # only. Every other source is taken to span every index.
         self._reach = spec.j_max
         birth = spec.birth
         if spec.variant in _FORCED:
@@ -245,8 +245,7 @@ class SpectralIntegrator:
             self._amplitude = lambda t: float(birth.amplitude(t - spec.delay))
         else:
             self._birth, self._birth_lag, self._birth_damp = birth, self.lag_steps, self._damp
-            if spec.variant is not Variant.RADIAL:
-                self._reach = _span(self._damp)
+            self._reach = _span(self._damp)
         # Past ``_reach`` the states are 0 once the tail of the analysed
         # initial state has decayed, so ``step`` synthesises each block up to
         # its stack's last nonzero index.
@@ -273,8 +272,6 @@ class SpectralIntegrator:
         """
         r, th = self.grid.mesh()
         births = deque(maxlen=self._birth_lag + 1)
-        # Only a birth law on the whole field reads a state's grid values.
-        reads = self._birth is not None and self.spec.variant is not Variant.RADIAL
         sample = None
         for i in range(-self._birth_lag, 1):
             raw = w0(i * self.dt, r, th)
@@ -289,7 +286,8 @@ class SpectralIntegrator:
                     stack = self.transform.analyze_values(values[None])
             except FloatingPointError:
                 raise BlowUpError(i * self.dt, i, math.inf) from None
-            first, values = i, self._synthesize(stack, i) if reads else None
+            # Only a birth law reads a state's grid values.
+            first, values = i, None if self._birth is None else self._synthesize(stack, i)
         if record is not None:
             if values is None:
                 values = self._synthesize(stack, first)
@@ -315,38 +313,32 @@ class SpectralIntegrator:
         state; empty where no birth law applies.
 
         ``values`` are the states' grid samples, which the birth law
-        overwrites; the radial variant reads and keeps order zero of
-        ``stack`` only (``values`` may be None). State m is step
-        ``first + m``, and an overflow there is a blow-up at that step. The
-        forced birth is analysed undamped at full width.
+        overwrites. State m is step ``first + m``, and an overflow there is
+        a blow-up at that step. The forced birth is analysed undamped at
+        full width.
         """
         birth, damp = self._birth, self._birth_damp
         if birth is None:
             return []
-        radial = self.spec.variant is Variant.RADIAL
         m = 0
         try:
             with np.errstate(over="raise", invalid="raise"):
-                samples = self.transform.synthesize_profile(stack[0, 0]) if radial else values
-                for m, sample in enumerate(samples):
-                    samples[m] = birth(sample)
+                for m, sample in enumerate(values):
+                    values[m] = birth(sample)
                 # A batched transform overflows only near the float range;
                 # such an overflow is reported at the block's first step.
                 m = 0
-                if radial:
-                    births = np.zeros(stack.shape)
-                    births[0, 0] = damp[0, 0] * self.transform.analyze_profile(samples)
-                elif damp is None:
-                    births = self.transform.analyze_values(samples)
+                if damp is None:
+                    births = self.transform.analyze_values(values)
                 else:
                     reach = self._reach
                     births = np.zeros(stack.shape)
-                    analysis = self.transform.analyze_values(samples, reach)
+                    analysis = self.transform.analyze_values(values, reach)
                     live = births[..., :reach]
                     _flush(np.multiply(damp[:, :, None, :reach], analysis, out=live))
         except FloatingPointError:
             raise BlowUpError((first + m) * self.dt, first + m, math.inf) from None
-        return [births[:, :, m] for m in range(len(samples))]
+        return [births[:, :, m] for m in range(len(values))]
 
     def source(self, buffer: HistoryBuffer, ahead: int = 0) -> np.ndarray:
         """Packed source coefficients at the head time plus ``ahead`` steps:
@@ -505,6 +497,7 @@ def _phi1(lam: np.ndarray, dt: float) -> np.ndarray:
     small = np.abs(x) < 1e-4
     safe = np.where(small, 1.0, lam)
     direct = (1.0 - np.exp(-x)) / safe
+    x = np.where(small, x, 0.0)  # the series only where it is taken: no overflow
     series = dt * (1.0 - x / 2.0 + x**2 / 6.0 - x**3 / 24.0)
     return np.where(small, series, direct)
 
@@ -527,14 +520,19 @@ def _integrate_reference(spec: ModelSpec, config: SolverConfig, w0) -> Simulatio
     if spec.variant not in _FORCED and spec.delay != 0.0:
         raise ValueError("the reference integrator runs maturation variants only without delay")
     grid = DiskGrid.cell_centered(spec.radius, config.fd_n_r, config.fd_n_theta)
+    n_records = _step_count(config.t_end, config.dt)
+    dt_fd = 0.8 * fd_stability_limit(spec, grid)  # may underflow to 0; kept > 0 below
+    if not max(n_records, 1) * config.dt <= _MAX_STEPS * dt_fd:
+        raise ValueError(
+            f"reference_fd needs more than {_MAX_STEPS:.0e} Euler steps at this diffusion "
+            f"and mortality on the {grid.n_r} x {grid.n_theta} FD mesh (fd_n_r, fd_n_theta)"
+        )
+    inner = max(1, math.ceil(config.dt / dt_fd - 1e-12))
+    dt_fd = config.dt / inner
     n_max = min(spec.n_max, (grid.n_theta - 2) // 2)
     j_max = min(spec.j_max, grid.n_r - 2)
     transform = DiskTransform(grid, build_bases(n_max, j_max, spec.radius, spec.bc))
     source = grid_source(spec, transform)
-    dt_fd = 0.8 * fd_stability_limit(spec, grid)
-    inner = max(1, math.ceil(config.dt / dt_fd - 1e-12))
-    dt_fd = config.dt / inner
-    n_records = _step_count(config.t_end, config.dt)
 
     r, th = grid.mesh()
     values = DiskField(grid, np.asarray(w0(0.0, r, th), dtype=float) + np.zeros_like(r)).values

@@ -226,7 +226,14 @@ def build_bases(
 def default_grid(bases: tuple[BesselBasis, ...], n_r: int = 0, n_theta: int = 0) -> DiskGrid:
     """Gauss-Legendre grid for ``bases``; a positive ``n_r`` or ``n_theta``
     sets that size, 0 picks one so quadrature resolves products of the
-    stored modes."""
+    stored modes: 64 angles or more, but 2 for bases of order 0 only.
+
+    The trapezoid rule on N angles is exact below degree N (Trefethen and
+    Weideman 2014), and an order-0 state and its births are constant in
+    theta. Only a theta-varying initial state is projected by the 2-point
+    mean, which is its exact angular mean where the varying part is odd
+    under theta -> theta + pi, as in the CLI's ``trig_patch``.
+    """
     if n_r < 0 or n_theta < 0:
         raise ValueError("grid sizes must be 0 (auto) or positive")
     radius = bases[0].radius
@@ -235,7 +242,7 @@ def default_grid(bases: tuple[BesselBasis, ...], n_r: int = 0, n_theta: int = 0)
     # mode products to machine accuracy; keep a little slack on top.
     least_r, least_theta = least_grid(len(bases) - 1, bases[0].count)
     n_r = n_r or max(least_r, int(np.ceil(0.75 * k_max * radius)) + 8)
-    n_theta = n_theta or max(least_theta, 64)
+    n_theta = n_theta or (least_theta if len(bases) == 1 else max(least_theta, 64))
     return DiskGrid.gauss_legendre(radius, n_r, n_theta)
 
 
@@ -277,7 +284,7 @@ class DiskTransform:
         squares[0] *= 2.0
         self._l2_weights = np.repeat(squares, 2, axis=0).ravel()
         # Below this coefficient magnitude no weighted square sum overflows.
-        self._l2_safe = 0.5 * math.sqrt(np.finfo(float).max / self._l2_weights.sum())
+        self._l2_safe = 0.5 * math.sqrt(np.finfo(float).max) / math.sqrt(self._l2_weights.sum())
         # Row 2n + s is cos(n theta) (s = 0) or sin(n theta) (s = 1); the
         # order-0 sine row is exactly zero, so analysis gives that slot 0.
         angles = np.outer(np.arange(n_max + 1), grid.theta_nodes)
@@ -367,16 +374,6 @@ class DiskTransform:
             raise ValueError("out must be C-contiguous")
         np.matmul(radial.reshape(2 * n1, k * n_r).T, self._trig, out=out.reshape(k * n_r, -1))
         return out
-
-    def analyze_profile(self, profile: np.ndarray) -> np.ndarray:
-        """Order-zero coefficients of a radial profile sampled on the grid
-        radii, or of a stack of profiles shaped (K, n_r)."""
-        return (self._weights * profile) @ self._j_table[0].T / self.bases[0].norms
-
-    def synthesize_profile(self, coeffs: np.ndarray) -> np.ndarray:
-        """Radial profile sum_j c_j J_0(k_0j r) on the grid radii (one per row
-        of a (K, j_max) stack)."""
-        return coeffs @ self._j_table[0]
 
     def weighted_l2(self, coeffs: np.ndarray, bound: float | None = None) -> float:
         """Disk L2 norm of packed coefficients, from the stored mode norms.

@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -220,6 +221,11 @@ class TestRun:
             (SMALL_CONFIG.format(t_end="0.1") + "dt = 1e-300\n", "dt"),
             (SMALL_CONFIG.format(t_end="0.1") + "t_end = 1e300\n", "t_end"),
             (SMALL_CONFIG.format(t_end="0.1") + "delay = 1e-300\n", "delay"),
+            (
+                SMALL_CONFIG.format(t_end="0.1")
+                + "variant = radial\nbirth = identity\nn_max = 16\n",
+                "n_max",
+            ),
         ],
         ids=[
             "negative_diffusion",
@@ -236,6 +242,7 @@ class TestRun:
             "tiny_dt",
             "huge_t_end",
             "tiny_delay",
+            "radial_with_angular_orders",
         ],
     )
     def test_invalid_model_or_solver_exits_2(self, tmp_path, capsys, text, key):
@@ -256,6 +263,15 @@ class TestRun:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: config key {key}: ") and "Traceback" not in err
+
+    def test_unbounded_reference_fd_exits_2_at_once(self, tmp_path, capsys):
+        # The explicit FD step shrinks as 1 / diffusion: ~1e301 Euler steps here.
+        text = SMALL_CONFIG.format(t_end="0.1") + "scheme = reference_fd\ndiffusion = 1e300\n"
+        start = time.perf_counter()
+        assert run(write_config(tmp_path, text), out_dir=tmp_path / "out") == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert all(key in err for key in ("diffusion", "mortality", "fd_n_r", "fd_n_theta"))
 
     def test_equilibria_reported_for_density_dependent_birth(self, tmp_path):
         text = SMALL_CONFIG.format(t_end="0.0").replace(
@@ -350,6 +366,19 @@ class TestRunSetupAndFiles:
         assert run(write_config(tmp_path, text), out_dir=tmp_path / "out") == 0
         # One search over angular orders 0..4, whether or not the grid is sized by hand.
         assert calls == [[0, 1, 2, 3, 4]]
+
+    def test_order_zero_run_uses_two_angles(self, tmp_path):
+        text = SMALL_CONFIG.format(t_end="0.1") + (
+            "variant = radial\nbc = dirichlet\nbirth = logistic\nn_max = 0\nj_max = 4\n"
+        )
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, text), out_dir=out) == 0
+        effective = (out / "effective_config").read_text().splitlines()
+        assert "n_theta = 2" in effective
+        n_r = int(next(line for line in effective if line.startswith("n_r = "))[6:])
+        with open(out / "snapshot_0.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 * n_r and {float(row["theta"]) for row in rows} == {0.0, np.pi}
 
     def test_one_snapshot_file_per_time(self, tmp_path, monkeypatch):
         # Snapshot times a millisecond apart near t = 1000 (dt = 0.001 run

@@ -98,13 +98,27 @@ class TestModelSpecValidation:
             make_spec(Variant.FULL_DIRICHLET, bc=ZERO_FLUX, birth=Identity())
 
     def test_maturation_variants_need_birth(self):
-        with pytest.raises(ValueError):
-            make_spec(Variant.RADIAL)
+        with pytest.raises(ValueError, match="birth"):
+            make_spec(Variant.RADIAL, n_max=0)
 
     def test_radial_rejects_mode_seed(self):
         # The seed is an order-1 mode; the radial reduction keeps order 0 only.
         with pytest.raises(ValueError, match="radial.*ModeSeed"):
-            make_spec(Variant.RADIAL, birth=ModeSeed(lambda t: 1.0, 3.8317))
+            make_spec(Variant.RADIAL, birth=ModeSeed(lambda t: 1.0, 3.8317), n_max=0)
+
+    @pytest.mark.parametrize("n_max", [1, 16])
+    def test_radial_rejects_angular_orders(self, n_max):
+        # The radial reduction has no angular part: it is the order-0 model.
+        with pytest.raises(ValueError, match="n_max"):
+            make_spec(Variant.RADIAL, birth=Identity(), n_max=n_max)
+
+    @pytest.mark.parametrize(
+        "field", ["diffusion", "mortality", "survival", "spread", "delay", "radius"]
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_inputs(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            make_spec(Variant.FULL_ZERO_FLUX, birth=Identity(), **{field: value})
 
     def test_physical_bounds(self):
         with pytest.raises(ValueError):
@@ -233,18 +247,22 @@ class TestRhs:
         assert np.max(np.abs(deriv[1:, 1])) < 1e-9
 
     def test_radial_closure(self):
+        # An order-0 state has order-0 births: the source is constant in theta
+        # on any grid, and an order-0 analysis recovers it.
         spec = make_spec(
-            Variant.RADIAL, birth=RickerQuadratic(0.25, 0.1), n_max=3, j_max=5, delay=0.0
+            Variant.RADIAL, birth=RickerQuadratic(0.25, 0.1), n_max=0, j_max=5, delay=0.0
         )
         bases = build_bases(spec.n_max, spec.j_max, spec.radius, spec.bc)
-        tr = DiskTransform(default_grid(bases), bases)
+        tr = DiskTransform(default_grid(bases, 0, 16), bases)
         rng = np.random.default_rng(13)
-        c = np.zeros((4, 2, 5))
+        c = np.zeros((1, 2, 5))
         c[0, 0] = rng.uniform(0.1, 1.0, 5)
         state = SpectralField(bases, c)
         lagged = tr.synthesize(state)
         _, source = rhs(0.0, state, lagged, spec, tr)
-        assert np.max(np.abs(tr.analyze_values(source.values)[1:])) < 1e-10
+        assert np.all(np.ptp(source.values, axis=1) == 0.0)
+        twin = tr.synthesize_values(tr.analyze_values(source.values))
+        assert np.max(np.abs(twin - source.values)) <= 1e-12 * np.max(np.abs(source.values))
 
     def test_maturation_variant_requires_lagged(self, forced_setup):
         _, bases, tr = forced_setup

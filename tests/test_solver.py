@@ -115,6 +115,15 @@ class TestInitializeHistory:
 
 
 class TestStep:
+    def test_phi1_takes_the_series_only_where_it_is_small(self):
+        # A huge rate overflows the series' square, which is discarded there;
+        # the series entries are the plain series, bit for bit.
+        lam, dt = np.array([1e300, 5.0, 1e-3, 0.0]), 0.01
+        got = solver._phi1(lam, dt)  # RuntimeWarnings fail the suite
+        x = lam[2:] * dt
+        assert np.array_equal(got[2:], dt * (1.0 - x / 2.0 + x**2 / 6.0 - x**3 / 24.0))
+        assert got[0] == 1e-300 and got[1] == pytest.approx(-np.expm1(-0.05) / 5.0, rel=1e-14)
+
     def test_pure_linear_mode_exact_propagation(self):
         spec = forced_spec(forcing=lambda t: 0.0, delay=0.0)
         config = SolverConfig(dt=0.5, t_end=10.0, snapshot_every=10)
@@ -195,7 +204,7 @@ SOURCE_CASES = {
     ),
     "full_zero_flux_seed": dict(variant=Variant.FULL_ZERO_FLUX, birth=SEED),
     "full_dirichlet_seed": dict(variant=Variant.FULL_DIRICHLET, bc=DIRICHLET, birth=SEED),
-    "radial": dict(variant=Variant.RADIAL, bc=DIRICHLET, birth=RickerQuadratic(0.25, 0.1), n_max=2),
+    "radial": dict(variant=Variant.RADIAL, bc=DIRICHLET, birth=RickerQuadratic(0.25, 0.1), n_max=0),
 }
 
 
@@ -240,7 +249,7 @@ class TestCoefficientSource:
             ("full_dirichlet", 1),
             ("full_zero_flux_seed", 0),
             ("full_dirichlet_seed", 0),
-            ("radial", 0),
+            ("radial", 1),
         ],
     )
     def test_transforms_per_step(self, monkeypatch, case, analyses):
@@ -555,18 +564,23 @@ class TestDeadBand:
         monkeypatch.setattr(DiskTransform, "analyze_values", full_analysis)
         monkeypatch.setattr(DiskTransform, "synthesize_values", full_synthesis)
 
+    RADIAL = dict(variant=Variant.RADIAL, bc=DIRICHLET, n_max=0)
+
     def test_matches_the_run_with_the_width_ignored(self, monkeypatch):
-        ig = self.integrator()
-        damp = damping_factors(ig.bases, ig.spec.survival, ig.spec.spread)
-        assert not np.any(damp[..., -1])  # the run has a dead band
-        got = ig.integrate(patch_w0)
+        cases, runs = ({}, self.RADIAL), []
+        for changes in cases:
+            ig = self.integrator(**changes)
+            damp = damping_factors(ig.bases, ig.spec.survival, ig.spec.spread)
+            assert not np.any(damp[..., -1])  # the run has a dead band
+            runs.append(ig.integrate(patch_w0))
         self.ignore_width(monkeypatch)
-        want = self.integrator().integrate(patch_w0)
-        for attr in ("times", "max_density", "min_density", "total_population", "dwdt_norm"):
-            assert np.array_equal(getattr(got, attr), getattr(want, attr))
-        assert np.array_equal(got.final_state.coeffs, want.final_state.coeffs)
-        for (t1, f1), (t2, f2) in zip(got.snapshots, want.snapshots, strict=True):
-            assert t1 == t2 and np.array_equal(f1.values, f2.values)
+        twins = [self.integrator(**changes).integrate(patch_w0) for changes in cases]
+        for got, want in zip(runs, twins, strict=True):
+            for attr in ("times", "max_density", "min_density", "total_population", "dwdt_norm"):
+                assert np.array_equal(getattr(got, attr), getattr(want, attr))
+            assert np.array_equal(got.final_state.coeffs, want.final_state.coeffs)
+            for (t1, f1), (t2, f2) in zip(got.snapshots, want.snapshots, strict=True):
+                assert t1 == t2 and np.array_equal(f1.values, f2.values)
 
     def test_ring_and_states_hold_no_subnormal(self):
         tiny = np.finfo(float).tiny
@@ -623,9 +637,8 @@ class TestDeadBand:
             dict(variant=Variant.MODE_FORCED, birth=None),
             dict(variant=Variant.MODE_FORCED_BIRTH),
             dict(birth=SEED),
-            dict(variant=Variant.RADIAL, bc=DIRICHLET),
         ],
-        ids=["mode_forced", "mode_forced_birth", "seeded_birth", "radial"],
+        ids=["mode_forced", "mode_forced_birth", "seeded_birth"],
     )
     def test_only_lagged_full_births_scan(self, changes, monkeypatch):
         ig = self.integrator(**changes)
@@ -745,7 +758,7 @@ class TestNonlinearDelayConvergence:
             radius=1.0,
             bc=bc,
             birth=RickerQuadratic(0.25, 0.1),
-            n_max=4,
+            n_max=0 if variant is Variant.RADIAL else 4,
             j_max=8,
         )
 
@@ -924,28 +937,23 @@ class TestIntegrate:
         assert result.times.size == n + 1
         assert np.array_equal(result.times, np.arange(n + 1) * result.dt)
 
-    def test_radial_symmetry_preserved_whole_run(self):
-        spec = forced_spec(
-            variant=Variant.RADIAL,
-            bc=DIRICHLET,
-            birth=RickerQuadratic(0.25, 0.1),
-            delay=0.1,
-            n_max=3,
-            j_max=5,
-        )
-        rng = np.random.default_rng(21)
-        c = rng.uniform(0.0, 0.5, 5)
-
-        def w0(t, r, th):
-            basis = SpectralIntegrator(spec, SolverConfig(dt=0.05, t_end=1.0)).bases[0]
-            return sum(
-                c[j] * jv(0, basis.eigenvalues[j] * r) for j in range(5)
+    def test_radial_is_full_dirichlet_at_order_zero(self):
+        # The radial reduction is the full model at n_max = 0: same rule,
+        # same grid, same numbers.
+        radial, full = (
+            integrate(
+                forced_spec(variant=v, bc=DIRICHLET, birth=Logistic(2.0, 1.0), n_max=0, j_max=8),
+                SolverConfig(dt=0.05, t_end=2.0, snapshot_every=7),
+                drifting_patch,
             )
-
-        result = integrate(spec, SolverConfig(dt=0.05, t_end=1.0), w0)
-        final = result.final_state
-        assert np.max(np.abs(final.a[1:])) < 1e-10
-        assert np.max(np.abs(final.b)) < 1e-10
+            for v in (Variant.RADIAL, Variant.FULL_DIRICHLET)
+        )
+        assert radial.grid.n_theta == 2
+        for attr in ("times", "max_density", "min_density", "total_population", "dwdt_norm"):
+            assert np.array_equal(getattr(radial, attr), getattr(full, attr))
+        assert np.array_equal(radial.final_state.coeffs, full.final_state.coeffs)
+        for (t1, f1), (t2, f2) in zip(radial.snapshots, full.snapshots, strict=True):
+            assert t1 == t2 and np.array_equal(f1.values, f2.values)
 
     def test_convergence_flag_for_decaying_run(self):
         spec = forced_spec(forcing=lambda t: 0.0, diffusion=5.0, mortality=1.0, delay=0.0)
@@ -1042,8 +1050,9 @@ class TestReferenceFD:
         assert_allclose((result.final_field.values - 1.0) / dt, 0.5, rtol=1e-2)
 
     def test_radial_source_is_the_order_zero_reduction(self):
-        # The radial variant's source reads the angular mean of the field
-        # only, as rhs and the spectral solver do; one Euler step recovers it.
+        # The radial variant's source is the order-zero births of the field,
+        # constant in theta, as in rhs and the spectral solver; one Euler
+        # step recovers it.
         spec = forced_spec(
             variant=Variant.RADIAL,
             bc=DIRICHLET,
@@ -1053,7 +1062,7 @@ class TestReferenceFD:
             survival=0.8,
             spread=0.02,
             delay=0.0,
-            n_max=3,
+            n_max=0,
             j_max=8,
         )
         grid = DiskGrid.cell_centered(1.0, 24, 12)
@@ -1162,6 +1171,13 @@ class TestReferenceFD:
         assert result.times.size == 3
         assert (result.final_state.n_max, result.final_state.j_max) == (11, 30)
         assert np.all(np.isfinite(result.final_field.values))
+
+    @pytest.mark.parametrize("changes", [dict(diffusion=1e300), dict(mortality=1e300)])
+    def test_unbounded_inner_step_count_is_rejected(self, changes):
+        # The Euler step shrinks as 1 / (diffusion + mortality); the run
+        # is refused before its first step.
+        with pytest.raises(ValueError, match="diffusion.*mortality.*FD mesh"):
+            integrate(forced_spec(**changes), fd_config(16, 8, 0.01), patch_w0)
 
     def test_maturation_variant_with_delay_requires_lagged(self):
         # The FD scheme keeps no past fields, so a maturation variant with a

@@ -66,6 +66,10 @@ class TestDiskGrid:
 
     def test_default_grid_sizes(self):
         # 0 sizes a dimension automatically, a positive size is taken as given.
+        # Order 0 alone is constant in theta: two angles resolve it.
+        order_zero = build_bases(0, 6, 1.0, DIRICHLET)
+        assert default_grid(order_zero).n_theta == 2
+        assert default_grid(order_zero, 0, 16).n_theta == 16
         bases = build_bases(4, 6, 1.0, DIRICHLET)
         auto = default_grid(bases)
         assert auto.n_r >= 8 and auto.n_theta == 64
@@ -219,17 +223,6 @@ class TestStacked:
         with pytest.raises(ValueError, match="contiguous"):
             tr.synthesize_values(stack, out[::2])
 
-    def test_profile_stack_matches_single_profiles(self, small_setup):
-        grid, bases, tr = small_setup
-        rng = np.random.default_rng(7)
-        coeffs = rng.uniform(-1.0, 1.0, (3, 6))
-        profiles = tr.synthesize_profile(coeffs)
-        stacked = tr.analyze_profile(profiles)
-        for k in range(3):
-            assert_allclose(profiles[k], tr.synthesize_profile(coeffs[k]), rtol=0, atol=1e-14)
-            assert_allclose(stacked[k], tr.analyze_profile(profiles[k]), rtol=0, atol=1e-13)
-            assert_allclose(stacked[k], coeffs[k], rtol=0, atol=1e-10)
-
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1))
@@ -283,21 +276,22 @@ class TestRadialPath:
             assert coeffs[j] == pytest.approx(expected, rel=1e-10)
 
     # The stored order-0 row of the transform (what rhs and both schemes'
-    # radial sources read) against the same closed forms.
+    # radial sources read) against the same closed forms, on the two-angle
+    # grid of an order-0 run.
     def test_single_mode_stored_row(self):
         bases = build_bases(0, 5, 1.0, DIRICHLET)
-        grid = DiskGrid.gauss_legendre(1.0, 32, 4)
+        grid = DiskGrid.gauss_legendre(1.0, 32, 2)
         profile = jv(0, bases[0].eigenvalues[0] * grid.r_nodes)
-        coeffs = DiskTransform(grid, bases).analyze_profile(profile)
-        assert coeffs[0] == pytest.approx(1.0, abs=1e-10)
-        assert np.max(np.abs(coeffs[1:])) < 1e-10
+        coeffs = DiskTransform(grid, bases).analyze_values(np.repeat(profile[:, None], 2, axis=1))
+        assert coeffs[0, 0, 0] == pytest.approx(1.0, abs=1e-10)
+        assert np.max(np.abs(coeffs[0, 0, 1:])) < 1e-10 and np.all(coeffs[0, 1] == 0.0)
 
     def test_expansion_of_unity_stored_row(self):
         bases = build_bases(0, 6, 1.0, DIRICHLET)
-        grid = DiskGrid.gauss_legendre(1.0, 48, 4)
-        coeffs = DiskTransform(grid, bases).analyze_profile(np.ones(grid.n_r))
+        grid = DiskGrid.gauss_legendre(1.0, 48, 2)
+        coeffs = DiskTransform(grid, bases).analyze_values(np.ones((grid.n_r, 2)))
         for j, k in enumerate(bases[0].eigenvalues):
-            assert coeffs[j] == pytest.approx(2.0 / (k * jv(1, k)), rel=1e-10)
+            assert coeffs[0, 0, j] == pytest.approx(2.0 / (k * jv(1, k)), rel=1e-10)
 
     def test_zero_profile(self):
         basis = build_bases(0, 4, 1.0, DIRICHLET)[0]
@@ -390,6 +384,19 @@ class TestSpectralField:
         assert np.isfinite(huge)
         assert huge == pytest.approx(1e200 * plain, rel=1e-14)
         assert tr.weighted_l2(pack(np.full((4, 5), np.inf), b)) == np.inf
+
+    @pytest.mark.parametrize("radius", [0.1, 0.001])
+    def test_small_disks_keep_the_huge_coefficient_rescaling(self, radius):
+        # The mode norms scale as radius^2, so the weights sum below 1 here.
+        bases = build_bases(16, 32, radius, ZERO_FLUX)
+        rng = np.random.default_rng(9)
+        a, b = rng.uniform(-1, 1, (17, 32)), rng.uniform(-1, 1, (16, 32))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = DiskTransform(default_grid(bases), bases)
+            huge = tr.weighted_l2(pack(1e200 * a, 1e200 * b))
+            plain = tr.weighted_l2(pack(a, b))
+        assert huge == pytest.approx(1e200 * plain, rel=1e-14)
 
 
 class TestPackedLayout:
