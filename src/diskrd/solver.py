@@ -26,9 +26,16 @@ batched analysis of their births.
 Every coefficient array is packed (see ``transform``): one array
 (n_max + 1, 2, j_max) per state, cosine and sine slots side by side. The
 decay, the phi1 weight and the recruitment damping of a mode depend on its
-order and index only, and are packed the same way. So each state costs one
-AB2 stage, one update and one blow-up maximum, and a block advances all its
-states under one ``np.errstate`` (its birth law runs under one more).
+order and index only, and are packed the same way. So a state costs one
+AB2 stage and one update, and the rest is done once per block: one
+blow-up maximum over the block's coefficients (the failing state is
+located only when it fails) and one synthesis, under the updates'
+``np.errstate``; one call of the diagnostics recorder with the block's
+rows and its AB2 changes (one subtraction), outside it, so a diagnostic
+past the float range is stored as inf with a warning; and, under an
+``np.errstate`` of their own, the birth law on chunks of the block's grid
+samples (as many states as fit an eighth of ``_BLOCK_BYTES``) and one
+analysis.
 
 The recruitment damping underflows to exactly 0 past some radial index, so
 the lagged births of ``full_*`` and ``radial`` (``full_*`` at n_max = 0)
@@ -80,6 +87,9 @@ __all__ = [
 CONVERGED_STREAK = 100
 # Byte budget for the two value-sized stacks a block keeps live at once
 # (its grid samples and their angular moments): 5 states on a 194 x 66 grid.
+# The birth law runs on chunks of an eighth of it (128 KiB of samples: 51
+# states on a 159 x 2 grid, one on a 194 x 66 grid), so its temporaries add
+# little to the peak memory.
 _BLOCK_BYTES = 1 << 20
 # Magnitudes below the smallest normal float are stored as 0 (see _flush).
 _TINY = np.finfo(float).tiny
@@ -201,8 +211,9 @@ class SpectralIntegrator:
 
     States are marched in blocks of ``block`` (method of steps): the births
     the next lag + 1 states read are already queued, so a block advances its
-    coefficients one state at a time and then synthesises, and analyses its
-    births, in one call each. ``block`` is min(lag + 1, cap) where a birth
+    coefficients one state at a time and then tests them for blow-up,
+    synthesises them, records their diagnostics rows and analyses their
+    births in one call each. ``block`` is min(lag + 1, cap) where a birth
     law applies (lag_steps for the maturation variants, 0 for the forced
     birth), and the cap where none does (the forced variant and a seeded
     birth, whose source is known for all t).
@@ -216,11 +227,18 @@ class SpectralIntegrator:
         self.bases = build_bases(spec.n_max, spec.j_max, spec.radius, spec.bc)
         self.grid = default_grid(self.bases, n_r, n_theta)
         self.transform = DiskTransform(self.grid, self.bases)
-        self.rates = linear_rates(spec, self.bases)
         # Per-mode factors in the packed layout. They are finite and every
         # source is 0 at the order-0 sine slot, so that slot stays exactly 0.
-        self._decay = _flush(np.exp(-self.rates * self.dt))
-        self._phi = _phi1(self.rates, self.dt)
+        with np.errstate(over="ignore"):
+            self.rates = linear_rates(spec, self.bases)
+            if not np.all(np.isfinite(self.rates)):
+                raise ValueError(
+                    "diffusion * k^2 + mortality overflows: diffusion or mortality is too "
+                    "large for this radius and j_max"
+                )
+            # Where rates * dt overflows, exp(-rates dt) is 0 and phi1 1 / rates.
+            self._decay = _flush(np.exp(-self.rates * self.dt))
+            self._phi = _phi1(self.rates, self.dt)
         self._damp = damping_factors(self.bases, spec.survival, spec.spread)
         # The fixed mode of the source and its time factor: the damped
         # forcing mode scaled by f(t - delay), or a seeded birth mode by its
@@ -250,19 +268,23 @@ class SpectralIntegrator:
         # initial state has decayed, so ``step`` synthesises each block up to
         # its stack's last nonzero index.
         self._scan = self._reach < spec.j_max
-        cap = max(1, _BLOCK_BYTES // (2 * self.grid.n_r * self.grid.n_theta * 8))
+        state_bytes = self.grid.n_r * self.grid.n_theta * 8
+        cap = max(1, _BLOCK_BYTES // (2 * state_bytes))
         self.block = cap if self._birth is None else min(self._birth_lag + 1, cap)
+        # States per call of the birth law (see _BLOCK_BYTES).
+        self._chunk = max(1, _BLOCK_BYTES // 8 // state_bytes)
         # Grid samples of one block, reused: the birth law overwrites them.
         self._values = np.empty((self.block, self.grid.n_r, self.grid.n_theta))
 
     def initialize_history(
         self,
         w0: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
-        record: Callable[[int, float, np.ndarray, float], None] | None = None,
+        record: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
     ) -> HistoryBuffer:
         """Analyse w0(t, r, theta) at t = 0 and queue the births of the
-        history the birth law reads; ``record(0, 0.0, values, 0.0)``, if
-        given, takes the grid values of the analysed t = 0 state.
+        history the birth law reads; ``record(0, values, rates)``, if given,
+        takes the grid values (1, n_r, n_theta) of the analysed t = 0 state
+        and its rate, 0.
 
         Only a lagged birth law reads past states, so only then is w0 sampled
         before t = 0, at t = i dt for i = -lag_steps .. 0. A run of equal
@@ -275,70 +297,68 @@ class SpectralIntegrator:
         sample = None
         for i in range(-self._birth_lag, 1):
             raw = w0(i * self.dt, r, th)
-            if sample is not None and np.array_equal(raw, sample):
+            # Samples that broadcast to the same grid values are one state.
+            if sample is not None and (sample == raw).all():
                 continue
             if sample is not None:  # the run from step ``first`` ends at i - 1
-                births.extend(self._births(stack, values, first) * (i - first))
+                births.extend(self._births(values, first) * (i - first))
             sample = np.array(raw, dtype=float)  # a copy: w0 may reuse its array
             values = DiskField(self.grid, sample + np.zeros_like(r)).values
-            try:
-                with np.errstate(over="raise", invalid="raise"):
+            with np.errstate(over="raise", invalid="raise"):
+                try:
                     stack = self.transform.analyze_values(values[None])
-            except FloatingPointError:
-                raise BlowUpError(i * self.dt, i, math.inf) from None
-            # Only a birth law reads a state's grid values.
-            first, values = i, None if self._birth is None else self._synthesize(stack, i)
+                    # Only a birth law or the recorder reads a state's grid
+                    # values; without a law the history is the t = 0 state.
+                    if self._birth is not None or record is not None:
+                        values = self.transform.synthesize_values(stack, self._values[:1])
+                except FloatingPointError:
+                    raise BlowUpError(i * self.dt, i, math.inf) from None
+            first = i
         if record is not None:
-            if values is None:
-                values = self._synthesize(stack, first)
-            record(0, 0.0, values[0], 0.0)
-        births.extend(self._births(stack, values, first) * (1 - first))
+            record(0, values, np.zeros(1))
+        births.extend(self._births(values, first) * (1 - first))
         coeffs = stack[:, :, 0]
         return HistoryBuffer(self.dt, coeffs, births, peak=float(np.abs(coeffs).max()))
 
-    def _synthesize(self, stack: np.ndarray, first: int, width: int | None = None) -> np.ndarray:
-        """Grid values of the packed stack ``stack`` in the block's work
-        array (``width`` as for ``synthesize_values``). Only coefficients
-        near the float range overflow; that is a blow-up at step ``first``.
-        """
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                return self.transform.synthesize_values(stack, self._values[: stack.shape[2]], width)
-        except FloatingPointError:
-            raise BlowUpError(first * self.dt, first, math.inf) from None
+    def _births(self, values: np.ndarray, first: int) -> list:
+        """Packed birth coefficients, one per state, that each adds to the
+        source once the birth law reads its state; empty where no birth law
+        applies.
 
-    def _births(self, stack: np.ndarray, values: np.ndarray | None, first: int) -> list:
-        """Packed birth coefficients, one per state of the packed stack
-        ``stack``, that each adds to the source once the birth law reads its
-        state; empty where no birth law applies.
-
-        ``values`` are the states' grid samples, which the birth law
-        overwrites. State m is step ``first + m``, and an overflow there is
-        a blow-up at that step. The forced birth is analysed undamped at
+        ``values`` are the states' grid samples (K, n_r, n_theta), which the
+        birth law overwrites, ``_chunk`` states per call. State m is step
+        ``first + m``. An overflow in the law of state m is a blow-up at
+        that step, one in the batched analysis (only near the float range)
+        at the block's first step. The forced birth is analysed undamped at
         full width.
         """
         birth, damp = self._birth, self._birth_damp
         if birth is None:
             return []
-        m = 0
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                for m, sample in enumerate(values):
-                    values[m] = birth(sample)
-                # A batched transform overflows only near the float range;
-                # such an overflow is reported at the block's first step.
-                m = 0
+        with np.errstate(over="raise", invalid="raise"):
+            for lo in range(0, len(values), self._chunk):
+                chunk = values[lo : lo + self._chunk]
+                try:
+                    chunk[...] = birth(chunk)
+                except FloatingPointError:
+                    # The law is pointwise: the first state whose own law raises.
+                    for m in range(lo, lo + len(chunk)):
+                        try:
+                            birth(values[m])
+                        except FloatingPointError:
+                            break
+                    raise BlowUpError((first + m) * self.dt, first + m, math.inf) from None
+            try:
                 if damp is None:
                     births = self.transform.analyze_values(values)
                 else:
                     reach = self._reach
-                    births = np.zeros(stack.shape)
                     analysis = self.transform.analyze_values(values, reach)
-                    live = births[..., :reach]
-                    _flush(np.multiply(damp[:, :, None, :reach], analysis, out=live))
-        except FloatingPointError:
-            raise BlowUpError((first + m) * self.dt, first + m, math.inf) from None
-        return [births[:, :, m] for m in range(len(values))]
+                    births = np.zeros(analysis.shape[:-1] + (self.spec.j_max,))
+                    _flush(np.multiply(damp[:, :, None, :reach], analysis, out=births[..., :reach]))
+            except FloatingPointError:
+                raise BlowUpError(first * self.dt, first, math.inf) from None
+        return list(births.transpose(2, 0, 1, 3))
 
     def source(self, buffer: HistoryBuffer, ahead: int = 0) -> np.ndarray:
         """Packed source coefficients at the head time plus ``ahead`` steps:
@@ -354,66 +374,73 @@ class SpectralIntegrator:
         self,
         buffer: HistoryBuffer,
         states: int = 1,
-        record: Callable[[int, float, np.ndarray, float], None] | None = None,
+        record: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
     ) -> HistoryBuffer:
         """Advance ``states`` dt steps (at most ``block``) past the head; the
         first step of a run uses the one-step Euler weights.
 
-        State m is step ``buffer.steps + 1 + m``. Its coefficients are
-        advanced and checked for blow-up in order; a blow-up at state p is
-        raised after states 0 .. p-1 are finished. The states are then
-        synthesised in one call, passed to ``record(i, t, values, rate)``,
-        and their births analysed in one call; the buffer takes the states
-        only then, so an overflow in their births leaves it as it was.
+        State m is step ``buffer.steps + 1 + m``. The states are advanced in
+        order, then checked for blow-up together; a blow-up at state p is
+        raised after states 0 .. p-1 are finished. Those are synthesised in
+        one call, passed to ``record(first, values, rates)`` as one block of
+        diagnostics rows, and their births analysed in one call; the buffer
+        takes the states only then, so an overflow in their births leaves it
+        as it was.
         """
         if not 1 <= states <= self.block:
             raise ValueError(f"states must lie in [1, {self.block}]")
         first = buffer.steps + 1
-        n1, _, j_max = buffer.coeffs.shape
-        stack = np.empty((n1, 2, states, j_max))
-        coeffs, prev = buffer.coeffs, buffer.prev_source
-        peaks = []
+        # Slot 0 holds the head and slot m + 1 state m, each contiguous, so
+        # the AB2 changes are one subtraction; ``stack`` is the packed view.
+        slots = np.empty((states + 1,) + buffer.coeffs.shape)
+        slots[0] = buffer.coeffs
+        decay, phi, prev = self._decay, self._phi, buffer.prev_source
+        done = states
         blowup = None
         with np.errstate(over="raise", invalid="raise"):
-            for m in range(states):
-                try:
+            try:
+                for m in range(states):
                     src = self.source(buffer, m)
                     stage = src if prev is None else 1.5 * src - 0.5 * prev
-                    coeffs = np.add(self._decay * coeffs, self._phi * stage, out=stack[:, :, m])
-                except FloatingPointError:
-                    blowup = BlowUpError((first + m) * self.dt, first + m, math.inf)
-                    break
-                peak = float(np.abs(coeffs).max())
-                if not peak <= self.config.blowup_threshold:  # NaN fails too
-                    blowup = BlowUpError((first + m) * self.dt, first + m, peak)
-                    break
-                prev = src
-                peaks.append(peak)
-        states = len(peaks)
-        if states:
-            stack = stack[:, :, :states]
-            width = _span(_flush(stack)) if self._scan else None
-            values = self._synthesize(stack, first, width)
+                    np.add(decay * slots[m], phi * stage, out=slots[m + 1])
+                    prev = src
+            except FloatingPointError:
+                done, blowup = m, BlowUpError((first + m) * self.dt, first + m, math.inf)
+            new = slots[1 : done + 1]
+            if done:
+                top = float(np.maximum.reduce(np.abs(new), axis=None))
+                if not top <= self.config.blowup_threshold:  # NaN fails too
+                    peaks = np.abs(new).max(axis=(1, 2, 3))
+                    p = int(np.argmin(peaks <= self.config.blowup_threshold))
+                    blowup = BlowUpError((first + p) * self.dt, first + p, float(peaks[p]))
+                    if p:  # the source and peak of the last finished state
+                        prev, top = self.source(buffer, p - 1), float(peaks[:p].max())
+                    done, new = p, new[:p]
+            if done:
+                stack = new.transpose(1, 2, 0, 3)
+                width = _span(_flush(stack)) if self._scan else None
+                try:
+                    values = self.transform.synthesize_values(stack, self._values[:done], width)
+                except FloatingPointError:  # only near the float range
+                    raise BlowUpError(first * self.dt, first, math.inf) from None
+        if done:
             if record is not None:
-                coeffs, peak = buffer.coeffs, buffer.peak
-                for m in range(states):
-                    # |difference| <= peaks[m] + peak bounds the norm's squares.
-                    change = stack[:, :, m] - coeffs
-                    rate = self.transform.weighted_l2(change, peaks[m] + peak) / self.dt
-                    record(first + m, (first + m) * self.dt, values[m], rate)
-                    coeffs, peak = stack[:, :, m], peaks[m]
-            births = self._births(stack, values, first)
-            buffer.coeffs, buffer.peak = stack[:, :, -1], peaks[-1]
+                # |change| <= |state| + |previous state| bounds the norms' squares.
+                bound = top + max(top, buffer.peak)
+                rates = self.transform.weighted_l2(new - slots[:done], bound)
+                record(first, values, rates / self.dt)
+            births = self._births(values, first)
+            buffer.coeffs, buffer.peak = slots[done], top
             buffer.births.extend(births)
             buffer.prev_source = prev
-            buffer.steps += states
+            buffer.steps += done
         if blowup is not None:
             raise blowup
         return buffer
 
     def integrate(self, w0) -> SimulationResult:
         n_steps = _step_count(self.config.t_end, self.dt)
-        recorder = _Recorder(n_steps, self.grid, self.config)
+        recorder = _Recorder(np.arange(n_steps + 1) * self.dt, self.grid, self.config)
         buffer = self.initialize_history(w0, recorder.record)
         # The partition depends on n_steps and the block length only.
         while buffer.steps < n_steps:
@@ -449,26 +476,38 @@ def _step_count(t_end: float, dt: float, keys: str = "t_end / dt") -> int:
 
 
 class _Recorder:
-    """Diagnostics rows, convergence streak and snapshots of one run."""
+    """Diagnostics rows, convergence streak and snapshots of one run whose
+    rows fall at ``times``."""
 
-    def __init__(self, n_steps: int, grid: DiskGrid, config: SolverConfig):
-        self.n_steps = n_steps
+    def __init__(self, times: np.ndarray, grid: DiskGrid, config: SolverConfig):
+        self.n_steps = len(times) - 1
         self.grid = grid
         self.config = config
-        self.rows = np.empty((5, n_steps + 1))
+        self.rows = np.empty((5, len(times)))
+        self.rows[0] = times
         self.snapshots: list = []
         self.converged_at: Optional[float] = None
         self.streak = 0
 
-    def record(self, i: int, t: float, values: np.ndarray, rate: float) -> None:
-        self.rows[:, i] = (t, values.max(), values.min(), self.grid.integrate(values), rate)
-        if i > 0:
-            self.streak = self.streak + 1 if rate < self.config.convergence_tol else 0
-            if self.streak >= CONVERGED_STREAK and self.converged_at is None:
-                self.converged_at = t
-        if i == 0 or i == self.n_steps or i % self.config.snapshot_every == 0:
-            # A copy: the caller may reuse ``values`` once the row is taken.
-            self.snapshots.append((t, DiskField(self.grid, values.copy())))
+    def record(self, first: int, values: np.ndarray, rates: np.ndarray) -> None:
+        """Rows ``first`` .. ``first + K - 1`` from the grid values
+        (K, n_r, n_theta) of K consecutive states and their rates (K,)."""
+        rows = self.rows[1:, first : first + len(values)]
+        samples = values.reshape(len(values), -1)
+        np.maximum.reduce(samples, axis=1, out=rows[0])
+        np.minimum.reduce(samples, axis=1, out=rows[1])
+        np.add.reduce(np.matmul(self.grid.area_weights, values), axis=1, out=rows[2])
+        rows[3] = rates
+        times, tol, every = self.rows[0], self.config.convergence_tol, self.config.snapshot_every
+        for i, rate in enumerate(rates.tolist(), first):
+            if i > 0:
+                self.streak = self.streak + 1 if rate < tol else 0
+                if self.streak >= CONVERGED_STREAK and self.converged_at is None:
+                    self.converged_at = float(times[i])
+            if i == 0 or i == self.n_steps or i % every == 0:
+                # A copy: the caller may reuse ``values`` once the row is taken.
+                field = DiskField(self.grid, values[i - first].copy())
+                self.snapshots.append((float(times[i]), field))
 
     def result(self, final_state: SpectralField, spec: ModelSpec, dt: float) -> SimulationResult:
         # The last row is always a snapshot: its field is the final one.
@@ -536,8 +575,8 @@ def _integrate_reference(spec: ModelSpec, config: SolverConfig, w0) -> Simulatio
 
     r, th = grid.mesh()
     values = DiskField(grid, np.asarray(w0(0.0, r, th), dtype=float) + np.zeros_like(r)).values
-    recorder = _Recorder(n_records, grid, config)
-    recorder.record(0, 0.0, values, 0.0)
+    recorder = _Recorder(np.arange(n_records + 1) * inner * dt_fd, grid, config)
+    recorder.record(0, values[None], np.zeros(1))
     for i in range(1, n_records + 1):
         for s in range((i - 1) * inner, i * inner):
             lap = spec.diffusion * fd_laplacian(values, spec, grid)
@@ -548,7 +587,7 @@ def _integrate_reference(spec: ModelSpec, config: SolverConfig, w0) -> Simulatio
         if not np.isfinite(peak) or peak > config.blowup_threshold:
             raise BlowUpError(t, i, peak)
         rate = math.sqrt(grid.integrate((values - previous) ** 2)) / dt_fd
-        recorder.record(i, t, values, rate)
+        recorder.record(i, values[None], np.array([rate]))
     return recorder.result(transform.analyze(DiskField(grid, values)), spec, dt_fd)
 
 

@@ -375,23 +375,31 @@ class DiskTransform:
         np.matmul(radial.reshape(2 * n1, k * n_r).T, self._trig, out=out.reshape(k * n_r, -1))
         return out
 
-    def weighted_l2(self, coeffs: np.ndarray, bound: float | None = None) -> float:
-        """Disk L2 norm of packed coefficients, from the stored mode norms.
+    def weighted_l2(self, coeffs: np.ndarray, bound: float | None = None) -> np.ndarray:
+        """Disk L2 norms of a state-first stack (K, n_max + 1, 2, j_max) of
+        packed coefficients, one per state, from the stored mode norms.
 
         ``bound``, if given, is an upper bound on |coeffs| the caller knows.
-        While the largest magnitude (or the bound) keeps the weighted squares
-        below overflow the norm is one weighted dot; finite coefficients past
-        that (~1e150 on a unit disk) are first scaled by their largest
-        magnitude. Either way no overflow is raised or warned.
+        While it (or else a state's largest magnitude) keeps the weighted
+        squares below overflow a state's norm is one weighted dot; finite
+        coefficients past that (~1e150 on a unit disk) are first scaled by
+        their largest magnitude. Either way no overflow is raised or warned.
         """
-        flat = coeffs.ravel()
+        rows = coeffs.reshape(len(coeffs), -1)
         if bound is None or not bound <= self._l2_safe:
-            bound = float(np.abs(flat).max())
-            if not bound <= self._l2_safe:
-                if not math.isfinite(bound):
-                    return bound
-                return bound * self.weighted_l2(coeffs / bound, 1.0)
-        return math.sqrt(np.dot(self._l2_weights * flat, flat))
+            return np.array([self._row_l2(row) for row in rows])
+        # A row times a column is one dot each, as np.dot of the two rows.
+        squares = np.matmul((rows * self._l2_weights)[:, None, :], rows[:, :, None])
+        return np.sqrt(squares.reshape(-1))
+
+    def _row_l2(self, row: np.ndarray) -> float:
+        """``weighted_l2`` of one raveled state, its bound not known."""
+        peak = float(np.abs(row).max())
+        if not peak <= self._l2_safe:
+            if not math.isfinite(peak):
+                return peak
+            return peak * self._row_l2(row / peak)
+        return math.sqrt(np.dot(self._l2_weights * row, row))
 
     def analyze(self, field: DiskField) -> SpectralField:
         if field.grid is not self.grid and not (

@@ -180,6 +180,19 @@ class TestRun:
         err = capsys.readouterr().err
         assert "blew up" in err and "Traceback" not in err
 
+    def test_population_past_the_float_range_exits_nonzero(self, tmp_path, capsys):
+        # The t = 0 coefficients are finite, but the population of w0 (about
+        # 2.8e308) is not: its row holds inf and the first step blows up.
+        cfg = write_config(
+            tmp_path,
+            "variant = radial\nbirth = identity\nn_max = 0\nj_max = 8\nradius = 3.0\n"
+            "w0_kind = constant\nw0_value = 1e307\nt_end = 0.1\n",
+        )
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "blew up" in err and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "line, key",
         [
@@ -226,6 +239,12 @@ class TestRun:
                 + "variant = radial\nbirth = identity\nn_max = 16\n",
                 "n_max",
             ),
+            # diffusion * k^2 overflows although diffusion is finite.
+            (
+                SMALL_CONFIG.format(t_end="0.1")
+                + "variant = full_zero_flux\nbirth = logistic\ndiffusion = 1e308\n",
+                "diffusion",
+            ),
         ],
         ids=[
             "negative_diffusion",
@@ -243,6 +262,7 @@ class TestRun:
             "huge_t_end",
             "tiny_delay",
             "radial_with_angular_orders",
+            "overflowing_decay_rates",
         ],
     )
     def test_invalid_model_or_solver_exits_2(self, tmp_path, capsys, text, key):

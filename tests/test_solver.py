@@ -124,6 +124,17 @@ class TestStep:
         assert np.array_equal(got[2:], dt * (1.0 - x / 2.0 + x**2 / 6.0 - x**3 / 24.0))
         assert got[0] == 1e-300 and got[1] == pytest.approx(-np.expm1(-0.05) / 5.0, rel=1e-14)
 
+    def test_decay_past_the_float_range_is_zero(self):
+        # diffusion * k^2 is finite, but its product with dt overflows: the
+        # mode decays to 0 in one step, with no warning.
+        spec = forced_spec(diffusion=1e305, delay=0.0)
+        ig = SpectralIntegrator(spec, SolverConfig(dt=100.0, t_end=200.0))
+        over = ig.rates > np.finfo(float).max / ig.dt
+        assert over.any() and np.all(np.isfinite(ig.rates))
+        assert np.all(ig._decay[over] == 0.0)
+        assert np.array_equal(ig._phi[over], 1.0 / ig.rates[over])
+        assert np.all(np.isfinite(ig.integrate(patch_w0).max_density))
+
     def test_pure_linear_mode_exact_propagation(self):
         spec = forced_spec(forcing=lambda t: 0.0, delay=0.0)
         config = SolverConfig(dt=0.5, t_end=10.0, snapshot_every=10)
@@ -365,7 +376,7 @@ class TestBlockedDriver:
             previous = buf.coeffs
             ig.step(buf)
             values = tr.synthesize_values(buf.coeffs)
-            rate = tr.weighted_l2(buf.coeffs - previous) / ig.dt
+            rate = tr.weighted_l2((buf.coeffs - previous)[None])[0] / ig.dt
             rows.append((buf.t_head, values.max(), values.min(), ig.grid.integrate(values), rate))
             samples.append(values)
         return np.array(rows).T, samples, buf
@@ -401,11 +412,113 @@ class TestBlockedDriver:
             want = samples[round(t / ig.dt)]
             assert np.max(np.abs(field.values - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @staticmethod
+    def one_state_transforms(monkeypatch):
+        """Run every transform one state at a time. The BLAS kernel a
+        stacked product takes depends on its shape, so its rounding may
+        differ from a one-state product; this makes a block's arithmetic a
+        chain's."""
+        analyze, synthesize = DiskTransform.analyze_values, DiskTransform.synthesize_values
+
+        def analyze_each(self, values, width=None):
+            if values.ndim == 2:
+                return analyze(self, values, width)
+            return np.stack([analyze(self, state.copy(), width) for state in values], axis=2)
+
+        def synthesize_each(self, coeffs, out=None, width=None):
+            if coeffs.ndim == 3:
+                return synthesize(self, coeffs, out, width)
+            states = [
+                synthesize(self, coeffs[:, :, m].copy(), None, width)
+                for m in range(coeffs.shape[2])
+            ]
+            if out is None:
+                return np.stack(states)
+            out[...] = states
+            return out
+
+        monkeypatch.setattr(DiskTransform, "analyze_values", analyze_each)
+        monkeypatch.setattr(DiskTransform, "synthesize_values", synthesize_each)
+
+    @staticmethod
+    def persistence_spec(birth):
+        """The radial model past its critical patch radius, as the
+        ``radial_persistence`` benchmark runs it."""
+        return forced_spec(
+            variant=Variant.RADIAL,
+            bc=DIRICHLET,
+            birth=birth,
+            n_max=0,
+            j_max=64,
+            delay=1.0,
+            radius=3.5,
+            diffusion=1.0,
+            mortality=0.1,
+            survival=0.8,
+            spread=0.05,
+        )
+
+    @pytest.mark.parametrize(
+        "case, block", [("radial", 101), ("full_zero_flux", 5), ("mode_forced", 40)]
+    )
+    def test_blocked_equals_chained_bit_for_bit(self, monkeypatch, case, block):
+        # Blocks do their bookkeeping (blow-up test, birth law, diagnostics
+        # rows, rates) once per block or chunk; one state at a time must
+        # give the same bits.
+        self.one_state_transforms(monkeypatch)
+        if case == "radial":
+            spec = self.persistence_spec(Logistic(1.0, 1.0))
+            ig = SpectralIntegrator(spec, SolverConfig(dt=0.01, t_end=2.5, snapshot_every=7))
+            assert ig._chunk < ig.block  # a block takes more than one call of the law
+        else:
+            ig = self.integrator(case, t_end=5.0, snapshot_every=7)
+        assert ig.block == block
+        blocked = ig.integrate(drifting_patch)
+        n_steps = len(blocked.times) - 1
+        assert n_steps > 2 * block
+        recorder = solver._Recorder(np.arange(n_steps + 1) * ig.dt, ig.grid, ig.config)
+        buf = ig.initialize_history(drifting_patch, recorder.record)
+        while buf.steps < n_steps:
+            ig.step(buf, 1, recorder.record)
+        chained = recorder.result(SpectralField(ig.bases, buf.coeffs), ig.spec, ig.dt)
+        for attr in ("times", "max_density", "min_density", "total_population", "dwdt_norm"):
+            assert np.array_equal(getattr(blocked, attr), getattr(chained, attr)), attr
+        assert np.array_equal(blocked.final_state.coeffs, chained.final_state.coeffs)
+        assert blocked.converged_at == chained.converged_at
+        assert len(blocked.snapshots) == len(chained.snapshots) > 3
+        for (t1, f1), (t2, f2) in zip(blocked.snapshots, chained.snapshots):
+            assert t1 == t2 and np.array_equal(f1.values, f2.values)
+
+    def test_bookkeeping_runs_once_per_chunk_and_block(self, monkeypatch):
+        # A structural guard for the radial_persistence model: the birth law
+        # runs once per chunk of states and the diagnostics once per block.
+        law, chunks = Logistic(1.0, 1.0), []
+
+        def counting_law(w):
+            chunks.append(len(w))
+            return law(w)
+
+        blocks = []
+        record = solver._Recorder.record
+
+        def counting_record(self, first, values, rates):
+            blocks.append(len(values))
+            record(self, first, values, rates)
+
+        monkeypatch.setattr(solver._Recorder, "record", counting_record)
+        spec = self.persistence_spec(counting_law)
+        ig = SpectralIntegrator(spec, SolverConfig(dt=0.01, t_end=2.5))
+        assert (ig.block, ig._chunk) == (101, 51)
+        ig.integrate(lambda t, r, th: 0.1 * (1.0 - (r / 3.5) ** 2))
+        # The history is one state; blocks of 101, 101 and 48 states follow.
+        assert chunks == [1, 51, 50, 51, 50, 48]
+        assert blocks == [1, 101, 101, 48]
+
     def test_snapshot_survives_the_next_block(self):
         ig = self.integrator("full_zero_flux", snapshot_every=2)
         assert ig.block == 5
         buf = ig.initialize_history(drifting_patch)
-        recorder = solver._Recorder(10, ig.grid, ig.config)
+        recorder = solver._Recorder(np.arange(11) * ig.dt, ig.grid, ig.config)
         ig.step(buf, 5, recorder.record)
         taken = [(t, field.values.copy()) for t, field in recorder.snapshots]
         assert [t for t, _ in taken] == [2 * ig.dt, 4 * ig.dt]
@@ -458,6 +571,8 @@ class TestBlockedDriver:
         "coefficient_threshold": (dict(birth=Identity()), 20.0),
         # The birth law of a state overflows while its coefficients are small.
         "birth_law_overflow": (dict(birth=np.exp), 1e12),
+        # The same on a two-angle grid, where the 5-state block is one call of the law.
+        "birth_law_overflow_order_zero": (dict(birth=np.exp, n_max=0), 1e12),
         # The forcing, and so a coefficient, overflows; no threshold applies.
         "coefficient_overflow": (
             dict(variant=Variant.MODE_FORCED, forcing=lambda t: np.power(10.0, 100.0 * t)),

@@ -367,7 +367,7 @@ class TestSpectralField:
         rng = np.random.default_rng(9)
         coeffs = SpectralField(bases, pack(rng.uniform(-1, 1, (4, 5)), rng.uniform(-1, 1, (3, 5))))
         field = tr.synthesize(coeffs)
-        assert tr.weighted_l2(coeffs.coeffs) == pytest.approx(
+        assert tr.weighted_l2(coeffs.coeffs[None])[0] == pytest.approx(
             np.sqrt(grid.integrate(field.values**2)), rel=1e-8
         )
 
@@ -379,11 +379,11 @@ class TestSpectralField:
         a, b = rng.uniform(-1, 1, (4, 5)), rng.uniform(-1, 1, (3, 5))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            huge = tr.weighted_l2(pack(1e200 * a, 1e200 * b))
-            plain = tr.weighted_l2(pack(a, b))
+            huge = tr.weighted_l2(pack(1e200 * a, 1e200 * b)[None])[0]
+            plain = tr.weighted_l2(pack(a, b)[None])[0]
         assert np.isfinite(huge)
         assert huge == pytest.approx(1e200 * plain, rel=1e-14)
-        assert tr.weighted_l2(pack(np.full((4, 5), np.inf), b)) == np.inf
+        assert tr.weighted_l2(pack(np.full((4, 5), np.inf), b)[None])[0] == np.inf
 
     @pytest.mark.parametrize("radius", [0.1, 0.001])
     def test_small_disks_keep_the_huge_coefficient_rescaling(self, radius):
@@ -394,8 +394,8 @@ class TestSpectralField:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             tr = DiskTransform(default_grid(bases), bases)
-            huge = tr.weighted_l2(pack(1e200 * a, 1e200 * b))
-            plain = tr.weighted_l2(pack(a, b))
+            huge = tr.weighted_l2(pack(1e200 * a, 1e200 * b)[None])[0]
+            plain = tr.weighted_l2(pack(a, b)[None])[0]
         assert huge == pytest.approx(1e200 * plain, rel=1e-14)
 
 
@@ -451,10 +451,26 @@ class TestPackedLayout:
         want = scale * two_term_l2(bases, a, b)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = tr.weighted_l2(pack(scale * a, scale * b))
-            bounded = tr.weighted_l2(pack(scale * a, scale * b), scale)
+            got = tr.weighted_l2(pack(scale * a, scale * b)[None])[0]
+            bounded = tr.weighted_l2(pack(scale * a, scale * b)[None], scale)[0]
         assert got == pytest.approx(want, rel=1e-14)
         assert bounded == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("bound", [None, 2.0, 1e200])
+    def test_weighted_l2_of_a_stack_is_each_state_norm(self, bound):
+        # A state-first stack gives each state's own norm, bit for bit: by
+        # one dot per state while the bound allows, else state by state
+        # (here past the bound: one state of 1e200 and one of inf).
+        bases, tr = self.setup(4, 6)
+        rng = np.random.default_rng(14)
+        states = [self.random_packed(rng, 4, 6) for _ in range(3)]
+        if bound != 2.0:
+            states += [1e200 * states[0], np.full_like(states[0], np.inf)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = tr.weighted_l2(np.stack(states), bound)
+        assert norms.shape == (len(states),)
+        assert norms.tolist() == [tr.weighted_l2(state[None])[0] for state in states]
 
 
 class TestWidth:
