@@ -34,11 +34,10 @@ from .model import (
 from .solver import (
     BlowUpError,
     HistoryBuffer,
-    Scheme,
     SimulationResult,
     SolverConfig,
     SpectralIntegrator,
-    integrate,
+    reference_fd,
 )
 from .transform import (
     DiskField,

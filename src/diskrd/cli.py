@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .bessel import BoundaryCondition, bessel_j, find_eigenvalues
-from .model import _FORCED, Logistic, ModelSpec, RickerQuadratic, Variant, homogeneous_equilibria
-from .solver import BlowUpError, Scheme, SolverConfig, SpectralIntegrator, integrate
+from .model import Identity, Logistic, ModelSpec, RickerQuadratic, Variant, homogeneous_equilibria
+from .solver import BlowUpError, SolverConfig, SpectralIntegrator, reference_fd
 from .transform import build_bases, field_csv_prefixes, least_grid, write_field_csv
 
 __all__ = ["run", "dump_eigen_table", "main", "parse_config", "PRESETS"]
@@ -115,6 +115,7 @@ PRESETS: dict[str, dict[str, str]] = {
 }
 
 _VARIANTS = {v.value: v for v in Variant}
+_SCHEMES = ("etd_ab2", "reference_fd")
 
 
 def parse_config(path) -> dict[str, str]:
@@ -179,19 +180,25 @@ def _resolve(settings: dict[str, str], preset: str | None) -> dict[str, str]:
     return resolved
 
 
-def _parse_bc(resolved) -> BoundaryCondition | None:
-    name = resolved["bc"].lower()
-    if not name:
-        return None
+def _boundary_condition(name: str, mixed) -> BoundaryCondition:
+    """The edge condition ``name`` selects; ``mixed()`` gives the (A, B) of
+    a mixed one and is called only for it."""
     if name == "dirichlet":
         return BoundaryCondition.dirichlet()
     if name == "zero_flux":
         return BoundaryCondition.zero_flux()
     if name == "mixed":
-        return BoundaryCondition.mixed(
-            _to_float(resolved, "bc_mixed_a"), _to_float(resolved, "bc_mixed_b")
-        )
+        return BoundaryCondition.mixed(*mixed())
     raise ConfigError(f"config key bc: unknown boundary condition {name!r}")
+
+
+def _parse_bc(resolved) -> BoundaryCondition | None:
+    name = resolved["bc"].lower()
+    if not name:
+        return None
+    return _boundary_condition(
+        name, lambda: (_to_float(resolved, "bc_mixed_a"), _to_float(resolved, "bc_mixed_b"))
+    )
 
 
 def _parse_birth(resolved):
@@ -199,8 +206,6 @@ def _parse_birth(resolved):
     if name in ("", "none"):
         return None
     if name == "identity":
-        from .model import Identity
-
         return Identity()
     if name == "logistic":
         return Logistic(_to_float(resolved, "birth_rate"), _to_float(resolved, "birth_capacity"))
@@ -264,10 +269,9 @@ def _build_run(resolved):
     variant_name = resolved["variant"].lower()
     if variant_name not in _VARIANTS:
         raise ConfigError(f"config key variant: unknown variant {variant_name!r}")
-    scheme_name = resolved["scheme"].lower()
-    schemes = {s.value: s for s in Scheme}
-    if scheme_name not in schemes:
-        raise ConfigError(f"config key scheme: unknown scheme {scheme_name!r}")
+    scheme = resolved["scheme"].lower()
+    if scheme not in _SCHEMES:
+        raise ConfigError(f"config key scheme: unknown scheme {scheme!r}")
     forcing_value = _to_float(resolved, "forcing_constant")
     try:
         spec = ModelSpec(
@@ -289,23 +293,15 @@ def _build_run(resolved):
         config = SolverConfig(
             dt=_to_float(resolved, "dt"),
             t_end=_to_float(resolved, "t_end"),
-            scheme=schemes[scheme_name],
             snapshot_every=_to_int(resolved, "snapshot_every"),
             convergence_tol=_to_float(resolved, "convergence_tol"),
-            fd_n_r=_to_int(resolved, "fd_n_r"),
-            fd_n_theta=_to_int(resolved, "fd_n_theta"),
         )
     except ConfigError:
         raise
     except ValueError as exc:
         # Model, solver, birth-law and boundary-condition checks.
         raise ConfigError(f"invalid config: {exc}") from None
-    if config.scheme is Scheme.REFERENCE_FD and spec.variant not in _FORCED and spec.delay > 0.0:
-        raise ConfigError(
-            "config key delay: the reference_fd scheme runs maturation variants "
-            "only with delay = 0"
-        )
-    return spec, config
+    return spec, config, scheme
 
 
 def _format(value: float) -> str:
@@ -350,7 +346,7 @@ def run(config_path=None, preset: str | None = None, out_dir=None) -> int:
         resolved = _resolve(settings, preset)
         if out_dir is not None:
             resolved["output_dir"] = str(out_dir)
-        spec, config = _build_run(resolved)
+        spec, config, scheme = _build_run(resolved)
 
         out = Path(resolved["output_dir"])
         try:
@@ -363,7 +359,7 @@ def run(config_path=None, preset: str | None = None, out_dir=None) -> int:
 
         w0 = _build_w0(resolved, spec)
 
-        if config.scheme is Scheme.ETD_AB2:
+        if scheme == "etd_ab2":
             n_r = _to_int(resolved, "n_r")
             n_theta = _to_int(resolved, "n_theta")
             least_r, least_theta = least_grid(spec.n_max, spec.j_max)
@@ -389,10 +385,11 @@ def run(config_path=None, preset: str | None = None, out_dir=None) -> int:
             _write_effective_config(resolved, spec, overrides, out / "effective_config")
             result = integrator.integrate(w0)
         else:
+            fd_n_r, fd_n_theta = _to_int(resolved, "fd_n_r"), _to_int(resolved, "fd_n_theta")
             _write_effective_config(resolved, spec, {}, out / "effective_config")
             try:
-                result = integrate(spec, config, w0)
-            except ValueError as exc:  # the FD step count
+                result = reference_fd(spec, config, w0, fd_n_r, fd_n_theta)
+            except ValueError as exc:  # the FD mesh, delay and step count
                 raise ConfigError(f"invalid config: {exc}") from None
 
         with open(out / "diagnostics.csv", "w", encoding="utf-8") as fh:
@@ -466,16 +463,11 @@ def main(argv=None) -> int:
             return 2
         return run(args.config, preset=args.preset, out_dir=args.out)
     if args.command == "eigen-table":
-        if args.bc == "dirichlet":
-            bc = BoundaryCondition.dirichlet()
-        elif args.bc == "zero_flux":
-            bc = BoundaryCondition.zero_flux()
-        else:
-            try:
-                bc = BoundaryCondition.mixed(args.mixed_a, args.mixed_b)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
+        try:
+            bc = _boundary_condition(args.bc, lambda: (args.mixed_a, args.mixed_b))
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         return dump_eigen_table(args.n_max, args.j_max, args.radius, bc, args.out)
     return 2
 

@@ -190,7 +190,11 @@ class ModelSpec:
         if self.variant is Variant.RADIAL and self.n_max != 0:
             raise ValueError("the radial variant has no angular part: it needs n_max = 0")
         if self.variant in _FORCED:
-            if self.variant is Variant.MODE_FORCED_BIRTH and isinstance(self.birth, ModeSeed):
+            if self.variant is Variant.MODE_FORCED and self.birth is not None:
+                raise ValueError(
+                    "mode_forced applies no birth law: set birth = none, or use mode_forced_birth"
+                )
+            if isinstance(self.birth, ModeSeed):
                 raise ValueError("the forced-with-birth variant needs a density-dependent law")
             if not 0.0 < self.forcing_mode_k <= 1e100:  # its damping squares it
                 raise ValueError("forcing_mode_k must lie in (0, 1e100]")
@@ -236,7 +240,7 @@ def grid_source(spec: ModelSpec, transform: DiskTransform) -> Callable:
     if spec.variant in _FORCED:
         amplitude = spec.forcing_value
         static = spec.forcing_damping() * ModeSeed(amplitude, spec.forcing_mode_k).profile(grid)
-        if spec.variant is Variant.MODE_FORCED_BIRTH and birth is not None:
+        if birth is not None:
             births = lambda current, lagged: np.asarray(birth(current), dtype=float)  # noqa: E731
     elif isinstance(birth, ModeSeed):
         static = transform.synthesize_values(damp * transform.analyze_values(birth.profile(grid)))

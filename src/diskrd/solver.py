@@ -50,10 +50,11 @@ float, so no subnormal operand slows a transform.
 
 A deliberately simple finite-difference integrator on the cell-centered
 polar mesh ``DiskGrid.cell_centered`` (forward Euler, conservative
-five-point Laplacian) is an independent cross-check, run by ``integrate``
-under ``Scheme.REFERENCE_FD``. It steps with ``model.grid_source``, the
-rule ``model.rhs`` wraps, built once per run, and refuses a run that
-needs more than ``_MAX_STEPS`` Euler steps.
+five-point Laplacian) is an independent cross-check, run by
+``reference_fd``. It steps with ``model.grid_source``, the rule
+``model.rhs`` wraps, built once per run, and refuses a run that needs more
+than ``_MAX_STEPS`` Euler steps. Each scheme takes and checks its own mesh
+and step count; ``SolverConfig`` holds only what both read.
 """
 
 from __future__ import annotations
@@ -61,25 +62,23 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
 
 from .kernel import damping_factors
-from .model import _FORCED, ModelSpec, ModeSeed, Variant, grid_source, linear_rates
+from .model import _FORCED, ModelSpec, ModeSeed, grid_source, linear_rates
 from .model import rhs  # noqa: F401  (bound here for tools that wrap solver.rhs)
 from .transform import DiskField, DiskGrid, DiskTransform, SpectralField, build_bases, default_grid
 
 __all__ = [
-    "Scheme",
     "SolverConfig",
     "HistoryBuffer",
     "SimulationResult",
     "BlowUpError",
     "SpectralIntegrator",
     "resolve_time_step",
-    "integrate",
+    "reference_fd",
     "fd_stability_limit",
     "fd_laplacian",
 ]
@@ -97,37 +96,24 @@ _TINY = np.finfo(float).tiny
 _MAX_STEPS = 10**8
 
 
-class Scheme(Enum):
-    ETD_AB2 = "etd_ab2"
-    REFERENCE_FD = "reference_fd"
-
-
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time-stepping knobs; fd_n_r / fd_n_theta only feed the FD scheme."""
+    """Time-stepping knobs both schemes read. Each scheme checks the step
+    count against the dt it steps with."""
 
     dt: float = 0.01
     t_end: float = 400.0
-    scheme: Scheme = Scheme.ETD_AB2
     snapshot_every: int = 2000
     convergence_tol: float = 1e-6
     blowup_threshold: float = 1e12
-    fd_n_r: int = 32
-    fd_n_theta: int = 24
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         if self.t_end < 0.0:
             raise ValueError("t_end must be nonnegative")
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be at least 1")
-        # Three radial cells keep at least one radial mode on the FD mesh.
-        if self.fd_n_r < 3:
-            raise ValueError("fd_n_r must be at least 3")
-        if self.fd_n_theta < 2:
-            raise ValueError("fd_n_theta must be at least 2")
-        _step_count(self.t_end, self.dt)
 
 
 def resolve_time_step(dt: float, delay: float) -> tuple[float, int]:
@@ -150,20 +136,15 @@ class HistoryBuffer:
     birth coefficients of the last lag + 1 states, oldest first, so
     ``births[m]`` is the state-dependent source m steps after the head time;
     it stays empty where no birth law applies (the forced variant and a
-    seeded birth, whose source reads no state).
+    seeded birth, whose source reads no state). The head is at time
+    ``steps * dt`` of the integrator's dt, so it never drifts.
     """
 
-    dt: float
     coeffs: np.ndarray
     births: deque
     steps: int = 0
     prev_source: Optional[np.ndarray] = None
     peak: float = math.inf
-
-    @property
-    def t_head(self) -> float:
-        """Time of the head state; a step count times dt, so it never drifts."""
-        return self.steps * self.dt
 
 
 class BlowUpError(RuntimeError):
@@ -256,8 +237,7 @@ class SpectralIntegrator:
             seed = ModeSeed(spec.forcing_value, spec.forcing_mode_k)
             unit = spec.forcing_damping() * seed.profile(self.grid)
             self._static, self._amplitude = self.transform.analyze_values(unit), seed.amplitude
-            if spec.variant is Variant.MODE_FORCED_BIRTH:
-                self._birth = birth  # reads the head: lag 0, undamped
+            self._birth = birth  # the forced birth reads the head: lag 0, undamped
         elif isinstance(birth, ModeSeed):
             self._static = self._damp * self.transform.analyze_values(birth.profile(self.grid))
             self._amplitude = lambda t: float(birth.amplitude(t - spec.delay))
@@ -318,7 +298,7 @@ class SpectralIntegrator:
             record(0, values, np.zeros(1))
         births.extend(self._births(values, first) * (1 - first))
         coeffs = stack[:, :, 0]
-        return HistoryBuffer(self.dt, coeffs, births, peak=float(np.abs(coeffs).max()))
+        return HistoryBuffer(coeffs, births, peak=float(np.abs(coeffs).max()))
 
     def _births(self, values: np.ndarray, first: int) -> list:
         """Packed birth coefficients, one per state, that each adds to the
@@ -541,24 +521,25 @@ def _phi1(lam: np.ndarray, dt: float) -> np.ndarray:
     return np.where(small, series, direct)
 
 
-def integrate(spec: ModelSpec, config: SolverConfig, w0) -> SimulationResult:
-    """Run the configured scheme; the FD scheme suits short cross-check horizons."""
-    if config.scheme is Scheme.REFERENCE_FD:
-        return _integrate_reference(spec, config, w0)
-    return SpectralIntegrator(spec, config).integrate(w0)
-
-
-def _integrate_reference(spec: ModelSpec, config: SolverConfig, w0) -> SimulationResult:
-    """SimulationResult-shaped run of the FD scheme.
+def reference_fd(
+    spec: ModelSpec, config: SolverConfig, w0, fd_n_r: int = 32, fd_n_theta: int = 24
+) -> SimulationResult:
+    """SimulationResult-shaped run of the FD scheme on the fd_n_r x
+    fd_n_theta cell-centered mesh; it suits short cross-check horizons.
 
     The FD step is stability-bounded, so diagnostics are recorded on the
     requested dt cadence rather than every internal step. The transform of
     the source and the terminal projection is truncated to what the mesh
     resolves.
     """
+    # Three radial cells keep at least one radial mode on the FD mesh.
+    if fd_n_r < 3:
+        raise ValueError("fd_n_r must be at least 3")
+    if fd_n_theta < 2:
+        raise ValueError("fd_n_theta must be at least 2")
     if spec.variant not in _FORCED and spec.delay != 0.0:
         raise ValueError("the reference integrator runs maturation variants only without delay")
-    grid = DiskGrid.cell_centered(spec.radius, config.fd_n_r, config.fd_n_theta)
+    grid = DiskGrid.cell_centered(spec.radius, fd_n_r, fd_n_theta)
     n_records = _step_count(config.t_end, config.dt)
     dt_fd = 0.8 * fd_stability_limit(spec, grid)  # may underflow to 0; kept > 0 below
     if not max(n_records, 1) * config.dt <= _MAX_STEPS * dt_fd:
@@ -573,8 +554,7 @@ def _integrate_reference(spec: ModelSpec, config: SolverConfig, w0) -> Simulatio
     transform = DiskTransform(grid, build_bases(n_max, j_max, spec.radius, spec.bc))
     source = grid_source(spec, transform)
 
-    r, th = grid.mesh()
-    values = DiskField(grid, np.asarray(w0(0.0, r, th), dtype=float) + np.zeros_like(r)).values
+    values = DiskField.from_polar(grid, lambda r, th: w0(0.0, r, th)).values
     recorder = _Recorder(np.arange(n_records + 1) * inner * dt_fd, grid, config)
     recorder.record(0, values[None], np.zeros(1))
     for i in range(1, n_records + 1):

@@ -14,7 +14,7 @@ from scipy.special import jv
 from diskrd.bessel import BoundaryCondition, find_eigenvalues
 from diskrd.kernel import maturation_term, maturation_term_radial
 from diskrd.model import ModelSpec, RickerQuadratic, Variant
-from diskrd.solver import Scheme, SolverConfig, SpectralIntegrator, integrate
+from diskrd.solver import SolverConfig, SpectralIntegrator, reference_fd
 from diskrd.transform import (
     DiskField,
     DiskTransform,
@@ -62,7 +62,8 @@ def experiment_spec(**kw):
 def extinction_run():
     spec = experiment_spec()
     started = time.perf_counter()
-    result = integrate(spec, SolverConfig(dt=0.01, t_end=400.0, snapshot_every=8000), patch_w0)
+    config = SolverConfig(dt=0.01, t_end=400.0, snapshot_every=8000)
+    result = SpectralIntegrator(spec, config).integrate(patch_w0)
     elapsed = time.perf_counter() - started
     return result, elapsed
 
@@ -73,7 +74,8 @@ def establishment_run():
         variant=Variant.MODE_FORCED_BIRTH, birth=RickerQuadratic(0.25, 0.1)
     )
     started = time.perf_counter()
-    result = integrate(spec, SolverConfig(dt=0.01, t_end=400.0, snapshot_every=8000), patch_w0)
+    config = SolverConfig(dt=0.01, t_end=400.0, snapshot_every=8000)
+    result = SpectralIntegrator(spec, config).integrate(patch_w0)
     elapsed = time.perf_counter() - started
     return result, elapsed, spec
 
@@ -294,12 +296,10 @@ class TestCrossIntegrator:
 
         # The FD run starts from the spectral run's projected initial state.
         initial = SpectralField(ig.bases, ig.initialize_history(patch_w0).coeffs)
-        fd_config = SolverConfig(
-            dt=1.0, t_end=1.0, scheme=Scheme.REFERENCE_FD, fd_n_r=24, fd_n_theta=16
-        )
+        fd_config = SolverConfig(dt=1.0, t_end=1.0)
         started = time.perf_counter()
-        result = integrate(
-            spec, fd_config, lambda t, r, th: synthesize_on(initial, r[:, 0], th[0])
+        result = reference_fd(
+            spec, fd_config, lambda t, r, th: synthesize_on(initial, r[:, 0], th[0]), 24, 16
         )
         elapsed = time.perf_counter() - started
         fd, final, dt_used = result.grid, result.final_field.values, result.dt

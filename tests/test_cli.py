@@ -1,3 +1,4 @@
+import ast
 import csv
 import os
 import subprocess
@@ -245,6 +246,8 @@ class TestRun:
                 + "variant = full_zero_flux\nbirth = logistic\ndiffusion = 1e308\n",
                 "diffusion",
             ),
+            # mode_forced applies no birth law, so naming one is an error.
+            (SMALL_CONFIG.format(t_end="0.1") + "birth = logistic\nbirth_rate = 2\n", "birth"),
         ],
         ids=[
             "negative_diffusion",
@@ -263,6 +266,7 @@ class TestRun:
             "tiny_delay",
             "radial_with_angular_orders",
             "overflowing_decay_rates",
+            "mode_forced_with_birth_law",
         ],
     )
     def test_invalid_model_or_solver_exits_2(self, tmp_path, capsys, text, key):
@@ -623,6 +627,20 @@ class TestImports:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == ""
+
+    def test_cli_imports_no_private_name(self):
+        # The CLI reaches the library through public names only, so it
+        # keeps no copy of a rule that a private helper states.
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        private = [
+            f"{node.module}.{alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").split(".")[0] == "diskrd")
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        assert private == []
 
     def test_benchmark_wrap_list_resolves(self):
         # The traced benchmark wraps calls of every layer by name

@@ -15,12 +15,11 @@ from diskrd.kernel import damping_factors
 from diskrd.transform import DiskField, DiskGrid, DiskTransform, SpectralField, build_bases
 from diskrd.solver import (
     BlowUpError,
-    Scheme,
     SolverConfig,
     SpectralIntegrator,
     fd_laplacian,
     fd_stability_limit,
-    integrate,
+    reference_fd,
     resolve_time_step,
 )
 
@@ -56,11 +55,33 @@ def patch_w0(t, r, th):
 
 
 class TestSolverConfig:
+    """Each scheme checks its own mesh and its step count at the dt it steps with."""
+
     def test_fd_mesh_needs_three_radial_cells(self):
         # Two cells leave the FD-mesh transform no radial mode at all.
+        config = SolverConfig(dt=0.01, t_end=0.01)
         with pytest.raises(ValueError, match="fd_n_r"):
-            SolverConfig(fd_n_r=2)
-        assert SolverConfig(fd_n_r=3).fd_n_r == 3
+            reference_fd(forced_spec(), config, patch_w0, fd_n_r=2)
+        assert reference_fd(forced_spec(), config, patch_w0, fd_n_r=3).grid.n_r == 3
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0])
+    def test_dt_must_be_positive_and_finite(self, dt):
+        # An infinite dt would be rounded down to the delay, a NaN one fail
+        # in the rounding without naming dt.
+        with pytest.raises(ValueError, match="dt"):
+            SolverConfig(dt=dt)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda spec, config: SpectralIntegrator(spec, config),
+            lambda spec, config: reference_fd(spec, config, patch_w0),
+        ],
+        ids=["spectral", "reference_fd"],
+    )
+    def test_more_than_1e8_steps_is_rejected(self, run):
+        with pytest.raises(ValueError, match="t_end"):
+            run(forced_spec(delay=0.0), SolverConfig(dt=1e-3, t_end=2e5))
 
 
 class TestResolveTimeStep:
@@ -191,7 +212,7 @@ class TestStep:
         buf = ig.initialize_history(w0)
         lagged = tr.analyze(DiskField.from_polar(ig.grid, lambda r, th: w0(-tau, r, th)))
         head = SpectralField(ig.bases, buf.coeffs)
-        _, source = rhs(buf.t_head, head, tr.synthesize(lagged), spec, tr)
+        _, source = rhs(buf.steps * ig.dt, head, tr.synthesize(lagged), spec, tr)
         expected = np.exp(-sigma * tau) * buf.coeffs[0, 0, 1]
         assert tr.analyze_values(source.values)[0, 0, 1] == pytest.approx(expected, abs=1e-9)
         assert ig.source(buf)[0, 0, 1] == pytest.approx(expected, abs=1e-9)
@@ -244,7 +265,7 @@ class TestCoefficientSource:
             if s in (0, 6):
                 lagged = DiskField(ig.grid, tr.synthesize_values(states[0]))
                 head = SpectralField(ig.bases, buf.coeffs)
-                _, field = rhs(buf.t_head, head, lagged, ig.spec, tr)
+                _, field = rhs(buf.steps * ig.dt, head, lagged, ig.spec, tr)
                 expected = tr.analyze_values(field.values)
                 scale = np.max(np.abs(expected))
                 assert np.max(np.abs(ig.source(buf) - expected)) <= 1e-12 * scale
@@ -377,7 +398,8 @@ class TestBlockedDriver:
             ig.step(buf)
             values = tr.synthesize_values(buf.coeffs)
             rate = tr.weighted_l2((buf.coeffs - previous)[None])[0] / ig.dt
-            rows.append((buf.t_head, values.max(), values.min(), ig.grid.integrate(values), rate))
+            t = buf.steps * ig.dt
+            rows.append((t, values.max(), values.min(), ig.grid.integrate(values), rate))
             samples.append(values)
         return np.array(rows).T, samples, buf
 
@@ -575,7 +597,9 @@ class TestBlockedDriver:
         "birth_law_overflow_order_zero": (dict(birth=np.exp, n_max=0), 1e12),
         # The forcing, and so a coefficient, overflows; no threshold applies.
         "coefficient_overflow": (
-            dict(variant=Variant.MODE_FORCED, forcing=lambda t: np.power(10.0, 100.0 * t)),
+            dict(
+                variant=Variant.MODE_FORCED, birth=None, forcing=lambda t: np.power(10.0, 100.0 * t)
+            ),
             math.inf,
         ),
     }
@@ -814,7 +838,7 @@ class TestDelayOracle:
         for s in range(1, 2 * ig.lag_steps + 1):
             ig.step(buf)
             if s >= ig.lag_steps:
-                err = abs(buf.coeffs[0, 0, index] - self.exact(buf.t_head, lam, beta))
+                err = abs(buf.coeffs[0, 0, index] - self.exact(buf.steps * ig.dt, lam, beta))
                 worst = max(worst, err)
         return worst
 
@@ -1028,17 +1052,18 @@ class TestCriticalPatchRadius:
 class TestIntegrate:
     def test_zero_t_end_returns_projection(self):
         spec = forced_spec()
-        result = integrate(spec, SolverConfig(dt=0.01, t_end=0.0), patch_w0)
+        ig = SpectralIntegrator(spec, SolverConfig(dt=0.01, t_end=0.0))
+        result = ig.integrate(patch_w0)
         assert result.times.size == 1
         assert len(result.snapshots) == 1
-        ig = SpectralIntegrator(spec, SolverConfig(dt=0.01, t_end=0.0))
         buf = ig.initialize_history(patch_w0)
         projected = ig.transform.synthesize_values(buf.coeffs)
         assert_allclose(result.final_field.values, projected, atol=1e-14)
 
     def test_diagnostics_lengths_and_monotone_time(self):
         spec = forced_spec()
-        result = integrate(spec, SolverConfig(dt=0.05, t_end=0.5, snapshot_every=5), patch_w0)
+        config = SolverConfig(dt=0.05, t_end=0.5, snapshot_every=5)
+        result = SpectralIntegrator(spec, config).integrate(patch_w0)
         assert result.times.size == 11
         assert np.all(np.diff(result.times) > 0.0)
         assert result.times[-1] == pytest.approx(0.5)
@@ -1048,7 +1073,8 @@ class TestIntegrate:
     def test_times_are_exact_step_multiples(self, dt, t_end, n):
         # Times are a step count times dt, not a running sum of dt; the
         # count uses dt after rounding to the delay (0.3 -> 0.25).
-        result = integrate(forced_spec(), SolverConfig(dt=dt, t_end=t_end), patch_w0)
+        ig = SpectralIntegrator(forced_spec(), SolverConfig(dt=dt, t_end=t_end))
+        result = ig.integrate(patch_w0)
         assert result.times.size == n + 1
         assert np.array_equal(result.times, np.arange(n + 1) * result.dt)
 
@@ -1056,11 +1082,10 @@ class TestIntegrate:
         # The radial reduction is the full model at n_max = 0: same rule,
         # same grid, same numbers.
         radial, full = (
-            integrate(
+            SpectralIntegrator(
                 forced_spec(variant=v, bc=DIRICHLET, birth=Logistic(2.0, 1.0), n_max=0, j_max=8),
                 SolverConfig(dt=0.05, t_end=2.0, snapshot_every=7),
-                drifting_patch,
-            )
+            ).integrate(drifting_patch)
             for v in (Variant.RADIAL, Variant.FULL_DIRICHLET)
         )
         assert radial.grid.n_theta == 2
@@ -1073,18 +1098,16 @@ class TestIntegrate:
     def test_convergence_flag_for_decaying_run(self):
         spec = forced_spec(forcing=lambda t: 0.0, diffusion=5.0, mortality=1.0, delay=0.0)
         config = SolverConfig(dt=0.01, t_end=30.0, convergence_tol=1e-8)
-        result = integrate(spec, config, lambda t, r, th: 0.1 * np.ones_like(r))
+        result = SpectralIntegrator(spec, config).integrate(lambda t, r, th: 0.1 * np.ones_like(r))
         assert result.converged
         assert result.converged_at is not None
         assert result.dwdt_norm[-1] < 1e-8
 
     def test_reference_scheme_matches_spectral_on_short_horizon(self):
         spec = forced_spec()
-        spectral = integrate(spec, SolverConfig(dt=0.01, t_end=0.5), patch_w0)
-        config = SolverConfig(
-            dt=0.01, t_end=0.5, scheme=Scheme.REFERENCE_FD, fd_n_r=24, fd_n_theta=16
-        )
-        reference = integrate(spec, config, patch_w0)
+        config = SolverConfig(dt=0.01, t_end=0.5)
+        spectral = SpectralIntegrator(spec, config).integrate(patch_w0)
+        reference = reference_fd(spec, config, patch_w0, fd_n_r=24, fd_n_theta=16)
         assert reference.times[-1] == pytest.approx(0.5)
         assert reference.max_density[-1] == pytest.approx(
             spectral.max_density[-1], rel=2e-3
@@ -1094,28 +1117,21 @@ class TestIntegrate:
         )
 
 
-def fd_config(n_r, n_theta, dt, t_end=None):
-    """The FD scheme on an n_r x n_theta mesh, recording every dt up to
-    t_end (default: one record at dt)."""
-    return SolverConfig(
-        dt=dt,
-        t_end=dt if t_end is None else t_end,
-        scheme=Scheme.REFERENCE_FD,
-        fd_n_r=n_r,
-        fd_n_theta=n_theta,
-    )
+def fd_config(dt, t_end=None):
+    """Recording every dt up to t_end (default: one record at dt)."""
+    return SolverConfig(dt=dt, t_end=dt if t_end is None else t_end)
 
 
 class TestReferenceFD:
     def test_zero_field_stays_zero(self):
         spec = forced_spec(forcing=lambda t: 0.0)
-        result = integrate(spec, fd_config(16, 8, 0.01), lambda t, r, th: np.zeros_like(r))
+        result = reference_fd(spec, fd_config(0.01), lambda t, r, th: np.zeros_like(r), 16, 8)
         assert np.all(result.final_field.values == 0.0)
         assert np.all(result.max_density == 0.0) and np.all(result.min_density == 0.0)
 
     def test_constant_conserved_under_zero_flux(self):
         spec = forced_spec(forcing=lambda t: 0.0, mortality=0.0)
-        result = integrate(spec, fd_config(16, 8, 0.01), lambda t, r, th: np.full_like(r, 0.7))
+        result = reference_fd(spec, fd_config(0.01), lambda t, r, th: np.full_like(r, 0.7), 16, 8)
         assert np.array_equal(result.final_field.values, np.full((16, 8), 0.7))
 
     @pytest.mark.parametrize(
@@ -1129,7 +1145,7 @@ class TestReferenceFD:
         k = next(k for k in find_eigenvalues(0, 1.0, bc, 2).eigenvalues if k > 0.0)
         lam = spec.diffusion * k**2
         t_end = 0.02
-        result = integrate(spec, fd_config(128, 8, t_end), lambda t, r, th: jv(0, k * r))
+        result = reference_fd(spec, fd_config(t_end), lambda t, r, th: jv(0, k * r), 128, 8)
         initial = result.snapshots[0][1].values
         rates = -np.log(result.final_field.values[:, 0] / initial[:, 0]) / t_end
         assert abs(rates[0] - lam) / lam < 0.01
@@ -1158,7 +1174,7 @@ class TestReferenceFD:
             j_max=4,
         )
         dt = 0.5 * fd_stability_limit(spec, DiskGrid.cell_centered(1.0, 24, 12))
-        result = integrate(spec, fd_config(24, 12, dt), lambda t, r, th: np.ones_like(r))
+        result = reference_fd(spec, fd_config(dt), lambda t, r, th: np.ones_like(r), 24, 12)
         assert result.dt == dt  # one Euler step
         # Flat field: diffusion is silent and the source is survival * w,
         # up to the midpoint-quadrature accuracy of the projection.
@@ -1186,7 +1202,7 @@ class TestReferenceFD:
         def w0(t, r, th):
             return 0.4 + 0.3 * r * np.cos(th) + 0.2 * r**2 * np.sin(2.0 * th)
 
-        result = integrate(spec, fd_config(24, 12, dt), w0)
+        result = reference_fd(spec, fd_config(dt), w0, 24, 12)
         assert result.dt == dt
         values = result.snapshots[0][1].values
         source = (result.final_field.values - values) / dt
@@ -1225,7 +1241,7 @@ class TestReferenceFD:
         state = transform.analyze(patch)
         values = transform.synthesize(state).values
 
-        result = integrate(spec, fd_config(24, 12, dt), lambda t, r, th: values)
+        result = reference_fd(spec, fd_config(dt), lambda t, r, th: values, 24, 12)
         assert result.dt == dt
         source = (result.final_field.values - values) / dt
         source += spec.mortality * values - spec.diffusion * fd_laplacian(values, spec, grid)
@@ -1248,7 +1264,8 @@ class TestReferenceFD:
         spec = forced_spec(
             variant=Variant.FULL_ZERO_FLUX, birth=SEED, diffusion=1.0, delay=0.0, n_max=2, j_max=4
         )
-        result = integrate(spec, fd_config(12, 8, 0.002, 0.004), lambda t, r, th: np.ones_like(r))
+        w0 = lambda t, r, th: np.ones_like(r)  # noqa: E731
+        result = reference_fd(spec, fd_config(0.002, 0.004), w0, 12, 8)
         assert result.dt < 0.001 and len(calls) == 1
 
     def test_maturation_runs_build_bases_once(self, monkeypatch):
@@ -1267,7 +1284,7 @@ class TestReferenceFD:
             n_max=2,
             j_max=4,
         )
-        integrate(spec, fd_config(12, 8, 0.002, 0.004), lambda t, r, th: np.ones_like(r))
+        reference_fd(spec, fd_config(0.002, 0.004), lambda t, r, th: np.ones_like(r), 12, 8)
         assert len(calls) == 1
 
     def test_maturation_reference_caps_truncation_to_mesh(self):
@@ -1281,8 +1298,7 @@ class TestReferenceFD:
             n_max=16,
             j_max=32,
         )
-        config = SolverConfig(dt=2e-4, t_end=4e-4, scheme=Scheme.REFERENCE_FD)
-        result = integrate(spec, config, patch_w0)
+        result = reference_fd(spec, SolverConfig(dt=2e-4, t_end=4e-4), patch_w0)
         assert result.times.size == 3
         assert (result.final_state.n_max, result.final_state.j_max) == (11, 30)
         assert np.all(np.isfinite(result.final_field.values))
@@ -1292,14 +1308,14 @@ class TestReferenceFD:
         # The Euler step shrinks as 1 / (diffusion + mortality); the run
         # is refused before its first step.
         with pytest.raises(ValueError, match="diffusion.*mortality.*FD mesh"):
-            integrate(forced_spec(**changes), fd_config(16, 8, 0.01), patch_w0)
+            reference_fd(forced_spec(**changes), fd_config(0.01), patch_w0, 16, 8)
 
     def test_maturation_variant_with_delay_requires_lagged(self):
         # The FD scheme keeps no past fields, so a maturation variant with a
         # delay has no lagged field to read and is rejected before stepping.
         spec = forced_spec(variant=Variant.FULL_ZERO_FLUX, birth=Identity(), delay=1.0)
         with pytest.raises(ValueError, match="delay"):
-            integrate(spec, fd_config(16, 8, 0.01), lambda t, r, th: np.zeros_like(r))
+            reference_fd(spec, fd_config(0.01), lambda t, r, th: np.zeros_like(r), 16, 8)
 
 
 @pytest.mark.slow
@@ -1314,8 +1330,8 @@ class TestTimeStepRefinement:
             n_max=16,
             j_max=32,
         )
-        coarse = integrate(spec, SolverConfig(dt=0.01, t_end=400.0), patch_w0)
-        fine = integrate(spec, SolverConfig(dt=0.005, t_end=400.0), patch_w0)
+        coarse = SpectralIntegrator(spec, SolverConfig(dt=0.01, t_end=400.0)).integrate(patch_w0)
+        fine = SpectralIntegrator(spec, SolverConfig(dt=0.005, t_end=400.0)).integrate(patch_w0)
         for attr in ("max_density", "min_density", "total_population"):
             a = getattr(coarse, attr)[-1]
             b = getattr(fine, attr)[-1]
