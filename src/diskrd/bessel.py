@@ -27,12 +27,19 @@ J_{n-1} and J_n come from one numpy evaluator with three regions:
                         the Hankel expansion (A&S 9.2.5-9.2.10).
 
 Against 30-digit values it is within 1e-15 absolute up to order 64 (tests
-cover x <= 300, orders 0-48). Tables, the eigenvalue scan and its Newton
-refinement all use it; the scan and the refinement of all orders run as
-one batch (``find_bases``). Every positive root of the three conditions
-lies at kR > n, so the refinement runs on recurrence values alone. A
-residual check on a separate evaluation, Miller's recurrence started well
-above kR at each root, accepts every root and gives its norm.
+cover x <= 300, orders 0-48). The eigenvalue scan and its Newton
+refinement use it; the scan and the refinement of all orders run as one
+batch (``find_bases``). Every positive root of the three conditions lies
+at kR > n, so the refinement runs on recurrence values alone. A residual
+check on a separate evaluation, Miller's recurrence started well above kR
+at each root, accepts every root and gives its norm.
+
+Tables J_n(k r) use the evaluator only at Taylor nodes: (J_{n-1}, J_n)
+once per node 1/2 apart up to the largest k r of order n, the other Taylor
+coefficients from the Bessel ODE, then one Horner sum about the nearest
+node per entry (the power series below k r = 2). They hold the same 1e-15
+bound (8.4e-16 measured at orders 0-48 and 64, on node midpoints, at
+k r = n and up to k r = 250).
 
 Everything here is pure and the returned bases are immutable, so they can
 be shared freely across threads.
@@ -72,16 +79,15 @@ RESIDUAL_TOL = 1e-10
 _MAX_NEWTON = 100
 
 # Region bounds of the evaluator, its series length, the spacing of the
-# Taylor nodes and the sum of squares past which Miller's values are scaled
-# down (checked every 8 steps, which grow it by at most 10^50).
+# Taylor nodes, the terms of a Taylor series about a node (|h| <= 1/4, so
+# h^13 / 13! < 3e-18) and the sum of squares past which Miller's values are
+# scaled down (checked every 8 steps, which grow it by at most 10^50).
 _SERIES_BELOW = 2.0
 _HANKEL_FROM = 40.0
 _SERIES_TERMS = 12
 _NODE_STEP = 0.5
+_TAYLOR_TERMS = 13
 _MILLER_LIMIT = 2.0**800
-
-# Entries per evaluator call when tables are built for many orders.
-_TABLE_CHUNK = 1 << 15
 
 _INV_FACTORIAL = np.array([1 / math.factorial(q) for q in range(MAX_ORDER + 2)])
 
@@ -263,22 +269,27 @@ def _hankel(x: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
+def _horner(coef: np.ndarray, node: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """sum_k coef[k][..., node] h^k by Horner's rule, each coefficient
+    gathered at its element's node (``coef`` shaped (terms, ..., nodes))."""
+    acc = coef[-1].take(node, axis=-1)
+    for c in coef[-2::-1]:
+        acc *= h
+        acc += c.take(node, axis=-1)
+    return acc
+
+
 def _j01(x: np.ndarray, rows: int = 2) -> np.ndarray:
     """J_0(x) (and J_1(x) when ``rows`` is 2) for 1-d x >= 2, shaped
     (rows, len(x)): below 40 by the Taylor series about the nearest node
-    (|h| <= 1/4, 13 terms), above by the Hankel expansion."""
+    (|h| <= 1/4), above by the Hankel expansion."""
     out = np.empty((rows,) + x.shape)
     near = x < _HANKEL_FROM
     if near.any():
         xs = x[near]
         node = np.rint((xs - _SERIES_BELOW) / _NODE_STEP).astype(int)
         h = xs - (_SERIES_BELOW + _NODE_STEP * node)
-        coef = _TAYLOR[:, :rows].take(node, axis=2)
-        acc = coef[-1]
-        for k in range(len(coef) - 2, -1, -1):
-            acc *= h
-            acc += coef[k]
-        out[:, near] = acc
+        out[:, near] = _horner(_TAYLOR[:, :rows], node, h)
     far = ~near
     if far.any():
         out[:, far] = _hankel(x[far], rows)
@@ -422,7 +433,38 @@ def _taylor_rows(terms: int) -> np.ndarray:
     return np.stack([c[:-1], -np.arange(1, terms + 1)[:, None] * c[1:]], axis=1)
 
 
-_TAYLOR = _taylor_rows(13)
+_TAYLOR = _taylor_rows(_TAYLOR_TERMS)
+
+
+def _order_taylor(order: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """Taylor coefficients of J_order about the nodes x0 >= 2, shaped
+    (_TAYLOR_TERMS, len(x0)); ``order`` holds each node's order, ascending.
+
+    J_n and J_n' = J_{n-1} - (n / x0) J_n at the nodes come from
+    ``_bessel_pair``; the Bessel ODE x^2 y'' + x y' + (x^2 - n^2) y = 0 about
+    x0 gives the rest:
+    x0^2 (k+2)(k+1) c_{k+2} + x0 (k+1)(2k+1) c_{k+1}
+        + (k^2 + x0^2 - n^2) c_k + 2 x0 c_{k-1} + c_{k-2} = 0.
+    Rounding puts a little of the other solution, Y_n, into the c_k; its
+    coefficients grow as x0^-k, so its share of term k is at most
+    (|h| / x0)^k <= 8^-k for |h| <= 1/4. ``_taylor_rows`` keeps its own
+    rule: built by this one, ``_TAYLOR`` would differ in its last bits.
+    """
+    lower, jn = _bessel_pair(order, x0)
+    # Two rows past the last term stay zero: c[-1] and c[-2] are c_{-1}, c_{-2}.
+    c = np.zeros((_TAYLOR_TERMS + 2,) + x0.shape)
+    c[0], c[1] = jn, lower - (order / x0) * jn
+    twice = 2.0 * x0
+    shift = x0 * x0 - order * order
+    scale = -1.0 / (x0 * x0)
+    for k in range(_TAYLOR_TERMS - 2):
+        acc = ((k + 1) * (2 * k + 1)) * x0 * c[k + 1]
+        acc += (shift + k * k) * c[k]
+        acc += twice * c[k - 1]
+        acc += c[k - 2]
+        acc *= scale
+        c[k + 2] = acc / ((k + 2) * (k + 1))
+    return c[:_TAYLOR_TERMS]
 
 
 def _norms(order, k: np.ndarray, radius: float, bc: BoundaryCondition, rows) -> np.ndarray:
@@ -471,30 +513,47 @@ class BesselBasis:
         """J_order(k_j r) sampled on ``r``, shaped (count, len(r)).
 
         The table agrees with 30-digit values to 1e-15 absolute for k r up
-        to 250 at orders up to 48.
+        to 250 at orders up to 64 (8.4e-16 measured, worst midway between
+        Taylor nodes); see ``radial_tables``.
         """
         return radial_tables((self,), r)[0]
 
 
 def radial_tables(bases, r: np.ndarray) -> np.ndarray:
-    """``radial_table(r)`` of every basis, stacked, in one evaluation.
+    """``radial_table(r)`` of every basis, stacked.
 
     The bases must share one count and come in ascending order; the result
     is shaped (len(bases), count, len(r)) and equals stacking each basis's
-    own table.
+    own table, built order by order. (J_{n-1}, J_n) is evaluated once per
+    node of order n, on the 1/2-spaced lattice from 2 up to that order's
+    largest k r; each entry with k r >= 2 is then the Taylor series
+    (``_order_taylor``, 13 terms) about its nearest node, |h| <= 1/4, and
+    each one below 2 the power series. Against 30-digit values the table is
+    within 1e-15 absolute (8.4e-16 measured at orders 0-48 and 64 on node
+    midpoints, at k r = n and up to k r = 250).
     """
     orders = [basis.order for basis in bases]
     if orders != sorted(set(orders)) or len({basis.count for basis in bases}) != 1:
         raise ValueError("bases must share one count and have ascending orders")
     r = np.asarray(r, dtype=float).ravel()
+    # Order n's nodes: 2, 2.5, ... up to the one nearest its largest k r, and
+    # at least 2 itself, which entries below 2 gather before the power
+    # series replaces them.
+    tops = np.array([basis.eigenvalues.max(initial=0.0) for basis in bases]) * np.max(r, initial=0.0)
+    sizes = np.maximum(np.rint((tops - _SERIES_BELOW) / _NODE_STEP).astype(int) + 1, 1)
+    x0 = np.concatenate([_SERIES_BELOW + _NODE_STEP * np.arange(size) for size in sizes])
+    coef = _order_taylor(np.repeat(orders, sizes), x0)
+    first = np.cumsum(sizes) - sizes
     table = np.empty((len(bases), bases[0].count, r.size))
-    # Orders in chunks of about _TABLE_CHUNK entries bound the temporaries.
-    step = max(1, _TABLE_CHUNK // max(1, table[0].size))
-    for start in range(0, len(bases), step):
-        chunk = slice(start, start + step)
-        x = np.stack([basis.eigenvalues for basis in bases[chunk]])[:, :, None] * r
-        order = np.broadcast_to(np.array(orders[chunk])[:, None, None], x.shape)
-        table[chunk] = _bessel_pair(order, x, lower=False)[1]
+    for i, basis in enumerate(bases):
+        x = np.multiply.outer(basis.eigenvalues, r)
+        node = np.rint((x - _SERIES_BELOW) / _NODE_STEP)
+        np.maximum(node, 0.0, out=node)
+        h = x - (_SERIES_BELOW + _NODE_STEP * node)
+        table[i] = _horner(coef, node.astype(np.intp) + first[i], h)
+        small = x < _SERIES_BELOW
+        if small.any():
+            table[i][small] = _series(basis.order, x[small])
     return table
 
 

@@ -386,11 +386,17 @@ def run(config_path=None, preset: str | None = None, out_dir=None) -> int:
             result = integrator.integrate(w0)
         else:
             fd_n_r, fd_n_theta = _to_int(resolved, "fd_n_r"), _to_int(resolved, "fd_n_theta")
-            _write_effective_config(resolved, spec, {}, out / "effective_config")
+            # reference_fd checks its inputs before the first step, so the
+            # file is written only for a run that started: one that ended,
+            # or one that blew up.
             try:
                 result = reference_fd(spec, config, w0, fd_n_r, fd_n_theta)
             except ValueError as exc:  # the FD mesh, delay and step count
                 raise ConfigError(f"invalid config: {exc}") from None
+            except BlowUpError:
+                _write_effective_config(resolved, spec, {}, out / "effective_config")
+                raise
+            _write_effective_config(resolved, spec, {}, out / "effective_config")
 
         with open(out / "diagnostics.csv", "w", encoding="utf-8") as fh:
             fh.write("t,max,min,total_population,dwdt_norm\n")

@@ -14,7 +14,9 @@ from diskrd.bessel import (
     bessel_j_prime,
     find_bases,
     find_eigenvalues,
+    radial_tables,
 )
+from diskrd.transform import default_grid
 
 from oracles import (
     bessel_zero,
@@ -331,7 +333,8 @@ class TestBesselBasis:
 
 
 class TestRadialTable:
-    """Tables of the evaluator on both sides of k r = order."""
+    """Tables against 30-digit values on both sides of k r = order and at
+    the Taylor rule's worst points, and against the evaluator at full size."""
 
     K = np.array([0.5, 1.7, 4.0, 9.3, 16.0, 25.0])
     R = np.array([0.0, 0.05, 0.4, 1.1, 2.3, 3.9, 5.2, 7.7, 10.0])
@@ -351,6 +354,33 @@ class TestRadialTable:
             [[float(mpmath.besselj(order, mpmath.mpf(float(v)))) for v in row] for row in x]
         )
         assert np.max(np.abs(basis.radial_table(r) - exact)) < 1e-13
+
+    @pytest.mark.parametrize("order", range(49))
+    def test_taylor_worst_points(self, order):
+        # Entries with k r >= 2 are Taylor series about nodes 1/2 apart, so
+        # the hardest ones sit midway between nodes (|h| = 1/4), at the seam
+        # with the power series (x = 2) and across the turning point x = n.
+        mpmath = pytest.importorskip("mpmath")
+        near_n = np.arange(order - 2.0, order + 2.5, 0.5)
+        nodes = np.concatenate([np.arange(2.0, 250.0, 5.5), near_n[near_n >= 2.0]])
+        x = [nodes - 0.25, nodes + 0.25, [np.nextafter(2.0, 0.0), 2.0, 249.75, 250.0]]
+        if order:
+            x.append([np.nextafter(order, 0.0), order, np.nextafter(order, np.inf)])
+        x = np.unique(np.concatenate(x))
+        basis = BesselBasis(order, 1.0, DIRICHLET, np.array([1.0]), np.ones(1))
+        with mpmath.workdps(30):
+            exact = [float(mpmath.besselj(order, mpmath.mpf(float(v)))) for v in x]
+        assert np.max(np.abs(basis.radial_table(x)[0] - exact)) < TestEvaluator.BOUND
+
+    def test_full_size_tables_match_the_evaluator(self):
+        # n_max = 32, j_max = 64 on its 194-radius grid: 409 728 entries.
+        bases = find_bases(range(33), 1.0, ZERO_FLUX, 64)
+        r = default_grid(bases).r_nodes
+        assert r.size == 194
+        table = radial_tables(bases, r)
+        for basis, rows in zip(bases, table):
+            expected = bessel_j(basis.order, np.outer(basis.eigenvalues, r))
+            assert np.max(np.abs(rows - expected)) < 2e-15
 
     @pytest.mark.parametrize("order", [0, 1, 2, 5])
     def test_origin_is_kronecker_delta_without_warnings(self, order):

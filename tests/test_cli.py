@@ -273,6 +273,8 @@ class TestRun:
         cfg = write_config(tmp_path, text)
         assert run(cfg, out_dir=tmp_path / "out") == 2
         assert key in capsys.readouterr().err
+        # Only a run that starts records its effective config.
+        assert not (tmp_path / "out" / "effective_config").exists()
 
     @pytest.mark.parametrize(
         "grid_key, key",
@@ -296,6 +298,17 @@ class TestRun:
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert all(key in err for key in ("diffusion", "mortality", "fd_n_r", "fd_n_theta"))
+        assert not (tmp_path / "out" / "effective_config").exists()
+
+    def test_reference_fd_blowup_writes_effective_config(self, tmp_path, capsys):
+        text = SMALL_CONFIG.format(t_end="1.0").replace(
+            "forcing_constant = 1.0", "forcing_constant = 1e20"
+        )
+        text += "scheme = reference_fd\nfd_n_r = 8\nfd_n_theta = 8\n"
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, text), out_dir=out) == 1
+        assert "blew up" in capsys.readouterr().err
+        assert "scheme = reference_fd" in (out / "effective_config").read_text()
 
     def test_equilibria_reported_for_density_dependent_birth(self, tmp_path):
         text = SMALL_CONFIG.format(t_end="0.0").replace(

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import jv
 
+from diskrd import bessel
 from diskrd.bessel import BoundaryCondition
 from oracles import loop_analyze, loop_synthesize, pack, two_term_l2
 from diskrd.transform import (
@@ -311,6 +313,43 @@ class TestRadialPath:
         grid = DiskGrid.gauss_legendre(1.0, 24, 4)
         with pytest.raises(ValueError):
             analyze_radial(np.zeros(grid.n_r), basis, grid)
+
+
+class TestTableCost:
+    """The J_n table at n_max = 32, j_max = 64 on its 194-radius grid
+    (409 728 entries, 3.3 MB): the evaluator sees one node lattice per
+    order, not every entry, and building the transform stays lean."""
+
+    @pytest.fixture(scope="class")
+    def full(self):
+        bases = build_bases(32, 64, 1.0, ZERO_FLUX)
+        return bases, default_grid(bases)
+
+    def test_one_node_lattice_per_order(self, full, monkeypatch):
+        bases, grid = full
+        entries = []
+        pair = bessel._bessel_pair
+
+        def counting(order, x, lower=True):
+            entries.append(np.size(x))
+            return pair(order, x, lower)
+
+        monkeypatch.setattr(bessel, "_bessel_pair", counting)
+        DiskTransform(grid, bases)
+        # A 1/2-spaced lattice from 2 up to x_top has fewer than 2 x_top nodes.
+        x_top = [basis.eigenvalues[-1] * grid.r_nodes.max() for basis in bases]
+        assert 0 < sum(entries) <= sum(2.0 * top for top in x_top)
+
+    def test_peak_memory_below_twice_the_table(self, full):
+        # Per-entry evaluation peaked at 8.8 MB here, the node rule at 5.8 MB.
+        bases, grid = full
+        tracemalloc.start()
+        try:
+            DiskTransform(grid, bases)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * len(bases) * bases[0].count * grid.n_r
 
 
 class TestSpectralField:
