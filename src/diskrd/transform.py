@@ -315,64 +315,74 @@ class DiskTransform:
             ):
                 raise ValueError("coefficient bases do not match the transform")
 
-    def _work(self, k: int) -> np.ndarray:
-        """Flat scratch for the 2 (n_max + 1) x K n_r intermediate of k states.
+    def _work(self, size: int) -> np.ndarray:
+        """Flat scratch of ``size`` floats for the (2 orders) x K n_r
+        intermediate of K states.
 
         One buffer, grown on demand, serves every call, so a stacked call
         allocates no value-sized array besides its result.
         """
-        size = k * self._trig.shape[0] * self._shape[0]
         if self._scratch.size < size:
             self._scratch = np.empty(size)
         return self._scratch[:size]
 
-    def analyze_values(self, values: np.ndarray, width: int | None = None) -> np.ndarray:
+    def analysis_gain(self) -> np.ndarray:
+        """Packed bound (n_max + 1, 2, j_max) on |analysis coefficient| per unit
+        of max |values|: |J_n| <= 1 leaves the scale, the radial weights' sum
+        sum w r (= R^2 / 2) and the slot's sum of |cos n theta| or |sin n theta|."""
+        n1 = len(self.bases)
+        angular = np.abs(self._trig).sum(axis=1).reshape(n1, 2, 1)
+        return self._coef_scale[:, :, 0] * np.abs(self._weights).sum() * angular
+
+    def analyze_values(self, values: np.ndarray, live: tuple[int, int] | None = None) -> np.ndarray:
         """Packed coefficients (n_max + 1, 2, j_max) of grid samples shaped
         (n_r, n_theta), or the packed stack (n_max + 1, 2, K, j_max) of K
         of them shaped (K, n_r, n_theta).
 
-        ``width`` (default j_max) keeps the leading ``width`` radial indices
-        only: the result's last axis is ``width`` long, and the radial stage
-        multiplies by that many columns of the J_n table.
+        ``live = (orders, width)`` (default: every order and index) keeps the
+        leading box only: orders 0 .. orders - 1 and radial indices
+        0 .. width - 1, and the result is shaped (orders, 2, [K,] width). The
+        angular stage multiplies by the first 2 orders rows of the cos/sin
+        table, the radial stage by that box of the J_n table.
         """
         n1, j_max, n_r = self._j_table.shape
+        orders, width = live or (n1, j_max)
+        trig, table = self._trig[: 2 * orders], self._j_columns[:orders, :, :width]
+        scale = self._coef_scale[:orders, ..., :width]
         k = values.size // (n_r * self._shape[1])
-        moments = self._work(k).reshape(2 * n1, k * n_r)
-        np.matmul(self._trig, values.reshape(k * n_r, -1).T, out=moments)
-        moments = moments.reshape(n1, 2 * k, n_r)
+        moments = self._work(2 * orders * k * n_r).reshape(2 * orders, k * n_r)
+        np.matmul(trig, values.reshape(k * n_r, -1).T, out=moments)
+        moments = moments.reshape(orders, 2 * k, n_r)
         moments *= self._weights
-        table, scale = self._j_columns, self._coef_scale
-        if width is None:
-            width = j_max
-        else:
-            table, scale = table[..., :width], scale[..., :width]
-        coeffs = np.matmul(moments, table).reshape(n1, 2, k, width)
+        coeffs = np.matmul(moments, table).reshape(orders, 2, k, width)
         coeffs *= scale
-        return coeffs if values.ndim == 3 else coeffs.reshape(n1, 2, width)
+        return coeffs if values.ndim == 3 else coeffs.reshape(orders, 2, width)
 
     def synthesize_values(
-        self, coeffs: np.ndarray, out: np.ndarray | None = None, width: int | None = None
+        self, coeffs: np.ndarray, out: np.ndarray | None = None, live: tuple[int, int] | None = None
     ) -> np.ndarray:
         """Grid samples (n_r, n_theta) of packed coefficients, or the stack
-        (K, n_r, n_theta) of a packed stack (n_max + 1, 2, K, j_max).
-        ``out``, if given, is a C-contiguous array of the result's shape.
+        (K, n_r, n_theta) of a packed stack (orders, 2, K, width), where the
+        coefficients may cover a leading box of orders and radial indices
+        only. ``out``, if given, is a C-contiguous array of the result's shape.
 
-        ``width`` (default j_max) sums the leading ``width`` radial indices
-        only, as if the rest were 0; a caller that knows its trailing
-        coefficients are 0 skips their share of the radial stage.
+        ``live = (orders, width)`` (default: the whole of ``coeffs``) sums
+        the leading box only, as if the rest were 0; a caller that knows its
+        coefficients outside the box are negligible skips their share of
+        both stages.
         """
-        n1, j_max, n_r = self._j_table.shape
-        k = coeffs.size // (2 * n1 * j_max)
-        radial = self._work(k).reshape(n1, 2 * k, n_r)
-        packed, table = coeffs.reshape(n1, 2 * k, j_max), self._j_table
-        if width is not None:
-            packed, table = packed[..., :width], table[:, :width]
-        np.matmul(packed, table, out=radial)
+        n_r = self._j_table.shape[2]
+        orders, width = live or (coeffs.shape[0], coeffs.shape[-1])
         if out is None:
             out = np.empty(coeffs.shape[2:-1] + self._shape)
         elif not out.flags.c_contiguous:
             raise ValueError("out must be C-contiguous")
-        np.matmul(radial.reshape(2 * n1, k * n_r).T, self._trig, out=out.reshape(k * n_r, -1))
+        coeffs, table = coeffs[:orders, ..., :width], self._j_table[:orders, :width]
+        trig = self._trig[: 2 * orders]
+        k = coeffs.shape[2] if coeffs.ndim == 4 else 1
+        radial = self._work(2 * orders * k * n_r).reshape(orders, 2 * k, n_r)
+        np.matmul(coeffs.reshape(orders, 2 * k, width), table, out=radial)
+        np.matmul(radial.reshape(2 * orders, k * n_r).T, trig, out=out.reshape(k * n_r, -1))
         return out
 
     def weighted_l2(self, coeffs: np.ndarray, bound: float | None = None) -> np.ndarray:

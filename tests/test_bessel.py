@@ -390,6 +390,16 @@ class TestRadialTable:
             table = basis.radial_table(np.array([0.0, 0.5]))
         assert np.all(table[:, 0] == (1.0 if order == 0 else 0.0))
 
+    @pytest.mark.parametrize("bad", [-3.0, -1e-300, np.nan, np.inf])
+    def test_negative_or_non_finite_radius_is_rejected(self, bad):
+        # A negative k r would go to the power series, which is wrong in the
+        # 8th digit at k r = -6.
+        basis = BesselBasis(3, 4.0, DIRICHLET, np.array([2.0]), np.ones(1))
+        with pytest.raises(ValueError, match="radii"):
+            basis.radial_table(np.array([0.5, bad]))
+        with pytest.raises(ValueError, match="radii"):
+            radial_tables((basis,), np.array([[bad]]))
+
 
 class TestEigenvalueScan:
     """The recurrence scan and the lock-step Newton refinement against a

@@ -146,18 +146,18 @@ class TestRun:
     def test_births_analysis_overflow_with_a_dead_band_exits_nonzero(
         self, tmp_path, capsys, monkeypatch
     ):
-        # Recruits past the 9th radial index are damped to exactly 0, so the
-        # births are analysed 9 indices wide. The Ricker law maps w0 to a
-        # finite ~5e306 whose analysis overflows, while |c| stays far below
-        # the blow-up threshold.
+        # Recruits past the second radial index are damped below 2^-53 of
+        # survival * max|b| / (packed size), so the births are analysed 2
+        # indices wide. The Ricker law maps w0 to a finite ~5e306 whose
+        # analysis overflows, while |c| stays far below the blow-up threshold.
         overflowed = []
         analyze = DiskTransform.analyze_values
 
-        def recording(self, values, width=None):
+        def recording(self, values, live=None):
             try:
-                return analyze(self, values, width)
+                return analyze(self, values, live)
             except FloatingPointError:
-                overflowed.append(width)
+                overflowed.append(live)
                 raise
 
         monkeypatch.setattr(DiskTransform, "analyze_values", recording)
@@ -167,7 +167,7 @@ class TestRun:
             "delay = 0.1\nw0_value = -6900\nn_max = 4\nj_max = 16\nt_end = 0.1\n",
         )
         assert run(cfg, out_dir=tmp_path / "out") == 1
-        assert overflowed and all(width < 16 for width in overflowed)
+        assert overflowed and all(live is not None and live[1] < 16 for live in overflowed)
         assert "blew up" in capsys.readouterr().err
 
     def test_history_overflow_exits_nonzero(self, tmp_path, capsys):

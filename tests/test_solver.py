@@ -218,6 +218,15 @@ class TestStep:
         assert ig.source(buf)[0, 0, 1] == pytest.approx(expected, abs=1e-9)
 
 
+def packed_source(ig, buf, ahead=0):
+    """``ig.source``, which covers the source box only, padded with 0 to
+    the whole packed shape."""
+    full = np.zeros_like(buf.coeffs)
+    src = ig.source(buf, ahead)
+    full[: src.shape[0], :, : src.shape[-1]] = src
+    return full
+
+
 def drifting_patch(t, r, th):
     """Non-radial, time-dependent history, so head and lagged states differ."""
     return (1.0 + 0.5 * t) * patch_w0(t, r, th) + 0.05 * r * np.sin(th)
@@ -268,7 +277,7 @@ class TestCoefficientSource:
                 _, field = rhs(buf.steps * ig.dt, head, lagged, ig.spec, tr)
                 expected = tr.analyze_values(field.values)
                 scale = np.max(np.abs(expected))
-                assert np.max(np.abs(ig.source(buf) - expected)) <= 1e-12 * scale
+                assert np.max(np.abs(packed_source(ig, buf) - expected)) <= 1e-12 * scale
             ig.step(buf)
             states.append(buf.coeffs)
 
@@ -332,9 +341,9 @@ class TestCoefficientSource:
         calls = []
         original = DiskTransform.analyze_values
 
-        def counting(self, values, width=None):
+        def counting(self, values, live=None):
             calls.append(1)
-            return original(self, values, width)
+            return original(self, values, live)
 
         monkeypatch.setattr(DiskTransform, "analyze_values", counting)
         return calls
@@ -442,16 +451,16 @@ class TestBlockedDriver:
         chain's."""
         analyze, synthesize = DiskTransform.analyze_values, DiskTransform.synthesize_values
 
-        def analyze_each(self, values, width=None):
+        def analyze_each(self, values, live=None):
             if values.ndim == 2:
-                return analyze(self, values, width)
-            return np.stack([analyze(self, state.copy(), width) for state in values], axis=2)
+                return analyze(self, values, live)
+            return np.stack([analyze(self, state.copy(), live) for state in values], axis=2)
 
-        def synthesize_each(self, coeffs, out=None, width=None):
+        def synthesize_each(self, coeffs, out=None, live=None):
             if coeffs.ndim == 3:
-                return synthesize(self, coeffs, out, width)
+                return synthesize(self, coeffs, out, live)
             states = [
-                synthesize(self, coeffs[:, :, m].copy(), None, width)
+                synthesize(self, coeffs[:, :, m].copy(), None, live)
                 for m in range(coeffs.shape[2])
             ]
             if out is None:
@@ -672,8 +681,11 @@ class TestBlockedDriver:
 
 
 class TestDeadBand:
-    """Past the damped width every recruit is exactly 0: blocks analyse and
-    synthesise only the radial indices that can be nonzero."""
+    """The dead band: modes whose coefficients stay below ``tol`` of their
+    reference. A block transforms only the live box, the leading orders and
+    radial indices outside which every coefficient is in the dead band, and
+    so matches the run that transforms every mode within 1e-14 of each
+    output's scale."""
 
     SPEC = dict(
         variant=Variant.FULL_ZERO_FLUX,
@@ -690,36 +702,68 @@ class TestDeadBand:
         return SpectralIntegrator(spec, SolverConfig(dt=0.02, t_end=2.0, snapshot_every=10))
 
     @staticmethod
-    def ignore_width(monkeypatch):
-        """Transforms that take every radial index whatever the width."""
-        analyze, synthesize = DiskTransform.analyze_values, DiskTransform.synthesize_values
+    def full_box(monkeypatch):
+        """Every box an integrator takes from here on is the whole packed
+        box: no mode is dropped and no block scans."""
+        monkeypatch.setattr(solver, "_box", lambda live: (live.shape[-3], live.shape[-1]))
 
-        def full_analysis(self, values, width=None):
-            return analyze(self, values)[..., :width]
-
-        def full_synthesis(self, coeffs, out=None, width=None):
-            return synthesize(self, coeffs, out)
-
-        monkeypatch.setattr(DiskTransform, "analyze_values", full_analysis)
-        monkeypatch.setattr(DiskTransform, "synthesize_values", full_synthesis)
-
-    RADIAL = dict(variant=Variant.RADIAL, bc=DIRICHLET, n_max=0)
+    @staticmethod
+    def assert_close(got, want):
+        """Diagnostics, final state and snapshots within 1e-14 of each one's scale."""
+        for attr in ("times", "max_density", "min_density", "total_population", "dwdt_norm"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b)), attr
+        a, b = got.final_state.coeffs, want.final_state.coeffs
+        assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
+        for (t1, f1), (t2, f2) in zip(got.snapshots, want.snapshots, strict=True):
+            assert t1 == t2
+            assert np.max(np.abs(f1.values - f2.values)) <= 1e-14 * np.max(np.abs(f2.values))
 
     def test_matches_the_run_with_the_width_ignored(self, monkeypatch):
-        cases, runs = ({}, self.RADIAL), []
+        # Every source kind, with a damping strong enough that the lagged
+        # and seeded births have a dead band.
+        cases = [{"birth": None, **SOURCE_CASES[case]} for case in sorted(SOURCE_CASES)]
+        runs, scans = [], []
         for changes in cases:
             ig = self.integrator(**changes)
-            damp = damping_factors(ig.bases, ig.spec.survival, ig.spec.spread)
-            assert not np.any(damp[..., -1])  # the run has a dead band
-            runs.append(ig.integrate(patch_w0))
-        self.ignore_width(monkeypatch)
-        twins = [self.integrator(**changes).integrate(patch_w0) for changes in cases]
+            scans.append(ig._scan)
+            runs.append(ig.integrate(drifting_patch))
+        assert sum(scans) == 5  # every lagged or seeded birth
+        self.full_box(monkeypatch)
+        twins = [self.integrator(**changes).integrate(drifting_patch) for changes in cases]
         for got, want in zip(runs, twins, strict=True):
-            for attr in ("times", "max_density", "min_density", "total_population", "dwdt_norm"):
-                assert np.array_equal(getattr(got, attr), getattr(want, attr))
-            assert np.array_equal(got.final_state.coeffs, want.final_state.coeffs)
-            for (t1, f1), (t2, f2) in zip(got.snapshots, want.snapshots, strict=True):
-                assert t1 == t2 and np.array_equal(f1.values, f2.values)
+            self.assert_close(got, want)
+
+    def test_history_mode_reaches_the_state(self, monkeypatch):
+        # Order n_max is in the history only from t = -delay/2 to -delay/4,
+        # not in the t = 0 state (but for rounding): its births are live and
+        # enter the state in the first block, whose synthesis keeps it for
+        # the births the second block reads. Identity births, all surviving,
+        # and a slow diffusion keep that order well above the rounding.
+        changes = dict(spread=0.1, diffusion=0.5, birth=Identity(), survival=1.0)
+        k = self.integrator(**changes).bases[4].eigenvalues[0]
+
+        def w0(t, r, th):
+            pulse = 0.1 * jv(4, k * r) * np.cos(4 * th) if -0.05 <= t < -0.025 else 0.0
+            return 0.2 + 0.02 * r**2 + pulse
+
+        def heads(ig):
+            buf = ig.initialize_history(w0)
+            states = [buf.coeffs.copy()]
+            for _ in range(2):
+                states.append(ig.step(buf, ig.block).coeffs.copy())
+            return states
+
+        ig = self.integrator(**changes)
+        assert ig.source_box == (5, 7) and ig._scan
+        got = heads(ig)
+        self.full_box(monkeypatch)
+        want = heads(self.integrator(**changes))
+        peak = np.max(np.abs(want[0]))
+        assert np.max(np.abs(got[0][4])) <= 1e-14 * peak
+        assert min(np.max(np.abs(state[4])) for state in got[1:]) >= 1e-6 * peak
+        for a, b in zip(got, want, strict=True):
+            assert np.max(np.abs(a - b)) <= 1e-14 * peak
 
     def test_ring_and_states_hold_no_subnormal(self):
         tiny = np.finfo(float).tiny
@@ -730,17 +774,24 @@ class TestDeadBand:
         ig = self.integrator()
         tr = ig.transform
         damp = damping_factors(ig.bases, ig.spec.survival, ig.spec.spread)
+        orders, width = ig.source_box
         buf = ig.initialize_history(drifting_patch)
         for i in range(1, 101):
             ig.step(buf)
             assert not subnormal(buf.coeffs)
             assert not any(subnormal(births) for births in buf.births)
-            # The newest births against a full-width analysis: equal, and 0
-            # exactly where the full-width product is below the normal range.
-            want = damp * tr.analyze_values(ig.spec.birth(tr.synthesize_values(buf.coeffs)))
-            got = buf.births[-1]
-            assert np.array_equal(got != 0.0, np.abs(want) >= tiny)
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            # The newest births against a full analysis: inside the source
+            # box equal, and 0 exactly where the full product is below the
+            # normal range; outside it they sum below 2^-53 of survival *
+            # max|b|, which bounds the damped births' field.
+            law = ig.spec.birth(tr.synthesize_values(buf.coeffs))
+            want = damp * tr.analyze_values(law)
+            got, inside = buf.births[-1], want[:orders, :, :width]
+            assert np.array_equal(got != 0.0, np.abs(inside) >= tiny)
+            assert np.max(np.abs(got - inside)) <= 1e-14 * np.max(np.abs(want))
+            dropped = np.abs(want)
+            dropped[:orders, :, :width] = 0.0
+            assert dropped.sum() <= 2.0**-53 * ig.spec.survival * np.max(np.abs(law))
 
     def test_subnormal_decay_factors_are_stored_as_zero(self):
         tiny = np.finfo(float).tiny
@@ -752,40 +803,73 @@ class TestDeadBand:
         assert np.any((raw > 0.0) & (raw < tiny))
         assert np.array_equal(ig._decay, np.where(raw < tiny, 0.0, raw))
 
-    def test_blocks_after_the_first_synthesise_fewer_columns(self, monkeypatch):
-        widths = []
+    @staticmethod
+    def record_boxes(monkeypatch, tol):
+        """The ``live`` box of every synthesis, each checked to be the least
+        box outside which each state's coefficients are at most ``tol`` of
+        that state's peak."""
+        boxes = []
         synthesize = DiskTransform.synthesize_values
 
-        def recording(self, coeffs, out=None, width=None):
-            widths.append(width)
-            if width is not None:  # the skipped indices are 0, the last kept one is not
-                assert not np.any(coeffs[..., width:]) and np.any(coeffs[..., width - 1])
-            return synthesize(self, coeffs, out, width)
+        def recording(self, coeffs, out=None, live=None):
+            boxes.append(live)
+            if live is not None:
+                orders, width = live
+                size = np.abs(coeffs)  # (orders, 2, K, width)
+                bound = tol * size.max(axis=(0, 1, 3), keepdims=True)
+                dropped = size.copy()
+                dropped[:orders, ..., :width] = 0.0
+                assert np.all(dropped <= bound)
+                assert np.any(size[orders - 1] > bound[0])
+                assert np.any(size[..., width - 1] > bound[..., 0])
+            return synthesize(self, coeffs, out, live)
 
-        ig = self.integrator()
         monkeypatch.setattr(DiskTransform, "synthesize_values", recording)
+        return boxes
+
+    def test_blocks_after_the_first_synthesise_fewer_columns(self, monkeypatch):
+        ig = self.integrator()
+        boxes = self.record_boxes(monkeypatch, ig._tol)
         ig.integrate(patch_w0)
-        # The t = 0 state's one synthesis, for its births and row 0, then one
-        # per block of the 100 steps.
-        assert len(widths) == 1 + math.ceil(100 / ig.block)
-        assert all(width < ig.spec.j_max for width in widths[2:])
+        # The t = 0 state's one synthesis, for its births and row 0, takes
+        # every mode; then one per block of the 100 steps.
+        assert len(boxes) == 1 + math.ceil(100 / ig.block)
+        assert boxes[0] is None and all(live is not None for live in boxes[1:])
+        assert all(width < ig.spec.j_max for _, width in boxes[2:])
+
+    def test_work_at_full_disk_sizes(self, monkeypatch):
+        # A work count at n_max = 32, j_max = 64 (fig3's parameters and a
+        # trig patch near the flat equilibrium): every block after the
+        # second synthesises at most 16 of 33 orders and 8 of 64 indices.
+        spec = forced_spec(**{**self.SPEC, "spread": 0.1, "delay": 1.0, "n_max": 32, "j_max": 64})
+        ig = SpectralIntegrator(spec, SolverConfig(dt=0.01, t_end=0.5))
+        boxes = self.record_boxes(monkeypatch, ig._tol)
+        ig.integrate(lambda t, r, th: 47.9 + np.sin(3.7 * r * np.cos(th)) * np.cos(2.6 * r * np.sin(th)))
+        assert len(boxes) == 1 + math.ceil(50 / ig.block)
+        assert all(orders <= 16 and width <= 8 for orders, width in boxes[3:])
 
     @pytest.mark.parametrize(
         "changes",
         [
             dict(variant=Variant.MODE_FORCED, birth=None),
             dict(variant=Variant.MODE_FORCED_BIRTH),
-            dict(birth=SEED),
+            dict(spread=0.0),
         ],
-        ids=["mode_forced", "mode_forced_birth", "seeded_birth"],
+        ids=["mode_forced", "mode_forced_birth", "undamped_births"],
     )
-    def test_only_lagged_full_births_scan(self, changes, monkeypatch):
+    def test_a_full_source_box_does_no_scan(self, changes, monkeypatch):
+        # The rule: a block takes the box of its stack exactly where the
+        # source box is not the whole basis. The forced birth's and the
+        # undamped births' source boxes are whole by construction; the
+        # forcing mode's is whatever its coefficients give.
         ig = self.integrator(**changes)
+        full = ig.source_box == (ig.spec.n_max + 1, ig.spec.j_max)
+        assert full or ig.spec.variant is Variant.MODE_FORCED
         scans = []
-        span = solver._span
-        monkeypatch.setattr(solver, "_span", lambda coeffs: scans.append(1) or span(coeffs))
+        box = solver._box
+        monkeypatch.setattr(solver, "_box", lambda live: scans.append(1) or box(live))
         ig.integrate(patch_w0)
-        assert scans == []
+        assert (scans == []) == full
 
     def test_births_overflow_is_a_blowup(self, monkeypatch):
         # Every recruit survives, so the field grows until the analysis of
@@ -799,7 +883,7 @@ class TestDeadBand:
             return info.value
 
         got = first_blowup()
-        self.ignore_width(monkeypatch)
+        self.full_box(monkeypatch)
         want = first_blowup()
         assert math.isinf(got.magnitude)
         assert (got.step_index, got.t, got.magnitude) == (want.step_index, want.t, want.magnitude)

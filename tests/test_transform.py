@@ -513,7 +513,8 @@ class TestPackedLayout:
 
 
 class TestWidth:
-    """``width`` restricts the radial stage to the leading radial indices."""
+    """``live = (orders, width)`` restricts both stages to the leading box
+    of orders and radial indices."""
 
     J_MAX = 8
     TRANSFORMS = {
@@ -530,35 +531,42 @@ class TestWidth:
     @given(
         n_max=st.sampled_from([0, 3]),
         k=st.integers(0, 4),
-        width=st.integers(0, J_MAX),
+        box=st.tuples(st.integers(0, 4), st.integers(0, J_MAX)),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_analysis_is_the_leading_columns(self, n_max, k, width, seed):
+    def test_analysis_is_the_leading_columns(self, n_max, k, box, seed):
         tr = self.TRANSFORMS[n_max]
+        orders, width = min(box[0], n_max + 1), box[1]
         rng = np.random.default_rng(seed)
         values = rng.uniform(-1.0, 1.0, ((k,) if k else ()) + (tr.grid.n_r, tr.grid.n_theta))
         full = tr.analyze_values(values)
-        part = tr.analyze_values(values, width)
-        assert part.shape == full.shape[:-1] + (width,)
+        part = tr.analyze_values(values, (orders, width))
+        lead = full[:orders, ..., :width]
+        assert part.shape == lead.shape
         scale = np.max(np.abs(full))
-        assert np.max(np.abs(part - full[..., :width]), initial=0.0) <= 4 * EPS * scale
+        assert np.max(np.abs(part - lead), initial=0.0) <= 4 * EPS * scale
 
     @settings(max_examples=40, deadline=None)
     @given(
         n_max=st.sampled_from([0, 3]),
         k=st.integers(0, 4),
-        width=st.integers(0, J_MAX),
+        box=st.tuples(st.integers(0, 4), st.integers(0, J_MAX)),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_synthesis_of_a_zero_tail(self, n_max, k, width, seed):
+    def test_synthesis_of_a_zero_tail(self, n_max, k, box, seed):
         tr = self.TRANSFORMS[n_max]
+        orders, width = min(box[0], n_max + 1), box[1]
         rng = np.random.default_rng(seed)
         coeffs = rng.uniform(-1.0, 1.0, self.shape(tr, k))
         coeffs[0, 1] = 0.0
+        coeffs[orders:] = 0.0
         coeffs[..., width:] = 0.0
         full = tr.synthesize_values(coeffs)
-        part = tr.synthesize_values(coeffs, width=width)
+        part = tr.synthesize_values(coeffs, live=(orders, width))
         assert part.shape == full.shape
+        # The box alone, passed as the coefficients, is the same sum.
+        lead = coeffs[:orders, ..., :width]
+        assert np.array_equal(tr.synthesize_values(lead), part)
         # The field scale: the largest sum of |c_j J_n| any sample can reach.
         scale = np.abs(coeffs).sum(axis=-1).sum(axis=(0, 1)).max()
         assert np.max(np.abs(part - full)) <= 4 * EPS * scale
@@ -569,8 +577,24 @@ class TestWidth:
         rng = np.random.default_rng(14)
         values = rng.uniform(-1.0, 1.0, ((k,) if k else ()) + (tr.grid.n_r, tr.grid.n_theta))
         coeffs = tr.analyze_values(values)
-        assert np.array_equal(tr.analyze_values(values, tr.j_max), coeffs)
-        assert np.array_equal(tr.synthesize_values(coeffs, width=tr.j_max), tr.synthesize_values(coeffs))
+        whole = (tr.n_max + 1, tr.j_max)
+        assert np.array_equal(tr.analyze_values(values, whole), coeffs)
+        assert np.array_equal(tr.synthesize_values(coeffs, live=whole), tr.synthesize_values(coeffs))
+
+    def test_analysis_gain_bounds_every_coefficient(self):
+        # Samples of modulus 1 with the sign of cos n theta (or sin n theta)
+        # reach the angular factor of the bound; |J_n| <= 1 leaves a margin.
+        tr = self.TRANSFORMS[3]
+        gain = tr.analysis_gain()
+        assert gain.shape == self.shape(tr, 0) and np.all(gain[0, 1] == 0.0)
+        rng = np.random.default_rng(5)
+        signs = np.sign(tr._trig)
+        for n, s in [(0, 0), (1, 0), (2, 1), (3, 1)]:
+            values = np.tile(signs[2 * n + s], (tr.grid.n_r, 1))
+            values *= rng.uniform(0.5, 1.0, (tr.grid.n_r, 1))
+            coeffs = np.abs(tr.analyze_values(values))
+            assert np.all(coeffs <= gain * (1.0 + 4 * EPS))
+            assert np.max(coeffs[n, s] / gain[n, s]) > 0.05
 
 
 class TestCSV:
