@@ -27,6 +27,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .bessel import (
+    MAX_ARGUMENT,
     MAX_EIGENVALUES,
     MAX_ORDER,
     BesselBasis,
@@ -196,8 +197,12 @@ class ModelSpec:
                 )
             if isinstance(self.birth, ModeSeed):
                 raise ValueError("the forced-with-birth variant needs a density-dependent law")
-            if not 0.0 < self.forcing_mode_k <= 1e100:  # its damping squares it
-                raise ValueError("forcing_mode_k must lie in (0, 1e100]")
+            # No grid the transform builds resolves J_1(k r) past the widest scan.
+            if not (0.0 < self.forcing_mode_k and self.forcing_mode_k * self.radius <= MAX_ARGUMENT):
+                raise ValueError(
+                    f"forcing_mode_k must be positive with forcing_mode_k * radius <= "
+                    f"{MAX_ARGUMENT:.6g}"
+                )
 
     def forcing_value(self, t: float) -> float:
         """Forcing time factor f(t - delay); defaults to 1."""

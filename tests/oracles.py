@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import jv, jvp
 
-from diskrd.bessel import _bessel_pair
+from diskrd.bessel import _evaluator
 
 
 def jn_series(order: int, x: float, terms: int = 60) -> float:
@@ -110,24 +110,24 @@ def scalar_eigenvalues(order: int, radius: float, a: float, b: float, count: int
     """First ``count`` positive roots of A k J_n'(kR) + B J_n(kR), found one
     point and one bracket at a time with scalar arithmetic.
 
-    J_{n-1} and J_n come from the package evaluator one point at a time,
-    so this checks the search, not the evaluator. k runs over a pi / (4R)
-    lattice up to (count + order + 2) pi / R, starting at 1e-9 of a step; a
-    lattice point with a zero residual is a root, and every sign change is
-    refined alone: secant start, Newton steps (slope from the Bessel ODE),
-    bisection when a step would leave the bracket, stop once the step or
-    the bracket is at most 2 eps k. The k = 0 constant mode is not
-    included.
+    J_n and J_n' come from the package evaluator one point at a time, on
+    the node table the search builds for the same lattice, so this checks
+    the search, not the evaluator. k runs over a pi / (4R) lattice up to
+    (count + order + 2) pi / R, starting at 1e-9 of a step; from the first
+    point with kR > n on, a lattice point with a zero residual is a root,
+    and every sign change is refined alone: secant start, Newton steps
+    (slope from the Bessel ODE), bisection when a step would leave the
+    bracket, stop once the step or the bracket is at most 2 eps k. The k = 0
+    constant mode is not included.
     """
-
-    def pair(x: float) -> tuple[float, float]:
-        lower, jn = _bessel_pair(order, np.array([x]))
-        return float(lower[0]), float(jn[0])
+    step = np.pi / (4.0 * radius)
+    lattice = np.arange(0.0, (count + order + 2) * np.pi / radius + step, step)
+    lattice[0] = 1e-9 * step
+    evaluate = _evaluator((order,), lattice[-1] * radius)
 
     def g_and_slope(k: float) -> tuple[float, float]:
         x = k * radius
-        lower, jn = pair(x)
-        dj = lower - (order / x) * jn
+        jn, dj = (float(v[0]) for v in evaluate(order, np.array([x])))
         return a * (k * dj) + b * jn, b * radius * dj - a * (x - order * order / x) * jn
 
     tiny = 2.0 * np.finfo(float).eps
@@ -149,16 +149,15 @@ def scalar_eigenvalues(order: int, radius: float, a: float, b: float, count: int
             k = new
         raise RuntimeError("bracket did not converge")
 
-    step = np.pi / (4.0 * radius)
-    lattice = np.arange(0.0, (count + order + 2) * np.pi / radius + step, step)
-    lattice[0] = 1e-9 * step
     with np.errstate(divide="ignore", invalid="ignore"):
         values = [g_and_slope(k)[0] for k in lattice]
         roots: list[float] = []
         for i in range(lattice.size - 1):
             if len(roots) == count:
                 break
-            if values[i] == 0.0 and lattice[i] > 1e-6 * step:
+            if lattice[i] * radius <= order:
+                continue
+            if values[i] == 0.0:
                 roots.append(lattice[i])
             elif values[i] * values[i + 1] < 0.0:
                 roots.append(refine(lattice[i], lattice[i + 1], values[i], values[i + 1]))

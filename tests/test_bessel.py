@@ -6,9 +6,11 @@ from numpy.testing import assert_allclose
 from scipy.special import jv
 
 from diskrd.bessel import (
+    MAX_ARGUMENT,
     BesselBasis,
     BoundaryCondition,
-    _bessel_pair,
+    _bessel,
+    _evaluator,
     _residual,
     bessel_j,
     bessel_j_prime,
@@ -71,10 +73,10 @@ class TestBesselJ:
 
 
 class TestEvaluator:
-    """The numpy evaluator against 30-digit mpmath in every region and on
-    both sides of each seam: the series below x = 2, the Taylor nodes up to
-    x = 40, the Hankel expansion above it, Miller's recurrence below x = n
-    and the upward recurrence above."""
+    """The numpy evaluator against 30-digit mpmath, J_n and J_n' alike: the
+    series below x = 2, the Taylor rows about nodes 1/2 apart above it, on
+    both sides of that seam and of the turning point x = n, and up to
+    MAX_ARGUMENT at the highest orders."""
 
     BOUND = 1e-15
 
@@ -89,37 +91,64 @@ class TestEvaluator:
                 exact = [float(mpmath.besselj(order, mpmath.mpf(float(v)))) for v in x]
             assert np.max(np.abs(bessel_j(order, x) - exact)) < self.BOUND
 
+    @staticmethod
+    def _exact(order, x):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            return np.array(
+                [
+                    [float(mpmath.besselj(order, mpmath.mpf(float(v)), d)) for v in x]
+                    for d in (0, 1)
+                ]
+            )
+
     @pytest.mark.parametrize("order", range(49))
     def test_pairs_on_both_sides_of_x_equal_n(self, order):
-        mpmath = pytest.importorskip("mpmath")
         near = [order * (1.0 + d) for d in (-1e-3, -2.2e-16, 0.0, 2.2e-16, 1e-3)]
         x = np.sort(np.concatenate([np.linspace(0.0, 2.0 * order + 60.0, 24), near, [1.9, 2.0]]))
-        lower, jn = _bessel_pair(order, x)
-        with mpmath.workdps(30):
-            exact = [
-                [float(mpmath.besselj(q, mpmath.mpf(float(v)))) for v in x] for q in (order - 1, order)
-            ]
-        assert np.max(np.abs(lower - exact[0])) < self.BOUND
-        assert np.max(np.abs(jn - exact[1])) < self.BOUND
+        exact = self._exact(order, x)
+        jn, dj = _bessel(order, x)
+        assert np.max(np.abs(jn - exact[0])) < self.BOUND
+        assert np.max(np.abs(dj - exact[1])) < self.BOUND
+
+    @pytest.mark.parametrize("order", [64, 128, 200])
+    def test_high_orders_up_to_max_argument(self, order):
+        # Midpoints between nodes, the turning point and the top of the range.
+        rng = np.random.default_rng(order)
+        near = [order * (1.0 + d) for d in (-1e-3, 0.0, 1e-3)]
+        x = np.concatenate(
+            [rng.uniform(0.0, MAX_ARGUMENT, 60), np.arange(2.25, MAX_ARGUMENT, 97.0), near,
+             [MAX_ARGUMENT]]
+        )
+        exact = self._exact(order, x)
+        jn, dj = _bessel(order, x)
+        assert np.max(np.abs(jn - exact[0])) < self.BOUND
+        assert np.max(np.abs(dj - exact[1])) < self.BOUND
 
     @pytest.mark.parametrize("order", range(49))
     def test_origin_is_kronecker_delta_without_warnings(self, order):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lower, jn = _bessel_pair(order, np.zeros(3))
+            jn, dj = _bessel(order, np.zeros(3))
         assert np.all(jn == (1.0 if order == 0 else 0.0))
-        assert np.all(lower == (1.0 if order == 1 else 0.0))
+        assert np.all(dj == (0.5 if order == 1 else 0.0))
 
     def test_value_independent_of_the_rest_of_the_array(self):
-        # Miller's per-element start and the suffix-wise upward recurrence
-        # keep each element's bits those of its evaluation alone.
+        # Each node's Miller run starts from its own x, so each element's
+        # bits are those of its evaluation alone.
         rng = np.random.default_rng(3)
         x = rng.uniform(0.0, 120.0, 400)
         order = np.sort(rng.integers(0, 40, 400))
-        lower, jn = _bessel_pair(order, x)
+        jn, dj = _bessel(order, x)
         for i in range(0, 400, 37):
-            alone = _bessel_pair(int(order[i]), x[i : i + 1])
-            assert lower[i] == alone[0][0] and jn[i] == alone[1][0]
+            alone = _bessel(int(order[i]), x[i : i + 1])
+            assert jn[i] == alone[0][0] and dj[i] == alone[1][0]
+
+    @pytest.mark.parametrize("bad", [MAX_ARGUMENT * (1.0 + 1e-15), -2.0 * MAX_ARGUMENT, np.nan])
+    def test_rejects_arguments_past_the_bound(self, bad):
+        with pytest.raises(ValueError, match="MAX_ARGUMENT"):
+            bessel_j(1, np.array([1.0, bad]))
+        assert bessel_j(1, MAX_ARGUMENT) == pytest.approx(-0.0148698, abs=1e-7)
 
 
 class TestBesselJPrime:
@@ -129,6 +158,11 @@ class TestBesselJPrime:
     def test_derivative_identity(self):
         for x in np.linspace(0.0, 30.0, 61):
             assert abs(bessel_j_prime(0, x) + bessel_j(1, x)) < 1e-12
+
+    def test_odd_and_even_in_x(self):
+        x = np.linspace(-30.0, 30.0, 121)
+        for order in (0, 1, 2, 7):
+            assert np.array_equal(bessel_j_prime(order, -x), (-1) ** (order + 1) * bessel_j_prime(order, x))
 
     def test_vanishes_at_first_j1_zero(self):
         # J1 peaks where its derivative crosses zero at 3.831706's... the
@@ -470,11 +504,10 @@ class TestEigenvalueScan:
         # Choose (A, B) so the recurrence residual vanishes exactly at the
         # lattice point k = pi/4 (R = 1): A = J_0(k), B = -k J_0'(k) > 0.
         k = np.array([np.pi / 4.0])
-        lower, jn = _bessel_pair(0, k)
-        dj = lower - (0 / k) * jn
+        jn, dj = _bessel(0, k)
         bc = BoundaryCondition.mixed(jn[0], -(k * dj)[0])
         a, b = bc.coefficients()
-        assert _residual(0, k, 1.0, a, b)[0][0] == 0.0
+        assert _residual(_evaluator((0,), k[0]), 0, k, 1.0, a, b)[0][0] == 0.0
         basis = find_eigenvalues(0, 1.0, bc, 4)
         assert basis.eigenvalues[0] == np.pi / 4.0
         assert abs(residual(0, basis.eigenvalues, 1.0, bc)).max() < 1e-10
@@ -496,3 +529,35 @@ class TestEigenvalueScan:
             else:
                 expected = mp_mode_norm(order, float(k), 2.0, bc is DIRICHLET)
             assert abs(norm - expected) <= NORM_RTOL * expected
+
+    @pytest.mark.parametrize(
+        "bc", [DIRICHLET, ZERO_FLUX, BoundaryCondition.mixed(1.0, 1.0)],
+        ids=["dirichlet", "zero_flux", "mixed"],
+    )
+    def test_every_order_up_to_the_highest(self, bc):
+        # J_n(pi/4) underflows to an exact 0 from order 150 up; such a
+        # lattice point below kR = n is no root.
+        for basis in find_bases(range(201), 1.0, bc, 4):
+            k = basis.eigenvalues[basis.eigenvalues > 0.0]
+            assert k.size == 4 - bc.admits_constant_mode(basis.order)
+            assert np.all(k > basis.order)
+            assert np.all(basis.norms > 0.0)
+
+    def test_last_roots_of_the_largest_basis(self):
+        # Order MAX_ORDER with MAX_EIGENVALUES roots scans up to kR = MAX_ARGUMENT.
+        mpmath = pytest.importorskip("mpmath")
+        basis = find_eigenvalues(200, 1.0, DIRICHLET, 256)
+        with mpmath.workdps(30):
+            exact = [mpmath.besseljzero(200, m) for m in (254, 255, 256)]
+            ulps = [
+                float(abs(mpmath.mpf(float(got)) - want)) / np.spacing(float(want))
+                for got, want in zip(basis.eigenvalues[-3:], exact)
+            ]
+        assert max(ulps) <= 2.0
+        assert basis.eigenvalues[-1] < MAX_ARGUMENT
+        # The check's J_{n+1}(kR) is good to ~1e-16 absolute against an
+        # amplitude sqrt(2 / (pi kR)) ~ 0.021 here, so the norm J_{n+1}^2 R^2 / 2
+        # is good to ~1e-14 relative (4.2e-15 measured), not to NORM_RTOL.
+        for k, norm in zip(basis.eigenvalues[-3:], basis.norms[-3:]):
+            expected = mp_mode_norm(200, float(k), 1.0, True)
+            assert abs(norm - expected) <= 1e-14 * expected

@@ -11,7 +11,7 @@ import pytest
 
 from diskrd import cli
 from diskrd.cli import DEFAULTS, PRESETS, ConfigError, dump_eigen_table, main, parse_config, run
-from diskrd.bessel import BoundaryCondition, bessel_j, find_eigenvalues
+from diskrd.bessel import MAX_ARGUMENT, BoundaryCondition, bessel_j, find_eigenvalues
 from diskrd.solver import SpectralIntegrator
 from diskrd.transform import DiskTransform
 
@@ -232,6 +232,12 @@ class TestRun:
             (SMALL_CONFIG.format(t_end="0.1") + "radius = 1e-200\n", "radius"),
             (SMALL_CONFIG.format(t_end="0.1") + "radius = 1e200\n", "radius"),
             (SMALL_CONFIG.format(t_end="0.1") + "forcing_mode_k = 1e300\n", "forcing_mode_k"),
+            # Just past the widest eigenvalue scan, at radius 1.
+            (
+                SMALL_CONFIG.format(t_end="0.1")
+                + f"forcing_mode_k = {np.nextafter(MAX_ARGUMENT, np.inf)!r}\n",
+                "forcing_mode_k",
+            ),
             (SMALL_CONFIG.format(t_end="0.1") + "dt = 1e-300\n", "dt"),
             (SMALL_CONFIG.format(t_end="0.1") + "t_end = 1e300\n", "t_end"),
             (SMALL_CONFIG.format(t_end="0.1") + "delay = 1e-300\n", "delay"),
@@ -261,6 +267,7 @@ class TestRun:
             "tiny_radius",
             "huge_radius",
             "huge_forcing_k",
+            "forcing_k_past_max_argument",
             "tiny_dt",
             "huge_t_end",
             "tiny_delay",
@@ -548,6 +555,21 @@ class TestMain:
         )
         assert status == 0
         assert out.exists()
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "zero_flux", "mixed"])
+    def test_eigen_table_reaches_the_highest_order(self, tmp_path, bc):
+        # J_n(pi/4) underflows to 0 from order 150 up; no such point is a root.
+        out = tmp_path / "table.csv"
+        status = main(
+            ["eigen-table", "--n-max", "200", "--j-max", "2", "--radius", "1.0", "--bc", bc,
+             "--out", str(out)]
+        )
+        assert status == 0
+        with open(out) as fh:
+            rows = [(int(row["n"]), float(row["k"]), float(row["norm"])) for row in csv.DictReader(fh)]
+        assert len(rows) == 201 * 2
+        # Every root lies at kR > n; the zero-flux constant mode is k = 0.
+        assert all((k > n or (n, k) == (0, 0.0)) and norm > 0.0 for n, k, norm in rows)
 
     def test_eigen_table_rejects_negative_robin_ratio(self, tmp_path, capsys):
         out = tmp_path / "table.csv"

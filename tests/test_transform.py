@@ -317,28 +317,36 @@ class TestRadialPath:
 
 class TestTableCost:
     """The J_n table at n_max = 32, j_max = 64 on its 194-radius grid
-    (409 728 entries, 3.3 MB): the evaluator sees one node lattice per
-    order, not every entry, and building the transform stays lean."""
+    (409 728 entries, 3.3 MB): one Miller sweep over one node lattice serves
+    every order, not every entry, and building the transform stays lean."""
 
     @pytest.fixture(scope="class")
     def full(self):
         bases = build_bases(32, 64, 1.0, ZERO_FLUX)
         return bases, default_grid(bases)
 
-    def test_one_node_lattice_per_order(self, full, monkeypatch):
+    def test_one_node_sweep_per_table(self, full, monkeypatch):
         bases, grid = full
         entries = []
-        pair = bessel._bessel_pair
+        sweep = bessel._miller
 
-        def counting(order, x, lower=True):
+        def counting(low, x, top, rows=3):
             entries.append(np.size(x))
-            return pair(order, x, lower)
+            return sweep(low, x, top, rows)
 
-        monkeypatch.setattr(bessel, "_bessel_pair", counting)
-        DiskTransform(grid, bases)
+        monkeypatch.setattr(bessel, "_miller", counting)
+        monkeypatch.setattr(bessel, "_sweep", (np.zeros(0), np.zeros((0, 0))))
+        table = DiskTransform(grid, bases)
         # A 1/2-spaced lattice from 2 up to x_top has fewer than 2 x_top nodes.
-        x_top = [basis.eigenvalues[-1] * grid.r_nodes.max() for basis in bases]
-        assert 0 < sum(entries) <= sum(2.0 * top for top in x_top)
+        x_top = max(basis.eigenvalues[-1] for basis in bases) * grid.r_nodes.max()
+        assert len(entries) == 1 and 0 < entries[0] <= 2.0 * x_top
+        # The eigenvalue search sweeps further (and checks its roots by
+        # Miller's recurrence); the table then reuses the search's sweep.
+        build_bases(32, 64, 1.0, ZERO_FLUX)
+        swept = len(entries)
+        again = DiskTransform(grid, bases)
+        assert len(entries) == swept and entries[1] > 2.0 * x_top
+        assert np.array_equal(again._j_table, table._j_table)
 
     def test_peak_memory_below_twice_the_table(self, full):
         # Per-entry evaluation peaked at 8.8 MB here, the node rule at 5.8 MB.
