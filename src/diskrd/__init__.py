@@ -23,7 +23,6 @@ from .kernel import LifeHistory, alpha_of, damping_factors, epsilon_of, maturati
 from .model import (
     Identity,
     Logistic,
-    ModeSeed,
     ModelSpec,
     RickerQuadratic,
     Variant,

@@ -52,7 +52,7 @@ DEFAULTS: dict[str, str] = {
     "birth_capacity": "1.0",    # logistic capacity
     "birth_scale": "0.25",      # quadratic law scale
     "birth_decay": "0.1",       # quadratic law decay
-    "forcing_constant": "1.0",  # time factor f of the seeded mode
+    "forcing_constant": "1.0",  # time factor f of the forcing mode
     "forcing_mode_k": "3.8317",
     "forcing_exponent_linear": "false",
     "n_max": "16",
@@ -231,12 +231,7 @@ def _once_per_mesh(profile):
 
 
 def _mode_w0(order: int, k: float, amp: float):
-    def profile(r, th):
-        # On a polar mesh r is constant along theta: one J_n per radius.
-        radii = r[:, :1] if r.ndim == 2 and np.all(r == r[:, :1]) else r
-        return amp * bessel_j(order, k * radii) * np.cos(order * th)
-
-    return _once_per_mesh(profile)
+    return _once_per_mesh(lambda r, th: amp * bessel_j(order, k * r) * np.cos(order * th))
 
 
 def _build_w0(resolved, spec):

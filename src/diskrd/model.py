@@ -37,13 +37,12 @@ from .bessel import (
 )
 # maturation_term* have no caller here: bound for perfbench/child.py, which wraps them.
 from .kernel import damping_factors, maturation_term, maturation_term_radial  # noqa: F401
-from .transform import DiskField, DiskTransform, SpectralField
+from .transform import DiskField, DiskGrid, DiskTransform, SpectralField
 
 __all__ = [
     "Identity",
     "Logistic",
     "RickerQuadratic",
-    "ModeSeed",
     "BirthLaw",
     "Variant",
     "ModelSpec",
@@ -94,24 +93,7 @@ class RickerQuadratic:
         return self.scale * w**2 * np.exp(-self.decay * w)
 
 
-@dataclass(frozen=True)
-class ModeSeed:
-    """A fixed birth profile amplitude(t) * J_1(mode_k r) cos(theta).
-
-    Unlike the density-dependent laws this ignores the population; it
-    seeds one spatial mode, which is what reduces the full model to the
-    forced variants.
-    """
-
-    amplitude: Callable[[float], float]
-    mode_k: float
-
-    def profile(self, grid) -> np.ndarray:
-        r, th = grid.mesh()
-        return bessel_j(1, self.mode_k * r) * np.cos(th)
-
-
-BirthLaw = Union[Identity, Logistic, RickerQuadratic, ModeSeed]
+BirthLaw = Union[Identity, Logistic, RickerQuadratic]
 
 
 class Variant(Enum):
@@ -141,7 +123,7 @@ class ModelSpec:
     diffusion / mortality act on the mature population; survival and
     spread summarise immaturity (fraction surviving, diffusivity
     accumulated over the delay). ``forcing`` is the time factor of the
-    seeded mode in the forced variants, evaluated at t - delay.
+    forcing mode in the forced variants, evaluated at t - delay.
     """
 
     variant: Variant
@@ -180,23 +162,19 @@ class ModelSpec:
             raise ValueError("FULL_DIRICHLET runs under a Dirichlet condition")
         if self.variant is Variant.FULL_ZERO_FLUX and bc.kind is not BoundaryKind.ZERO_FLUX:
             raise ValueError("FULL_ZERO_FLUX runs under a zero-flux condition")
-        if self.variant in (Variant.FULL_DIRICHLET, Variant.FULL_ZERO_FLUX, Variant.RADIAL):
-            if self.birth is None:
-                raise ValueError(f"{self.variant.value} requires a birth law")
-        if self.variant is Variant.RADIAL and isinstance(self.birth, ModeSeed):
+        # mode_forced takes no birth law, every other variant exactly one.
+        if self.variant is Variant.MODE_FORCED:
+            if self.birth is not None:
+                raise ValueError(
+                    "mode_forced applies no birth law: set birth = none, or use mode_forced_birth"
+                )
+        elif not callable(self.birth):
             raise ValueError(
-                "the radial variant cannot take a ModeSeed birth: the seed is an order-1 "
-                "mode, which the radial (order-zero) reduction drops"
+                f"{self.variant.value} requires a callable birth law, got birth = {self.birth!r}"
             )
         if self.variant is Variant.RADIAL and self.n_max != 0:
             raise ValueError("the radial variant has no angular part: it needs n_max = 0")
         if self.variant in _FORCED:
-            if self.variant is Variant.MODE_FORCED and self.birth is not None:
-                raise ValueError(
-                    "mode_forced applies no birth law: set birth = none, or use mode_forced_birth"
-                )
-            if isinstance(self.birth, ModeSeed):
-                raise ValueError("the forced-with-birth variant needs a density-dependent law")
             # No grid the transform builds resolves J_1(k r) past the widest scan.
             if not (0.0 < self.forcing_mode_k and self.forcing_mode_k * self.radius <= MAX_ARGUMENT):
                 raise ValueError(
@@ -211,7 +189,7 @@ class ModelSpec:
         return float(self.forcing(t - self.delay))
 
     def forcing_damping(self) -> float:
-        """Spectral damping of the seeded mode, survival included.
+        """Spectral damping of the forcing mode, survival included.
 
         The exponent is quadratic in the wavenumber, matching every other
         mode of the series; the linear variant is kept as an opt-in switch
@@ -220,6 +198,13 @@ class ModelSpec:
         k = self.forcing_mode_k
         exponent = k * self.spread if self.forcing_exponent_linear else k**2 * self.spread
         return self.survival * float(np.exp(-exponent))
+
+    def forcing_profile(self, grid: DiskGrid) -> np.ndarray:
+        """The damped forcing mode ``forcing_damping() * J_1(k r) cos(theta)``
+        on the mesh of ``grid``, k = forcing_mode_k; the forced source is
+        f(t - delay) times it."""
+        r, th = grid.mesh()
+        return self.forcing_damping() * (bessel_j(1, self.forcing_mode_k * r) * np.cos(th))
 
 
 def linear_rates(spec: ModelSpec, bases: tuple[BesselBasis, ...]) -> np.ndarray:
@@ -234,23 +219,20 @@ def grid_source(spec: ModelSpec, transform: DiskTransform) -> Callable:
     """``source(t, current, lagged)``: the variant's source on the grid of
     ``transform`` from the samples of the state at t and at t - delay.
 
-    It is the integrator's rule ``amplitude(t) * static + births`` on the
-    grid. ``static``, built once, is the damped forcing or seeded birth
-    mode; ``births`` is ``b(current)`` for the forced birth and the damped
-    births of ``b(lagged)`` for ``full_*`` and ``radial``.
+    It is the integrator's rule ``f(t - delay) * static + births`` on the
+    grid. ``static``, built once, is the damped forcing mode of the forced
+    variants; ``births`` is ``b(current)`` for the forced birth and the
+    damped births of ``b(lagged)`` for ``full_*`` and ``radial``.
     """
-    birth, grid = spec.birth, transform.grid
-    damp = damping_factors(transform.bases, spec.survival, spec.spread)
+    birth = spec.birth
     static = births = None
     if spec.variant in _FORCED:
-        amplitude = spec.forcing_value
-        static = spec.forcing_damping() * ModeSeed(amplitude, spec.forcing_mode_k).profile(grid)
+        static = spec.forcing_profile(transform.grid)
         if birth is not None:
             births = lambda current, lagged: np.asarray(birth(current), dtype=float)  # noqa: E731
-    elif isinstance(birth, ModeSeed):
-        static = transform.synthesize_values(damp * transform.analyze_values(birth.profile(grid)))
-        amplitude = lambda t: float(birth.amplitude(t - spec.delay))  # noqa: E731
     else:
+        damp = damping_factors(transform.bases, spec.survival, spec.spread)
+
         def births(current, lagged):
             analysis = transform.analyze_values(np.asarray(birth(lagged), dtype=float))
             return transform.synthesize_values(damp * analysis)
@@ -258,7 +240,7 @@ def grid_source(spec: ModelSpec, transform: DiskTransform) -> Callable:
     def source(t: float, current: np.ndarray, lagged: Optional[np.ndarray]) -> np.ndarray:
         if static is None:
             return births(current, lagged)
-        values = amplitude(t) * static
+        values = spec.forcing_value(t) * static
         return values if births is None else values + births(current, lagged)
 
     return source

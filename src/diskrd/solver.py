@@ -9,10 +9,10 @@ Adams-Bashforth weight under the phi1 integrating factor:
 
 Every source is one rule in coefficient space,
 
-    N_t = amplitude(t) * static + births[t],
+    N_t = f(t - delay) * static + births[t],
 
-where ``static`` is a fixed mode (the damped forcing mode of the forced
-variants, or a seeded birth mode) and ``births[t]`` the analysed births of
+where ``static`` is the damped forcing mode of the forced variants (see
+``ModelSpec.forcing_profile``) and ``births[t]`` the analysed births of
 the state a birth law reads: the state at t - delay, damped per mode, for
 the maturation variants, and the head itself, undamped (lag 0), for the
 forced birth. So the marching state is coefficients only: the head and a
@@ -76,7 +76,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .kernel import damping_factors
-from .model import _FORCED, ModelSpec, ModeSeed, grid_source, linear_rates
+from .model import _FORCED, ModelSpec, grid_source, linear_rates
 from .model import rhs  # noqa: F401  (bound here for tools that wrap solver.rhs)
 from .transform import DiskField, DiskGrid, DiskTransform, SpectralField, build_bases, default_grid
 
@@ -119,10 +119,13 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.dt < math.inf:
             raise ValueError("dt must be positive and finite")
-        if self.t_end < 0.0:
-            raise ValueError("t_end must be nonnegative")
+        if not 0.0 <= self.t_end < math.inf:
+            raise ValueError("t_end must be nonnegative and finite")
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be at least 1")
+        # inf leaves only the overflow test; NaN or <= 0 would flag every state.
+        if not self.blowup_threshold > 0.0:
+            raise ValueError("blowup_threshold must be positive")
 
 
 def resolve_time_step(dt: float, delay: float) -> tuple[float, int]:
@@ -145,8 +148,8 @@ class HistoryBuffer:
     birth coefficients, over the integrator's source box, of the last
     lag + 1 states, oldest first, so
     ``births[m]`` is the state-dependent source m steps after the head time;
-    it stays empty where no birth law applies (the forced variant and a
-    seeded birth, whose source reads no state). The head is at time
+    it stays empty where no birth law applies (``mode_forced``, whose
+    source reads no state). The head is at time
     ``steps * dt`` of the integrator's dt, so it never drifts.
     """
 
@@ -206,8 +209,8 @@ class SpectralIntegrator:
     synthesises them, records their diagnostics rows and analyses their
     births in one call each. ``block`` is min(lag + 1, cap) where a birth
     law applies (lag_steps for the maturation variants, 0 for the forced
-    birth), and the cap where none does (the forced variant and a seeded
-    birth, whose source is known for all t).
+    birth), and the cap where none does (``mode_forced``, whose source is
+    known for all t).
 
     ``source_box`` is the (orders, width) box the source is kept in (see the
     module docstring); ``source`` and the queued births cover it only.
@@ -233,25 +236,17 @@ class SpectralIntegrator:
             # Where rates * dt overflows, exp(-rates dt) is 0 and phi1 1 / rates.
             self._decay = _flush(np.exp(-self.rates * self.dt))
             self._phi = _phi1(self.rates, self.dt)
-        self._damp = damping_factors(self.bases, spec.survival, spec.spread)
-        # The fixed mode of the source and its time factor: the damped
-        # forcing mode scaled by f(t - delay), or a seeded birth mode by its
-        # amplitude at t - delay; None where the source has no fixed mode.
-        self._static = self._amplitude = None
-        # The birth law, the steps its births lag the source, and their
-        # per-mode damping (None: undamped); no law for a forced or seeded mode.
-        self._birth, self._birth_lag, self._birth_damp = None, 0, None
-        birth = spec.birth
-        if spec.variant in _FORCED:
-            seed = ModeSeed(spec.forcing_value, spec.forcing_mode_k)
-            unit = spec.forcing_damping() * seed.profile(self.grid)
-            self._static, self._amplitude = self.transform.analyze_values(unit), seed.amplitude
-            self._birth = birth  # the forced birth reads the head: lag 0, undamped
-        elif isinstance(birth, ModeSeed):
-            self._static = self._damp * self.transform.analyze_values(birth.profile(self.grid))
-            self._amplitude = lambda t: float(birth.amplitude(t - spec.delay))
+        # The birth law (None for mode_forced), the steps its births lag the
+        # source and their per-mode damping (None: undamped); the fixed mode
+        # of the source, the damped forcing mode that f(t - delay) scales
+        # (None: the source has no fixed mode).
+        self._birth, self._static = spec.birth, None
+        if spec.variant in _FORCED:  # the forced birth reads the head: lag 0, undamped
+            self._birth_lag, self._birth_damp = 0, None
+            self._static = self.transform.analyze_values(spec.forcing_profile(self.grid))
         else:
-            self._birth, self._birth_lag, self._birth_damp = birth, self.lag_steps, self._damp
+            self._birth_lag = self.lag_steps
+            self._birth_damp = damping_factors(self.bases, spec.survival, spec.spread)
         self._set_source_box()
         state_bytes = self.grid.n_r * self.grid.n_theta * 8
         cap = max(1, _BLOCK_BYTES // (2 * state_bytes))
@@ -372,11 +367,11 @@ class SpectralIntegrator:
 
     def source(self, buffer: HistoryBuffer, ahead: int = 0) -> np.ndarray:
         """Packed source coefficients at the head time plus ``ahead`` steps,
-        over the source box (orders, 2, width) only: amplitude(t) * static +
+        over the source box (orders, 2, width) only: f(t - delay) * static +
         births[ahead], each term where it applies."""
         if self._static is None:
             return buffer.births[ahead]
-        src = self._amplitude((buffer.steps + ahead) * self.dt) * self._static
+        src = self.spec.forcing_value((buffer.steps + ahead) * self.dt) * self._static
         if self._birth is not None:
             src += buffer.births[ahead]
         return src

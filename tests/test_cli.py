@@ -254,6 +254,8 @@ class TestRun:
             ),
             # mode_forced applies no birth law, so naming one is an error.
             (SMALL_CONFIG.format(t_end="0.1") + "birth = logistic\nbirth_rate = 2\n", "birth"),
+            # mode_forced_birth applies one, so birth = none is an error too.
+            (SMALL_CONFIG.format(t_end="0.1") + "variant = mode_forced_birth\n", "birth"),
         ],
         ids=[
             "negative_diffusion",
@@ -274,6 +276,7 @@ class TestRun:
             "radial_with_angular_orders",
             "overflowing_decay_rates",
             "mode_forced_with_birth_law",
+            "mode_forced_birth_without_birth_law",
         ],
     )
     def test_invalid_model_or_solver_exits_2(self, tmp_path, capsys, text, key):

@@ -4,10 +4,10 @@ from numpy.testing import assert_allclose
 from scipy.special import jv
 
 from diskrd.bessel import BoundaryCondition
+from diskrd.kernel import damping_factors
 from diskrd.model import (
     Identity,
     Logistic,
-    ModeSeed,
     ModelSpec,
     RickerQuadratic,
     Variant,
@@ -77,14 +77,6 @@ class TestBirthLaws:
         with pytest.raises(ValueError):
             RickerQuadratic(0.25, 0.0)
 
-    def test_mode_seed_profile(self):
-        seed = ModeSeed(lambda t: 2.0, 3.8317)
-        bases = build_bases(1, 3, 1.0, BoundaryCondition.dirichlet())
-        grid = default_grid(bases)
-        r, th = grid.mesh()
-        births = seed.amplitude(0.0) * seed.profile(grid)
-        assert_allclose(births, 2.0 * jv(1, 3.8317 * r) * np.cos(th))
-
 
 class TestModelSpecValidation:
     def test_defaults_bc_by_variant(self):
@@ -101,10 +93,16 @@ class TestModelSpecValidation:
         with pytest.raises(ValueError, match="birth"):
             make_spec(Variant.RADIAL, n_max=0)
 
-    def test_radial_rejects_mode_seed(self):
-        # The seed is an order-1 mode; the radial reduction keeps order 0 only.
-        with pytest.raises(ValueError, match="radial.*ModeSeed"):
-            make_spec(Variant.RADIAL, birth=ModeSeed(lambda t: 1.0, 3.8317), n_max=0)
+    @pytest.mark.parametrize("birth", [None, 2.0], ids=["none", "not_callable"])
+    @pytest.mark.parametrize(
+        "variant",
+        [Variant.MODE_FORCED_BIRTH, Variant.FULL_DIRICHLET, Variant.FULL_ZERO_FLUX, Variant.RADIAL],
+    )
+    def test_every_variant_but_mode_forced_needs_a_callable_law(self, variant, birth):
+        # mode_forced_birth without a law was mode_forced under another name,
+        # and a law that cannot be called failed only at the first step.
+        with pytest.raises(ValueError, match="birth"):
+            make_spec(variant, birth=birth, n_max=0)
 
     @pytest.mark.parametrize("n_max", [1, 16])
     def test_radial_rejects_angular_orders(self, n_max):
@@ -191,24 +189,6 @@ class TestRhs:
         _, ssum = rhs(0.0, zero_state, fsum, spec, tr)
         assert np.max(np.abs(ssum.values - s1.values - s2.values)) < 1e-8
 
-    def test_forced_variant_without_birth_equals_birth_dropped(self, forced_setup):
-        spec, bases, tr = forced_setup
-        with_birth_slot = make_spec(
-            Variant.MODE_FORCED_BIRTH,
-            bc=ZERO_FLUX,
-            forcing=lambda t: 1.0,
-            forcing_mode_k=3.8317,
-            birth=None,
-            n_max=4,
-            j_max=6,
-        )
-        c = np.zeros((5, 2, 6))
-        c[0, 0, 1] = 0.4
-        state = SpectralField(bases, c)
-        _, plain = rhs(0.3, state, None, spec, tr)
-        _, dropped = rhs(0.3, state, None, with_birth_slot, tr)
-        assert np.array_equal(plain.values, dropped.values)
-
     def test_local_birth_term_added(self, forced_setup):
         _, bases, tr = forced_setup
         birth = RickerQuadratic(0.25, 0.1)
@@ -271,31 +251,25 @@ class TestRhs:
             rhs(0.0, SpectralField.zeros(bases), None, spec, tr)
 
     def test_seeded_birth_reduces_to_forced_variant(self):
-        # Seeding one exact eigenmode through the maturation machinery must
-        # agree with the closed-form forced source: the projection hits a
-        # single mode, so the per-mode damping collapses to one factor.
+        # A seeded exact eigenmode, damped per mode as the maturation
+        # variants damp births, must agree with the closed-form forced
+        # source: the projection hits a single mode, so the per-mode
+        # damping collapses to the forcing damping.
         bases = build_bases(2, 4, 1.0, BoundaryCondition.dirichlet())
         tr = DiskTransform(default_grid(bases), bases)
         k_exact = float(bases[1].eigenvalues[0])
-        amplitude = lambda t: 0.7
-        full = make_spec(
-            Variant.FULL_DIRICHLET,
-            birth=ModeSeed(amplitude, k_exact),
-            n_max=2,
-            j_max=4,
-        )
         forced = make_spec(
             Variant.MODE_FORCED,
-            forcing=amplitude,
+            forcing=lambda t: 0.7,
             forcing_mode_k=k_exact,
             n_max=2,
             j_max=4,
         )
-        state = SpectralField.zeros(bases)
-        lagged = DiskField.zeros(tr.grid)
-        _, via_maturation = rhs(2.0, state, lagged, full, tr)
-        _, via_forcing = rhs(2.0, state, None, forced, tr)
-        assert np.max(np.abs(via_maturation.values - via_forcing.values)) < 1e-10
+        _, via_forcing = rhs(2.0, SpectralField.zeros(bases), None, forced, tr)
+        r, th = tr.grid.mesh()
+        seed = tr.analyze_values(0.7 * jv(1, k_exact * r) * np.cos(th))
+        damp = damping_factors(bases, forced.survival, forced.spread)
+        assert np.max(np.abs(tr.analyze_values(via_forcing.values) - damp * seed)) < 1e-10
 
 
 class TestHomogeneousEquilibria:
@@ -403,6 +377,17 @@ class TestLambertW:
 class TestForcingProfile:
     def test_profile_shape(self, forced_setup):
         spec, _, tr = forced_setup
-        values = ModeSeed(spec.forcing_value, spec.forcing_mode_k).profile(tr.grid)
+        values = spec.forcing_profile(tr.grid)
         r, th = tr.grid.mesh()
-        assert_allclose(values, jv(1, spec.forcing_mode_k * r) * np.cos(th))
+        expected = spec.forcing_damping() * jv(1, spec.forcing_mode_k * r) * np.cos(th)
+        assert_allclose(values, expected)
+
+    def test_profile_on_a_dirichlet_grid_with_the_linear_exponent(self):
+        spec = make_spec(
+            Variant.MODE_FORCED, forcing_mode_k=3.8317, forcing_exponent_linear=True, n_max=1, j_max=3
+        )
+        bases = build_bases(1, 3, 1.0, BoundaryCondition.dirichlet())
+        grid = default_grid(bases)
+        r, th = grid.mesh()
+        expected = 0.1 * np.exp(-3.8317 * 0.1) * jv(1, 3.8317 * r) * np.cos(th)
+        assert_allclose(spec.forcing_profile(grid), expected)
