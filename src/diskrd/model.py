@@ -172,6 +172,8 @@ class ModelSpec:
             raise ValueError(
                 f"{self.variant.value} requires a callable birth law, got birth = {self.birth!r}"
             )
+        if self.forcing is not None and not callable(self.forcing):
+            raise ValueError(f"forcing must be callable or None, got forcing = {self.forcing!r}")
         if self.variant is Variant.RADIAL and self.n_max != 0:
             raise ValueError("the radial variant has no angular part: it needs n_max = 0")
         if self.variant in _FORCED:

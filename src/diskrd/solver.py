@@ -27,15 +27,24 @@ Every coefficient array is packed (see ``transform``): one array
 (n_max + 1, 2, j_max) per state, cosine and sine slots side by side. The
 decay, the phi1 weight and the recruitment damping of a mode depend on its
 order and index only, and are packed the same way. So a state costs one
-AB2 stage and one update, and the rest is done once per block: one
-blow-up maximum over the block's coefficients (the failing state is
-located only when it fails) and one synthesis, under the updates'
-``np.errstate``; one call of the diagnostics recorder with the block's
-rows and its AB2 changes (one subtraction), outside it, so a diagnostic
-past the float range is stored as inf with a warning; and, under an
-``np.errstate`` of their own, the birth law on chunks of the block's grid
-samples (as many states as fit an eighth of ``_BLOCK_BYTES``) and one
-analysis.
+AB2 stage and one update, and the rest is done once per block: the
+blow-up test and one synthesis; one call of the diagnostics recorder with
+the block's rows and its AB2 changes (one subtraction), so a diagnostic
+past the float range is stored as inf with a warning; and the birth law on
+chunks of the block's grid samples (as many states as fit an eighth of
+``_BLOCK_BYTES``) and one analysis.
+
+Blow-up is one test, ``not max|c| <= limit`` over a state's coefficients,
+with limit = min(blowup_threshold, float max / packed size). It runs on
+each distinct history sample and once per block, and only a block that
+fails it looks for its first failing state, which is raised with its
+magnitude (inf if that is not finite). NaN and inf fail it, and below it
+no synthesis overflows, as |J_n|, |cos| and |sin| are at most 1. Everything
+but the recorder runs with overflow and invalid operations ignored: IEEE
+754 inf and NaN carry through every later sum, so births that overflow
+stay in the ring as inf or NaN and fail the test at the state they enter.
+A block that fails commits nothing: no diagnostics row, no births and no
+change to the buffer.
 
 Each transform covers only a live box, the leading orders 0 .. N - 1 and
 radial indices 0 .. J - 1 outside which every coefficient is at most
@@ -61,8 +70,9 @@ A deliberately simple finite-difference integrator on the cell-centered
 polar mesh ``DiskGrid.cell_centered`` (forward Euler, conservative
 five-point Laplacian) is an independent cross-check, run by
 ``reference_fd``. It steps with ``model.grid_source``, the rule
-``model.rhs`` wraps, built once per run, and refuses a run that needs more
-than ``_MAX_STEPS`` Euler steps. Each scheme takes and checks its own mesh
+``model.rhs`` wraps, built once per run, tests each recorded field with the
+same blow-up test, its mesh values in place of coefficients, and refuses a
+run that needs more than ``_MAX_STEPS`` Euler steps. Each scheme takes and checks its own mesh
 and step count; ``SolverConfig`` holds only what both read.
 """
 
@@ -101,6 +111,7 @@ CONVERGED_STREAK = 100
 _BLOCK_BYTES = 1 << 20
 # Magnitudes below the smallest normal float are stored as 0 (see _flush).
 _TINY = np.finfo(float).tiny
+_FLOAT_MAX = np.finfo(float).max
 # Most steps in one run or one delay: each keeps a diagnostics row or a ring entry.
 _MAX_STEPS = 10**8
 
@@ -123,7 +134,9 @@ class SolverConfig:
             raise ValueError("t_end must be nonnegative and finite")
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be at least 1")
-        # inf leaves only the overflow test; NaN or <= 0 would flag every state.
+        if not 0.0 < self.convergence_tol < math.inf:
+            raise ValueError("convergence_tol must be positive and finite")
+        # inf leaves only the float-range test; NaN or <= 0 would flag every state.
         if not self.blowup_threshold > 0.0:
             raise ValueError("blowup_threshold must be positive")
 
@@ -143,25 +156,25 @@ def resolve_time_step(dt: float, delay: float) -> tuple[float, int]:
 class HistoryBuffer:
     """What one step reads: the head state and the births still to mature.
 
-    ``coeffs`` are the packed coefficients of the head state and ``peak`` an
-    upper bound on |coeffs| (inf if unknown). ``births`` holds the packed
-    birth coefficients, over the integrator's source box, of the last
-    lag + 1 states, oldest first, so
-    ``births[m]`` is the state-dependent source m steps after the head time;
-    it stays empty where no birth law applies (``mode_forced``, whose
-    source reads no state). The head is at time
-    ``steps * dt`` of the integrator's dt, so it never drifts.
+    ``coeffs`` are the packed coefficients of the head state, which passed
+    the blow-up test. ``births`` holds the packed birth coefficients, over
+    the integrator's source box, of the last lag + 1 states, oldest first,
+    so ``births[m]`` is the state-dependent source m steps after the head
+    time; births that overflowed are kept as inf or NaN. It stays empty
+    where no birth law applies (``mode_forced``, whose source reads no
+    state). The head is at time ``steps * dt`` of the integrator's dt, so
+    it never drifts.
     """
 
     coeffs: np.ndarray
     births: deque
     steps: int = 0
     prev_source: Optional[np.ndarray] = None
-    peak: float = math.inf
 
 
 class BlowUpError(RuntimeError):
-    """A coefficient magnitude crossed the blow-up threshold."""
+    """A state failed the blow-up test: its largest magnitude is not finite
+    or is past the threshold or the float-range bound."""
 
     def __init__(self, t: float, step_index: int, magnitude: float):
         super().__init__(
@@ -236,6 +249,8 @@ class SpectralIntegrator:
             # Where rates * dt overflows, exp(-rates dt) is 0 and phi1 1 / rates.
             self._decay = _flush(np.exp(-self.rates * self.dt))
             self._phi = _phi1(self.rates, self.dt)
+        # Below it a synthesis, a sum of at most rates.size terms, is finite.
+        self._limit = min(config.blowup_threshold, _FLOAT_MAX / self.rates.size)
         # The birth law (None for mode_forced), the steps its births lag the
         # source and their per-mode damping (None: undamped); the fixed mode
         # of the source, the damped forcing mode that f(t - delay) scales
@@ -297,9 +312,8 @@ class SpectralIntegrator:
 
         Only a lagged birth law reads past states, so only then is w0 sampled
         before t = 0, at t = i dt for i = -lag_steps .. 0. A run of equal
-        samples is one state, analysed once and synthesised at most once; its
-        births are queued when the run ends. An overflow in its transforms or
-        births is a blow-up at the run's first step.
+        samples is one state, analysed once, tested for blow-up and
+        synthesised at most once; its births are queued when the run ends.
         """
         r, th = self.grid.mesh()
         births = deque(maxlen=self._birth_lag + 1)
@@ -310,60 +324,47 @@ class SpectralIntegrator:
             if sample is not None and (sample == raw).all():
                 continue
             if sample is not None:  # the run from step ``first`` ends at i - 1
-                births.extend(self._births(values, first) * (i - first))
+                births.extend(self._births(values) * (i - first))
             sample = np.array(raw, dtype=float)  # a copy: w0 may reuse its array
             values = DiskField(self.grid, sample + np.zeros_like(r)).values
-            with np.errstate(over="raise", invalid="raise"):
-                try:
-                    stack = self.transform.analyze_values(values[None])
-                    # Only a birth law or the recorder reads a state's grid
-                    # values; without a law the history is the t = 0 state.
-                    if self._birth is not None or record is not None:
-                        values = self.transform.synthesize_values(stack, self._values[:1])
-                except FloatingPointError:
-                    raise BlowUpError(i * self.dt, i, math.inf) from None
+            with np.errstate(over="ignore", invalid="ignore"):
+                stack = self.transform.analyze_values(values[None])
+                _test(np.abs(stack.transpose(2, 0, 1, 3)), self._limit, i, self._time)
+                # Only a birth law or the recorder reads a state's grid
+                # values; without a law the history is the t = 0 state.
+                if self._birth is not None or record is not None:
+                    values = self.transform.synthesize_values(stack, self._values[:1])
             first = i
         if record is not None:
             record(0, values, np.zeros(1))
-        births.extend(self._births(values, first) * (1 - first))
-        coeffs = stack[:, :, 0]
-        return HistoryBuffer(coeffs, births, peak=float(np.abs(coeffs).max()))
+        births.extend(self._births(values) * (1 - first))
+        return HistoryBuffer(stack[:, :, 0], births)
 
-    def _births(self, values: np.ndarray, first: int) -> list:
+    def _births(self, values: np.ndarray) -> list:
         """Packed birth coefficients, one per state, that each adds to the
         source once the birth law reads its state; empty where no birth law
         applies.
 
         ``values`` are the states' grid samples (K, n_r, n_theta), which the
-        birth law overwrites, ``_chunk`` states per call. State m is step
-        ``first + m``. An overflow in the law of state m is a blow-up at
-        that step, one in the batched analysis (only near the float range)
-        at the block's first step. They are analysed over the source box only.
+        birth law overwrites, ``_chunk`` states per call. They are analysed
+        over the source box only. Births that overflow are returned as inf
+        or NaN: they fail the blow-up test at the state they enter.
         """
         birth, damp = self._birth, self._birth_damp
         if birth is None:
             return []
-        with np.errstate(over="raise", invalid="raise"):
+        with np.errstate(over="ignore", invalid="ignore"):
             for lo in range(0, len(values), self._chunk):
                 chunk = values[lo : lo + self._chunk]
-                try:
-                    chunk[...] = birth(chunk)
-                except FloatingPointError:
-                    # The law is pointwise: the first state whose own law raises.
-                    for m in range(lo, lo + len(chunk)):
-                        try:
-                            birth(values[m])
-                        except FloatingPointError:
-                            break
-                    raise BlowUpError((first + m) * self.dt, first + m, math.inf) from None
-            try:
-                births = self.transform.analyze_values(values, self.source_box)
-                if damp is not None:
-                    births *= damp
-                    _flush(births)
-            except FloatingPointError:
-                raise BlowUpError(first * self.dt, first, math.inf) from None
+                chunk[...] = birth(chunk)
+            births = self.transform.analyze_values(values, self.source_box)
+            if damp is not None:
+                births *= damp
+                _flush(births)
         return list(births.transpose(2, 0, 1, 3))
+
+    def _time(self, step: int) -> float:
+        return step * self.dt
 
     def source(self, buffer: HistoryBuffer, ahead: int = 0) -> np.ndarray:
         """Packed source coefficients at the head time plus ``ahead`` steps,
@@ -386,12 +387,11 @@ class SpectralIntegrator:
         first step of a run uses the one-step Euler weights.
 
         State m is step ``buffer.steps + 1 + m``. The states are advanced in
-        order, then checked for blow-up together; a blow-up at state p is
-        raised after states 0 .. p-1 are finished. Those are synthesised in
-        one call, passed to ``record(first, values, rates)`` as one block of
-        diagnostics rows, and their births analysed in one call; the buffer
-        takes the states only then, so an overflow in their births leaves it
-        as it was.
+        order and then take the blow-up test together; a block that fails it
+        raises at its first failing state and leaves the buffer as it was.
+        Otherwise they are synthesised in one call, passed to
+        ``record(first, values, rates)`` as one block of diagnostics rows and
+        their births analysed in one call, and the buffer takes them.
         """
         if not 1 <= states <= self.block:
             raise ValueError(f"states must lie in [1, {self.block}]")
@@ -401,55 +401,33 @@ class SpectralIntegrator:
         slots = np.empty((states + 1,) + buffer.coeffs.shape)
         slots[0] = buffer.coeffs
         decay, phi, cut, prev = self._decay, self._phi_box, self._cut, buffer.prev_source
-        done = states
-        blowup = None
-        with np.errstate(over="raise", invalid="raise"):
-            try:
-                for m in range(states):
-                    src = self.source(buffer, m)
-                    stage = src if prev is None else 1.5 * src - 0.5 * prev
-                    state = slots[m + 1]
-                    np.multiply(decay, slots[m], state)
-                    box = state[cut]  # outside the source box a mode only decays
-                    box += phi * stage
-                    prev = src
-            except FloatingPointError:
-                done, blowup = m, BlowUpError((first + m) * self.dt, first + m, math.inf)
-            new = slots[1 : done + 1]
-            if done:
-                magnitude = np.abs(new)
-                top = float(np.maximum.reduce(magnitude, axis=None))
-                if not top <= self.config.blowup_threshold:  # NaN fails too
-                    peaks = magnitude.max(axis=(1, 2, 3))
-                    p = int(np.argmin(peaks <= self.config.blowup_threshold))
-                    blowup = BlowUpError((first + p) * self.dt, first + p, float(peaks[p]))
-                    if p:  # the source and peak of the last finished state
-                        prev, top = self.source(buffer, p - 1), float(peaks[:p].max())
-                    done, new, magnitude = p, new[:p], magnitude[:p]
-            if done:
-                stack = new.transpose(1, 2, 0, 3)
-                live = None
-                if self._scan:  # each state's box against its own peak
-                    new[magnitude < _TINY] = 0.0
-                    peaks = magnitude.max(axis=(1, 2, 3), keepdims=True)
-                    live = _box(magnitude > self._tol * peaks)
-                try:
-                    values = self.transform.synthesize_values(stack, self._values[:done], live)
-                except FloatingPointError:  # only near the float range
-                    raise BlowUpError(first * self.dt, first, math.inf) from None
-        if done:
-            if record is not None:
-                # |change| <= |state| + |previous state| bounds the norms' squares.
-                bound = top + max(top, buffer.peak)
-                rates = self.transform.weighted_l2(new - slots[:done], bound)
-                record(first, values, rates / self.dt)
-            births = self._births(values, first)
-            buffer.coeffs, buffer.peak = slots[done], top
-            buffer.births.extend(births)
-            buffer.prev_source = prev
-            buffer.steps += done
-        if blowup is not None:
-            raise blowup
+        new = slots[1:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m in range(states):
+                src = self.source(buffer, m)
+                stage = src if prev is None else 1.5 * src - 0.5 * prev
+                state = slots[m + 1]
+                np.multiply(decay, slots[m], state)
+                box = state[cut]  # outside the source box a mode only decays
+                box += phi * stage
+                prev = src
+            magnitude = np.abs(new)
+            _test(magnitude, self._limit, first, self._time)
+            stack = new.transpose(1, 2, 0, 3)
+            live = None
+            if self._scan:  # each state's box against its own peak
+                new[magnitude < _TINY] = 0.0
+                peaks = magnitude.max(axis=(1, 2, 3), keepdims=True)
+                live = _box(magnitude > self._tol * peaks)
+            values = self.transform.synthesize_values(stack, self._values[:states], live)
+        if record is not None:
+            # Every state passed the test, so |change| <= 2 limit.
+            rates = self.transform.weighted_l2(new - slots[:states], 2 * self._limit)
+            record(first, values, rates / self.dt)
+        buffer.births.extend(self._births(values))
+        buffer.coeffs = slots[states]
+        buffer.prev_source = prev
+        buffer.steps += states
         return buffer
 
     def integrate(self, w0) -> SimulationResult:
@@ -471,6 +449,20 @@ def _flush(coeffs: np.ndarray) -> np.ndarray:
     """
     coeffs[np.abs(coeffs) < _TINY] = 0.0
     return coeffs
+
+
+def _test(magnitude: np.ndarray, limit: float, first: int, time: Callable[[int], float]) -> None:
+    """The blow-up test of a state-first stack of magnitudes (K, ...), state
+    m at step ``first + m`` and time ``time(first + m)``: one comparison of
+    its maximum with ``limit``, which NaN fails too. Only past it is the first
+    failing state located; it is raised with its magnitude, or inf if that is
+    not finite."""
+    if np.maximum.reduce(magnitude, axis=None) <= limit:
+        return
+    peaks = magnitude.reshape(len(magnitude), -1).max(axis=1)
+    p = int(np.argmin(peaks <= limit))
+    peak = float(peaks[p])
+    raise BlowUpError(time(first + p), first + p, peak if peak < math.inf else math.inf)
 
 
 def _box(live: np.ndarray) -> tuple[int, int]:
@@ -565,7 +557,8 @@ def reference_fd(
     fd_n_theta cell-centered mesh; it suits short cross-check horizons.
 
     The FD step is stability-bounded, so diagnostics are recorded on the
-    requested dt cadence rather than every internal step. The transform of
+    requested dt cadence rather than every internal step, and each recorded
+    field takes the blow-up test (see ``_test``). The transform of
     the source and the terminal projection is truncated to what the mesh
     resolves.
     """
@@ -593,16 +586,15 @@ def reference_fd(
 
     values = DiskField.from_polar(grid, lambda r, th: w0(0.0, r, th)).values
     recorder = _Recorder(np.arange(n_records + 1) * inner * dt_fd, grid, config)
+    # The spectral scheme's limit, with the mesh values as the state.
+    limit = min(config.blowup_threshold, _FLOAT_MAX / values.size)
     recorder.record(0, values[None], np.zeros(1))
     for i in range(1, n_records + 1):
         for s in range((i - 1) * inner, i * inner):
             lap = spec.diffusion * fd_laplacian(values, spec, grid)
             change = lap - spec.mortality * values + source(s * dt_fd, values, values)
             previous, values = values, values + dt_fd * change
-        t = i * inner * dt_fd
-        peak = float(np.max(np.abs(values)))
-        if not np.isfinite(peak) or peak > config.blowup_threshold:
-            raise BlowUpError(t, i, peak)
+        _test(np.abs(values)[None], limit, i, lambda step: step * inner * dt_fd)
         rate = math.sqrt(grid.integrate((values - previous) ** 2)) / dt_fd
         recorder.record(i, values[None], np.array([rate]))
     return recorder.result(transform.analyze(DiskField(grid, values)), spec, dt_fd)

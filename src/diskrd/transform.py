@@ -390,13 +390,16 @@ class DiskTransform:
         packed coefficients, one per state, from the stored mode norms.
 
         ``bound``, if given, is an upper bound on |coeffs| the caller knows.
-        While it (or else a state's largest magnitude) keeps the weighted
-        squares below overflow a state's norm is one weighted dot; finite
-        coefficients past that (~1e150 on a unit disk) are first scaled by
-        their largest magnitude. Either way no overflow is raised or warned.
+        While it (or else the stack's largest magnitude) keeps the weighted
+        squares below overflow a state's norm is one weighted dot; past that
+        (~1e150 on a unit disk) each state's finite coefficients are first
+        scaled by their largest magnitude. Either way no overflow is raised
+        or warned.
         """
         rows = coeffs.reshape(len(coeffs), -1)
         if bound is None or not bound <= self._l2_safe:
+            bound = np.maximum.reduce(np.abs(rows), axis=None)
+        if not bound <= self._l2_safe:
             return np.array([self._row_l2(row) for row in rows])
         # A row times a column is one dot each, as np.dot of the two rows.
         squares = np.matmul((rows * self._l2_weights)[:, None, :], rows[:, :, None])

@@ -154,11 +154,10 @@ class TestRun:
         analyze = DiskTransform.analyze_values
 
         def recording(self, values, live=None):
-            try:
-                return analyze(self, values, live)
-            except FloatingPointError:
+            coeffs = analyze(self, values, live)
+            if np.isfinite(values).all() and not np.isfinite(coeffs).all():
                 overflowed.append(live)
-                raise
+            return coeffs
 
         monkeypatch.setattr(DiskTransform, "analyze_values", recording)
         cfg = write_config(
@@ -169,6 +168,35 @@ class TestRun:
         assert run(cfg, out_dir=tmp_path / "out") == 1
         assert overflowed and all(live is not None and live[1] < 16 for live in overflowed)
         assert "blew up" in capsys.readouterr().err
+
+    def test_overflowing_births_fail_only_the_state_they_enter(self, tmp_path, capsys):
+        # A strong forcing drives the state of step 1 to about -2.8e5, where
+        # the Ricker law overflows. Its births enter the source of step 2:
+        # a run that ends at step 1 never reads them and completes, one that
+        # goes on blows up at step 2.
+        text = SMALL_CONFIG.replace(
+            "variant = mode_forced", "variant = mode_forced_birth\nbirth = ricker_quadratic"
+        ).replace("forcing_constant = 1.0", "forcing_constant = 1e9")
+        out = tmp_path / "short"
+        cfg = write_config(tmp_path, text.format(t_end="0.05"))
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        with open(out / "diagnostics.csv", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == 2 and float(rows[1][2]) < -2e5
+        assert np.all(np.isfinite(np.array(rows, dtype=float)))
+        summary = dict(line.split(" = ") for line in (out / "summary").read_text().splitlines())
+        assert summary["status"] == "completed"
+        terminal = [float(value) for key, value in summary.items() if key.startswith("terminal_")]
+        assert np.all(np.isfinite(terminal))
+        snapshots = sorted(out.glob("snapshot_*.csv"))
+        assert len(snapshots) == 2
+        for snapshot in snapshots:
+            assert np.all(np.isfinite(np.loadtxt(snapshot, delimiter=",", skiprows=1)))
+        capsys.readouterr()
+        cfg = write_config(tmp_path, text.format(t_end="0.1"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "long")]) == 1
+        err = capsys.readouterr().err
+        assert "blew up at t=0.1 (step 2): |c| reached inf" in err and "Traceback" not in err
 
     def test_history_overflow_exits_nonzero(self, tmp_path, capsys):
         # w0 is finite, but its analysis overflows before any step.
@@ -182,17 +210,18 @@ class TestRun:
         assert "blew up" in err and "Traceback" not in err
 
     def test_population_past_the_float_range_exits_nonzero(self, tmp_path, capsys):
-        # The t = 0 coefficients are finite, but the population of w0 (about
-        # 2.8e308) is not: its row holds inf and the first step blows up.
+        # w0 is finite, but past the blow-up threshold: the run fails at its
+        # first history sample, t = -delay, before any row is recorded. A
+        # population past the float range is recorded as inf with a warning
+        # only at an infinite threshold (see ``test_solver``).
         cfg = write_config(
             tmp_path,
             "variant = radial\nbirth = identity\nn_max = 0\nj_max = 8\nradius = 3.0\n"
             "w0_kind = constant\nw0_value = 1e307\nt_end = 0.1\n",
         )
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert "blew up" in err and "Traceback" not in err
+        assert "blew up at t=-1 (step -100)" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "line, key",
@@ -256,6 +285,8 @@ class TestRun:
             (SMALL_CONFIG.format(t_end="0.1") + "birth = logistic\nbirth_rate = 2\n", "birth"),
             # mode_forced_birth applies one, so birth = none is an error too.
             (SMALL_CONFIG.format(t_end="0.1") + "variant = mode_forced_birth\n", "birth"),
+            # No run converges below a negative tolerance.
+            (SMALL_CONFIG.format(t_end="0.1") + "convergence_tol = -1\n", "convergence_tol"),
         ],
         ids=[
             "negative_diffusion",
@@ -277,6 +308,7 @@ class TestRun:
             "overflowing_decay_rates",
             "mode_forced_with_birth_law",
             "mode_forced_birth_without_birth_law",
+            "negative_convergence_tol",
         ],
     )
     def test_invalid_model_or_solver_exits_2(self, tmp_path, capsys, text, key):

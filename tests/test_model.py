@@ -104,6 +104,16 @@ class TestModelSpecValidation:
         with pytest.raises(ValueError, match="birth"):
             make_spec(variant, birth=birth, n_max=0)
 
+    @pytest.mark.parametrize(
+        "variant, birth", [(Variant.MODE_FORCED, None), (Variant.MODE_FORCED_BIRTH, Identity())]
+    )
+    def test_forcing_must_be_callable_or_none(self, variant, birth):
+        # A forcing that cannot be called failed only at the first step,
+        # with a TypeError traceback.
+        with pytest.raises(ValueError, match="forcing"):
+            make_spec(variant, birth=birth, forcing=2.0)
+        assert make_spec(variant, birth=birth).forcing_value(0.0) == 1.0
+
     @pytest.mark.parametrize("n_max", [1, 16])
     def test_radial_rejects_angular_orders(self, n_max):
         # The radial reduction has no angular part: it is the order-0 model.

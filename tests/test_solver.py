@@ -88,6 +88,13 @@ class TestSolverConfig:
             SolverConfig(**{key: value})
         assert SolverConfig(blowup_threshold=math.inf).blowup_threshold == math.inf
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_convergence_tol_positive_and_finite(self, tol):
+        # No rate falls below a tolerance <= 0 or NaN, so no run converged
+        # and none said why.
+        with pytest.raises(ValueError, match="convergence_tol"):
+            SolverConfig(convergence_tol=tol)
+
     @pytest.mark.parametrize(
         "run",
         [
@@ -568,26 +575,6 @@ class TestBlockedDriver:
         for (t, before), (t_after, field) in zip(taken, recorder.snapshots):
             assert t == t_after and np.array_equal(field.values, before)
 
-    def test_births_overflow_leaves_the_buffer_as_it_was(self):
-        # The birth law overflows while the block's coefficients are finite.
-        spec = dataclasses.replace(self.growing_spec(Identity()), birth=np.exp)
-        ig = SpectralIntegrator(spec, SolverConfig(dt=0.05, t_end=100.0))
-        buf = ig.initialize_history(patch_w0)
-        with pytest.raises(BlowUpError) as info:
-            while True:
-                steps, peak, prev = buf.steps, buf.peak, buf.prev_source
-                coeffs, births = buf.coeffs.copy(), [b.copy() for b in buf.births]
-                ig.step(buf, ig.block)
-        assert math.isinf(info.value.magnitude) and info.value.step_index > steps
-        assert (buf.steps, buf.peak) == (steps, peak) and buf.prev_source is prev
-        assert np.array_equal(buf.coeffs, coeffs)
-        assert all(np.array_equal(got, want) for got, want in zip(buf.births, births, strict=True))
-        # The head is the state of step ``buf.steps``.
-        replay = ig.initialize_history(patch_w0)
-        while replay.steps < buf.steps:
-            ig.step(replay, ig.block)
-        assert replay.steps == buf.steps and np.array_equal(replay.coeffs, buf.coeffs)
-
     @pytest.mark.parametrize("case", ["mode_forced_birth", "full_zero_flux"])
     def test_more_states_than_the_block_are_rejected(self, case):
         ig = self.integrator(case)
@@ -611,10 +598,11 @@ class TestBlockedDriver:
     BLOWUPS = {
         # A finite coefficient crosses the threshold.
         "coefficient_threshold": (dict(birth=Identity()), 20.0),
-        # The birth law of a state overflows while its coefficients are small.
-        "birth_law_overflow": (dict(birth=np.exp), 1e12),
+        # The birth law of a state overflows while its coefficients are small;
+        # its births fail the test at the state they enter.
+        "birth_law_overflow": (dict(birth=np.exp), math.inf),
         # The same on a two-angle grid, where the 5-state block is one call of the law.
-        "birth_law_overflow_order_zero": (dict(birth=np.exp, n_max=0), 1e12),
+        "birth_law_overflow_order_zero": (dict(birth=np.exp, n_max=0), math.inf),
         # The forcing, and so a coefficient, overflows; no threshold applies.
         "coefficient_overflow": (
             dict(
@@ -649,35 +637,55 @@ class TestBlockedDriver:
         assert math.isinf(blocked.magnitude) == (case != "coefficient_threshold")
 
     def test_forced_birth_overflow_is_reported_at_its_state(self):
-        # The forced birth's law runs as its state enters the ring, so an
-        # overflow there is reported at that state: here the initial one.
+        # The forced birth's births enter the source of the next state (lag
+        # 0), so an overflow in the law of the initial state is reported at
+        # step 1, the state its births enter.
         spec = forced_spec(variant=Variant.MODE_FORCED_BIRTH, birth=np.exp)
         ig = SpectralIntegrator(spec, SolverConfig(dt=0.05, t_end=1.0))
         blowup = self.first_blowup(lambda: ig.integrate(lambda t, r, th: np.full_like(r, 1e3)))
-        assert (blowup.step_index, blowup.t, blowup.magnitude) == (0, 0.0, math.inf)
+        assert (blowup.step_index, blowup.t, blowup.magnitude) == (1, ig.dt, math.inf)
 
-    def test_block_finishes_states_before_a_coefficient_blowup(self):
-        config = SolverConfig(dt=0.05, t_end=100.0, blowup_threshold=20.0)
-        ig = SpectralIntegrator(self.growing_spec(Identity()), config)
-        states = []
+    # Each cause of a blow-up on the growing model, and the threshold it runs at.
+    CAUSES = {
+        "threshold": (dict(), 20.0),
+        "coefficient_overflow": (BLOWUPS["coefficient_overflow"][0], math.inf),
+        "birth_law_overflow": (dict(birth=np.exp), math.inf),
+        # Finite births, past w = 1.5, whose analysis overflows.
+        "births_analysis_overflow": (dict(birth=lambda w: np.where(w > 1.5, 1e308, w)), math.inf),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CAUSES))
+    def test_a_blowup_leaves_the_buffer_as_it_was(self, case):
+        changes, threshold = self.CAUSES[case]
+        spec = dataclasses.replace(self.growing_spec(Identity()), **changes)
+        ig = SpectralIntegrator(spec, SolverConfig(dt=0.05, t_end=100.0, blowup_threshold=threshold))
         buf = ig.initialize_history(patch_w0)
-        for i in range(1, 2001):
-            try:
-                ig.step(buf)
-            except BlowUpError as exc:
-                bad = exc.step_index
-                break
-            states.append(buf.coeffs)
-        buf = ig.initialize_history(patch_w0)
-        first = bad - (bad - 1) % ig.block
-        for i in range(1, first, ig.block):
-            ig.step(buf, ig.block)
-        with pytest.raises(BlowUpError):
-            ig.step(buf, ig.block)
-        # States first .. bad - 1 of the failing block were completed.
-        assert buf.steps == bad - 1 > first - 1
-        want = states[bad - 2]
-        assert np.max(np.abs(buf.coeffs - want)) <= 1e-12 * np.max(np.abs(want[:, 0]))
+        recorded = []  # the last step of each block of diagnostics rows
+
+        def record(first, values, rates):
+            recorded.append(first + len(values) - 1)
+
+        with pytest.raises(BlowUpError) as info:
+            while True:
+                steps, prev = buf.steps, buf.prev_source
+                coeffs, births = buf.coeffs.copy(), [b.copy() for b in buf.births]
+                ig.step(buf, ig.block, record)
+        # The block failed past its first state: nothing of it was committed.
+        assert steps + 1 < info.value.step_index <= steps + ig.block
+        assert buf.steps == steps == recorded[-1] and buf.prev_source is prev
+        assert np.array_equal(buf.coeffs, coeffs)
+        assert all(
+            np.array_equal(got, want, equal_nan=True)
+            for got, want in zip(buf.births, births, strict=True)
+        )
+        # Births that overflowed wait in the ring until the failing state reads them.
+        overflowed = any(not np.isfinite(b).all() for b in buf.births)
+        assert overflowed == case.startswith("birth")
+        # The head is the state of step ``buf.steps``.
+        replay = ig.initialize_history(patch_w0)
+        while replay.steps < buf.steps:
+            ig.step(replay, ig.block)
+        assert np.array_equal(replay.coeffs, buf.coeffs)
 
     @pytest.mark.parametrize("case", ["mode_forced", "full_dirichlet", "radial"])
     def test_repeated_runs_are_identical(self, case):
@@ -886,20 +894,23 @@ class TestDeadBand:
         assert (scans == []) == full
 
     def test_births_overflow_is_a_blowup(self, monkeypatch):
-        # Every recruit survives, so the field grows until the analysis of
-        # its births overflows; no threshold applies.
-        spec = forced_spec(**{**self.SPEC, "birth": Identity(), "survival": 1.0})
-        config = SolverConfig(dt=0.05, t_end=1000.0, blowup_threshold=math.inf)
+        # The Ricker law maps the t = 0 state, -6900, to a finite ~5e306
+        # whose analysis over the narrow source box overflows. Those births
+        # fail the test at the state they enter, lag_steps + 1; no threshold
+        # applies.
+        config = SolverConfig(dt=0.05, t_end=1.0, blowup_threshold=math.inf)
 
         def first_blowup():
+            ig = SpectralIntegrator(forced_spec(**self.SPEC), config)
             with pytest.raises(BlowUpError) as info:
-                SpectralIntegrator(spec, config).integrate(patch_w0)
-            return info.value
+                ig.integrate(lambda t, r, th: np.full_like(r, -6900.0 if t == 0.0 else 0.2))
+            return ig, info.value
 
-        got = first_blowup()
+        ig, got = first_blowup()
+        assert ig.source_box[1] < ig.spec.j_max
         self.full_box(monkeypatch)
-        want = first_blowup()
-        assert math.isinf(got.magnitude)
+        _, want = first_blowup()
+        assert math.isinf(got.magnitude) and got.step_index == ig.lag_steps + 1
         assert (got.step_index, got.t, got.magnitude) == (want.step_index, want.t, want.magnitude)
 
 
@@ -1192,6 +1203,22 @@ class TestIntegrate:
         assert np.array_equal(radial.final_state.coeffs, full.final_state.coeffs)
         for (t1, f1), (t2, f2) in zip(radial.snapshots, full.snapshots, strict=True):
             assert t1 == t2 and np.array_equal(f1.values, f2.values)
+
+    def test_population_past_the_float_range_is_recorded_as_inf(self):
+        # No threshold applies and every coefficient (at most ~1.5e306) is
+        # below float max / packed size, but the population of w0 = 1e306 on
+        # a radius-10 disk, about 3.1e308, is not finite: each row holds inf,
+        # with a warning, and the run goes on.
+        spec = forced_spec(
+            variant=Variant.RADIAL, bc=DIRICHLET, birth=Identity(), n_max=0, j_max=8, radius=10.0
+        )
+        config = SolverConfig(dt=0.05, t_end=0.2, blowup_threshold=math.inf)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            result = SpectralIntegrator(spec, config).integrate(
+                lambda t, r, th: np.full_like(r, 1e306)
+            )
+        assert np.all(np.isinf(result.total_population))
+        assert np.all(np.isfinite(result.max_density)) and np.all(np.isfinite(result.dwdt_norm))
 
     def test_convergence_flag_for_decaying_run(self):
         spec = forced_spec(forcing=lambda t: 0.0, diffusion=5.0, mortality=1.0, delay=0.0)
