@@ -46,15 +46,36 @@ stay in the ring as inf or NaN and fail the test at the state they enter.
 A block that fails commits nothing: no diagnostics row, no births and no
 change to the buffer.
 
+An analysis of samples of magnitude at most max|v| rounds each coefficient
+by at most its rounding floor, (n_r + n_theta) eps gain_nj max|v|, with
+gain_nj the analysis gain of the slot (``DiskTransform.analysis_gain``: the
+coefficient scale, the radial weights' sum and the slot's sum of |cos n
+theta| or |sin n theta|); below it an analysed coefficient is taken as 0.
+That floor is the reflection rule. The diagonal linear part, the per-mode
+damping and the pointwise birth law all commute with theta -> -theta, so a
+state even in theta stays even, its births and the next state too, as long
+as the static mode is even. A run is even when the sine slots of every
+distinct history sample and of the analysed forcing mode lie at or below
+the floor of their own analysis; every history the CLI builds is even, and
+so is the forcing mode J_1(k r) cos theta. An even run stores its sine
+slots as exact 0 and marches on the half circle (see ``transform``): each
+state is synthesised on the first n_theta // 2 + 1 angles, the birth law
+runs there, the births are analysed by the folded cosine rows, and the
+recorder takes the extrema there, the population with the fold weights and
+a snapshot unfolded to every angle, whose mirrored columns are then equal
+bit for bit. Its blocks and chunks are sized by the half-circle state. Any
+other run marches the whole circle, as if the rule were not there.
+
 Each transform covers only a live box, the leading orders 0 .. N - 1 and
 radial indices 0 .. J - 1 outside which every coefficient is at most
 tol = 2^-53 / (packed size) of a reference: the dropped magnitudes sum
 below 2^-53 of it, and as |J_n|, |cos| and |sin| are at most 1, so does the
 change of any grid sample. The source box is set once: a static mode's
-against its own peak; the lagged births' (``full_*``, and ``radial`` at
-n_max = 0) from the bound damp_nj * gain_nj * max|b| on their coefficients
-(``DiskTransform.analysis_gain``) against survival * max|b|, which bounds
-the damped births' field; every mode for the undamped forced birth. The
+from its entries above the rounding floor (orders 0 .. 1 for the forcing
+mode, which lives in order 1); the lagged births' (``full_*``, and
+``radial`` at n_max = 0) from the bound damp_nj * gain_nj * max|b| on their
+coefficients against survival * max|b|, which bounds the damped births'
+field; every mode for the undamped forced birth. The
 static mode, the phi1 weights and the queued births are kept over it, and
 outside it a mode only decays. Where it is the whole basis no block scans;
 elsewhere a block synthesises the union of its states' boxes, each state's
@@ -112,6 +133,7 @@ _BLOCK_BYTES = 1 << 20
 # Magnitudes below the smallest normal float are stored as 0 (see _flush).
 _TINY = np.finfo(float).tiny
 _FLOAT_MAX = np.finfo(float).max
+_EPS = np.finfo(float).eps
 # Most steps in one run or one delay: each keeps a diagnostics row or a ring entry.
 _MAX_STEPS = 10**8
 
@@ -251,27 +273,56 @@ class SpectralIntegrator:
             self._phi = _phi1(self.rates, self.dt)
         # Below it a synthesis, a sum of at most rates.size terms, is finite.
         self._limit = min(config.blowup_threshold, _FLOAT_MAX / self.rates.size)
+        # The worst-case rounding of an analysis per unit of max|values|.
+        self._floor = (self.grid.n_r + self.grid.n_theta) * _EPS * self.transform.analysis_gain()
         # The birth law (None for mode_forced), the steps its births lag the
-        # source and their per-mode damping (None: undamped); the fixed mode
-        # of the source, the damped forcing mode that f(t - delay) scales
-        # (None: the source has no fixed mode).
-        self._birth, self._static = spec.birth, None
+        # source and their per-mode damping (None: undamped); the analysed
+        # fixed mode of the source, the damped forcing mode that
+        # f(t - delay) scales (None: the source has no fixed mode), and its
+        # entries above the rounding floor.
+        self._birth, self._forcing, forcing_live = spec.birth, None, None
         if spec.variant in _FORCED:  # the forced birth reads the head: lag 0, undamped
             self._birth_lag, self._birth_damp = 0, None
-            self._static = self.transform.analyze_values(spec.forcing_profile(self.grid))
+            profile = spec.forcing_profile(self.grid)
+            self._forcing = self.transform.analyze_values(profile)
+            forcing_live = self._live(self._forcing, profile)
         else:
             self._birth_lag = self.lag_steps
             self._birth_damp = damping_factors(self.bases, spec.survival, spec.spread)
-        self._set_source_box()
-        state_bytes = self.grid.n_r * self.grid.n_theta * 8
+        self._even_forcing = forcing_live is None or not forcing_live[:, 1].any()
+        self._set_source_box(forcing_live)
+        self._samples = np.empty(0)
+        self._march_on(self.grid.n_theta)
+
+    def _live(self, coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Mask of the packed analysis ``coeffs`` of ``values`` that lies
+        above the analysis' own rounding floor, (n_r + n_theta) eps
+        gain_nj max|values|; the entries below it are rounding."""
+        return np.abs(coeffs) > self._floor * np.maximum.reduce(np.abs(values), axis=None)
+
+    def _march_on(self, angles: int) -> None:
+        """March on the first ``angles`` grid angles: the whole circle, or
+        the half circle of an even run. A state there sizes the blocks, the
+        birth law's chunks (see _BLOCK_BYTES) and the block's sample buffer;
+        the source's static mode is the forcing mode, without its sine slots
+        on the half circle."""
+        state_bytes = self.grid.n_r * angles * 8
         cap = max(1, _BLOCK_BYTES // (2 * state_bytes))
         self.block = cap if self._birth is None else min(self._birth_lag + 1, cap)
         # States per call of the birth law (see _BLOCK_BYTES).
         self._chunk = max(1, _BLOCK_BYTES // 8 // state_bytes)
         # Grid samples of one block, reused: the birth law overwrites them.
-        self._values = np.empty((self.block, self.grid.n_r, self.grid.n_theta))
+        # One buffer, grown on demand, serves both circles.
+        size = self.block * self.grid.n_r * angles
+        if self._samples.size < size:
+            self._samples = np.empty(size)
+        self._values = self._samples[:size].reshape(self.block, self.grid.n_r, angles)
+        self._static = self._forcing
+        if self._forcing is not None and angles != self.grid.n_theta:
+            self._static = self._forcing.copy()
+            self._static[:, 1] = 0.0
 
-    def _set_source_box(self) -> None:
+    def _set_source_box(self, forcing_live: np.ndarray | None) -> None:
         """Keep the source in its live box (see the module docstring): the
         static mode, the births' damping and the phi1 weights are cut to it
         once, and a block scans its states only where the box is not full."""
@@ -280,9 +331,8 @@ class SpectralIntegrator:
         self._tol = 2.0**-53 / self.rates.size
         full = (self.spec.n_max + 1, self.spec.j_max)
         boxes = []
-        if self._static is not None:
-            magnitude = np.abs(self._static)
-            boxes.append(_box(magnitude > self._tol * magnitude.max()))
+        if forcing_live is not None:
+            boxes.append(_box(forcing_live))
         if self._birth_damp is not None:
             # A birth mode's coefficient is at most damp * gain * max|b|, and
             # survival * max|b| bounds the damped births' field.
@@ -295,8 +345,8 @@ class SpectralIntegrator:
         self._scan = self.source_box != full
         self._cut = np.s_[:orders, :, :width]
         self._phi_box = self._phi[self._cut].copy()
-        if self._static is not None:
-            self._static = self._static[self._cut].copy()
+        if self._forcing is not None:
+            self._forcing = self._forcing[self._cut].copy()
         if self._birth_damp is not None:
             self._birth_damp = self._birth_damp[:orders, :, None, :width].copy()
 
@@ -307,37 +357,45 @@ class SpectralIntegrator:
     ) -> HistoryBuffer:
         """Analyse w0(t, r, theta) at t = 0 and queue the births of the
         history the birth law reads; ``record(0, values, rates)``, if given,
-        takes the grid values (1, n_r, n_theta) of the analysed t = 0 state
+        takes the grid values (1, n_r, angles) of the analysed t = 0 state
         and its rate, 0.
 
         Only a lagged birth law reads past states, so only then is w0 sampled
         before t = 0, at t = i dt for i = -lag_steps .. 0. A run of equal
-        samples is one state, analysed once, tested for blow-up and
-        synthesised at most once; its births are queued when the run ends.
+        samples is one state, analysed once and tested for blow-up; once
+        every sample is analysed the reflection rule (see the module
+        docstring) picks the circle the run marches on, and each state is
+        synthesised there at most once and its births queued.
         """
         r, th = self.grid.mesh()
-        births = deque(maxlen=self._birth_lag + 1)
-        sample = None
-        for i in range(-self._birth_lag, 1):
-            raw = w0(i * self.dt, r, th)
-            # Samples that broadcast to the same grid values are one state.
-            if sample is not None and (sample == raw).all():
-                continue
-            if sample is not None:  # the run from step ``first`` ends at i - 1
-                births.extend(self._births(values) * (i - first))
-            sample = np.array(raw, dtype=float)  # a copy: w0 may reuse its array
-            values = DiskField(self.grid, sample + np.zeros_like(r)).values
-            with np.errstate(over="ignore", invalid="ignore"):
+        runs = []  # (first step, packed stack) of each run of equal samples
+        even, sample = self._even_forcing, None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(-self._birth_lag, 1):
+                raw = w0(i * self.dt, r, th)
+                # Samples that broadcast to the same grid values are one state.
+                if sample is not None and (sample == raw).all():
+                    continue
+                sample = np.array(raw, dtype=float)  # a copy: w0 may reuse its array
+                values = DiskField(self.grid, sample + np.zeros_like(r)).values
                 stack = self.transform.analyze_values(values[None])
                 _test(np.abs(stack.transpose(2, 0, 1, 3)), self._limit, i, self._time)
-                # Only a birth law or the recorder reads a state's grid
-                # values; without a law the history is the t = 0 state.
-                if self._birth is not None or record is not None:
+                even = even and not self._live(stack[:, :, 0], values)[:, 1].any()
+                runs.append((i, stack))
+        self._march_on(self.grid.half_angles if even else self.grid.n_theta)
+        births = deque(maxlen=self._birth_lag + 1)
+        ends = [first for first, _ in runs[1:]] + [1]
+        for (first, stack), end in zip(runs, ends):
+            if even:
+                stack[:, 1] = 0.0
+            # Only a birth law or the recorder reads a state's grid values;
+            # without a law the history is the t = 0 state.
+            if self._birth is not None or record is not None:
+                with np.errstate(over="ignore", invalid="ignore"):
                     values = self.transform.synthesize_values(stack, self._values[:1])
-            first = i
-        if record is not None:
-            record(0, values, np.zeros(1))
-        births.extend(self._births(values) * (1 - first))
+            if end == 1 and record is not None:
+                record(0, values, np.zeros(1))
+            births.extend(self._births(values) * (end - first))
         return HistoryBuffer(stack[:, :, 0], births)
 
     def _births(self, values: np.ndarray) -> list:
@@ -491,6 +549,7 @@ class _Recorder:
     def __init__(self, times: np.ndarray, grid: DiskGrid, config: SolverConfig):
         self.n_steps = len(times) - 1
         self.grid = grid
+        self._fold = grid.fold_weights()
         self.config = config
         self.rows = np.empty((5, len(times)))
         self.rows[0] = times
@@ -500,12 +559,21 @@ class _Recorder:
 
     def record(self, first: int, values: np.ndarray, rates: np.ndarray) -> None:
         """Rows ``first`` .. ``first + K - 1`` from the grid values
-        (K, n_r, n_theta) of K consecutive states and their rates (K,)."""
+        (K, n_r, n_theta) of K consecutive states and their rates (K,), or
+        from their values on the half circle (K, n_r, half_angles) if the
+        states are even in theta: the rest of the circle mirrors them, so
+        the extrema are the same, the population takes the fold weights and
+        a snapshot is unfolded to every angle."""
         rows = self.rows[1:, first : first + len(values)]
         samples = values.reshape(len(values), -1)
         np.maximum.reduce(samples, axis=1, out=rows[0])
         np.minimum.reduce(samples, axis=1, out=rows[1])
-        np.add.reduce(np.matmul(self.grid.area_weights, values), axis=1, out=rows[2])
+        sums = np.matmul(self.grid.area_weights, values)
+        whole = values.shape[-1] == self.grid.n_theta
+        if whole:
+            np.add.reduce(sums, axis=1, out=rows[2])
+        else:
+            np.matmul(sums, self._fold, out=rows[2])
         rows[3] = rates
         times, tol, every = self.rows[0], self.config.convergence_tol, self.config.snapshot_every
         for i, rate in enumerate(rates.tolist(), first):
@@ -515,7 +583,8 @@ class _Recorder:
                     self.converged_at = float(times[i])
             if i == 0 or i == self.n_steps or i % every == 0:
                 # A copy: the caller may reuse ``values`` once the row is taken.
-                field = DiskField(self.grid, values[i - first].copy())
+                state = values[i - first]
+                field = DiskField(self.grid, state.copy() if whole else self.grid.unfold(state))
                 self.snapshots.append((float(times[i]), field))
 
     def result(self, final_state: SpectralField, spec: ModelSpec, dt: float) -> SimulationResult:

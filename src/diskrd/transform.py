@@ -22,7 +22,20 @@ Coefficients are stored pre-normalised: analysis applies the
 1/(pi N_nj) weights (1/(2 pi N_0j) for order zero, N_nj the weighted
 norm of the mode), so synthesis is a plain sum. Angular integration uses
 the trapezoid rule on the periodic grid, radial integration the stored
-Gauss-Legendre rule; both are spectrally accurate for smooth fields.
+Gauss-Legendre rule (Golub-Welsch nodes, see ``DiskGrid.gauss_legendre``);
+both are spectrally accurate for smooth fields.
+
+A field even in theta, w(r, -theta) = w(r, theta), has every sine
+coefficient 0, and its samples at theta_t and theta_{n_theta - t} are
+equal: the first ``DiskGrid.half_angles`` = n_theta // 2 + 1 angles, the
+half circle 0 .. pi, hold all of it. Samples (or a synthesis ``out``)
+shaped on the half circle take the half-circle path of the same transform:
+the cosine rows of the cos/sin table on those columns, which synthesis sums
+the cosine slots with, and a copy scaled by the trapezoid fold weights (1 at
+theta = 0 and, for even n_theta, at pi; 2 elsewhere), which analysis folds
+the samples with, leaving every sine slot 0. So an even field costs half
+the angular work and half the radial right-hand sides of the whole circle.
+With two angles the half circle is the whole circle.
 """
 
 from __future__ import annotations
@@ -31,7 +44,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .bessel import BesselBasis, BoundaryCondition, find_bases, radial_tables
 
@@ -94,8 +106,9 @@ class DiskGrid:
 
     @classmethod
     def gauss_legendre(cls, radius: float, n_r: int, n_theta: int) -> "DiskGrid":
-        """Gauss-Legendre radii mapped to (0, R), uniform angles."""
-        x, w = leggauss(n_r)
+        """Gauss-Legendre radii (see ``_gauss_legendre``) mapped to (0, R),
+        uniform angles."""
+        x, w = _gauss_legendre(n_r)
         r = 0.5 * radius * (x + 1.0)
         wr = 0.5 * radius * w
         theta = np.arange(n_theta) * (2.0 * np.pi / n_theta)
@@ -121,6 +134,30 @@ class DiskGrid:
     @property
     def theta_spacing(self) -> float:
         return 2.0 * np.pi / self.n_theta
+
+    @property
+    def half_angles(self) -> int:
+        """The angles 0 .. pi, the first n_theta // 2 + 1: a field even in
+        theta is known from its samples there, as theta_t and theta_{n_theta
+        - t} mirror each other."""
+        return self.n_theta // 2 + 1
+
+    def fold_weights(self) -> np.ndarray:
+        """Trapezoid weights of the half circle for an even field: 1 at
+        theta = 0 and, for even n_theta, at theta = pi, which are their own
+        mirrors; 2 elsewhere, for the angle and its mirror."""
+        fold = np.full(self.half_angles, 2.0)
+        fold[0] = 1.0
+        if self.n_theta % 2 == 0:
+            fold[-1] = 1.0
+        return fold
+
+    def unfold(self, values: np.ndarray) -> np.ndarray:
+        """Samples (..., n_r, n_theta) of an even field from those on its
+        half circle (..., n_r, half_angles): column t is column
+        min(t, n_theta - t), so mirrored columns are equal bit for bit."""
+        t = np.arange(self.n_theta)
+        return values[..., np.minimum(t, self.n_theta - t)]
 
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         return np.meshgrid(self.r_nodes, self.theta_nodes, indexing="ij")
@@ -211,6 +248,28 @@ class SpectralField:
         return self.bases[0].radius
 
 
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of degree n on [-1, 1].
+
+    The nodes are the eigenvalues of the Jacobi matrix, whose off-diagonal
+    is k / sqrt(4 k^2 - 1) (Golub and Welsch 1969). One pass of the
+    three-term recurrence gives P_n and P_{n-1} there, hence P_n'; one
+    Newton step polishes the nodes, and w = 2 / ((1 - x^2) P_n'^2). Nodes
+    and weights are symmetrised, and the weights scaled to sum to 2.
+    """
+    k = np.arange(1.0, n)
+    x = np.linalg.eigvalsh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), 1), UPLO="U")
+    p_prev, p = np.ones(n), x
+    for m in range(1, n):
+        p_prev, p = p, ((2 * m + 1) * x * p - m * p_prev) / (m + 1)
+    dp = n * (p_prev - x * p) / (1.0 - x * x)
+    x = x - p / dp
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x = 0.5 * (x - x[::-1])
+    w = 0.5 * (w + w[::-1])
+    return x, w * (2.0 / w.sum())
+
+
 def least_grid(n_max: int, j_max: int) -> tuple[int, int]:
     """Smallest (n_r, n_theta) a transform of this truncation accepts."""
     return j_max + 2, 2 * n_max + 2
@@ -289,6 +348,10 @@ class DiskTransform:
         # order-0 sine row is exactly zero, so analysis gives that slot 0.
         angles = np.outer(np.arange(n_max + 1), grid.theta_nodes)
         self._trig = np.stack([np.cos(angles), np.sin(angles)], axis=1).reshape(2 * (n_max + 1), -1)
+        # The half circle of an even field: its cosine rows, and a copy
+        # scaled by the fold weights for the analysis.
+        self._cos_half = np.ascontiguousarray(self._trig[0::2, : grid.half_angles])
+        self._cos_fold = self._cos_half * grid.fold_weights()
         self._scratch = np.empty(0)
         self._shape = (grid.n_r, grid.n_theta)
 
@@ -339,23 +402,32 @@ class DiskTransform:
         (n_r, n_theta), or the packed stack (n_max + 1, 2, K, j_max) of K
         of them shaped (K, n_r, n_theta).
 
+        Samples on the half circle, shaped (..., n_r, half_angles), are taken
+        as those of a field even in theta (see ``DiskGrid.unfold``): the
+        fold-weighted cosine rows give its cosine slots, and its sine slots
+        are 0. With two angles the half circle is the whole one.
+
         ``live = (orders, width)`` (default: every order and index) keeps the
         leading box only: orders 0 .. orders - 1 and radial indices
         0 .. width - 1, and the result is shaped (orders, 2, [K,] width). The
-        angular stage multiplies by the first 2 orders rows of the cos/sin
-        table, the radial stage by that box of the J_n table.
+        angular stage multiplies by the first orders rows per slot of the
+        angular table, the radial stage by that box of the J_n table.
         """
         n1, j_max, n_r = self._j_table.shape
         orders, width = live or (n1, j_max)
-        trig, table = self._trig[: 2 * orders], self._j_columns[:orders, :, :width]
-        scale = self._coef_scale[:orders, ..., :width]
-        k = values.size // (n_r * self._shape[1])
-        moments = self._work(2 * orders * k * n_r).reshape(2 * orders, k * n_r)
+        whole = values.shape[-1] == self._shape[1]
+        trig, slots = (self._trig, 2) if whole else (self._cos_fold, 1)
+        trig, table = trig[: slots * orders], self._j_columns[:orders, :, :width]
+        scale = self._coef_scale[:orders, :slots, :, :width]
+        k = values.size // (n_r * values.shape[-1])
+        moments = self._work(slots * orders * k * n_r).reshape(slots * orders, k * n_r)
         np.matmul(trig, values.reshape(k * n_r, -1).T, out=moments)
-        moments = moments.reshape(orders, 2 * k, n_r)
+        moments = moments.reshape(orders, slots * k, n_r)
         moments *= self._weights
-        coeffs = np.matmul(moments, table).reshape(orders, 2, k, width)
+        coeffs = np.matmul(moments, table).reshape(orders, slots, k, width)
         coeffs *= scale
+        if not whole:
+            coeffs = np.concatenate([coeffs, np.zeros_like(coeffs)], axis=1)
         return coeffs if values.ndim == 3 else coeffs.reshape(orders, 2, width)
 
     def synthesize_values(
@@ -365,6 +437,10 @@ class DiskTransform:
         (K, n_r, n_theta) of a packed stack (orders, 2, K, width), where the
         coefficients may cover a leading box of orders and radial indices
         only. ``out``, if given, is a C-contiguous array of the result's shape.
+
+        An ``out`` on the half circle, shaped (..., n_r, half_angles), takes
+        the samples there of the cosine slots alone: those of an even field,
+        whose sine slots are 0 (see ``DiskGrid.unfold``).
 
         ``live = (orders, width)`` (default: the whole of ``coeffs``) sums
         the leading box only, as if the rest were 0; a caller that knows its
@@ -377,12 +453,14 @@ class DiskTransform:
             out = np.empty(coeffs.shape[2:-1] + self._shape)
         elif not out.flags.c_contiguous:
             raise ValueError("out must be C-contiguous")
-        coeffs, table = coeffs[:orders, ..., :width], self._j_table[:orders, :width]
-        trig = self._trig[: 2 * orders]
+        whole = out.shape[-1] == self._shape[1]
+        trig, slots = (self._trig, 2) if whole else (self._cos_half, 1)
+        coeffs, table = coeffs[:orders, :slots, ..., :width], self._j_table[:orders, :width]
+        trig = trig[: slots * orders]
         k = coeffs.shape[2] if coeffs.ndim == 4 else 1
-        radial = self._work(2 * orders * k * n_r).reshape(orders, 2 * k, n_r)
-        np.matmul(coeffs.reshape(orders, 2 * k, width), table, out=radial)
-        np.matmul(radial.reshape(2 * orders, k * n_r).T, trig, out=out.reshape(k * n_r, -1))
+        radial = self._work(slots * orders * k * n_r).reshape(orders, slots * k, n_r)
+        np.matmul(coeffs.reshape(orders, slots * k, width), table, out=radial)
+        np.matmul(radial.reshape(slots * orders, k * n_r).T, trig, out=out.reshape(k * n_r, -1))
         return out
 
     def weighted_l2(self, coeffs: np.ndarray, bound: float | None = None) -> np.ndarray:

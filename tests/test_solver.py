@@ -1,6 +1,8 @@
 import dataclasses
 import math
-from collections import deque
+import runpy
+from collections import Counter, deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from scipy.special import jv, lambertw
 
 from diskrd.bessel import BesselBasis, BoundaryCondition, find_eigenvalues
 from diskrd.model import Identity, Logistic, ModelSpec, RickerQuadratic, Variant, rhs
-from diskrd import solver
+from diskrd import cli, solver
 from diskrd.kernel import damping_factors
 from diskrd.transform import DiskField, DiskGrid, DiskTransform, SpectralField, build_bases
 from diskrd.solver import (
@@ -477,13 +479,11 @@ class TestBlockedDriver:
         def synthesize_each(self, coeffs, out=None, live=None):
             if coeffs.ndim == 3:
                 return synthesize(self, coeffs, out, live)
-            states = [
-                synthesize(self, coeffs[:, :, m].copy(), None, live)
-                for m in range(coeffs.shape[2])
-            ]
             if out is None:
-                return np.stack(states)
-            out[...] = states
+                out = np.empty((coeffs.shape[2], self.grid.n_r, self.grid.n_theta))
+            # Each state on the circle ``out`` asks for (see synthesize_values).
+            for m in range(coeffs.shape[2]):
+                synthesize(self, coeffs[:, :, m].copy(), out[m], live)
             return out
 
         monkeypatch.setattr(DiskTransform, "analyze_values", analyze_each)
@@ -659,12 +659,12 @@ class TestBlockedDriver:
         changes, threshold = self.CAUSES[case]
         spec = dataclasses.replace(self.growing_spec(Identity()), **changes)
         ig = SpectralIntegrator(spec, SolverConfig(dt=0.05, t_end=100.0, blowup_threshold=threshold))
-        buf = ig.initialize_history(patch_w0)
         recorded = []  # the last step of each block of diagnostics rows
 
         def record(first, values, rates):
             recorded.append(first + len(values) - 1)
 
+        buf = ig.initialize_history(patch_w0, record)
         with pytest.raises(BlowUpError) as info:
             while True:
                 steps, prev = buf.steps, buf.prev_source
@@ -750,7 +750,7 @@ class TestDeadBand:
             ig = self.integrator(**changes)
             scans.append(ig._scan)
             runs.append(ig.integrate(drifting_patch))
-        assert sum(scans) == 3  # every lagged birth
+        assert sum(scans) == 4  # every lagged birth, and the forced mode (live in order 1)
         self.full_box(monkeypatch)
         twins = [self.integrator(**changes).integrate(drifting_patch) for changes in cases]
         for got, want in zip(runs, twins, strict=True):
@@ -912,6 +912,199 @@ class TestDeadBand:
         _, want = first_blowup()
         assert math.isinf(got.magnitude) and got.step_index == ig.lag_steps + 1
         assert (got.step_index, got.t, got.magnitude) == (want.step_index, want.t, want.magnitude)
+
+
+def perfbench_workloads():
+    """The benchmark's workload table (perfbench/workloads.py)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    return runpy.run_path(str(path))["WORKLOADS"]
+
+
+def cli_run(tmp_path, text):
+    """The integrator and history ``diskrd run`` builds from config ``text``."""
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    resolved = cli._resolve(cli.parse_config(path), None)
+    spec, config, _ = cli._build_run(resolved)
+    return SpectralIntegrator(spec, config), cli._build_w0(resolved, spec)
+
+
+def sine_slots_are_zero(buf):
+    """Whether the head and every queued birth hold exact 0 in each sine slot."""
+    return not buf.coeffs[:, 1].any() and not any(births[:, 1].any() for births in buf.births)
+
+
+def odd_perturbation(ig, w0, size=1e-10):
+    """``w0`` plus ``size * peak * J_1(k r) sin theta``, k the first order-1
+    eigenvalue and peak the largest |w0| at t = 0: an odd part far above any
+    analysis' rounding and far below the outputs' tolerance."""
+    r, th = ig.grid.mesh()
+    peak = float(np.max(np.abs(w0(0.0, r, th))))
+    k = ig.bases[1].eigenvalues[0]
+    return lambda t, r, th: w0(t, r, th) + size * peak * jv(1, k * r) * np.sin(th)
+
+
+class TestReflectionRule:
+    """A run whose history and static mode are even in theta, but for
+    sine slots at or below the analysis' rounding floor, marches its cosine
+    slots on the half circle; any other run marches the whole circle."""
+
+    @pytest.mark.parametrize("name", ["establishment", "full_disk_delayed"])
+    def test_every_trig_patch_draw_is_even(self, tmp_path, name):
+        workload = perfbench_workloads()[name]
+        for seed in range(16):
+            ig, w0 = cli_run(tmp_path, workload.config_text(seed))
+            buf = ig.initialize_history(w0)
+            assert sine_slots_are_zero(buf), seed
+            assert ig.grid.half_angles < ig.grid.n_theta
+            assert ig._values.shape[-1] == ig.grid.half_angles
+
+    @pytest.mark.parametrize(
+        "initial",
+        [
+            "w0_kind = constant\nw0_value = 0.3\n",
+            "w0_kind = trig_patch\nw0_base = 0.2\nw0_amp = 0.02\nw0_kx = 3.0\nw0_ky = 2.0\n",
+            "w0_kind = mode\nw0_order = 3\nw0_index = 2\nw0_amp = 0.1\n",
+            "w0_kind = mode\nw0_order = 0\nw0_index = 1\nw0_amp = 0.1\n",
+        ],
+        ids=["constant", "trig_patch", "mode_3_2", "mode_0_1"],
+    )
+    @pytest.mark.parametrize("variant", ["mode_forced", "mode_forced_birth", "full_zero_flux"])
+    def test_every_cli_history_kind_is_even(self, tmp_path, variant, initial):
+        birth = "none" if variant == "mode_forced" else "ricker_quadratic"
+        ig, w0 = cli_run(
+            tmp_path,
+            f"variant = {variant}\nbirth = {birth}\nbc = zero_flux\nn_max = 4\nj_max = 6\n"
+            f"delay = 0.05\nt_end = 0.1\n{initial}",
+        )
+        buf = ig.initialize_history(w0)
+        assert sine_slots_are_zero(buf)
+        ig.step(buf, ig.block)
+        assert sine_slots_are_zero(buf)
+
+    def test_lagged_time_varying_history_is_even(self):
+        spec = forced_spec(
+            variant=Variant.FULL_ZERO_FLUX, birth=RickerQuadratic(0.25, 0.1), delay=0.2
+        )
+        ig = SpectralIntegrator(spec, SolverConfig(dt=0.05, t_end=1.0))
+        buf = ig.initialize_history(lambda t, r, th: (1.0 + 0.5 * t) * patch_w0(t, r, th))
+        assert len(buf.births) == 5 and not np.array_equal(buf.births[0], buf.births[-1])
+        assert sine_slots_are_zero(buf)
+        for _ in range(4):
+            ig.step(buf, ig.block)
+        assert sine_slots_are_zero(buf)
+
+    @pytest.mark.parametrize("case", ["mode_forced", "mode_forced_birth", "full_zero_flux", "full_dirichlet"])
+    def test_an_odd_history_marches_the_whole_circle(self, case):
+        spec = forced_spec(delay=0.2, **SOURCE_CASES[case])
+        config = SolverConfig(dt=0.05, t_end=2.0, snapshot_every=8)
+        ig = SpectralIntegrator(spec, config)
+        odd = odd_perturbation(ig, patch_w0)
+        buf = ig.initialize_history(odd)
+        assert buf.coeffs[1, 1].any() and ig._values.shape[-1] == ig.grid.n_theta
+        got = ig.integrate(odd)
+        want = SpectralIntegrator(spec, config).integrate(patch_w0)
+        for attr in ("max_density", "min_density", "total_population", "dwdt_norm"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b)), attr
+        assert got.converged_at == want.converged_at
+        a, b = got.final_state.coeffs, want.final_state.coeffs
+        assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b))
+        for (t1, f1), (t2, f2) in zip(got.snapshots, want.snapshots, strict=True):
+            assert t1 == t2
+            assert np.max(np.abs(f1.values - f2.values)) <= 1e-9 * np.max(np.abs(f2.values))
+
+    @pytest.mark.parametrize("case", ["mode_forced", "full_zero_flux"])
+    def test_snapshots_of_an_even_run_mirror_bit_for_bit(self, case):
+        spec = forced_spec(delay=0.2, **SOURCE_CASES[case])
+        ig = SpectralIntegrator(spec, SolverConfig(dt=0.05, t_end=1.0, snapshot_every=3))
+        result = ig.integrate(patch_w0)
+        n_theta = ig.grid.n_theta
+        assert len(result.snapshots) == 8
+        for _, field in result.snapshots:
+            assert field.values.shape == (ig.grid.n_r, n_theta)
+            for t in range(1, n_theta):
+                assert np.array_equal(field.values[:, n_theta - t], field.values[:, t])
+        # The snapshot is the whole circle's synthesis of the final state.
+        whole = ig.transform.synthesize_values(result.final_state.coeffs)
+        assert np.max(np.abs(result.final_field.values - whole)) <= 1e-14 * np.max(np.abs(whole))
+
+
+class TestTransformWork:
+    """Transforms per state, and the angles each reads, on small versions
+    of the benchmark's three workloads: one analysis and one synthesis per
+    state (the floor), on the half circle for an even history and on the
+    whole circle for one with an odd part."""
+
+    WORKLOADS = {
+        "establishment": (
+            dict(variant=Variant.MODE_FORCED_BIRTH, birth=RickerQuadratic(0.25, 0.1)),
+            patch_w0,
+        ),
+        "full_disk_delayed": (
+            dict(variant=Variant.FULL_ZERO_FLUX, birth=RickerQuadratic(0.25, 0.1), delay=0.1),
+            lambda t, r, th: 47.7 + 50.0 * (patch_w0(t, r, th) - 0.2),
+        ),
+        "radial_persistence": (
+            dict(
+                variant=Variant.RADIAL,
+                bc=DIRICHLET,
+                birth=Logistic(1.0, 1.0),
+                n_max=0,
+                j_max=8,
+                delay=0.1,
+                radius=3.5,
+                diffusion=1.0,
+                mortality=0.1,
+                survival=0.8,
+                spread=0.05,
+            ),
+            lambda t, r, th: 0.1 * jv(0, 2.405 / 3.5 * r),
+        ),
+    }
+
+    @staticmethod
+    def count(monkeypatch):
+        """(kind, angles) -> states transformed."""
+        states = Counter()
+        analyze, synthesize = DiskTransform.analyze_values, DiskTransform.synthesize_values
+
+        def analyze_counting(self, values, live=None):
+            states["analyze", values.shape[-1]] += len(values) if values.ndim == 3 else 1
+            return analyze(self, values, live)
+
+        def synthesize_counting(self, coeffs, out=None, live=None):
+            angles = self.grid.n_theta if out is None else out.shape[-1]
+            states["synthesize", angles] += coeffs.shape[2] if coeffs.ndim == 4 else 1
+            return synthesize(self, coeffs, out, live)
+
+        monkeypatch.setattr(DiskTransform, "analyze_values", analyze_counting)
+        monkeypatch.setattr(DiskTransform, "synthesize_values", synthesize_counting)
+        return states
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    @pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
+    def test_one_analysis_and_synthesis_per_state_on_the_half_circle(self, monkeypatch, name, odd):
+        changes, w0 = self.WORKLOADS[name]
+        spec = forced_spec(**changes)
+        states = self.count(monkeypatch)
+        ig = SpectralIntegrator(spec, SolverConfig(dt=0.01, t_end=0.35))
+        if odd and spec.n_max:
+            w0 = odd_perturbation(ig, w0)
+        n_theta, half = ig.grid.n_theta, ig.grid.half_angles
+        angles = n_theta if odd else half
+        static = int(spec.variant is Variant.MODE_FORCED_BIRTH)
+        assert states == Counter({("analyze", n_theta): static})
+        steps = len(ig.integrate(w0).times) - 1
+        assert steps == 35
+        # The one history sample is analysed on the whole circle; every
+        # state, the t = 0 one included, is synthesised once and its births
+        # analysed once, on the circle of the run.
+        expected = Counter({("analyze", n_theta): static + 1})
+        expected["analyze", angles] += steps + 1
+        expected["synthesize", angles] += steps + 1
+        assert states == expected
+        assert (half == n_theta) == (name == "radial_persistence")
 
 
 class TestDelayOracle:

@@ -10,7 +10,7 @@ from scipy.special import jv
 
 from diskrd import bessel
 from diskrd.bessel import BoundaryCondition
-from oracles import loop_analyze, loop_synthesize, pack, two_term_l2
+from oracles import loop_analyze, loop_synthesize, mp_gauss_legendre, pack, two_term_l2
 from diskrd.transform import (
     DiskField,
     DiskGrid,
@@ -65,6 +65,17 @@ class TestDiskGrid:
     def test_rejects_bad_theta(self):
         with pytest.raises(ValueError):
             DiskGrid(1.0, np.array([0.5]), np.array([0.5]), np.array([0.1, 3.0]))
+
+    @pytest.mark.parametrize("n, bound", [(194, 1e-12), (300, 1e-11)])
+    def test_gauss_legendre_matches_30_digit_values(self, n, bound):
+        # numpy's leggauss weights are 1.3e-11 (n = 194) and 6.3e-11
+        # (n = 300) off at the end nodes; the Jacobi-matrix rule with one
+        # recurrence pass is 4.5e-13 and 5.6e-12.
+        x, w = mp_gauss_legendre(n)
+        grid = DiskGrid.gauss_legendre(2.0, n, 4)
+        assert np.max(np.abs(grid.r_nodes - (x + 1.0))) <= EPS
+        assert np.max(np.abs(grid.r_weights / w - 1.0)) <= bound
+        assert np.array_equal(grid.r_weights[::-1], grid.r_weights)
 
     def test_default_grid_sizes(self):
         # 0 sizes a dimension automatically, a positive size is taken as given.
@@ -224,6 +235,63 @@ class TestStacked:
         assert np.array_equal(out[:2], tr.synthesize_values(stack))
         with pytest.raises(ValueError, match="contiguous"):
             tr.synthesize_values(stack, out[::2])
+
+
+class TestHalfCircle:
+    """An even field is known from its half circle: synthesis there is the
+    first half_angles columns of the whole circle's, and the folded
+    analysis of those columns is the whole circle's analysis of the
+    mirrored samples, with every sine slot 0."""
+
+    @staticmethod
+    def cosine_stack(n_max, n_theta, k=3, j_max=6):
+        bases = build_bases(n_max, j_max, 1.0, ZERO_FLUX)
+        tr = DiskTransform(default_grid(bases, 0, n_theta), bases)
+        coeffs = np.random.default_rng(n_theta).uniform(-1.0, 1.0, (n_max + 1, 2, k, j_max))
+        coeffs[:, 1] = 0.0
+        return tr, coeffs
+
+    @pytest.mark.parametrize("n_max, n_theta", [(4, 64), (4, 11), (0, 2)])
+    def test_synthesis_is_the_first_columns(self, n_max, n_theta):
+        tr, coeffs = self.cosine_stack(n_max, n_theta)
+        grid = tr.grid
+        whole = tr.synthesize_values(coeffs)
+        half = tr.synthesize_values(coeffs, np.empty((3, grid.n_r, grid.half_angles)))
+        lead = whole[..., : grid.half_angles]
+        assert np.max(np.abs(half - lead)) <= 1e-15 * np.max(np.abs(lead))
+
+    @pytest.mark.parametrize("n_max, n_theta", [(4, 64), (4, 11), (0, 2)])
+    def test_analysis_of_mirrored_samples(self, n_max, n_theta):
+        tr, coeffs = self.cosine_stack(n_max, n_theta)
+        grid = tr.grid
+        half = tr.synthesize_values(coeffs, np.empty((3, grid.n_r, grid.half_angles)))
+        whole = tr.analyze_values(grid.unfold(half))
+        folded = tr.analyze_values(half)
+        assert folded.shape == whole.shape
+        # Relative to each slot's bound on an analysis of these samples.
+        scale = tr.analysis_gain()[:, :, None] * np.max(np.abs(half))
+        assert np.all(np.abs(folded - whole) <= 1e-15 * scale)
+        assert not folded[:, 1].any()
+        # The live box cuts the folded analysis as it cuts the whole one.
+        orders = min(2, n_max + 1)
+        part = tr.analyze_values(half, (orders, 3))
+        assert part.shape == (orders, 2, 3, 3) and not part[:, 1].any()
+        assert np.max(np.abs(part - folded[:orders, ..., :3])) <= 4 * EPS * np.max(np.abs(folded))
+
+    @pytest.mark.parametrize("n_theta", [64, 11, 2])
+    def test_fold_weights_and_unfold(self, n_theta):
+        grid = DiskGrid.gauss_legendre(1.0, 4, n_theta)
+        h = grid.half_angles
+        # Each angle of the circle once: its own mirror, or a pair.
+        assert grid.fold_weights().sum() == n_theta
+        values = np.random.default_rng(3).uniform(size=(2, 4, h))
+        whole = grid.unfold(values)
+        assert whole.shape == (2, 4, n_theta) and np.array_equal(whole[..., :h], values)
+        for t in range(1, n_theta):
+            assert np.array_equal(whole[..., n_theta - t], whole[..., t])
+        area = np.matmul(grid.area_weights, whole).sum(axis=-1)
+        folded = np.matmul(np.matmul(grid.area_weights, values), grid.fold_weights())
+        assert_allclose(folded, area, rtol=1e-15)
 
 
 @settings(max_examples=20, deadline=None)
