@@ -32,7 +32,6 @@ from .model import (
 )
 from .solver import (
     BlowUpError,
-    HistoryBuffer,
     SimulationResult,
     SolverConfig,
     SpectralIntegrator,

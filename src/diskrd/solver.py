@@ -44,7 +44,7 @@ but the recorder runs with overflow and invalid operations ignored: IEEE
 754 inf and NaN carry through every later sum, so births that overflow
 stay in the ring as inf or NaN and fail the test at the state they enter.
 A block that fails commits nothing: no diagnostics row, no births and no
-change to the buffer.
+change to the run.
 
 An analysis of samples of magnitude at most max|v| rounds each coefficient
 by at most its rounding floor, (n_r + n_theta) eps gain_nj max|v|, with
@@ -100,6 +100,7 @@ and step count; ``SolverConfig`` holds only what both read.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -113,7 +114,6 @@ from .transform import DiskField, DiskGrid, DiskTransform, SpectralField, build_
 
 __all__ = [
     "SolverConfig",
-    "HistoryBuffer",
     "SimulationResult",
     "BlowUpError",
     "SpectralIntegrator",
@@ -136,6 +136,8 @@ _FLOAT_MAX = np.finfo(float).max
 _EPS = np.finfo(float).eps
 # Most steps in one run or one delay: each keeps a diagnostics row or a ring entry.
 _MAX_STEPS = 10**8
+# record(first, values, rates) takes the diagnostics rows of a block of states.
+_Record = Callable[[int, np.ndarray, np.ndarray], None]
 
 
 @dataclass(frozen=True)
@@ -154,8 +156,8 @@ class SolverConfig:
             raise ValueError("dt must be positive and finite")
         if not 0.0 <= self.t_end < math.inf:
             raise ValueError("t_end must be nonnegative and finite")
-        if self.snapshot_every < 1:
-            raise ValueError("snapshot_every must be at least 1")
+        if not isinstance(self.snapshot_every, numbers.Integral) or self.snapshot_every < 1:
+            raise ValueError("snapshot_every must be an integer of at least 1")
         if not 0.0 < self.convergence_tol < math.inf:
             raise ValueError("convergence_tol must be positive and finite")
         # inf leaves only the float-range test; NaN or <= 0 would flag every state.
@@ -172,26 +174,6 @@ def resolve_time_step(dt: float, delay: float) -> tuple[float, int]:
         return dt, 0
     lag = max(1, math.ceil(delay / dt - 1e-12))
     return delay / lag, lag
-
-
-@dataclass
-class HistoryBuffer:
-    """What one step reads: the head state and the births still to mature.
-
-    ``coeffs`` are the packed coefficients of the head state, which passed
-    the blow-up test. ``births`` holds the packed birth coefficients, over
-    the integrator's source box, of the last lag + 1 states, oldest first,
-    so ``births[m]`` is the state-dependent source m steps after the head
-    time; births that overflowed are kept as inf or NaN. It stays empty
-    where no birth law applies (``mode_forced``, whose source reads no
-    state). The head is at time ``steps * dt`` of the integrator's dt, so
-    it never drifts.
-    """
-
-    coeffs: np.ndarray
-    births: deque
-    steps: int = 0
-    prev_source: Optional[np.ndarray] = None
 
 
 class BlowUpError(RuntimeError):
@@ -249,6 +231,12 @@ class SpectralIntegrator:
 
     ``source_box`` is the (orders, width) box the source is kept in (see the
     module docstring); ``source`` and the queued births cover it only.
+
+    It holds one run, which ``initialize_history`` starts and ``step``
+    advances: the packed head state ``coeffs`` at time ``steps * dt``, the
+    source of the step before it, ``prev_source`` (None at t = 0), and
+    ``births``, the births of the last lag + 1 states over the source box,
+    oldest first (empty where no birth law applies).
     """
 
     def __init__(self, spec: ModelSpec, config: SolverConfig, n_r: int = 0, n_theta: int = 0):
@@ -351,14 +339,13 @@ class SpectralIntegrator:
             self._birth_damp = self._birth_damp[:orders, :, None, :width].copy()
 
     def initialize_history(
-        self,
-        w0: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
-        record: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
-    ) -> HistoryBuffer:
-        """Analyse w0(t, r, theta) at t = 0 and queue the births of the
-        history the birth law reads; ``record(0, values, rates)``, if given,
-        takes the grid values (1, n_r, angles) of the analysed t = 0 state
-        and its rate, 0.
+        self, w0: Callable[[float, np.ndarray, np.ndarray], np.ndarray], record: _Record | None = None
+    ) -> None:
+        """Start the run from w0(t, r, theta), replacing any earlier one
+        unless a sample fails the blow-up test: analyse w0 at t = 0 and queue
+        the births of the history the birth law reads; ``record(0, values,
+        rates)``, if given, takes the grid values (1, n_r, angles) of the
+        analysed t = 0 state and its rate, 0.
 
         Only a lagged birth law reads past states, so only then is w0 sampled
         before t = 0, at t = i dt for i = -lag_steps .. 0. A run of equal
@@ -396,7 +383,7 @@ class SpectralIntegrator:
             if end == 1 and record is not None:
                 record(0, values, np.zeros(1))
             births.extend(self._births(values) * (end - first))
-        return HistoryBuffer(stack[:, :, 0], births)
+        self.coeffs, self.births, self.steps, self.prev_source = stack[:, :, 0], births, 0, None
 
     def _births(self, values: np.ndarray) -> list:
         """Packed birth coefficients, one per state, that each adds to the
@@ -424,45 +411,40 @@ class SpectralIntegrator:
     def _time(self, step: int) -> float:
         return step * self.dt
 
-    def source(self, buffer: HistoryBuffer, ahead: int = 0) -> np.ndarray:
+    def source(self, ahead: int = 0) -> np.ndarray:
         """Packed source coefficients at the head time plus ``ahead`` steps,
         over the source box (orders, 2, width) only: f(t - delay) * static +
         births[ahead], each term where it applies."""
         if self._static is None:
-            return buffer.births[ahead]
-        src = self.spec.forcing_value((buffer.steps + ahead) * self.dt) * self._static
+            return self.births[ahead]
+        src = self.spec.forcing_value((self.steps + ahead) * self.dt) * self._static
         if self._birth is not None:
-            src += buffer.births[ahead]
+            src += self.births[ahead]
         return src
 
-    def step(
-        self,
-        buffer: HistoryBuffer,
-        states: int = 1,
-        record: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
-    ) -> HistoryBuffer:
-        """Advance ``states`` dt steps (at most ``block``) past the head; the
-        first step of a run uses the one-step Euler weights.
+    def step(self, states: int = 1, record: _Record | None = None) -> None:
+        """Advance the run ``states`` dt steps (at most ``block``) past the
+        head; the first step of a run uses the one-step Euler weights.
 
-        State m is step ``buffer.steps + 1 + m``. The states are advanced in
-        order and then take the blow-up test together; a block that fails it
-        raises at its first failing state and leaves the buffer as it was.
-        Otherwise they are synthesised in one call, passed to
-        ``record(first, values, rates)`` as one block of diagnostics rows and
-        their births analysed in one call, and the buffer takes them.
+        State m is step ``steps + 1 + m``. The states are advanced in order
+        and then take the blow-up test together; a block that fails it raises
+        at its first failing state and leaves the run as it was. Otherwise
+        they are synthesised in one call, passed to ``record(first, values,
+        rates)`` as one block of diagnostics rows and their births analysed
+        in one call, and the run takes them.
         """
         if not 1 <= states <= self.block:
             raise ValueError(f"states must lie in [1, {self.block}]")
-        first = buffer.steps + 1
+        first = self.steps + 1
         # Slot 0 holds the head and slot m + 1 state m, each contiguous, so
         # the AB2 changes are one subtraction; ``stack`` is the packed view.
-        slots = np.empty((states + 1,) + buffer.coeffs.shape)
-        slots[0] = buffer.coeffs
-        decay, phi, cut, prev = self._decay, self._phi_box, self._cut, buffer.prev_source
+        slots = np.empty((states + 1,) + self.coeffs.shape)
+        slots[0] = self.coeffs
+        decay, phi, cut, prev = self._decay, self._phi_box, self._cut, self.prev_source
         new = slots[1:]
         with np.errstate(over="ignore", invalid="ignore"):
             for m in range(states):
-                src = self.source(buffer, m)
+                src = self.source(m)
                 stage = src if prev is None else 1.5 * src - 0.5 * prev
                 state = slots[m + 1]
                 np.multiply(decay, slots[m], state)
@@ -482,20 +464,18 @@ class SpectralIntegrator:
             # Every state passed the test, so |change| <= 2 limit.
             rates = self.transform.weighted_l2(new - slots[:states], 2 * self._limit)
             record(first, values, rates / self.dt)
-        buffer.births.extend(self._births(values))
-        buffer.coeffs = slots[states]
-        buffer.prev_source = prev
-        buffer.steps += states
-        return buffer
+        self.births.extend(self._births(values))
+        self.coeffs, self.prev_source, self.steps = slots[states], prev, self.steps + states
 
     def integrate(self, w0) -> SimulationResult:
+        """Run w0 to t_end: ``initialize_history`` and then blocks of ``step``."""
         n_steps = _step_count(self.config.t_end, self.dt)
         recorder = _Recorder(np.arange(n_steps + 1) * self.dt, self.grid, self.config)
-        buffer = self.initialize_history(w0, recorder.record)
+        self.initialize_history(w0, recorder.record)
         # The partition depends on n_steps and the block length only.
-        while buffer.steps < n_steps:
-            self.step(buffer, min(self.block, n_steps - buffer.steps), recorder.record)
-        return recorder.result(SpectralField(self.bases, buffer.coeffs), self.spec, self.dt)
+        while self.steps < n_steps:
+            self.step(min(self.block, n_steps - self.steps), recorder.record)
+        return recorder.result(SpectralField(self.bases, self.coeffs), self.spec, self.dt)
 
 
 def _flush(coeffs: np.ndarray) -> np.ndarray:

@@ -84,15 +84,16 @@ class DiskGrid:
         r = np.asarray(self.r_nodes, dtype=float)
         w = np.asarray(self.r_weights, dtype=float)
         th = np.asarray(self.theta_nodes, dtype=float)
-        if self.radius <= 0.0:
-            raise ValueError("radius must be positive")
+        # Each check is negated so that NaN, which fails every comparison, fails it.
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError("radius must be positive and finite")
         if r.ndim != 1 or w.shape != r.shape or th.ndim != 1:
             raise ValueError("grid arrays must be matching 1-d arrays")
-        if np.any(r <= 0.0) or np.any(r >= self.radius):
+        if not np.all((0.0 < r) & (r < self.radius)):
             raise ValueError("radial nodes must lie strictly inside (0, R)")
-        moment = float(np.dot(w, r))
-        if abs(moment - 0.5 * self.radius**2) > 1e-12 * 0.5 * self.radius**2:
-            raise ValueError("radial rule must integrate r over (0, R) exactly")
+        moment = float(np.dot(w, r))  # NaN or inf if a weight is not finite
+        if not abs(moment - 0.5 * self.radius**2) <= 1e-12 * 0.5 * self.radius**2:
+            raise ValueError("radial weights must be finite and integrate r over (0, R) exactly")
         expected = np.arange(th.size) * (2.0 * np.pi / th.size)
         if not np.allclose(th, expected, rtol=0.0, atol=1e-12):
             raise ValueError("theta nodes must be uniform starting at 0")

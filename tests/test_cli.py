@@ -652,10 +652,23 @@ class TestMain:
 
 
 class TestReadme:
+    @staticmethod
+    def text():
+        return (Path(cli.__file__).resolve().parents[2] / "README.md").read_text(encoding="utf-8")
+
     def test_every_config_key_is_documented(self):
-        readme = Path(cli.__file__).resolve().parents[2] / "README.md"
-        text = readme.read_text(encoding="utf-8")
-        assert [key for key in DEFAULTS if f"`{key}`" not in text] == []
+        assert [key for key in DEFAULTS if f"`{key}`" not in self.text()] == []
+
+    def test_library_use_example_runs(self, capsys):
+        # The example is the library's documented API; it must run as written.
+        section = self.text().split("## Library use", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        names = {}
+        exec(compile(code, "README.md", "exec"), names)
+        result = names["result"]
+        printed = capsys.readouterr().out.split()
+        assert printed == [str(result.max_density[-1]), str(result.converged)]
+        assert len(names["check"].times) == 2
 
 
 class TestImports:

@@ -97,6 +97,13 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="convergence_tol"):
             SolverConfig(convergence_tol=tol)
 
+    @pytest.mark.parametrize("every", [2.5, 4.0, "4"])
+    def test_snapshot_every_must_be_an_integer(self, every):
+        # i % 2.5 == 0 put the snapshots of a 2.5 on multiples of 5.
+        with pytest.raises(ValueError, match="snapshot_every"):
+            SolverConfig(snapshot_every=every)
+        assert SolverConfig(snapshot_every=np.int64(4)).snapshot_every == 4
+
     @pytest.mark.parametrize(
         "run",
         [
@@ -127,25 +134,25 @@ class TestResolveTimeStep:
 class TestInitializeHistory:
     def test_zero_history(self):
         ig = SpectralIntegrator(forced_spec(), SolverConfig(dt=0.1, t_end=1.0))
-        buf = ig.initialize_history(lambda t, r, th: np.zeros_like(r))
-        assert not np.any(buf.coeffs)
+        ig.initialize_history(lambda t, r, th: np.zeros_like(r))
+        assert not np.any(ig.coeffs)
 
     def test_constant_patch_fills_identical_states(self):
         spec = forced_spec(variant=Variant.FULL_ZERO_FLUX, birth=RickerQuadratic(0.25, 0.1))
         ig = SpectralIntegrator(spec, SolverConfig(dt=0.1, t_end=1.0))
-        buf = ig.initialize_history(patch_w0)
-        assert len(buf.births) == 11
-        for births in buf.births:
-            assert np.array_equal(births, buf.births[-1])
+        ig.initialize_history(patch_w0)
+        assert len(ig.births) == 11
+        for births in ig.births:
+            assert np.array_equal(births, ig.births[-1])
         # Zero-flux: the constant mode carries the 0.2 mean of the patch.
-        assert buf.coeffs[0, 0, 0] == pytest.approx(0.2, abs=1e-10)
+        assert ig.coeffs[0, 0, 0] == pytest.approx(0.2, abs=1e-10)
 
     def test_single_mode_history(self):
         ig = SpectralIntegrator(forced_spec(), SolverConfig(dt=0.1, t_end=1.0))
         k = ig.bases[0].eigenvalues[1]
-        buf = ig.initialize_history(lambda t, r, th: jv(0, k * r))
-        assert buf.coeffs[0, 0, 1] == pytest.approx(1.0, abs=1e-10)
-        rest = buf.coeffs.copy()
+        ig.initialize_history(lambda t, r, th: jv(0, k * r))
+        assert ig.coeffs[0, 0, 1] == pytest.approx(1.0, abs=1e-10)
+        rest = ig.coeffs.copy()
         rest[0, 0, 1] = 0.0
         assert np.max(np.abs(rest)) < 1e-8
 
@@ -156,9 +163,23 @@ class TestInitializeHistory:
             variant=Variant.FULL_ZERO_FLUX, birth=Identity(), survival=1.0, spread=0.0, delay=0.5
         )
         ig = SpectralIntegrator(spec, SolverConfig(dt=0.25, t_end=1.0))
-        buf = ig.initialize_history(lambda t, r, th: np.exp(t) * np.ones_like(r))
-        assert buf.births[0][0, 0, 0] == pytest.approx(np.exp(-0.5), abs=1e-10)
-        assert buf.coeffs[0, 0, 0] == pytest.approx(1.0, abs=1e-10)
+        ig.initialize_history(lambda t, r, th: np.exp(t) * np.ones_like(r))
+        assert ig.births[0][0, 0, 0] == pytest.approx(np.exp(-0.5), abs=1e-10)
+        assert ig.coeffs[0, 0, 0] == pytest.approx(1.0, abs=1e-10)
+
+
+    def test_a_history_that_blows_up_leaves_the_run_as_it_was(self):
+        spec = forced_spec(variant=Variant.FULL_ZERO_FLUX, birth=RickerQuadratic(0.25, 0.1))
+        ig = SpectralIntegrator(spec, SolverConfig(dt=0.1, t_end=1.0))
+        ig.initialize_history(patch_w0)
+        ig.step(3)
+        prev, coeffs, births, shape = ig.prev_source, ig.coeffs, list(ig.births), ig._values.shape
+        # An odd history: had it been taken, the run would march the whole circle.
+        with pytest.raises(BlowUpError):
+            ig.initialize_history(lambda t, r, th: 1e20 * r * np.sin(th))
+        assert ig.steps == 3 and ig.prev_source is prev and ig.coeffs is coeffs
+        assert all(a is b for a, b in zip(ig.births, births, strict=True))
+        assert ig._values.shape == shape == (ig.block, ig.grid.n_r, ig.grid.half_angles)
 
 
 class TestStep:
@@ -188,13 +209,13 @@ class TestStep:
         ig = SpectralIntegrator(spec, config)
         k = ig.bases[1].eigenvalues[0]
         lam = spec.diffusion * k**2 + spec.mortality
-        buf = ig.initialize_history(lambda t, r, th: jv(1, k * r) * np.cos(th))
-        c0 = buf.coeffs[1, 0, 0]
+        ig.initialize_history(lambda t, r, th: jv(1, k * r) * np.cos(th))
+        c0 = ig.coeffs[1, 0, 0]
         for s in range(1, 21):
-            ig.step(buf)
+            ig.step()
             expected = np.exp(-lam * s * 0.5) * c0
             # Exponential integrator: exact per-mode decay for any dt.
-            assert buf.coeffs[1, 0, 0] == pytest.approx(expected, rel=1e-12)
+            assert ig.coeffs[1, 0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_zero_state_is_fixed_point(self):
         spec = forced_spec(
@@ -203,18 +224,18 @@ class TestStep:
             birth=RickerQuadratic(0.25, 0.1),
         )
         ig = SpectralIntegrator(spec, SolverConfig(dt=0.05, t_end=1.0))
-        buf = ig.initialize_history(lambda t, r, th: np.zeros_like(r))
+        ig.initialize_history(lambda t, r, th: np.zeros_like(r))
         for s in range(10):
-            ig.step(buf)
-        assert not np.any(buf.coeffs)
+            ig.step()
+        assert not np.any(ig.coeffs)
 
     def test_blowup_detection(self):
         spec = forced_spec(forcing=lambda t: 1e20)
         ig = SpectralIntegrator(spec, SolverConfig(dt=0.01, t_end=1.0))
-        buf = ig.initialize_history(lambda t, r, th: np.zeros_like(r))
+        ig.initialize_history(lambda t, r, th: np.zeros_like(r))
         with pytest.raises(BlowUpError):
             for s in range(50):
-                ig.step(buf)
+                ig.step()
 
     def test_delayed_eigenmode_amplitude_in_source(self):
         # Exponentially growing single-mode history: the source must carry
@@ -235,20 +256,20 @@ class TestStep:
         def w0(t, r, th):
             return np.exp(sigma * t) * jv(0, k * r)
 
-        buf = ig.initialize_history(w0)
+        ig.initialize_history(w0)
         lagged = tr.analyze(DiskField.from_polar(ig.grid, lambda r, th: w0(-tau, r, th)))
-        head = SpectralField(ig.bases, buf.coeffs)
-        _, source = rhs(buf.steps * ig.dt, head, tr.synthesize(lagged), spec, tr)
-        expected = np.exp(-sigma * tau) * buf.coeffs[0, 0, 1]
+        head = SpectralField(ig.bases, ig.coeffs)
+        _, source = rhs(ig.steps * ig.dt, head, tr.synthesize(lagged), spec, tr)
+        expected = np.exp(-sigma * tau) * ig.coeffs[0, 0, 1]
         assert tr.analyze_values(source.values)[0, 0, 1] == pytest.approx(expected, abs=1e-9)
-        assert ig.source(buf)[0, 0, 1] == pytest.approx(expected, abs=1e-9)
+        assert ig.source()[0, 0, 1] == pytest.approx(expected, abs=1e-9)
 
 
-def packed_source(ig, buf, ahead=0):
+def packed_source(ig, ahead=0):
     """``ig.source``, which covers the source box only, padded with 0 to
     the whole packed shape."""
-    full = np.zeros_like(buf.coeffs)
-    src = ig.source(buf, ahead)
+    full = np.zeros_like(ig.coeffs)
+    src = ig.source(ahead)
     full[: src.shape[0], :, : src.shape[-1]] = src
     return full
 
@@ -282,7 +303,7 @@ class TestCoefficientSource:
     @pytest.mark.parametrize("case", sorted(SOURCE_CASES))
     def test_matches_grid_round_trip(self, case):
         ig = self.integrator(case)
-        buf = ig.initialize_history(drifting_patch)
+        ig.initialize_history(drifting_patch)
         tr = ig.transform
         # The integrator keeps no past states, so the test keeps them: the
         # history at t = i dt, i = -lag_steps .. 0, then each stepped head.
@@ -295,13 +316,13 @@ class TestCoefficientSource:
         for s in range(7):
             if s in (0, 6):
                 lagged = DiskField(ig.grid, tr.synthesize_values(states[0]))
-                head = SpectralField(ig.bases, buf.coeffs)
-                _, field = rhs(buf.steps * ig.dt, head, lagged, ig.spec, tr)
+                head = SpectralField(ig.bases, ig.coeffs)
+                _, field = rhs(ig.steps * ig.dt, head, lagged, ig.spec, tr)
                 expected = tr.analyze_values(field.values)
                 scale = np.max(np.abs(expected))
-                assert np.max(np.abs(packed_source(ig, buf) - expected)) <= 1e-12 * scale
-            ig.step(buf)
-            states.append(buf.coeffs)
+                assert np.max(np.abs(packed_source(ig) - expected)) <= 1e-12 * scale
+            ig.step()
+            states.append(ig.coeffs)
 
     @pytest.mark.parametrize(
         "case, analyses",
@@ -317,7 +338,7 @@ class TestCoefficientSource:
         # Steps run on raw coefficient arrays: no SpectralField is built.
         ig = self.integrator(case)
         assert ig.block > 1 or case == "mode_forced_birth"
-        buf = ig.initialize_history(patch_w0)
+        ig.initialize_history(patch_w0)
         counts = {"analyze": 0, "synthesize": 0, "radial_table": 0, "spectral_field": 0}
 
         def counting(name, fn):
@@ -335,9 +356,9 @@ class TestCoefficientSource:
         ):
             monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
         for s in range(1, 6):
-            ig.step(buf)
+            ig.step()
         # A whole block costs what one state does: one stacked call each.
-        ig.step(buf, ig.block)
+        ig.step(ig.block)
         assert counts == {
             "analyze": 6 * analyses,
             "synthesize": 6,
@@ -349,12 +370,12 @@ class TestCoefficientSource:
     def test_order_zero_sine_slot_stays_zero(self, case):
         # sin(0 theta) = 0: the packed slot is not a mode and is never filled.
         ig = self.integrator(case)
-        buf = ig.initialize_history(drifting_patch)
-        assert np.all(buf.coeffs[0, 1] == 0.0)
+        ig.initialize_history(drifting_patch)
+        assert np.all(ig.coeffs[0, 1] == 0.0)
         for s in range(1, 51):
-            ig.step(buf)
-        assert np.all(buf.coeffs[0, 1] == 0.0)
-        assert all(np.all(births[0, 1] == 0.0) for births in buf.births)
+            ig.step()
+        assert np.all(ig.coeffs[0, 1] == 0.0)
+        assert all(np.all(births[0, 1] == 0.0) for births in ig.births)
 
     @staticmethod
     def count_analyses(monkeypatch):
@@ -371,10 +392,10 @@ class TestCoefficientSource:
     def test_constant_history_is_analysed_once(self, monkeypatch):
         ig = self.integrator("full_zero_flux")
         calls = self.count_analyses(monkeypatch)
-        buf = ig.initialize_history(patch_w0)
+        ig.initialize_history(patch_w0)
         # One analysis of the state, one of its births, for all five samples.
         assert len(calls) == 2
-        assert len(buf.births) == ig.lag_steps + 1
+        assert len(ig.births) == ig.lag_steps + 1
 
     def test_forced_history_samples_only_t0(self, monkeypatch):
         # The forced source reads no past state, so a time-varying history
@@ -398,11 +419,11 @@ class TestCoefficientSource:
         # birth reads the head's own births (lag 0); no law, no births.
         reads_lagged = case in ("full_zero_flux", "full_dirichlet", "radial")
         expected = ig.lag_steps + 1 if reads_lagged else int(case == "mode_forced_birth")
-        buf = ig.initialize_history(drifting_patch)
-        assert len(buf.births) == expected
+        ig.initialize_history(drifting_patch)
+        assert len(ig.births) == expected
         for s in range(1, 4):
-            ig.step(buf)
-            assert len(buf.births) == expected
+            ig.step()
+            assert len(ig.births) == expected
 
 
 class TestBlockedDriver:
@@ -415,22 +436,22 @@ class TestBlockedDriver:
 
     @staticmethod
     def chain(ig, w0):
-        """Diagnostics rows, grid samples and final buffer from one step at a
-        time, with every diagnostic computed on the test side."""
-        buf = ig.initialize_history(w0)
+        """Diagnostics rows, grid samples and final coefficients from one step
+        at a time, with every diagnostic computed on the test side."""
+        ig.initialize_history(w0)
         tr = ig.transform
-        values = tr.synthesize_values(buf.coeffs)
+        values = tr.synthesize_values(ig.coeffs)
         rows = [(0.0, values.max(), values.min(), ig.grid.integrate(values), 0.0)]
         samples = [values]
         for i in range(1, round(ig.config.t_end / ig.dt) + 1):
-            previous = buf.coeffs
-            ig.step(buf)
-            values = tr.synthesize_values(buf.coeffs)
-            rate = tr.weighted_l2((buf.coeffs - previous)[None])[0] / ig.dt
-            t = buf.steps * ig.dt
+            previous = ig.coeffs
+            ig.step()
+            values = tr.synthesize_values(ig.coeffs)
+            rate = tr.weighted_l2((ig.coeffs - previous)[None])[0] / ig.dt
+            t = ig.steps * ig.dt
             rows.append((t, values.max(), values.min(), ig.grid.integrate(values), rate))
             samples.append(values)
-        return np.array(rows).T, samples, buf
+        return np.array(rows).T, samples, ig.coeffs
 
     @pytest.mark.parametrize("case", sorted(SOURCE_CASES))
     def test_integrate_matches_single_steps(self, case):
@@ -441,7 +462,7 @@ class TestBlockedDriver:
             assert ig.block == ig.lag_steps + 1
         else:  # forced: the source is known, the cap alone applies
             assert ig.block > ig.lag_steps + 1
-        rows, samples, buf = self.chain(self.integrator(case), drifting_patch)
+        rows, samples, coeffs = self.chain(self.integrator(case), drifting_patch)
         result = ig.integrate(drifting_patch)
         columns = (
             result.times,
@@ -453,7 +474,7 @@ class TestBlockedDriver:
         for got, want in zip(columns, rows):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         got = result.final_state.coeffs
-        assert np.max(np.abs(got - buf.coeffs)) <= 1e-12 * np.max(np.abs(buf.coeffs[:, 0]))
+        assert np.max(np.abs(got - coeffs)) <= 1e-12 * np.max(np.abs(coeffs[:, 0]))
         final = samples[-1]
         assert np.max(np.abs(result.final_field.values - final)) <= 1e-12 * np.max(np.abs(final))
         # Snapshots fall inside blocks (every third step); each keeps its own
@@ -526,10 +547,10 @@ class TestBlockedDriver:
         n_steps = len(blocked.times) - 1
         assert n_steps > 2 * block
         recorder = solver._Recorder(np.arange(n_steps + 1) * ig.dt, ig.grid, ig.config)
-        buf = ig.initialize_history(drifting_patch, recorder.record)
-        while buf.steps < n_steps:
-            ig.step(buf, 1, recorder.record)
-        chained = recorder.result(SpectralField(ig.bases, buf.coeffs), ig.spec, ig.dt)
+        ig.initialize_history(drifting_patch, recorder.record)
+        while ig.steps < n_steps:
+            ig.step(1, recorder.record)
+        chained = recorder.result(SpectralField(ig.bases, ig.coeffs), ig.spec, ig.dt)
         for attr in ("times", "max_density", "min_density", "total_population", "dwdt_norm"):
             assert np.array_equal(getattr(blocked, attr), getattr(chained, attr)), attr
         assert np.array_equal(blocked.final_state.coeffs, chained.final_state.coeffs)
@@ -566,21 +587,21 @@ class TestBlockedDriver:
     def test_snapshot_survives_the_next_block(self):
         ig = self.integrator("full_zero_flux", snapshot_every=2)
         assert ig.block == 5
-        buf = ig.initialize_history(drifting_patch)
+        ig.initialize_history(drifting_patch)
         recorder = solver._Recorder(np.arange(11) * ig.dt, ig.grid, ig.config)
-        ig.step(buf, 5, recorder.record)
+        ig.step(5, recorder.record)
         taken = [(t, field.values.copy()) for t, field in recorder.snapshots]
         assert [t for t, _ in taken] == [2 * ig.dt, 4 * ig.dt]
-        ig.step(buf, 5, recorder.record)
+        ig.step(5, recorder.record)
         for (t, before), (t_after, field) in zip(taken, recorder.snapshots):
             assert t == t_after and np.array_equal(field.values, before)
 
     @pytest.mark.parametrize("case", ["mode_forced_birth", "full_zero_flux"])
     def test_more_states_than_the_block_are_rejected(self, case):
         ig = self.integrator(case)
-        buf = ig.initialize_history(patch_w0)
+        ig.initialize_history(patch_w0)
         with pytest.raises(ValueError, match="states"):
-            ig.step(buf, ig.block + 1)
+            ig.step(ig.block + 1)
 
     @staticmethod
     def growing_spec(birth):
@@ -624,9 +645,9 @@ class TestBlockedDriver:
 
         def chain():
             ig = SpectralIntegrator(spec, config)
-            buf = ig.initialize_history(patch_w0)
+            ig.initialize_history(patch_w0)
             for i in range(1, 2001):
-                ig.step(buf)
+                ig.step()
 
         ig = SpectralIntegrator(spec, config)
         blocked = self.first_blowup(lambda: ig.integrate(patch_w0))
@@ -664,28 +685,29 @@ class TestBlockedDriver:
         def record(first, values, rates):
             recorded.append(first + len(values) - 1)
 
-        buf = ig.initialize_history(patch_w0, record)
+        ig.initialize_history(patch_w0, record)
         with pytest.raises(BlowUpError) as info:
             while True:
-                steps, prev = buf.steps, buf.prev_source
-                coeffs, births = buf.coeffs.copy(), [b.copy() for b in buf.births]
-                ig.step(buf, ig.block, record)
+                steps, prev = ig.steps, ig.prev_source
+                coeffs, births = ig.coeffs.copy(), [b.copy() for b in ig.births]
+                ig.step(ig.block, record)
         # The block failed past its first state: nothing of it was committed.
         assert steps + 1 < info.value.step_index <= steps + ig.block
-        assert buf.steps == steps == recorded[-1] and buf.prev_source is prev
-        assert np.array_equal(buf.coeffs, coeffs)
+        assert ig.steps == steps == recorded[-1] and ig.prev_source is prev
+        assert np.array_equal(ig.coeffs, coeffs)
         assert all(
             np.array_equal(got, want, equal_nan=True)
-            for got, want in zip(buf.births, births, strict=True)
+            for got, want in zip(ig.births, births, strict=True)
         )
         # Births that overflowed wait in the ring until the failing state reads them.
-        overflowed = any(not np.isfinite(b).all() for b in buf.births)
+        overflowed = any(not np.isfinite(b).all() for b in ig.births)
         assert overflowed == case.startswith("birth")
-        # The head is the state of step ``buf.steps``.
-        replay = ig.initialize_history(patch_w0)
-        while replay.steps < buf.steps:
-            ig.step(replay, ig.block)
-        assert np.array_equal(replay.coeffs, buf.coeffs)
+        # The head is the state of step ``ig.steps``.
+        replay = SpectralIntegrator(spec, ig.config)
+        replay.initialize_history(patch_w0)
+        while replay.steps < ig.steps:
+            replay.step(replay.block)
+        assert np.array_equal(replay.coeffs, ig.coeffs)
 
     @pytest.mark.parametrize("case", ["mode_forced", "full_dirichlet", "radial"])
     def test_repeated_runs_are_identical(self, case):
@@ -770,10 +792,11 @@ class TestDeadBand:
             return 0.2 + 0.02 * r**2 + pulse
 
         def heads(ig):
-            buf = ig.initialize_history(w0)
-            states = [buf.coeffs.copy()]
+            ig.initialize_history(w0)
+            states = [ig.coeffs.copy()]
             for _ in range(2):
-                states.append(ig.step(buf, ig.block).coeffs.copy())
+                ig.step(ig.block)
+                states.append(ig.coeffs.copy())
             return states
 
         ig = self.integrator(**changes)
@@ -797,18 +820,18 @@ class TestDeadBand:
         tr = ig.transform
         damp = damping_factors(ig.bases, ig.spec.survival, ig.spec.spread)
         orders, width = ig.source_box
-        buf = ig.initialize_history(drifting_patch)
+        ig.initialize_history(drifting_patch)
         for i in range(1, 101):
-            ig.step(buf)
-            assert not subnormal(buf.coeffs)
-            assert not any(subnormal(births) for births in buf.births)
+            ig.step()
+            assert not subnormal(ig.coeffs)
+            assert not any(subnormal(births) for births in ig.births)
             # The newest births against a full analysis: inside the source
             # box equal, and 0 exactly where the full product is below the
             # normal range; outside it they sum below 2^-53 of survival *
             # max|b|, which bounds the damped births' field.
-            law = ig.spec.birth(tr.synthesize_values(buf.coeffs))
+            law = ig.spec.birth(tr.synthesize_values(ig.coeffs))
             want = damp * tr.analyze_values(law)
-            got, inside = buf.births[-1], want[:orders, :, :width]
+            got, inside = ig.births[-1], want[:orders, :, :width]
             assert np.array_equal(got != 0.0, np.abs(inside) >= tiny)
             assert np.max(np.abs(got - inside)) <= 1e-14 * np.max(np.abs(want))
             dropped = np.abs(want)
@@ -929,9 +952,9 @@ def cli_run(tmp_path, text):
     return SpectralIntegrator(spec, config), cli._build_w0(resolved, spec)
 
 
-def sine_slots_are_zero(buf):
-    """Whether the head and every queued birth hold exact 0 in each sine slot."""
-    return not buf.coeffs[:, 1].any() and not any(births[:, 1].any() for births in buf.births)
+def sine_slots_are_zero(ig):
+    """Whether the run's head and every queued birth hold exact 0 in each sine slot."""
+    return not ig.coeffs[:, 1].any() and not any(births[:, 1].any() for births in ig.births)
 
 
 def odd_perturbation(ig, w0, size=1e-10):
@@ -954,8 +977,8 @@ class TestReflectionRule:
         workload = perfbench_workloads()[name]
         for seed in range(16):
             ig, w0 = cli_run(tmp_path, workload.config_text(seed))
-            buf = ig.initialize_history(w0)
-            assert sine_slots_are_zero(buf), seed
+            ig.initialize_history(w0)
+            assert sine_slots_are_zero(ig), seed
             assert ig.grid.half_angles < ig.grid.n_theta
             assert ig._values.shape[-1] == ig.grid.half_angles
 
@@ -977,22 +1000,44 @@ class TestReflectionRule:
             f"variant = {variant}\nbirth = {birth}\nbc = zero_flux\nn_max = 4\nj_max = 6\n"
             f"delay = 0.05\nt_end = 0.1\n{initial}",
         )
-        buf = ig.initialize_history(w0)
-        assert sine_slots_are_zero(buf)
-        ig.step(buf, ig.block)
-        assert sine_slots_are_zero(buf)
+        ig.initialize_history(w0)
+        assert sine_slots_are_zero(ig)
+        ig.step(ig.block)
+        assert sine_slots_are_zero(ig)
 
     def test_lagged_time_varying_history_is_even(self):
         spec = forced_spec(
             variant=Variant.FULL_ZERO_FLUX, birth=RickerQuadratic(0.25, 0.1), delay=0.2
         )
         ig = SpectralIntegrator(spec, SolverConfig(dt=0.05, t_end=1.0))
-        buf = ig.initialize_history(lambda t, r, th: (1.0 + 0.5 * t) * patch_w0(t, r, th))
-        assert len(buf.births) == 5 and not np.array_equal(buf.births[0], buf.births[-1])
-        assert sine_slots_are_zero(buf)
+        ig.initialize_history(lambda t, r, th: (1.0 + 0.5 * t) * patch_w0(t, r, th))
+        assert len(ig.births) == 5 and not np.array_equal(ig.births[0], ig.births[-1])
+        assert sine_slots_are_zero(ig)
         for _ in range(4):
-            ig.step(buf, ig.block)
-        assert sine_slots_are_zero(buf)
+            ig.step(ig.block)
+        assert sine_slots_are_zero(ig)
+
+    @pytest.mark.parametrize("case", ["mode_forced_birth", "full_zero_flux"])
+    def test_runs_on_both_circles_in_turn_match_fresh_runs(self, case):
+        # An integrator holds one run: each restart marches on the circle of
+        # its own history, whatever the run before it marched on.
+        spec = forced_spec(delay=0.2, **SOURCE_CASES[case])
+        config = SolverConfig(dt=0.05, t_end=2.0, snapshot_every=8)
+        ig = SpectralIntegrator(spec, config)
+        odd = odd_perturbation(ig, drifting_patch, size=1e-3)
+
+        def even(t, r, th):
+            return (1.0 + 0.5 * t) * patch_w0(t, r, th)
+
+        for w0 in (odd, even, odd):
+            got, want = ig.integrate(w0), SpectralIntegrator(spec, config).integrate(w0)
+            for attr in ("times", "max_density", "min_density", "total_population", "dwdt_norm"):
+                assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+            assert np.array_equal(got.final_state.coeffs, want.final_state.coeffs)
+            assert got.converged_at == want.converged_at
+            for (t1, f1), (t2, f2) in zip(got.snapshots, want.snapshots, strict=True):
+                assert t1 == t2 and np.array_equal(f1.values, f2.values)
+            assert ig._values.shape[-1] == (ig.grid.n_theta if w0 is odd else ig.grid.half_angles)
 
     @pytest.mark.parametrize("case", ["mode_forced", "mode_forced_birth", "full_zero_flux", "full_dirichlet"])
     def test_an_odd_history_marches_the_whole_circle(self, case):
@@ -1000,8 +1045,8 @@ class TestReflectionRule:
         config = SolverConfig(dt=0.05, t_end=2.0, snapshot_every=8)
         ig = SpectralIntegrator(spec, config)
         odd = odd_perturbation(ig, patch_w0)
-        buf = ig.initialize_history(odd)
-        assert buf.coeffs[1, 1].any() and ig._values.shape[-1] == ig.grid.n_theta
+        ig.initialize_history(odd)
+        assert ig.coeffs[1, 1].any() and ig._values.shape[-1] == ig.grid.n_theta
         got = ig.integrate(odd)
         want = SpectralIntegrator(spec, config).integrate(patch_w0)
         for attr in ("max_density", "min_density", "total_population", "dwdt_norm"):
@@ -1135,12 +1180,12 @@ class TestDelayOracle:
         k = ig.bases[0].eigenvalues[index]
         lam = spec.diffusion * k**2 + spec.mortality
         beta = spec.survival * np.exp(-(k**2) * spec.spread)
-        buf = ig.initialize_history(lambda t, r, th: self.C0 * jv(0, k * r))
+        ig.initialize_history(lambda t, r, th: self.C0 * jv(0, k * r))
         worst = 0.0
         for s in range(1, 2 * ig.lag_steps + 1):
-            ig.step(buf)
+            ig.step()
             if s >= ig.lag_steps:
-                err = abs(buf.coeffs[0, 0, index] - self.exact(buf.steps * ig.dt, lam, beta))
+                err = abs(ig.coeffs[0, 0, index] - self.exact(ig.steps * ig.dt, lam, beta))
                 worst = max(worst, err)
         return worst
 
@@ -1304,12 +1349,12 @@ class TestCriticalPatchRadius:
         )
         ig = SpectralIntegrator(spec, SolverConfig(dt=0.05, t_end=20.0))
         k = ig.bases[0].eigenvalues[0]
-        buf = ig.initialize_history(lambda t, r, th: 1e-3 * jv(0, k * r))
+        ig.initialize_history(lambda t, r, th: 1e-3 * jv(0, k * r))
         for s in range(1, 401):
-            ig.step(buf)
+            ig.step()
             if s == 200:
-                middle = buf.coeffs[0, 0, 0]
-        return buf.coeffs[0, 0, 0] / middle
+                middle = ig.coeffs[0, 0, 0]
+        return ig.coeffs[0, 0, 0] / middle
 
     def test_decays_below_and_grows_above(self):
         r_star = self.critical_radius()
@@ -1358,8 +1403,8 @@ class TestIntegrate:
         result = ig.integrate(patch_w0)
         assert result.times.size == 1
         assert len(result.snapshots) == 1
-        buf = ig.initialize_history(patch_w0)
-        projected = ig.transform.synthesize_values(buf.coeffs)
+        ig.initialize_history(patch_w0)
+        projected = ig.transform.synthesize_values(ig.coeffs)
         assert_allclose(result.final_field.values, projected, atol=1e-14)
 
     def test_diagnostics_lengths_and_monotone_time(self):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -65,6 +66,21 @@ class TestDiskGrid:
     def test_rejects_bad_theta(self):
         with pytest.raises(ValueError):
             DiskGrid(1.0, np.array([0.5]), np.array([0.5]), np.array([0.1, 3.0]))
+
+    def test_rejects_nan_and_non_finite_inputs(self):
+        # Every check is a comparison, which NaN passes unless it is negated.
+        for radius in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="radius"):
+                DiskGrid.gauss_legendre(radius, 10, 8)
+        good = DiskGrid.gauss_legendre(1.0, 10, 8)
+        for bad in (math.nan, math.inf):
+            nodes, weights = good.r_nodes.copy(), good.r_weights.copy()
+            nodes[3] = bad
+            with pytest.raises(ValueError, match="radial nodes"):
+                DiskGrid(1.0, nodes, good.r_weights, good.theta_nodes)
+            weights[3] = bad
+            with pytest.raises(ValueError, match="radial weights"):
+                DiskGrid(1.0, good.r_nodes, weights, good.theta_nodes)
 
     @pytest.mark.parametrize("n, bound", [(194, 1e-12), (300, 1e-11)])
     def test_gauss_legendre_matches_30_digit_values(self, n, bound):
