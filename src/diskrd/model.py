@@ -20,6 +20,7 @@ theta, so the ``full_*`` rule gives RADIAL the paper's radial births.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Union
@@ -151,6 +152,9 @@ class ModelSpec:
             raise ValueError("survival must lie in (0, 1]")
         if not 1e-100 <= self.radius <= 1e100:
             raise ValueError("radius must lie in [1e-100, 1e100]")
+        for name in ("n_max", "j_max"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {name} = {getattr(self, name)!r}")
         if not (0 <= self.n_max <= MAX_ORDER and 1 <= self.j_max <= MAX_EIGENVALUES):
             raise ValueError(
                 f"truncation must satisfy 0 <= n_max <= {MAX_ORDER}, "

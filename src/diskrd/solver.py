@@ -75,17 +75,42 @@ from its entries above the rounding floor (orders 0 .. 1 for the forcing
 mode, which lives in order 1); the lagged births' (``full_*``, and
 ``radial`` at n_max = 0) from the bound damp_nj * gain_nj * max|b| on their
 coefficients against survival * max|b|, which bounds the damped births'
-field; every mode for the undamped forced birth. The
-static mode, the phi1 weights and the queued births are kept over it, and
-outside it a mode only decays. Where it is the whole basis no block scans;
-elsewhere a block synthesises the union of its states' boxes, each state's
-against tol times that state's own peak. On the benchmark's
-``full_disk_delayed`` (4224 modes) the source box is 21 orders x 7 indices
-and the blocks' boxes are 12 x 5 by the second block and 3 x 2 by t = 5;
-its outputs agree with a run that transforms every mode within 1.5e-16 of
-each column's scale. The damped births, the decay factors and, where a
-block scans, its stepped coefficients are stored as 0 below the smallest
-normal float, so no subnormal operand slows an operation.
+field; every mode for the undamped forced birth. The static mode, the phi1
+weights and the queued births are kept over it, and outside it a mode only
+decays. Where it is the whole basis no block scans, and none of what
+follows applies.
+
+Elsewhere a run marches only the live spectrum. Each state, the t = 0 one
+included, stores as exact 0 every entry outside the source box that is
+subnormal or at or below tol times the state's peak over the source box.
+Nothing there feeds the source box, so a block drops them after its
+updates, and an entry once dropped stays 0, exactly as if each state had
+been dropped as it was advanced. A block advances its states over the
+leading box ``reach``, the source box and the head's entries outside it,
+and runs its AB2 stages, blow-up test, scan and rates there; ``coeffs``
+keeps the packed layout, with 0 outside that box. A state's rate is summed
+over the source box where the state before it lies in that box, else over
+the packed layout, so it depends on those two states and not on the block.
+For the recorder a block synthesises on the run grid the union of its
+states' boxes, each state's against tol times that state's own peak.
+
+A run that scans with lagged births also takes births on a births grid: a
+second ``DiskTransform`` of the bases cut to the source box, on the run
+grid's angles and the radial nodes ``default_grid`` picks for those bases,
+built only if that is at most half the run grid's. On the same angles the
+trapezoid rule aliases exactly as on the run grid, as it is exact below
+degree n_theta, and the radial rule is sized to the box. A state whose
+entries lie in the source box is synthesised on it over that box, and the
+birth law runs and its births are analysed and damped there; every other
+state, the history and the recorder keep the run grid. On the benchmark's
+``full_disk_delayed`` (4224 modes) the source box is 21 orders x 7 indices,
+the births grid 44 x 66 against the run grid's 194 x 66, and the blocks'
+boxes are 12 x 5 by the second block and 3 x 2 by t = 5. Its outputs agree
+with a march of every mode on the run grid within 4.6e-14 of each column's
+scale (``dwdt_norm``; 6e-16 for the rest). The damped births, the decay
+factors and, where a block scans, its stepped coefficients are stored as 0
+below the smallest normal float, so no subnormal operand slows an
+operation.
 
 A deliberately simple finite-difference integrator on the cell-centered
 polar mesh ``DiskGrid.cell_centered`` (forward Euler, conservative
@@ -107,10 +132,19 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .bessel import BesselBasis
 from .kernel import damping_factors
 from .model import _FORCED, ModelSpec, grid_source, linear_rates
 from .model import rhs  # noqa: F401  (bound here for tools that wrap solver.rhs)
-from .transform import DiskField, DiskGrid, DiskTransform, SpectralField, build_bases, default_grid
+from .transform import (
+    DiskField,
+    DiskGrid,
+    DiskTransform,
+    SpectralField,
+    build_bases,
+    default_grid,
+    default_sizes,
+)
 
 __all__ = [
     "SolverConfig",
@@ -130,8 +164,11 @@ CONVERGED_STREAK = 100
 # states on a 159 x 2 grid, one on a 194 x 66 grid), so its temporaries add
 # little to the peak memory.
 _BLOCK_BYTES = 1 << 20
-# Magnitudes below the smallest normal float are stored as 0 (see _flush).
+# Magnitudes below the smallest normal float are stored as 0 (see _flush
+# and SpectralIntegrator._drop, which drops those at or below the largest
+# subnormal).
 _TINY = np.finfo(float).tiny
+_SUBNORMAL = np.nextafter(_TINY, 0.0)
 _FLOAT_MAX = np.finfo(float).max
 _EPS = np.finfo(float).eps
 # Most steps in one run or one delay: each keeps a diagnostics row or a ring entry.
@@ -215,8 +252,9 @@ class SpectralIntegrator:
     0 is picked automatically, a positive one is taken as given.
 
     The source is built in coefficient space (see the module docstring) and
-    each state, the t = 0 one included, is synthesised once; those grid
-    values give its diagnostics row and the births it queues.
+    each state, the t = 0 one included, is synthesised once on the run grid;
+    those grid values give its diagnostics row and, unless the births grid
+    takes the state (see the module docstring), the births it queues.
     Steps run on packed coefficient arrays: a ``SpectralField`` is built
     only for the result's ``final_state``.
 
@@ -279,6 +317,7 @@ class SpectralIntegrator:
             self._birth_damp = damping_factors(self.bases, spec.survival, spec.spread)
         self._even_forcing = forcing_live is None or not forcing_live[:, 1].any()
         self._set_source_box(forcing_live)
+        self._set_births_grid()
         self._samples = np.empty(0)
         self._march_on(self.grid.n_theta)
 
@@ -290,21 +329,24 @@ class SpectralIntegrator:
 
     def _march_on(self, angles: int) -> None:
         """March on the first ``angles`` grid angles: the whole circle, or
-        the half circle of an even run. A state there sizes the blocks, the
-        birth law's chunks (see _BLOCK_BYTES) and the block's sample buffer;
-        the source's static mode is the forcing mode, without its sine slots
-        on the half circle."""
+        the half circle of an even run. A state there sizes the blocks and
+        the block's sample buffers, on the run grid and the births grid; the
+        source's static mode is the forcing mode, without its sine slots on
+        the half circle."""
         state_bytes = self.grid.n_r * angles * 8
         cap = max(1, _BLOCK_BYTES // (2 * state_bytes))
         self.block = cap if self._birth is None else min(self._birth_lag + 1, cap)
-        # States per call of the birth law (see _BLOCK_BYTES).
-        self._chunk = max(1, _BLOCK_BYTES // 8 // state_bytes)
-        # Grid samples of one block, reused: the birth law overwrites them.
-        # One buffer, grown on demand, serves both circles.
-        size = self.block * self.grid.n_r * angles
+        # Grid samples of one block on the run grid and, after them, on the
+        # births grid, reused: the birth law overwrites them. One buffer,
+        # grown on demand, serves both circles.
+        births_grid = self._births_transform and self._births_transform.grid
+        run = self.block * self.grid.n_r * angles
+        size = run + (births_grid.n_r * angles * self.block if births_grid else 0)
         if self._samples.size < size:
             self._samples = np.empty(size)
-        self._values = self._samples[:size].reshape(self.block, self.grid.n_r, angles)
+        self._values = self._samples[:run].reshape(self.block, self.grid.n_r, angles)
+        if births_grid:
+            self._births_values = self._samples[run:size].reshape(self.block, births_grid.n_r, angles)
         self._static = self._forcing
         if self._forcing is not None and angles != self.grid.n_theta:
             self._static = self._forcing.copy()
@@ -330,6 +372,7 @@ class SpectralIntegrator:
             boxes.append(full)
         self.source_box = tuple(max(sizes) for sizes in zip(*boxes))
         orders, width = self.source_box
+        self._full = full
         self._scan = self.source_box != full
         self._cut = np.s_[:orders, :, :width]
         self._phi_box = self._phi[self._cut].copy()
@@ -337,6 +380,47 @@ class SpectralIntegrator:
             self._forcing = self._forcing[self._cut].copy()
         if self._birth_damp is not None:
             self._birth_damp = self._birth_damp[:orders, :, None, :width].copy()
+
+    def _set_births_grid(self) -> None:
+        """Build the births grid of a run that scans with lagged births: a
+        ``DiskTransform`` of the bases cut to the source box, on the run
+        grid's angles and the radial nodes ``default_grid`` picks for those
+        bases, kept only if that is at most half the run grid's.
+
+        The trapezoid rule on the run grid's angles aliases the births of a
+        state in the source box exactly as the run grid does, and the
+        radial rule is sized to that box."""
+        self._births_transform = None
+        if not self._scan or self._birth_damp is None:
+            return
+        orders, width = self.source_box
+        cut = tuple(
+            BesselBasis(b.order, b.radius, b.bc, b.eigenvalues[:width], b.norms[:width])
+            for b in self.bases[:orders]
+        )
+        n_r, n_theta = default_sizes(cut, 0, self.grid.n_theta)
+        if 2 * n_r <= self.grid.n_r:
+            grid = DiskGrid.gauss_legendre(self.spec.radius, n_r, n_theta)
+            self._births_transform = DiskTransform(grid, cut)
+
+    def _drop(self, stack: np.ndarray, size: np.ndarray) -> np.ndarray:
+        """Store as exact 0 each entry outside the source box of a
+        state-first stack (K, orders, 2, width) of consecutive states over a
+        leading box, magnitudes ``size``, from the first state where it is
+        subnormal or at or below tol times that state's peak over the source
+        box. Outside that box a mode only decays, and the box does not read
+        it, so an entry once dropped stays 0 and each drop is the one a
+        single state would take. Returns the mask of the entries kept there.
+        """
+        orders, width = self.source_box
+        peaks = size[:, :orders, :, :width].max(axis=(1, 2, 3), initial=0.0)
+        kept = size > np.maximum(self._tol * peaks, _SUBNORMAL)[:, None, None, None]
+        kept[:, :orders, :, :width] = False
+        np.logical_and.accumulate(kept, axis=0, out=kept)
+        dropped = ~kept
+        dropped[:, :orders, :, :width] = False
+        stack[dropped] = 0.0
+        return kept
 
     def initialize_history(
         self, w0: Callable[[float, np.ndarray, np.ndarray], np.ndarray], record: _Record | None = None
@@ -382,27 +466,34 @@ class SpectralIntegrator:
                     values = self.transform.synthesize_values(stack, self._values[:1])
             if end == 1 and record is not None:
                 record(0, values, np.zeros(1))
-            births.extend(self._births(values) * (end - first))
-        self.coeffs, self.births, self.steps, self.prev_source = stack[:, :, 0], births, 0, None
+            births.extend(self._births(values, self.transform) * (end - first))
+        coeffs, reach = stack[:, :, 0], self._full
+        if self._scan:  # the t = 0 state takes the stepped states' drop
+            reach = _union(self.source_box, _box(self._drop(coeffs[None], np.abs(coeffs)[None])))
+        self.coeffs, self.births, self.steps, self.prev_source = coeffs, births, 0, None
+        self._reach = reach
 
-    def _births(self, values: np.ndarray) -> list:
+    def _births(self, values: np.ndarray, transform: DiskTransform) -> list:
         """Packed birth coefficients, one per state, that each adds to the
         source once the birth law reads its state; empty where no birth law
         applies.
 
-        ``values`` are the states' grid samples (K, n_r, n_theta), which the
-        birth law overwrites, ``_chunk`` states per call. They are analysed
-        over the source box only. Births that overflow are returned as inf
-        or NaN: they fail the blow-up test at the state they enter.
+        ``values`` are the states' grid samples (K, n_r, n_theta) on the
+        grid of ``transform``, which the birth law overwrites, as many
+        states per call as fit an eighth of ``_BLOCK_BYTES``. They are
+        analysed over the source box only. Births that overflow are
+        returned as inf or NaN: they fail the blow-up test at the state they
+        enter.
         """
         birth, damp = self._birth, self._birth_damp
         if birth is None:
             return []
+        chunk = max(1, _BLOCK_BYTES // 8 // (values.nbytes // len(values)))
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, len(values), self._chunk):
-                chunk = values[lo : lo + self._chunk]
-                chunk[...] = birth(chunk)
-            births = self.transform.analyze_values(values, self.source_box)
+            for lo in range(0, len(values), chunk):
+                part = values[lo : lo + chunk]
+                part[...] = birth(part)
+            births = transform.analyze_values(values, self.source_box)
             if damp is not None:
                 births *= damp
                 _flush(births)
@@ -427,21 +518,31 @@ class SpectralIntegrator:
         head; the first step of a run uses the one-step Euler weights.
 
         State m is step ``steps + 1 + m``. The states are advanced in order
-        and then take the blow-up test together; a block that fails it raises
-        at its first failing state and leaves the run as it was. Otherwise
-        they are synthesised in one call, passed to ``record(first, values,
-        rates)`` as one block of diagnostics rows and their births analysed
-        in one call, and the run takes them.
+        over the leading box ``reach`` (see the module docstring: the whole
+        basis where no block scans), outside which every state is 0, and
+        then take the blow-up test together; a block that fails it raises
+        at its first failing state and leaves the run as it was. Otherwise,
+        where ``reach`` passes the source box, they take their drop; they
+        are synthesised on the run grid in one call and passed to
+        ``record(first, values, rates)`` as one block of diagnostics rows;
+        their births are taken on the births grid for the states that lie
+        in the source box and on the run grid for the rest; and the run
+        takes them.
         """
         if not 1 <= states <= self.block:
             raise ValueError(f"states must lie in [1, {self.block}]")
-        first = self.steps + 1
-        # Slot 0 holds the head and slot m + 1 state m, each contiguous, so
-        # the AB2 changes are one subtraction; ``stack`` is the packed view.
-        slots = np.empty((states + 1,) + self.coeffs.shape)
-        slots[0] = self.coeffs
-        decay, phi, cut, prev = self._decay, self._phi_box, self._cut, self.prev_source
-        new = slots[1:]
+        first, source_box = self.steps + 1, self.source_box
+        orders, width = reach = self._reach
+        confined = reach == source_box
+        # Slot 0 holds the head and slot m + 1 state m over ``reach``, each
+        # contiguous, so the AB2 changes are one subtraction.
+        slots = np.empty((states + 1, orders, 2, width))
+        head, decay, phi, cut = self.coeffs, self._decay, self._phi_box, self._cut
+        if reach != self._full:
+            # A contiguous operand keeps the per-state update on numpy's fast loop.
+            head, decay = head[:orders, :, :width], np.ascontiguousarray(decay[:orders, :, :width])
+        slots[0] = head
+        prev, new = self.prev_source, slots[1:]
         with np.errstate(over="ignore", invalid="ignore"):
             for m in range(states):
                 src = self.source(m)
@@ -453,19 +554,53 @@ class SpectralIntegrator:
                 prev = src
             magnitude = np.abs(new)
             _test(magnitude, self._limit, first, self._time)
-            stack = new.transpose(1, 2, 0, 3)
-            live = None
+            outside, live, next_reach = 0, None, reach
+            if not confined:
+                # A state that keeps an entry outside the source box follows
+                # only such states: they lead the block, ``outside`` of them.
+                kept = self._drop(new, magnitude)
+                outside = int(np.count_nonzero(kept.any(axis=(1, 2, 3))))
+                next_reach = _union(source_box, _box(kept[-1]))
+                magnitude = np.abs(new)
             if self._scan:  # each state's box against its own peak
                 new[magnitude < _TINY] = 0.0
                 peaks = magnitude.max(axis=(1, 2, 3), keepdims=True)
                 live = _box(magnitude > self._tol * peaks)
+            stack = new.transpose(1, 2, 0, 3)
             values = self.transform.synthesize_values(stack, self._values[:states], live)
         if record is not None:
+            # A state's rate is summed over the source box where the state
+            # before it lies in that box, else over the whole packed layout.
             # Every state passed the test, so |change| <= 2 limit.
-            rates = self.transform.weighted_l2(new - slots[:states], 2 * self._limit)
+            change, bound = new - slots[:states], 2 * self._limit
+            if confined:  # ``change`` is over the source box
+                rates = self.transform.weighted_l2(change, bound)
+            else:  # the head lies outside the box, and so do ``outside`` states
+                wide = min(states, outside + 1)
+                whole = np.zeros((wide,) + self.rates.shape)
+                whole[:, :orders, :, :width] = change[:wide]
+                rates = [self.transform.weighted_l2(whole, bound)]
+                if wide < states:
+                    rates.append(self.transform.weighted_l2(change[(np.s_[wide:],) + cut], bound))
+                rates = np.concatenate(rates)
             record(first, values, rates / self.dt)
-        self.births.extend(self._births(values))
-        self.coeffs, self.prev_source, self.steps = slots[states], prev, self.steps + states
+        # The leading states whose births take the run grid.
+        on_run = states if self._births_transform is None else outside
+        births = []
+        if on_run:
+            births = self._births(values if on_run == states else values[:on_run], self.transform)
+        if on_run < states:
+            inner = new[(np.s_[on_run:],) + cut].transpose(1, 2, 0, 3)
+            births_values = self._births_values[: states - on_run]
+            self._births_transform.synthesize_values(inner, births_values)
+            births += self._births(births_values, self._births_transform)
+        self.births.extend(births)
+        coeffs = slots[states]
+        if reach != self._full:
+            coeffs = np.zeros(self.rates.shape)
+            coeffs[:orders, :, :width] = slots[states]
+        self.coeffs, self.prev_source, self.steps = coeffs, prev, self.steps + states
+        self._reach = next_reach
 
     def integrate(self, w0) -> SimulationResult:
         """Run w0 to t_end: ``initialize_history`` and then blocks of ``step``."""
@@ -501,6 +636,11 @@ def _test(magnitude: np.ndarray, limit: float, first: int, time: Callable[[int],
     p = int(np.argmin(peaks <= limit))
     peak = float(peaks[p])
     raise BlowUpError(time(first + p), first + p, peak if peak < math.inf else math.inf)
+
+
+def _union(box: tuple[int, int], other: tuple[int, int]) -> tuple[int, int]:
+    """The least leading box that holds both boxes."""
+    return max(box[0], other[0]), max(box[1], other[1])
 
 
 def _box(live: np.ndarray) -> tuple[int, int]:

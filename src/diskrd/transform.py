@@ -54,6 +54,7 @@ __all__ = [
     "DiskTransform",
     "build_bases",
     "default_grid",
+    "default_sizes",
     "least_grid",
     "analyze_radial",
     "synthesize_radial",
@@ -283,10 +284,11 @@ def build_bases(
     return find_bases(range(n_max + 1), radius, bc, j_max)
 
 
-def default_grid(bases: tuple[BesselBasis, ...], n_r: int = 0, n_theta: int = 0) -> DiskGrid:
-    """Gauss-Legendre grid for ``bases``; a positive ``n_r`` or ``n_theta``
-    sets that size, 0 picks one so quadrature resolves products of the
-    stored modes: 64 angles or more, but 2 for bases of order 0 only.
+def default_sizes(bases: tuple[BesselBasis, ...], n_r: int = 0, n_theta: int = 0) -> tuple[int, int]:
+    """The (n_r, n_theta) of a Gauss-Legendre grid for ``bases``; a positive
+    ``n_r`` or ``n_theta`` sets that size, 0 picks one so quadrature
+    resolves products of the stored modes: 64 angles or more, but 2 for
+    bases of order 0 only.
 
     The trapezoid rule on N angles is exact below degree N (Trefethen and
     Weideman 2014), and an order-0 state and its births are constant in
@@ -303,7 +305,13 @@ def default_grid(bases: tuple[BesselBasis, ...], n_r: int = 0, n_theta: int = 0)
     least_r, least_theta = least_grid(len(bases) - 1, bases[0].count)
     n_r = n_r or max(least_r, int(np.ceil(0.75 * k_max * radius)) + 8)
     n_theta = n_theta or (least_theta if len(bases) == 1 else max(least_theta, 64))
-    return DiskGrid.gauss_legendre(radius, n_r, n_theta)
+    return n_r, n_theta
+
+
+def default_grid(bases: tuple[BesselBasis, ...], n_r: int = 0, n_theta: int = 0) -> DiskGrid:
+    """Gauss-Legendre grid for ``bases`` of the sizes ``default_sizes``
+    gives."""
+    return DiskGrid.gauss_legendre(bases[0].radius, *default_sizes(bases, n_r, n_theta))
 
 
 class DiskTransform:
@@ -339,10 +347,10 @@ class DiskTransform:
         norms = np.stack([basis.norms for basis in bases])
         # Shaped to scale a packed stack (n_max + 1, 2, K, j_max).
         self._coef_scale = (scale[:, None] / norms)[:, None, None, :]
-        # The disk integral of a mode's square, per packed slot, flattened.
+        # The disk integral of a mode's square, per packed slot.
         squares = np.pi * norms
         squares[0] *= 2.0
-        self._l2_weights = np.repeat(squares, 2, axis=0).ravel()
+        self._l2_weights = np.repeat(squares[:, None], 2, axis=1)
         # Below this coefficient magnitude no weighted square sum overflows.
         self._l2_safe = 0.5 * math.sqrt(np.finfo(float).max) / math.sqrt(self._l2_weights.sum())
         # Row 2n + s is cos(n theta) (s = 0) or sin(n theta) (s = 1); the
@@ -465,8 +473,9 @@ class DiskTransform:
         return out
 
     def weighted_l2(self, coeffs: np.ndarray, bound: float | None = None) -> np.ndarray:
-        """Disk L2 norms of a state-first stack (K, n_max + 1, 2, j_max) of
-        packed coefficients, one per state, from the stored mode norms.
+        """Disk L2 norms of a state-first stack (K, orders, 2, width) of
+        packed coefficients over a leading box, the rest taken as 0, one per
+        state, from the stored mode norms.
 
         ``bound``, if given, is an upper bound on |coeffs| the caller knows.
         While it (or else the stack's largest magnitude) keeps the weighted
@@ -475,23 +484,28 @@ class DiskTransform:
         scaled by their largest magnitude. Either way no overflow is raised
         or warned.
         """
+        weights = self._l2_weights
+        if coeffs.shape[1:] != weights.shape:
+            orders, _, width = coeffs.shape[1:]
+            weights = weights[:orders, :, :width]
+        weights = weights.reshape(-1)
         rows = coeffs.reshape(len(coeffs), -1)
         if bound is None or not bound <= self._l2_safe:
             bound = np.maximum.reduce(np.abs(rows), axis=None)
         if not bound <= self._l2_safe:
-            return np.array([self._row_l2(row) for row in rows])
+            return np.array([self._row_l2(row, weights) for row in rows])
         # A row times a column is one dot each, as np.dot of the two rows.
-        squares = np.matmul((rows * self._l2_weights)[:, None, :], rows[:, :, None])
+        squares = np.matmul((rows * weights)[:, None, :], rows[:, :, None])
         return np.sqrt(squares.reshape(-1))
 
-    def _row_l2(self, row: np.ndarray) -> float:
+    def _row_l2(self, row: np.ndarray, weights: np.ndarray) -> float:
         """``weighted_l2`` of one raveled state, its bound not known."""
         peak = float(np.abs(row).max())
         if not peak <= self._l2_safe:
             if not math.isfinite(peak):
                 return peak
-            return peak * self._row_l2(row / peak)
-        return math.sqrt(np.dot(self._l2_weights * row, row))
+            return peak * self._row_l2(row / peak, weights)
+        return math.sqrt(np.dot(weights * row, row))
 
     def analyze(self, field: DiskField) -> SpectralField:
         if field.grid is not self.grid and not (

@@ -114,6 +114,16 @@ class TestModelSpecValidation:
             make_spec(variant, birth=birth, forcing=2.0)
         assert make_spec(variant, birth=birth).forcing_value(0.0) == 1.0
 
+    @pytest.mark.parametrize(
+        "key, value", [("n_max", 2.5), ("j_max", 4.0), ("n_max", "3"), ("j_max", None)]
+    )
+    def test_truncation_sizes_must_be_integers(self, key, value):
+        # A float size was accepted and the run then died with a TypeError
+        # (n_max) or a slice-index error (j_max) in the integrator.
+        with pytest.raises(ValueError, match=key):
+            make_spec(Variant.MODE_FORCED, **{key: value})
+        assert make_spec(Variant.MODE_FORCED, **{key: np.int64(3)}).bc is not None
+
     @pytest.mark.parametrize("n_max", [1, 16])
     def test_radial_rejects_angular_orders(self, n_max):
         # The radial reduction has no angular part: it is the order-0 model.

@@ -511,6 +511,25 @@ class TestBlockedDriver:
         monkeypatch.setattr(DiskTransform, "synthesize_values", synthesize_each)
 
     @staticmethod
+    def count_grids_and_reaches(monkeypatch, ig):
+        """The states, the history's included, whose births each grid takes,
+        and the box each block marches over."""
+        grids, reaches = Counter(), []
+        births, step = SpectralIntegrator._births, SpectralIntegrator.step
+
+        def counting_births(self, values, transform):
+            grids["run" if transform is self.transform else "births"] += len(values)
+            return births(self, values, transform)
+
+        def recording_step(self, states=1, record=None):
+            reaches.append(self._reach)
+            return step(self, states, record)
+
+        monkeypatch.setattr(SpectralIntegrator, "_births", counting_births)
+        monkeypatch.setattr(SpectralIntegrator, "step", recording_step)
+        return grids, reaches
+
+    @staticmethod
     def persistence_spec(birth):
         """The radial model past its critical patch radius, as the
         ``radial_persistence`` benchmark runs it."""
@@ -529,7 +548,8 @@ class TestBlockedDriver:
         )
 
     @pytest.mark.parametrize(
-        "case, block", [("radial", 101), ("full_zero_flux", 5), ("mode_forced", 40)]
+        "case, block",
+        [("radial", 101), ("full_zero_flux", 5), ("mode_forced", 40), ("full_disk", 5)],
     )
     def test_blocked_equals_chained_bit_for_bit(self, monkeypatch, case, block):
         # Blocks do their bookkeeping (blow-up test, birth law, diagnostics
@@ -539,11 +559,22 @@ class TestBlockedDriver:
         if case == "radial":
             spec = self.persistence_spec(Logistic(1.0, 1.0))
             ig = SpectralIntegrator(spec, SolverConfig(dt=0.01, t_end=2.5, snapshot_every=7))
-            assert ig._chunk < ig.block  # a block takes more than one call of the law
+            # A block takes more than one call of the law (see _births).
+            assert solver._BLOCK_BYTES // 8 // ig._values[0].nbytes < ig.block
+        elif case == "full_disk":
+            # Full-disk sizes and a short lag: the first block marches the
+            # whole basis and takes its births on the run grid, the later
+            # ones march the source box and take them on the births grid.
+            spec = forced_spec(**SOURCE_CASES["full_zero_flux"], n_max=32, j_max=64, delay=0.05)
+            ig = SpectralIntegrator(spec, SolverConfig(dt=0.01, t_end=0.3, snapshot_every=7))
+            grids, reaches = self.count_grids_and_reaches(monkeypatch, ig)
         else:
             ig = self.integrator(case, t_end=5.0, snapshot_every=7)
         assert ig.block == block
         blocked = ig.integrate(drifting_patch)
+        if case == "full_disk":
+            assert reaches[0] == ig._full != ig.source_box == reaches[-1]
+            assert grids["run"] > 0 and grids["births"] > 0
         n_steps = len(blocked.times) - 1
         assert n_steps > 2 * block
         recorder = solver._Recorder(np.arange(n_steps + 1) * ig.dt, ig.grid, ig.config)
@@ -578,7 +609,7 @@ class TestBlockedDriver:
         monkeypatch.setattr(solver._Recorder, "record", counting_record)
         spec = self.persistence_spec(counting_law)
         ig = SpectralIntegrator(spec, SolverConfig(dt=0.01, t_end=2.5))
-        assert (ig.block, ig._chunk) == (101, 51)
+        assert ig.block == 101
         ig.integrate(lambda t, r, th: 0.1 * (1.0 - (r / 3.5) ** 2))
         # The history is one state; blocks of 101, 101 and 48 states follow.
         assert chunks == [1, 51, 50, 51, 50, 48]
@@ -849,14 +880,17 @@ class TestDeadBand:
         assert np.array_equal(ig._decay, np.where(raw < tiny, 0.0, raw))
 
     @staticmethod
-    def record_boxes(monkeypatch, tol):
-        """The ``live`` box of every synthesis, each checked to be the least
-        box outside which each state's coefficients are at most ``tol`` of
-        that state's peak."""
-        boxes = []
+    def record_boxes(monkeypatch, ig):
+        """The ``live`` box of every synthesis on the run grid of ``ig``,
+        each checked to be the least box outside which each state's
+        coefficients are at most ``ig._tol`` of that state's peak. The
+        births grid's syntheses are not counted."""
+        boxes, tol = [], ig._tol
         synthesize = DiskTransform.synthesize_values
 
         def recording(self, coeffs, out=None, live=None):
+            if self is not ig.transform:
+                return synthesize(self, coeffs, out, live)
             boxes.append(live)
             if live is not None:
                 orders, width = live
@@ -874,7 +908,7 @@ class TestDeadBand:
 
     def test_blocks_after_the_first_synthesise_fewer_columns(self, monkeypatch):
         ig = self.integrator()
-        boxes = self.record_boxes(monkeypatch, ig._tol)
+        boxes = self.record_boxes(monkeypatch, ig)
         ig.integrate(patch_w0)
         # The t = 0 state's one synthesis, for its births and row 0, takes
         # every mode; then one per block of the 100 steps.
@@ -888,7 +922,7 @@ class TestDeadBand:
         # second synthesises at most 16 of 33 orders and 8 of 64 indices.
         spec = forced_spec(**{**self.SPEC, "spread": 0.1, "delay": 1.0, "n_max": 32, "j_max": 64})
         ig = SpectralIntegrator(spec, SolverConfig(dt=0.01, t_end=0.5))
-        boxes = self.record_boxes(monkeypatch, ig._tol)
+        boxes = self.record_boxes(monkeypatch, ig)
         ig.integrate(lambda t, r, th: 47.9 + np.sin(3.7 * r * np.cos(th)) * np.cos(2.6 * r * np.sin(th)))
         assert len(boxes) == 1 + math.ceil(50 / ig.block)
         assert all(orders <= 16 and width <= 8 for orders, width in boxes[3:])
@@ -935,6 +969,88 @@ class TestDeadBand:
         _, want = first_blowup()
         assert math.isinf(got.magnitude) and got.step_index == ig.lag_steps + 1
         assert (got.step_index, got.t, got.magnitude) == (want.step_index, want.t, want.magnitude)
+
+
+class TestBirthsGrid:
+    """Births on a grid sized to the source box: the run grid's angles and
+    the radial nodes ``default_grid`` picks for the bases cut to the box."""
+
+    @staticmethod
+    def full_disk(**changes):
+        """The ``full_disk_delayed`` model: fig3's parameters at n_max 32, j_max 64."""
+        spec = forced_spec(
+            **{"variant": Variant.FULL_ZERO_FLUX, "birth": RickerQuadratic(0.25, 0.1)}, n_max=32, j_max=64
+        )
+        return SpectralIntegrator(dataclasses.replace(spec, **changes), SolverConfig(dt=0.01, t_end=0.5))
+
+    @pytest.fixture(scope="class")
+    def grids(self):
+        """The integrator and a 400 x 512 Gauss-Legendre reference transform."""
+        ig = self.full_disk()
+        fine = DiskTransform(DiskGrid.gauss_legendre(1.0, 400, 512), ig.bases)
+        return ig, fine
+
+    def test_sizes(self, grids):
+        ig, _ = grids
+        births = ig._births_transform
+        assert ig.source_box == (21, 7)
+        assert (births.grid.n_r, ig.grid.n_r) == (44, 194)
+        # The same angles: the trapezoid rule aliases as on the run grid.
+        assert births.grid.n_theta == ig.grid.n_theta == 66
+        assert np.array_equal(births.grid.theta_nodes, ig.grid.theta_nodes)
+        assert [b.count for b in births.bases] == [7] * 21
+
+    @staticmethod
+    def births(transform, coeffs, law, damp, angles, box):
+        """Damped births over ``box`` of the packed state ``coeffs`` (on the
+        whole circle, or on the half circle for ``angles`` = half_angles)."""
+        orders, width = box
+        out = np.empty((1, transform.grid.n_r, angles))
+        transform.synthesize_values(coeffs[:orders, :, None, :width], out)
+        return damp * transform.analyze_values(law(out), box)[:, :, 0]
+
+    @pytest.mark.parametrize("law", [Identity(), Logistic(1.0, 1.0), RickerQuadratic(0.25, 0.1)])
+    @pytest.mark.parametrize("amplitude", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("even", [True, False], ids=["half_circle", "whole_circle"])
+    def test_births_as_accurate_as_on_the_run_grid(self, grids, law, amplitude, even):
+        # A state filling the source box about w = 47.8, its deviation at
+        # most ``amplitude``; its births on the births grid, on the run grid
+        # and on the reference grid.
+        ig, fine = grids
+        box = ig.source_box
+        rng = np.random.default_rng(round(10 * amplitude) + 100 * even)
+        coeffs = np.zeros(ig.rates.shape)
+        coeffs[: box[0], :, : box[1]] = rng.uniform(-1.0, 1.0, (box[0], 2, box[1]))
+        coeffs[0, 1] = 0.0
+        if even:
+            coeffs[:, 1] = 0.0
+        coeffs *= amplitude / np.max(np.abs(fine.synthesize_values(coeffs)))
+        coeffs[0, 0, 0] += 47.8
+        damp = damping_factors(ig.bases, ig.spec.survival, ig.spec.spread)[: box[0], :, : box[1]]
+
+        def births_on(transform):
+            angles = transform.grid.half_angles if even else transform.grid.n_theta
+            return self.births(transform, coeffs, law, damp, angles, box)
+
+        want = births_on(fine)
+        run_error = np.max(np.abs(births_on(ig.transform) - want))
+        births_error = np.max(np.abs(births_on(ig._births_transform) - want))
+        scale = np.max(np.abs(law(fine.synthesize_values(coeffs))))
+        assert births_error <= max(1.5 * run_error, 1e-14 * scale)
+
+    def test_only_where_it_halves_the_radial_nodes(self):
+        # radial_persistence's source box needs 88 radial nodes against the
+        # run grid's 159; the small boxes of the other test models need more
+        # than half of their run grids' too.
+        radial = TestBlockedDriver.persistence_spec(Logistic(1.0, 1.0))
+        ig = SpectralIntegrator(radial, SolverConfig(dt=0.01, t_end=2.5))
+        assert ig._scan and ig.source_box == (1, 34) and ig.grid.n_r == 159
+        assert ig._births_transform is None
+        for case in ("full_zero_flux", "full_dirichlet", "radial"):
+            assert TestBlockedDriver.integrator(case)._births_transform is None
+        # No births grid where the source box is the whole basis or no law applies.
+        for changes in (dict(spread=0.0), dict(variant=Variant.MODE_FORCED, birth=None)):
+            assert self.full_disk(**changes)._births_transform is None
 
 
 def perfbench_workloads():
@@ -1258,6 +1374,103 @@ class TestNonlinearDelayConvergence:
         changes = np.array([np.max(np.abs(a - b)) for a, b in zip(finals, finals[1:])])
         orders = np.log2(changes[:-1] / changes[1:])
         assert np.all((orders >= 1.9) & (orders <= 2.1)), (changes, orders)
+
+
+class TestManufacturedDelaySolution:
+    """An exact oracle over time for the nonlinear delayed model.
+
+    Any smooth coefficient trajectory c_e(t) in the source box solves the
+    model with the added source s = c_e' + Lambda c_e - D o A[b(S c_e(t -
+    tau))], cut to the source box (Roache 2002; Salari and Knupp 2000): S and
+    A are the run's synthesis and analysis and D the births' damping. Run
+    from the history c_e(t), t <= 0, the scheme's error at t = 3 is its own,
+    and falls by 4 as dt halves. The check covers the step weights, the
+    births ring and its lag, the block partition, the reflection rule and,
+    at full-disk sizes, the confined march and the births grid; the same
+    transform builds s, so it does not check the spatial operator.
+    """
+
+    # (order, slot, index, amplitude) of the modes that carry sin 2t.
+    WAVES = [(0, 0, 1, 0.3), (2, 0, 1, 0.2), (1, 0, 2, 0.1)]
+
+    @staticmethod
+    def spec(**changes):
+        """A slow diffusion keeps every mode of the box non-stiff at these dt."""
+        model = dict(diffusion=0.02, mortality=0.3, survival=0.9, spread=0.1)
+        return forced_spec(birth=RickerQuadratic(2.0, 0.5), **model, **changes)
+
+    class Manufactured(SpectralIntegrator):
+        """The integrator with ``extra(t)`` added to its source at time t."""
+
+        def source(self, ahead=0):
+            return super().source(ahead) + self.extra((self.steps + ahead) * self.dt)
+
+    @classmethod
+    def trajectory(cls, shape, waves):
+        """c_e(t) and c_e'(t): a flat 3 with a drift of 0.1 t, and sin 2t on ``waves``."""
+
+        def c_e(t, derivative=False):
+            c = np.zeros(shape)
+            c[0, 0, 0] = 0.1 if derivative else 3.0 + 0.1 * t
+            for n, slot, j, amplitude in waves:
+                c[n, slot, j] = amplitude * (2.0 * np.cos(2.0 * t) if derivative else np.sin(2.0 * t))
+            return c
+
+        return c_e
+
+    @classmethod
+    def error(cls, spec, dt, waves):
+        ig = cls.Manufactured(spec, SolverConfig(dt=dt, t_end=3.0))
+        c_e = cls.trajectory(ig.rates.shape, waves)
+        orders, width = ig.source_box
+        damp = damping_factors(ig.bases, spec.survival, spec.spread)[:orders, :, :width]
+        tr = ig.transform
+
+        def extra(t):
+            births = damp * tr.analyze_values(spec.birth(tr.synthesize_values(c_e(t - spec.delay))))[
+                :orders, :, :width
+            ]
+            return (c_e(t, derivative=True) + ig.rates * c_e(t))[:orders, :, :width] - births
+
+        ig.extra = extra
+        result = ig.integrate(lambda t, r, th: tr.synthesize_values(c_e(t)))
+        return ig, np.max(np.abs(result.final_state.coeffs - c_e(result.times[-1])))
+
+    @pytest.mark.parametrize(
+        "variant, bc, odd",
+        [
+            (Variant.FULL_ZERO_FLUX, ZERO_FLUX, False),
+            (Variant.FULL_ZERO_FLUX, ZERO_FLUX, True),
+            (Variant.FULL_DIRICHLET, DIRICHLET, False),
+        ],
+        ids=["zero_flux_half_circle", "zero_flux_whole_circle", "dirichlet_half_circle"],
+    )
+    def test_second_order_in_dt(self, variant, bc, odd):
+        # Errors 3.3e-4, 7.8e-5, 1.9e-5 and 4.6e-6 on the zero-flux half
+        # circle. An order-1 sine mode makes the run odd: it marches the
+        # whole circle.
+        spec = self.spec(variant=variant, bc=bc, n_max=3, j_max=4)
+        waves = self.WAVES + [(1, 1, 0, 0.2)] * odd
+        runs = [self.error(spec, dt, waves) for dt in (0.04, 0.02, 0.01, 0.005)]
+        ig, errors = runs[0][0], np.array([error for _, error in runs])
+        assert (ig.grid.half_angles if not odd else ig.grid.n_theta) == ig._values.shape[-1]
+        orders = np.log2(errors[:-1] / errors[1:])
+        assert np.all(np.abs(orders - 2.0) <= 0.1), (errors, orders)
+
+    def test_second_order_at_full_disk_sizes(self):
+        # c_e lies in the 21 x 7 source box of the n_max 32, j_max 64 basis.
+        # Once the analysis' rounding outside that box has been dropped
+        # (t ~ 1), the blocks march the box and take their births on the
+        # births grid, which the states from t ~ 2 on read. Errors 3.3e-4,
+        # 7.8e-5, 1.9e-5 and 4.6e-6.
+        spec = self.spec(variant=Variant.FULL_ZERO_FLUX, n_max=32, j_max=64)
+        waves = self.WAVES + [(20, 0, 6, 0.01)]
+        runs = [self.error(spec, dt, waves) for dt in (0.04, 0.02, 0.01, 0.005)]
+        ig, errors = runs[-1][0], np.array([error for _, error in runs])
+        assert ig.source_box == (21, 7) and ig._births_transform is not None
+        assert ig._reach == ig.source_box
+        orders = np.log2(errors[:-1] / errors[1:])
+        assert np.all(np.abs(orders - 2.0) <= 0.1), (errors, orders)
 
 
 class TestLongHorizonDelayOracle:
