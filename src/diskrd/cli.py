@@ -26,7 +26,7 @@ import numpy as np
 from .bessel import BoundaryCondition, bessel_j, find_eigenvalues
 from .model import Identity, Logistic, ModelSpec, RickerQuadratic, Variant, homogeneous_equilibria
 from .solver import BlowUpError, SolverConfig, SpectralIntegrator, reference_fd
-from .transform import build_bases, field_csv_prefixes, least_grid, write_field_csv
+from .transform import build_bases, field_csv_prefixes, write_field_csv
 
 __all__ = ["run", "dump_eigen_table", "main", "parse_config", "PRESETS"]
 
@@ -355,22 +355,10 @@ def run(config_path=None, preset: str | None = None, out_dir=None) -> int:
         w0 = _build_w0(resolved, spec)
 
         if scheme == "etd_ab2":
-            n_r = _to_int(resolved, "n_r")
-            n_theta = _to_int(resolved, "n_theta")
-            least_r, least_theta = least_grid(spec.n_max, spec.j_max)
-            if n_theta and n_theta < least_theta:
-                raise ConfigError(
-                    f"config key n_theta: {n_theta} cannot resolve order {spec.n_max}; "
-                    f"need 0 (auto) or at least {least_theta}"
-                )
-            if n_r and n_r < least_r:
-                raise ConfigError(
-                    f"config key n_r: {n_r} too small for {spec.j_max} radial modes; "
-                    f"need 0 (auto) or at least {least_r}"
-                )
+            n_r, n_theta = _to_int(resolved, "n_r"), _to_int(resolved, "n_theta")
             try:
                 integrator = SpectralIntegrator(spec, config, n_r, n_theta)
-            except ValueError as exc:  # the step count after dt is rounded to the delay
+            except ValueError as exc:  # the grid sizes, and the step count after dt is rounded
                 raise ConfigError(f"invalid config: {exc}") from None
             overrides = {
                 "n_r": str(integrator.grid.n_r),

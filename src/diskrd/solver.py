@@ -21,7 +21,9 @@ synthesised. dt is rounded down so the delay is an integer number of steps
 and the lagged births are a lookup, never an interpolation. The next
 lag + 1 states read only births already in the ring, so they are marched
 as one block (the method of steps), with one batched synthesis and one
-batched analysis of their births.
+batched analysis of their births. At lag 0 a state's births are the next
+state's source: a block synthesises each state and analyses its births as
+it advances it, one state a call, and does the rest once (see ``step``).
 
 Every coefficient array is packed (see ``transform``): one array
 (n_max + 1, 2, j_max) per state, cosine and sine slots side by side. The
@@ -32,7 +34,9 @@ blow-up test and one synthesis; one call of the diagnostics recorder with
 the block's rows and its AB2 changes (one subtraction), so a diagnostic
 past the float range is stored as inf with a warning; and the birth law on
 chunks of the block's grid samples (as many states as fit an eighth of
-``_BLOCK_BYTES``) and one analysis.
+``_BLOCK_BYTES``), which it overwrites, and one analysis. At lag 0 the law
+runs on each state's samples as the state is advanced, and its own result
+is analysed, so the samples stay for the recorder.
 
 Blow-up is one test, ``not max|c| <= limit`` over a state's coefficients,
 with limit = min(blowup_threshold, float max / packed size). It runs on
@@ -43,8 +47,8 @@ no synthesis overflows, as |J_n|, |cos| and |sin| are at most 1. Everything
 but the recorder runs with overflow and invalid operations ignored: IEEE
 754 inf and NaN carry through every later sum, so births that overflow
 stay in the ring as inf or NaN and fail the test at the state they enter.
-A block that fails commits nothing: no diagnostics row, no births and no
-change to the run.
+A block that fails commits nothing: no diagnostics row, no births (a lag-0
+block's reach the ring only once it passes) and no change to the run.
 
 An analysis of samples of magnitude at most max|v| rounds each coefficient
 by at most its rounding floor, (n_r + n_theta) eps gain_nj max|v|, with
@@ -78,7 +82,8 @@ coefficients against survival * max|b|, which bounds the damped births'
 field; every mode for the undamped forced birth. The static mode, the phi1
 weights and the queued births are kept over it, and outside it a mode only
 decays. Where it is the whole basis no block scans, and none of what
-follows applies.
+follows applies. A lag-0 run that scans (``full_*`` without delay where the
+damping underflows) marches one state a block: its drop precedes its births.
 
 Elsewhere a run marches only the live spectrum. Each state, the t = 0 one
 included, stores as exact 0 every entry outside the source box that is
@@ -262,10 +267,12 @@ class SpectralIntegrator:
     the next lag + 1 states read are already queued, so a block advances its
     coefficients one state at a time and then tests them for blow-up,
     synthesises them, records their diagnostics rows and analyses their
-    births in one call each. ``block`` is min(lag + 1, cap) where a birth
-    law applies (lag_steps for the maturation variants, 0 for the forced
-    birth), and the cap where none does (``mode_forced``, whose source is
-    known for all t).
+    births in one call each; at lag 0 (the forced birth, and the maturation
+    variants without delay) over the whole basis, each state is synthesised
+    and its births taken as it is advanced, for the next state's source.
+    ``block`` is the cap, a byte budget, where no birth law applies
+    (``mode_forced``, whose source is known for all t) or its births are
+    taken so, and else min(lag + 1, cap): 1 for a lag-0 run that scans.
 
     ``source_box`` is the (orders, width) box the source is kept in (see the
     module docstring); ``source`` and the queued births cover it only.
@@ -317,6 +324,8 @@ class SpectralIntegrator:
             self._birth_damp = damping_factors(self.bases, spec.survival, spec.spread)
         self._even_forcing = forcing_live is None or not forcing_live[:, 1].any()
         self._set_source_box(forcing_live)
+        # Lag-0 births over the whole basis, taken in the state loop (``step``).
+        self._inline = self._birth is not None and not (self._birth_lag or self._scan)
         self._set_births_grid()
         self._samples = np.empty(0)
         self._march_on(self.grid.n_theta)
@@ -335,10 +344,10 @@ class SpectralIntegrator:
         the half circle."""
         state_bytes = self.grid.n_r * angles * 8
         cap = max(1, _BLOCK_BYTES // (2 * state_bytes))
-        self.block = cap if self._birth is None else min(self._birth_lag + 1, cap)
+        self.block = cap if self._birth is None or self._inline else min(self._birth_lag + 1, cap)
         # Grid samples of one block on the run grid and, after them, on the
-        # births grid, reused: the birth law overwrites them. One buffer,
-        # grown on demand, serves both circles.
+        # births grid, reused: the birth law overwrites them (but for lag-0
+        # births, see ``step``). One buffer, grown on demand, serves both circles.
         births_grid = self._births_transform and self._births_transform.grid
         run = self.block * self.grid.n_r * angles
         size = run + (births_grid.n_r * angles * self.block if births_grid else 0)
@@ -480,24 +489,27 @@ class SpectralIntegrator:
 
         ``values`` are the states' grid samples (K, n_r, n_theta) on the
         grid of ``transform``, which the birth law overwrites, as many
-        states per call as fit an eighth of ``_BLOCK_BYTES``. They are
-        analysed over the source box only. Births that overflow are
-        returned as inf or NaN: they fail the blow-up test at the state they
-        enter.
+        states per call as fit an eighth of ``_BLOCK_BYTES``. Births that
+        overflow are returned as inf or NaN: they fail the blow-up test at
+        the state they enter.
         """
-        birth, damp = self._birth, self._birth_damp
-        if birth is None:
+        if self._birth is None:
             return []
         chunk = max(1, _BLOCK_BYTES // 8 // (values.nbytes // len(values)))
         with np.errstate(over="ignore", invalid="ignore"):
             for lo in range(0, len(values), chunk):
                 part = values[lo : lo + chunk]
-                part[...] = birth(part)
-            births = transform.analyze_values(values, self.source_box)
-            if damp is not None:
-                births *= damp
-                _flush(births)
-        return list(births.transpose(2, 0, 1, 3))
+                part[...] = self._birth(part)
+            return list(self._analyse_births(values, transform).transpose(2, 0, 1, 3))
+
+    def _analyse_births(self, samples: np.ndarray, transform: DiskTransform) -> np.ndarray:
+        """The packed stack of births of the birth law's ``samples`` on the
+        grid of ``transform``: analysed over the source box, then damped."""
+        births = transform.analyze_values(samples, self.source_box)
+        if self._birth_damp is not None:
+            births *= self._birth_damp
+            _flush(births)
+        return births
 
     def _time(self, step: int) -> float:
         return step * self.dt
@@ -519,15 +531,17 @@ class SpectralIntegrator:
 
         State m is step ``steps + 1 + m``. The states are advanced in order
         over the leading box ``reach`` (see the module docstring: the whole
-        basis where no block scans), outside which every state is 0, and
-        then take the blow-up test together; a block that fails it raises
-        at its first failing state and leaves the run as it was. Otherwise,
-        where ``reach`` passes the source box, they take their drop; they
-        are synthesised on the run grid in one call and passed to
+        basis where no block scans), outside which every state is 0; at lag
+        0 without a scan each is synthesised and its births queued for
+        ``source(m + 1)`` as it is advanced. They then take the blow-up test
+        together; a block that fails it raises at its first failing state
+        and leaves the run, its ring too, as it was. Otherwise, where
+        ``reach`` passes the source box, they take their drop; any not yet
+        synthesised are, on the run grid in one call; they are passed to
         ``record(first, values, rates)`` as one block of diagnostics rows;
-        their births are taken on the births grid for the states that lie
-        in the source box and on the run grid for the rest; and the run
-        takes them.
+        births not yet taken are taken on the births grid for the states
+        that lie in the source box and on the run grid for the rest; and the
+        run takes them.
         """
         if not 1 <= states <= self.block:
             raise ValueError(f"states must lie in [1, {self.block}]")
@@ -542,18 +556,28 @@ class SpectralIntegrator:
             # A contiguous operand keeps the per-state update on numpy's fast loop.
             head, decay = head[:orders, :, :width], np.ascontiguousarray(decay[:orders, :, :width])
         slots[0] = head
-        prev, new = self.prev_source, slots[1:]
+        prev, new, ring = self.prev_source, slots[1:], self.births
+        if self._inline:  # source(m + 1) reads the births of state m
+            self.births = list(ring)
         with np.errstate(over="ignore", invalid="ignore"):
-            for m in range(states):
-                src = self.source(m)
-                stage = src if prev is None else 1.5 * src - 0.5 * prev
-                state = slots[m + 1]
-                np.multiply(decay, slots[m], state)
-                box = state[cut]  # outside the source box a mode only decays
-                box += phi * stage
-                prev = src
-            magnitude = np.abs(new)
-            _test(magnitude, self._limit, first, self._time)
+            try:
+                for m in range(states):
+                    src = self.source(m)
+                    stage = src if prev is None else 1.5 * src - 0.5 * prev
+                    state = slots[m + 1]
+                    np.multiply(decay, slots[m], state)
+                    box = state[cut]  # outside the source box a mode only decays
+                    box += phi * stage
+                    prev = src
+                    if self._inline:  # its births; the law leaves its samples to the recorder
+                        values = self._values[m : m + 1]
+                        self.transform.synthesize_values(state[:, :, None], values)
+                        born = self._analyse_births(self._birth(values), self.transform)
+                        self.births.append(born[:, :, 0])
+                magnitude = np.abs(new)
+                _test(magnitude, self._limit, first, self._time)
+            finally:  # the ring takes a lag-0 block's births once the block passes
+                births, self.births = self.births[len(ring) :] if self._inline else [], ring
             outside, live, next_reach = 0, None, reach
             if not confined:
                 # A state that keeps an entry outside the source box follows
@@ -566,8 +590,9 @@ class SpectralIntegrator:
                 new[magnitude < _TINY] = 0.0
                 peaks = magnitude.max(axis=(1, 2, 3), keepdims=True)
                 live = _box(magnitude > self._tol * peaks)
-            stack = new.transpose(1, 2, 0, 3)
-            values = self.transform.synthesize_values(stack, self._values[:states], live)
+            values = self._values[:states]
+            if not self._inline:
+                self.transform.synthesize_values(new.transpose(1, 2, 0, 3), values, live)
         if record is not None:
             # A state's rate is summed over the source box where the state
             # before it lies in that box, else over the whole packed layout.
@@ -584,10 +609,9 @@ class SpectralIntegrator:
                     rates.append(self.transform.weighted_l2(change[(np.s_[wide:],) + cut], bound))
                 rates = np.concatenate(rates)
             record(first, values, rates / self.dt)
-        # The leading states whose births take the run grid.
+        # The leading states whose births take the run grid, if not taken yet.
         on_run = states if self._births_transform is None else outside
-        births = []
-        if on_run:
+        if on_run and not self._inline:
             births = self._births(values if on_run == states else values[:on_run], self.transform)
         if on_run < states:
             inner = new[(np.s_[on_run:],) + cut].transpose(1, 2, 0, 3)
@@ -692,8 +716,8 @@ class _Recorder:
         whole = values.shape[-1] == self.grid.n_theta
         if whole:
             np.add.reduce(sums, axis=1, out=rows[2])
-        else:
-            np.matmul(sums, self._fold, out=rows[2])
+        else:  # one dot a row, as in ``weighted_l2``: the same bits in any block
+            np.matmul(sums[:, None, :], self._fold[:, None], out=rows[2, :, None, None])
         rows[3] = rates
         times, tol, every = self.rows[0], self.config.convergence_tol, self.config.snapshot_every
         for i, rate in enumerate(rates.tolist(), first):

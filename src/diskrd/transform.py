@@ -297,7 +297,8 @@ def default_sizes(bases: tuple[BesselBasis, ...], n_r: int = 0, n_theta: int = 0
     under theta -> theta + pi, as in the CLI's ``trig_patch``.
     """
     if n_r < 0 or n_theta < 0:
-        raise ValueError("grid sizes must be 0 (auto) or positive")
+        key, size = ("n_r", n_r) if n_r < 0 else ("n_theta", n_theta)
+        raise ValueError(f"{key}={size}: grid sizes must be 0 (auto) or positive")
     radius = bases[0].radius
     k_max = max(float(basis.eigenvalues[-1]) for basis in bases)
     # Gauss-Legendre needs roughly 0.7 nodes per unit of k R to integrate
@@ -333,7 +334,7 @@ class DiskTransform:
                 f"need at least {least_theta}"
             )
         if grid.n_r < least_r:
-            raise ValueError(f"n_r={grid.n_r} too small for {j_max} radial modes")
+            raise ValueError(f"n_r={grid.n_r} is below {least_r}, too few for {j_max} radial modes")
 
         self.grid = grid
         self.bases = bases
@@ -433,10 +434,9 @@ class DiskTransform:
         np.matmul(trig, values.reshape(k * n_r, -1).T, out=moments)
         moments = moments.reshape(orders, slots * k, n_r)
         moments *= self._weights
-        coeffs = np.matmul(moments, table).reshape(orders, slots, k, width)
-        coeffs *= scale
-        if not whole:
-            coeffs = np.concatenate([coeffs, np.zeros_like(coeffs)], axis=1)
+        coeffs = (np.empty if whole else np.zeros)((orders, 2, k, width))
+        np.matmul(moments, table, out=coeffs.reshape(orders, 2 * k, width)[:, : slots * k])
+        coeffs[:, :slots] *= scale
         return coeffs if values.ndim == 3 else coeffs.reshape(orders, 2, width)
 
     def synthesize_values(

@@ -330,7 +330,8 @@ class TestRun:
         cfg = write_config(tmp_path, text)
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: config key {key}: ") and "Traceback" not in err
+        # The transform's own check, which names the key and its value.
+        assert err.startswith(f"error: invalid config: {key}=") and "Traceback" not in err
 
     def test_unbounded_reference_fd_exits_2_at_once(self, tmp_path, capsys):
         # The explicit FD step shrinks as 1 / diffusion: ~1e301 Euler steps here.

@@ -279,6 +279,11 @@ def drifting_patch(t, r, th):
     return (1.0 + 0.5 * t) * patch_w0(t, r, th) + 0.05 * r * np.sin(th)
 
 
+def drifting_even(t, r, th):
+    """The even part of ``drifting_patch``: a run of it marches the half circle."""
+    return (1.0 + 0.5 * t) * patch_w0(t, r, th)
+
+
 SOURCE_CASES = {
     "mode_forced": dict(variant=Variant.MODE_FORCED, forcing=lambda t: 1.0 + 0.5 * t),
     "mode_forced_birth": dict(
@@ -337,7 +342,7 @@ class TestCoefficientSource:
     def test_transforms_per_step(self, monkeypatch, case, analyses):
         # Steps run on raw coefficient arrays: no SpectralField is built.
         ig = self.integrator(case)
-        assert ig.block > 1 or case == "mode_forced_birth"
+        assert ig.block > 1
         ig.initialize_history(patch_w0)
         counts = {"analyze": 0, "synthesize": 0, "radial_table": 0, "spectral_field": 0}
 
@@ -357,11 +362,13 @@ class TestCoefficientSource:
             monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
         for s in range(1, 6):
             ig.step()
-        # A whole block costs what one state does: one stacked call each.
+        # A whole block costs what one state does: one stacked call each;
+        # a lag-0 block, whose births the next state reads, one call a state.
         ig.step(ig.block)
+        calls = 5 + (ig.block if case == "mode_forced_birth" else 1)
         assert counts == {
-            "analyze": 6 * analyses,
-            "synthesize": 6,
+            "analyze": calls * analyses,
+            "synthesize": calls,
             "radial_table": 0,
             "spectral_field": 0,
         }
@@ -456,12 +463,10 @@ class TestBlockedDriver:
     @pytest.mark.parametrize("case", sorted(SOURCE_CASES))
     def test_integrate_matches_single_steps(self, case):
         ig = self.integrator(case, snapshot_every=3)
-        if case == "mode_forced_birth":  # the birth law reads the head state
-            assert ig.block == 1
-        elif case in ("full_zero_flux", "full_dirichlet", "radial"):
+        if case in ("full_zero_flux", "full_dirichlet", "radial"):
             assert ig.block == ig.lag_steps + 1
-        else:  # forced: the source is known, the cap alone applies
-            assert ig.block > ig.lag_steps + 1
+        else:  # the source is known, or reads the head's births: the cap alone applies
+            assert ig.block == solver._BLOCK_BYTES // (2 * ig._values[0].nbytes) > ig.lag_steps + 1
         rows, samples, coeffs = self.chain(self.integrator(case), drifting_patch)
         result = ig.integrate(drifting_patch)
         columns = (
@@ -547,38 +552,63 @@ class TestBlockedDriver:
             spread=0.05,
         )
 
+    BLOCKED = [
+        ("radial", 101, drifting_patch),
+        ("full_zero_flux", 5, drifting_patch),
+        ("full_zero_flux", 5, drifting_even),
+        ("mode_forced", 40, drifting_patch),
+        ("mode_forced", 79, drifting_even),
+        ("full_disk", 5, drifting_patch),
+        ("mode_forced_birth", 40, drifting_patch),
+        ("mode_forced_birth", 79, drifting_even),
+        ("delay_0", 40, drifting_patch),
+        ("delay_0", 79, drifting_even),
+        ("delay_0_full_disk", 1, drifting_even),
+    ]
+
     @pytest.mark.parametrize(
-        "case, block",
-        [("radial", 101), ("full_zero_flux", 5), ("mode_forced", 40), ("full_disk", 5)],
+        "case, block, w0",
+        BLOCKED,
+        ids=[f"{case}-{block}" + "-even" * (w0 is drifting_even) for case, block, w0 in BLOCKED],
     )
-    def test_blocked_equals_chained_bit_for_bit(self, monkeypatch, case, block):
+    def test_blocked_equals_chained_bit_for_bit(self, monkeypatch, case, block, w0):
         # Blocks do their bookkeeping (blow-up test, birth law, diagnostics
         # rows, rates) once per block or chunk; one state at a time must
-        # give the same bits.
-        self.one_state_transforms(monkeypatch)
+        # give the same bits, on the whole circle and on the half circle.
+        grids = None
         if case == "radial":
             spec = self.persistence_spec(Logistic(1.0, 1.0))
             ig = SpectralIntegrator(spec, SolverConfig(dt=0.01, t_end=2.5, snapshot_every=7))
             # A block takes more than one call of the law (see _births).
             assert solver._BLOCK_BYTES // 8 // ig._values[0].nbytes < ig.block
-        elif case == "full_disk":
-            # Full-disk sizes and a short lag: the first block marches the
-            # whole basis and takes its births on the run grid, the later
-            # ones march the source box and take them on the births grid.
-            spec = forced_spec(**SOURCE_CASES["full_zero_flux"], n_max=32, j_max=64, delay=0.05)
+        elif case in ("full_disk", "delay_0_full_disk"):
+            # Full-disk sizes: the first block marches the whole basis and
+            # takes its births on the run grid, the later ones march the
+            # source box and take them on the births grid. At delay 0 the
+            # drop comes before the births, so a block is one state.
+            delay = 0.05 if case == "full_disk" else 0.0
+            spec = forced_spec(**SOURCE_CASES["full_zero_flux"], n_max=32, j_max=64, delay=delay)
             ig = SpectralIntegrator(spec, SolverConfig(dt=0.01, t_end=0.3, snapshot_every=7))
             grids, reaches = self.count_grids_and_reaches(monkeypatch, ig)
+        elif case == "delay_0":  # every birth mode kept: the block takes the cap
+            spec = forced_spec(**SOURCE_CASES["full_zero_flux"], delay=0.0, spread=0.0)
+            ig = SpectralIntegrator(spec, SolverConfig(dt=0.05, t_end=10.0, snapshot_every=7))
         else:
-            ig = self.integrator(case, t_end=5.0, snapshot_every=7)
+            ig = self.integrator(case, t_end=10.0, snapshot_every=7)
+        # Births read from the head are taken one state at a time, so their
+        # transforms are a chain's already.
+        if not ig._inline:
+            self.one_state_transforms(monkeypatch)
+        assert ig._inline == (case in ("mode_forced_birth", "delay_0"))
+        blocked = ig.integrate(w0)
         assert ig.block == block
-        blocked = ig.integrate(drifting_patch)
-        if case == "full_disk":
+        if grids is not None:
             assert reaches[0] == ig._full != ig.source_box == reaches[-1]
             assert grids["run"] > 0 and grids["births"] > 0
         n_steps = len(blocked.times) - 1
         assert n_steps > 2 * block
         recorder = solver._Recorder(np.arange(n_steps + 1) * ig.dt, ig.grid, ig.config)
-        ig.initialize_history(drifting_patch, recorder.record)
+        ig.initialize_history(w0, recorder.record)
         while ig.steps < n_steps:
             ig.step(1, recorder.record)
         chained = recorder.result(SpectralField(ig.bases, ig.coeffs), ig.spec, ig.dt)
@@ -662,6 +692,13 @@ class TestBlockedDriver:
             ),
             math.inf,
         ),
+        # The forced birth reads the head's births (lag 0): a block takes
+        # each state's births in turn.
+        "forced_birth_threshold": (dict(variant=Variant.MODE_FORCED_BIRTH), 20.0),
+        "forced_birth_law_overflow": (
+            dict(variant=Variant.MODE_FORCED_BIRTH, birth=np.exp),
+            math.inf,
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(BLOWUPS))
@@ -686,7 +723,7 @@ class TestBlockedDriver:
         assert blocked.step_index == single.step_index
         assert blocked.t == single.t and blocked.magnitude == single.magnitude
         assert (blocked.step_index - 1) % ig.block != 0  # raised mid-block
-        assert math.isinf(blocked.magnitude) == (case != "coefficient_threshold")
+        assert ig.block > 1 and math.isinf(blocked.magnitude) == math.isinf(threshold)
 
     def test_forced_birth_overflow_is_reported_at_its_state(self):
         # The forced birth's births enter the source of the next state (lag
@@ -704,6 +741,10 @@ class TestBlockedDriver:
         "birth_law_overflow": (dict(birth=np.exp), math.inf),
         # Finite births, past w = 1.5, whose analysis overflows.
         "births_analysis_overflow": (dict(birth=lambda w: np.where(w > 1.5, 1e308, w)), math.inf),
+        # Lag 0: the births that overflow are those of a state of the block
+        # that fails, so the ring keeps none of them.
+        "forced_birth_threshold": BLOWUPS["forced_birth_threshold"],
+        "forced_birth_law_overflow": BLOWUPS["forced_birth_law_overflow"],
     }
 
     @pytest.mark.parametrize("case", sorted(CAUSES))
@@ -1126,7 +1167,7 @@ class TestReflectionRule:
             variant=Variant.FULL_ZERO_FLUX, birth=RickerQuadratic(0.25, 0.1), delay=0.2
         )
         ig = SpectralIntegrator(spec, SolverConfig(dt=0.05, t_end=1.0))
-        ig.initialize_history(lambda t, r, th: (1.0 + 0.5 * t) * patch_w0(t, r, th))
+        ig.initialize_history(drifting_even)
         assert len(ig.births) == 5 and not np.array_equal(ig.births[0], ig.births[-1])
         assert sine_slots_are_zero(ig)
         for _ in range(4):
@@ -1141,11 +1182,7 @@ class TestReflectionRule:
         config = SolverConfig(dt=0.05, t_end=2.0, snapshot_every=8)
         ig = SpectralIntegrator(spec, config)
         odd = odd_perturbation(ig, drifting_patch, size=1e-3)
-
-        def even(t, r, th):
-            return (1.0 + 0.5 * t) * patch_w0(t, r, th)
-
-        for w0 in (odd, even, odd):
+        for w0 in (odd, drifting_even, odd):
             got, want = ig.integrate(w0), SpectralIntegrator(spec, config).integrate(w0)
             for attr in ("times", "max_density", "min_density", "total_population", "dwdt_norm"):
                 assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
@@ -1406,31 +1443,37 @@ class TestManufacturedDelaySolution:
             return super().source(ahead) + self.extra((self.steps + ahead) * self.dt)
 
     @classmethod
-    def trajectory(cls, shape, waves):
-        """c_e(t) and c_e'(t): a flat 3 with a drift of 0.1 t, and sin 2t on ``waves``."""
+    def trajectory(cls, shape, waves, phase=0.0):
+        """c_e(t) and c_e'(t): a flat 3 with a drift of 0.1 t, and sin(2t +
+        phase) on ``waves``."""
 
         def c_e(t, derivative=False):
             c = np.zeros(shape)
             c[0, 0, 0] = 0.1 if derivative else 3.0 + 0.1 * t
+            x = 2.0 * t + phase
             for n, slot, j, amplitude in waves:
-                c[n, slot, j] = amplitude * (2.0 * np.cos(2.0 * t) if derivative else np.sin(2.0 * t))
+                c[n, slot, j] = amplitude * (2.0 * np.cos(x) if derivative else np.sin(x))
             return c
 
         return c_e
 
     @classmethod
-    def error(cls, spec, dt, waves):
+    def error(cls, spec, dt, waves, phase=0.0):
         ig = cls.Manufactured(spec, SolverConfig(dt=dt, t_end=3.0))
-        c_e = cls.trajectory(ig.rates.shape, waves)
+        c_e = cls.trajectory(ig.rates.shape, waves, phase)
         orders, width = ig.source_box
         damp = damping_factors(ig.bases, spec.survival, spec.spread)[:orders, :, :width]
-        tr = ig.transform
+        lag, tr = spec.delay, ig.transform
+        forced = spec.variant is Variant.MODE_FORCED_BIRTH
+        if forced:  # the head's own births, undamped, and f(t - delay) times the static mode
+            lag, damp = 0.0, 1.0
 
         def extra(t):
-            births = damp * tr.analyze_values(spec.birth(tr.synthesize_values(c_e(t - spec.delay))))[
+            births = damp * tr.analyze_values(spec.birth(tr.synthesize_values(c_e(t - lag))))[
                 :orders, :, :width
             ]
-            return (c_e(t, derivative=True) + ig.rates * c_e(t))[:orders, :, :width] - births
+            s = (c_e(t, derivative=True) + ig.rates * c_e(t))[:orders, :, :width] - births
+            return s - spec.forcing_value(t) * ig._static if forced else s
 
         ig.extra = extra
         result = ig.integrate(lambda t, r, th: tr.synthesize_values(c_e(t)))
@@ -1442,18 +1485,34 @@ class TestManufacturedDelaySolution:
             (Variant.FULL_ZERO_FLUX, ZERO_FLUX, False),
             (Variant.FULL_ZERO_FLUX, ZERO_FLUX, True),
             (Variant.FULL_DIRICHLET, DIRICHLET, False),
+            (Variant.MODE_FORCED_BIRTH, ZERO_FLUX, False),
+            (Variant.MODE_FORCED_BIRTH, ZERO_FLUX, True),
         ],
-        ids=["zero_flux_half_circle", "zero_flux_whole_circle", "dirichlet_half_circle"],
+        ids=[
+            "zero_flux_half_circle",
+            "zero_flux_whole_circle",
+            "dirichlet_half_circle",
+            "forced_birth_half_circle",
+            "forced_birth_whole_circle",
+        ],
     )
     def test_second_order_in_dt(self, variant, bc, odd):
         # Errors 3.3e-4, 7.8e-5, 1.9e-5 and 4.6e-6 on the zero-flux half
         # circle. An order-1 sine mode makes the run odd: it marches the
-        # whole circle.
-        spec = self.spec(variant=variant, bc=bc, n_max=3, j_max=4)
+        # whole circle. The forced birth reads the head's births (lag 0)
+        # over the whole basis, so its blocks take the cap and each state's
+        # births in turn; its forcing varies, so each state's source must be
+        # taken at its own time. Its only history state is the t = 0 one, so
+        # its waves start off their zero (phase 1), to make that state odd.
+        # Errors 3.8e-4, 9.8e-5, 2.5e-5 and 6.3e-6 on its half circle.
+        forced = variant is Variant.MODE_FORCED_BIRTH
+        forcing = lambda t: 1.0 + 0.5 * np.sin(t)  # noqa: E731
+        spec = self.spec(variant=variant, bc=bc, n_max=3, j_max=4, forcing=forcing)
         waves = self.WAVES + [(1, 1, 0, 0.2)] * odd
-        runs = [self.error(spec, dt, waves) for dt in (0.04, 0.02, 0.01, 0.005)]
+        runs = [self.error(spec, dt, waves, phase=1.0 * forced) for dt in (0.04, 0.02, 0.01, 0.005)]
         ig, errors = runs[0][0], np.array([error for _, error in runs])
         assert (ig.grid.half_angles if not odd else ig.grid.n_theta) == ig._values.shape[-1]
+        assert ig._inline == forced and ig.block > 1
         orders = np.log2(errors[:-1] / errors[1:])
         assert np.all(np.abs(orders - 2.0) <= 0.1), (errors, orders)
 
