@@ -303,6 +303,16 @@ def _format(value: float) -> str:
     return format(value, ".17g")
 
 
+def _write_diagnostics(result, path) -> None:
+    """The diagnostics rows as CSV, each value as ``_format`` writes it."""
+    columns = (result.times, result.max_density, result.min_density)
+    columns += (result.total_population, result.dwdt_norm)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("t,max,min,total_population,dwdt_norm\n")
+        for t, high, low, total, rate in zip(*(column.tolist() for column in columns)):
+            fh.write(f"{t:.17g},{high:.17g},{low:.17g},{total:.17g},{rate:.17g}\n")
+
+
 def _write_effective_config(resolved: dict[str, str], spec, overrides: dict[str, str], path) -> None:
     effective = dict(resolved)
     effective["bc"] = spec.bc.label()
@@ -381,14 +391,7 @@ def run(config_path=None, preset: str | None = None, out_dir=None) -> int:
                 raise
             _write_effective_config(resolved, spec, {}, out / "effective_config")
 
-        with open(out / "diagnostics.csv", "w", encoding="utf-8") as fh:
-            fh.write("t,max,min,total_population,dwdt_norm\n")
-            for i in range(result.times.size):
-                fh.write(
-                    f"{_format(result.times[i])},{_format(result.max_density[i])},"
-                    f"{_format(result.min_density[i])},{_format(result.total_population[i])},"
-                    f"{_format(result.dwdt_norm[i])}\n"
-                )
+        _write_diagnostics(result, out / "diagnostics.csv")
         prefixes = field_csv_prefixes(result.grid)
         for t, snapshot in result.snapshots:
             write_field_csv(snapshot, out / f"snapshot_{t:.15g}.csv", prefixes)

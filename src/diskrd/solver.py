@@ -79,11 +79,12 @@ from its entries above the rounding floor (orders 0 .. 1 for the forcing
 mode, which lives in order 1); the lagged births' (``full_*``, and
 ``radial`` at n_max = 0) from the bound damp_nj * gain_nj * max|b| on their
 coefficients against survival * max|b|, which bounds the damped births'
-field; every mode for the undamped forced birth. The static mode, the phi1
-weights and the queued births are kept over it, and outside it a mode only
-decays. Where it is the whole basis no block scans, and none of what
-follows applies. A lag-0 run that scans (``full_*`` without delay where the
-damping underflows) marches one state a block: its drop precedes its births.
+field; every mode for the undamped forced birth. The phi1 weights and the
+queued births are kept over it, the static mode over its own live box (exact
+0 elsewhere), and outside the source box a mode only decays. Where it is the
+whole basis no block scans, and the next two paragraphs do not apply. A
+lag-0 run that scans (``full_*`` without delay where the damping underflows)
+marches one state a block: its drop precedes its births.
 
 Elsewhere a run marches only the live spectrum. Each state, the t = 0 one
 included, stores as exact 0 every entry outside the source box that is
@@ -116,6 +117,12 @@ scale (``dwdt_norm``; 6e-16 for the rest). The damped births, the decay
 factors and, where a block scans, its stepped coefficients are stored as 0
 below the smallest normal float, so no subnormal operand slows an
 operation.
+
+A lag-0 run that does not scan cuts its births' analysis at the rounding
+floor (``DiskTransform.analyze_values``). In an order its AB2 stage did not
+feed a state only decays: there an entry is stored as exact 0 once it is
+subnormal or at or below tol times the state's peak, state by state, and the
+state is synthesised over the leading orders that hold a nonzero entry.
 
 A deliberately simple finite-difference integrator on the cell-centered
 polar mesh ``DiskGrid.cell_centered`` (forward Euler, conservative
@@ -324,8 +331,10 @@ class SpectralIntegrator:
             self._birth_damp = damping_factors(self.bases, spec.survival, spec.spread)
         self._even_forcing = forcing_live is None or not forcing_live[:, 1].any()
         self._set_source_box(forcing_live)
-        # Lag-0 births over the whole basis, taken in the state loop (``step``).
+        # Lag-0 births over the whole basis, taken in the state loop (``step``)
+        # and cut at the rounding floor (``analyze_values``).
         self._inline = self._birth is not None and not (self._birth_lag or self._scan)
+        self._births_box = (None, self.source_box[1]) if self._inline else self.source_box
         self._set_births_grid()
         self._samples = np.empty(0)
         self._march_on(self.grid.n_theta)
@@ -385,7 +394,9 @@ class SpectralIntegrator:
         self._scan = self.source_box != full
         self._cut = np.s_[:orders, :, :width]
         self._phi_box = self._phi[self._cut].copy()
-        if self._forcing is not None:
+        if self._forcing is not None:  # over its own live box; the rest is rounding
+            own_orders, own_width = _box(forcing_live)
+            self._forcing[own_orders:], self._forcing[..., own_width:] = 0.0, 0.0
             self._forcing = self._forcing[self._cut].copy()
         if self._birth_damp is not None:
             self._birth_damp = self._birth_damp[:orders, :, None, :width].copy()
@@ -430,6 +441,17 @@ class SpectralIntegrator:
         dropped[:, :orders, :, :width] = False
         stack[dropped] = 0.0
         return kept
+
+    def _hold(self, state: np.ndarray, stage: np.ndarray, held: int) -> int:
+        """The leading orders of a lag-0 ``state`` that hold a nonzero entry once it
+        takes its drop, given its AB2 ``stage`` and ``held``, the last state's."""
+        fed = _orders(stage)
+        if held <= fed:
+            return fed
+        tail = state[fed:held]
+        peak = np.maximum.reduce(np.abs(state), axis=None)
+        tail[np.abs(tail) <= max(self._tol * peak, _SUBNORMAL)] = 0.0
+        return fed + _orders(tail)
 
     def initialize_history(
         self, w0: Callable[[float, np.ndarray, np.ndarray], np.ndarray], record: _Record | None = None
@@ -480,7 +502,8 @@ class SpectralIntegrator:
         if self._scan:  # the t = 0 state takes the stepped states' drop
             reach = _union(self.source_box, _box(self._drop(coeffs[None], np.abs(coeffs)[None])))
         self.coeffs, self.births, self.steps, self.prev_source = coeffs, births, 0, None
-        self._reach = reach
+        # The leading orders the head holds, which a lag-0 block starts from.
+        self._reach, self._held = reach, _orders(coeffs)
 
     def _births(self, values: np.ndarray, transform: DiskTransform) -> list:
         """Packed birth coefficients, one per state, that each adds to the
@@ -505,7 +528,7 @@ class SpectralIntegrator:
     def _analyse_births(self, samples: np.ndarray, transform: DiskTransform) -> np.ndarray:
         """The packed stack of births of the birth law's ``samples`` on the
         grid of ``transform``: analysed over the source box, then damped."""
-        births = transform.analyze_values(samples, self.source_box)
+        births = transform.analyze_values(samples, self._births_box)
         if self._birth_damp is not None:
             births *= self._birth_damp
             _flush(births)
@@ -532,7 +555,8 @@ class SpectralIntegrator:
         State m is step ``steps + 1 + m``. The states are advanced in order
         over the leading box ``reach`` (see the module docstring: the whole
         basis where no block scans), outside which every state is 0; at lag
-        0 without a scan each is synthesised and its births queued for
+        0 without a scan each takes its drop, is synthesised over its live
+        orders and has its births, cut at the rounding floor, queued for
         ``source(m + 1)`` as it is advanced. They then take the blow-up test
         together; a block that fails it raises at its first failing state
         and leaves the run, its ring too, as it was. Otherwise, where
@@ -556,22 +580,28 @@ class SpectralIntegrator:
             # A contiguous operand keeps the per-state update on numpy's fast loop.
             head, decay = head[:orders, :, :width], np.ascontiguousarray(decay[:orders, :, :width])
         slots[0] = head
-        prev, new, ring = self.prev_source, slots[1:], self.births
+        prev, new, ring, held = self.prev_source, slots[1:], self.births, self._held
         if self._inline:  # source(m + 1) reads the births of state m
             self.births = list(ring)
+        ab2, term = np.empty((2,) + phi.shape)  # the stage and its phi1 term, reused
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 for m in range(states):
                     src = self.source(m)
-                    stage = src if prev is None else 1.5 * src - 0.5 * prev
+                    stage = src
+                    if prev is not None:
+                        stage = np.multiply(src, 1.5, out=ab2)
+                        stage -= np.multiply(prev, 0.5, out=term)
                     state = slots[m + 1]
                     np.multiply(decay, slots[m], state)
-                    box = state[cut]  # outside the source box a mode only decays
-                    box += phi * stage
+                    # Outside the source box a mode only decays.
+                    box = state if confined else state[cut]
+                    box += np.multiply(phi, stage, out=term)
                     prev = src
-                    if self._inline:  # its births; the law leaves its samples to the recorder
+                    if self._inline:  # its live orders; the recorder reads the law's samples
+                        held = self._hold(state, stage, held)
                         values = self._values[m : m + 1]
-                        self.transform.synthesize_values(state[:, :, None], values)
+                        self.transform.synthesize_values(state, values, (held, width))
                         born = self._analyse_births(self._birth(values), self.transform)
                         self.births.append(born[:, :, 0])
                 magnitude = np.abs(new)
@@ -624,7 +654,7 @@ class SpectralIntegrator:
             coeffs = np.zeros(self.rates.shape)
             coeffs[:orders, :, :width] = slots[states]
         self.coeffs, self.prev_source, self.steps = coeffs, prev, self.steps + states
-        self._reach = next_reach
+        self._reach, self._held = next_reach, held
 
     def integrate(self, w0) -> SimulationResult:
         """Run w0 to t_end: ``initialize_history`` and then blocks of ``step``."""
@@ -665,6 +695,14 @@ def _test(magnitude: np.ndarray, limit: float, first: int, time: Callable[[int],
 def _union(box: tuple[int, int], other: tuple[int, int]) -> tuple[int, int]:
     """The least leading box that holds both boxes."""
     return max(box[0], other[0]), max(box[1], other[1])
+
+
+def _orders(coeffs: np.ndarray) -> int:
+    """The leading orders of a packed array (orders, 2, width) that hold
+    every nonzero entry, NaN included."""
+    nonzero = coeffs.reshape(-1) != 0.0
+    last = nonzero.size - 1 - int(nonzero[::-1].argmax())
+    return last // (nonzero.size // len(coeffs)) + 1 if nonzero[last] else 0
 
 
 def _box(live: np.ndarray) -> tuple[int, int]:

@@ -362,6 +362,12 @@ class DiskTransform:
         # scaled by the fold weights for the analysis.
         self._cos_half = np.ascontiguousarray(self._trig[0::2, : grid.half_angles])
         self._cos_fold = self._cos_half * grid.fold_weights()
+        # Per order and slot, sum_t |cos n theta_t| or |sin n theta_t|; and
+        # per order and slot (of 1 or 2), a cut analysis' floor per unit B_0.
+        self._angular_sums = np.abs(self._trig).sum(axis=1).reshape(n_max + 1, 2, 1)
+        floors = (grid.n_r + grid.n_theta) * np.finfo(float).eps / grid.n_theta * self._angular_sums
+        self._floors = {slots: floors[:, :slots].ravel().tolist() for slots in (1, 2)}
+        self._weight_sizes = np.abs(self._weights)
         self._scratch = np.empty(0)
         self._shape = (grid.n_r, grid.n_theta)
 
@@ -403,11 +409,11 @@ class DiskTransform:
         """Packed bound (n_max + 1, 2, j_max) on |analysis coefficient| per unit
         of max |values|: |J_n| <= 1 leaves the scale, the radial weights' sum
         sum w r (= R^2 / 2) and the slot's sum of |cos n theta| or |sin n theta|."""
-        n1 = len(self.bases)
-        angular = np.abs(self._trig).sum(axis=1).reshape(n1, 2, 1)
-        return self._coef_scale[:, :, 0] * np.abs(self._weights).sum() * angular
+        return self._coef_scale[:, :, 0] * np.abs(self._weights).sum() * self._angular_sums
 
-    def analyze_values(self, values: np.ndarray, live: tuple[int, int] | None = None) -> np.ndarray:
+    def analyze_values(
+        self, values: np.ndarray, live: tuple[int | None, int] | None = None
+    ) -> np.ndarray:
         """Packed coefficients (n_max + 1, 2, j_max) of grid samples shaped
         (n_r, n_theta), or the packed stack (n_max + 1, 2, K, j_max) of K
         of them shaped (K, n_r, n_theta).
@@ -422,21 +428,39 @@ class DiskTransform:
         0 .. width - 1, and the result is shaped (orders, 2, [K,] width). The
         angular stage multiplies by the first orders rows per slot of the
         angular table, the radial stage by that box of the J_n table.
+
+        ``orders`` None keeps the orders up to the last one that this bound
+        does not place below the rounding floor (n_r + n_theta) eps gain_nj
+        max|values| (see ``analysis_gain``); those past it are exact 0 and
+        skip the radial stage. As |J_n| <= 1, B_n = sum_i |w_i M_ni| over the
+        angular moments M bounds |c_nj| / scale_nj, and B_0 <= n_theta
+        (sum_i |w_i|) max|values|, so a slot of a state lies below the floor
+        where B_n < (n_r + n_theta) eps (sum_t |trig|) B_0 / n_theta; with an
+        inf or NaN sample none does.
         """
         n1, j_max, n_r = self._j_table.shape
         orders, width = live or (n1, j_max)
+        trim = orders is None
+        orders = n1 if trim else orders
         whole = values.shape[-1] == self._shape[1]
         trig, slots = (self._trig, 2) if whole else (self._cos_fold, 1)
-        trig, table = trig[: slots * orders], self._j_columns[:orders, :, :width]
-        scale = self._coef_scale[:orders, :slots, :, :width]
         k = values.size // (n_r * values.shape[-1])
         moments = self._work(slots * orders * k * n_r).reshape(slots * orders, k * n_r)
-        np.matmul(trig, values.reshape(k * n_r, -1).T, out=moments)
+        np.matmul(trig[: slots * orders], values.reshape(k * n_r, -1).T, out=moments)
         moments = moments.reshape(orders, slots * k, n_r)
+        kept = orders
+        if trim:  # up to the last order with a bound, per slot and state, not below its floor
+            bounds = np.dot(np.abs(moments), self._weight_sizes).ravel().tolist()
+            floors, kept = self._floors[slots], len(bounds)
+            while kept and bounds[kept - 1] < floors[(kept - 1) // k] * bounds[(kept - 1) % k]:
+                kept -= 1
+            kept = -(-kept // (slots * k))
+        moments = moments[:kept]
         moments *= self._weights
-        coeffs = (np.empty if whole else np.zeros)((orders, 2, k, width))
-        np.matmul(moments, table, out=coeffs.reshape(orders, 2 * k, width)[:, : slots * k])
-        coeffs[:, :slots] *= scale
+        coeffs = (np.empty if whole and not trim else np.zeros)((orders, 2, k, width))
+        radial = coeffs.reshape(orders, 2 * k, width)[:kept, : slots * k]
+        np.matmul(moments, self._j_columns[:kept, :, :width], out=radial)
+        coeffs[:kept, :slots] *= self._coef_scale[:kept, :slots, :, :width]
         return coeffs if values.ndim == 3 else coeffs.reshape(orders, 2, width)
 
     def synthesize_values(

@@ -3,9 +3,11 @@
 Everything here is deliberately written from scratch (truncated power
 series, hand-rolled bisection, adaptive quadrature of the integrand) or
 taken from 30-digit mpmath, so the expected values never flow through the
-code paths under test. The one exception, ``scalar_eigenvalues``, reuses
-the package's Bessel evaluator on purpose: it checks the lock-step search
-against a one-bracket-at-a-time search, not the evaluator.
+code paths under test. Two exceptions reuse package code on purpose:
+``scalar_eigenvalues`` the Bessel evaluator, as it checks the lock-step
+search against a one-bracket-at-a-time search, not the evaluator; and
+``whole_basis_lag0_march`` the transform and the step weights, as it checks
+which orders the integrator transforms, not the transform or the weights.
 """
 
 from __future__ import annotations
@@ -295,3 +297,47 @@ def two_term_l2(bases, a: np.ndarray, b: np.ndarray) -> float:
     total = 2.0 * np.pi * np.dot(norms[0], a[0] ** 2)
     total += np.pi * np.sum(norms[1:] * (a[1:] ** 2 + b**2))
     return float(np.sqrt(total))
+
+
+def whole_basis_lag0_march(spec, transform, dt: float, w0, steps: int):
+    """A plain lag-0 march of ``spec`` on ``transform``'s whole circle: the
+    rows (t, max, min, population, rate) of ``steps`` steps and the final
+    packed coefficients.
+
+    Every state is synthesised and its births analysed over every order,
+    and the static mode is the forcing mode analysed over the whole basis.
+    The source of the state at t is f(t - delay) * static + births(t): the
+    forced birth's undamped, the delay-0 maturation variants' damped by
+    survival * exp(-k^2 spread). The step is the integrator's AB2 under the
+    phi1 factor (Euler at the first step), with its phi1 weights and its
+    decay factors, subnormals stored as 0; the rate is the L2 norm of the
+    change from the mode norms (``two_term_l2``) over dt.
+    """
+    from diskrd.kernel import damping_factors
+    from diskrd.model import Variant, linear_rates
+    from diskrd.solver import _phi1
+
+    grid, bases = transform.grid, transform.bases
+    rates = linear_rates(spec, bases)
+    decay = np.exp(-rates * dt)
+    decay[decay < np.finfo(float).tiny] = 0.0
+    phi = _phi1(rates, dt)
+    forced = spec.variant is Variant.MODE_FORCED_BIRTH
+    static = transform.analyze_values(spec.forcing_profile(grid)) if forced else 0.0
+    damp = 1.0 if forced else damping_factors(bases, spec.survival, spec.spread)
+    r, th = grid.mesh()
+    coeffs = transform.analyze_values(np.asarray(w0(0.0, r, th), dtype=float) + np.zeros_like(r))
+    values = transform.synthesize_values(coeffs)
+    rows = [(0.0, values.max(), values.min(), grid.integrate(values), 0.0)]
+    prev = None
+    for i in range(steps):
+        births = damp * transform.analyze_values(spec.birth(values))
+        src = spec.forcing_value(i * dt) * static + births
+        stage = src if prev is None else 1.5 * src - 0.5 * prev
+        new = decay * coeffs + phi * stage
+        change = new - coeffs
+        coeffs, prev = new, src
+        values = transform.synthesize_values(coeffs)
+        rate = two_term_l2(bases, change[:, 0], change[1:, 1]) / dt
+        rows.append(((i + 1) * dt, values.max(), values.min(), grid.integrate(values), rate))
+    return np.array(rows).T, coeffs

@@ -135,6 +135,23 @@ class TestEstablishmentRun:
             f"(closest relative gap {min(gaps):.2e})",
         )
 
+    def test_terminal_state_is_pinned(self, establishment_run):
+        # The terminal diagnostics of the march that transformed every order
+        # of every state; the live orders move them by rounding only.
+        result, _, _ = establishment_run
+        pinned = {
+            "max": (result.max_density[-1], 75.41988862531667),
+            "min": (result.min_density[-1], 75.4189197082936),
+            "population": (result.total_population[-1], 236.93704606853703),
+        }
+        gaps = {key: abs(got - want) / want for key, (got, want) in pinned.items()}
+        ok = max(gaps.values()) <= 1e-12 and abs(result.converged_at - 247.49) <= 1.5 * result.dt
+        report(
+            "establishment pin",
+            ok,
+            f"relative gaps {gaps}, converged at t={result.converged_at} (pinned 247.49)",
+        )
+
 
 class TestLinearModeOracle:
     def test_ten_random_modes_decay_exactly(self):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -459,6 +460,28 @@ class TestRunSetupAndFiles:
         with open(out / "snapshot_0.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2 * n_r and {float(row["theta"]) for row in rows} == {0.0, np.pi}
+
+    def test_diagnostics_rows_are_each_value_formatted_as_17g(self, tmp_path):
+        # Each row is one f-string over the columns' Python floats; it must
+        # write what format(x, ".17g") of each numpy scalar writes.
+        rows = np.array(
+            [
+                [0.0, np.inf, -0.0, 5e-324, 0.0],
+                [0.01, -np.inf, 1e-310, 75.41988862531667, 4.533855149634315e-11],
+                [0.02, 2.2250738585072014e-308, -1e300, np.nan, 236.93704606853703],
+            ]
+        )
+        times, high, low, total, rate = rows.T
+        result = SimpleNamespace(
+            times=times, max_density=high, min_density=low, total_population=total, dwdt_norm=rate
+        )
+        path = tmp_path / "diagnostics.csv"
+        cli._write_diagnostics(result, path)
+        expected = "t,max,min,total_population,dwdt_norm\n" + "".join(
+            ",".join(format(value, ".17g") for value in row) + "\n" for row in rows
+        )
+        assert path.read_text() == expected
+        assert "-0," in expected and "4.9406564584124654e-324," in expected
 
     def test_one_snapshot_file_per_time(self, tmp_path, monkeypatch):
         # Snapshot times a millisecond apart near t = 1000 (dt = 0.001 run

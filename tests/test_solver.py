@@ -25,7 +25,7 @@ from diskrd.solver import (
     resolve_time_step,
 )
 
-from oracles import bessel_zero
+from oracles import bessel_zero, whole_basis_lag0_march
 
 ZERO_FLUX = BoundaryCondition.zero_flux()
 DIRICHLET = BoundaryCondition.dirichlet()
@@ -564,6 +564,7 @@ class TestBlockedDriver:
         ("delay_0", 40, drifting_patch),
         ("delay_0", 79, drifting_even),
         ("delay_0_full_disk", 1, drifting_even),
+        ("establishment", 19, drifting_even),
     ]
 
     @pytest.mark.parametrize(
@@ -575,7 +576,7 @@ class TestBlockedDriver:
         # Blocks do their bookkeeping (blow-up test, birth law, diagnostics
         # rows, rates) once per block or chunk; one state at a time must
         # give the same bits, on the whole circle and on the half circle.
-        grids = None
+        grids = boxes = None
         if case == "radial":
             spec = self.persistence_spec(Logistic(1.0, 1.0))
             ig = SpectralIntegrator(spec, SolverConfig(dt=0.01, t_end=2.5, snapshot_every=7))
@@ -593,15 +594,21 @@ class TestBlockedDriver:
         elif case == "delay_0":  # every birth mode kept: the block takes the cap
             spec = forced_spec(**SOURCE_CASES["full_zero_flux"], delay=0.0, spread=0.0)
             ig = SpectralIntegrator(spec, SolverConfig(dt=0.05, t_end=10.0, snapshot_every=7))
+        elif case == "establishment":  # the preset's size: its states' orders shrink in a block
+            spec = forced_spec(**SOURCE_CASES["mode_forced_birth"], n_max=16, j_max=32)
+            ig = SpectralIntegrator(spec, SolverConfig(dt=0.01, t_end=1.0, snapshot_every=7))
+            boxes = TestLag0LiveOrders.record_boxes(monkeypatch)
         else:
             ig = self.integrator(case, t_end=10.0, snapshot_every=7)
         # Births read from the head are taken one state at a time, so their
         # transforms are a chain's already.
         if not ig._inline:
             self.one_state_transforms(monkeypatch)
-        assert ig._inline == (case in ("mode_forced_birth", "delay_0"))
+        assert ig._inline == (case in ("mode_forced_birth", "delay_0", "establishment"))
         blocked = ig.integrate(w0)
         assert ig.block == block
+        if boxes is not None:
+            assert boxes[0] > boxes[block - 1]
         if grids is not None:
             assert reaches[0] == ig._full != ig.source_box == reaches[-1]
             assert grids["run"] > 0 and grids["births"] > 0
@@ -1530,6 +1537,97 @@ class TestManufacturedDelaySolution:
         assert ig._reach == ig.source_box
         orders = np.log2(errors[:-1] / errors[1:])
         assert np.all(np.abs(orders - 2.0) <= 0.1), (errors, orders)
+
+
+class TestLag0LiveOrders:
+    """A lag-0 run without a scan synthesises each state over the leading
+    orders that hold a nonzero entry, and analyses its births over the
+    orders up to the last one above their rounding floor; the static mode is
+    kept over its own live box. The run agrees with a plain march of every
+    order (``whole_basis_lag0_march``) within 1e-13 of each diagnostics
+    column's scale and of the peak coefficient."""
+
+    @staticmethod
+    def assert_agrees(ig, w0):
+        result = ig.integrate(w0)
+        steps = len(result.times) - 1
+        rows, coeffs = whole_basis_lag0_march(ig.spec, ig.transform, ig.dt, w0, steps)
+        columns = (
+            result.times,
+            result.max_density,
+            result.min_density,
+            result.total_population,
+            result.dwdt_norm,
+        )
+        for name, got, want in zip(("t", "max", "min", "population", "rate"), columns, rows):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
+        got = result.final_state.coeffs
+        assert np.max(np.abs(got - coeffs)) <= 1e-13 * np.max(np.abs(coeffs))
+        return steps
+
+    @staticmethod
+    def record_boxes(monkeypatch):
+        """The orders of each lag-0 state's synthesis, each checked to hold
+        every nonzero entry of its state."""
+        boxes, synthesize = [], DiskTransform.synthesize_values
+
+        def recording(self, coeffs, out=None, live=None):
+            if live is not None and coeffs.ndim == 3:
+                boxes.append(live[0])
+                assert not coeffs[live[0] :].any()
+            return synthesize(self, coeffs, out, live)
+
+        monkeypatch.setattr(DiskTransform, "synthesize_values", recording)
+        return boxes
+
+    @pytest.mark.parametrize("odd", [False, True], ids=["half_circle", "whole_circle"])
+    def test_establishment_matches_the_whole_basis_march(self, tmp_path, odd):
+        workload = perfbench_workloads()["establishment"]
+        text = workload.config_text(7).replace("t_end = 60.0", "t_end = 20.0")
+        ig, w0 = cli_run(tmp_path, text)
+        if odd:
+            w0 = odd_perturbation(ig, w0)
+        assert ig._inline and self.assert_agrees(ig, w0) == 2000
+        assert ig._values.shape[-1] == (ig.grid.n_theta if odd else ig.grid.half_angles)
+        assert ig.block == (10 if odd else 19)
+        # The forcing mode lives in orders 0 .. 1, the births in 0 .. 3 by now.
+        assert not ig._static[2:].any() and ig._held <= 4
+        assert not any(births[4:].any() for births in ig.births)
+
+    def test_delay_0_matches_the_whole_basis_march(self):
+        spec = forced_spec(**SOURCE_CASES["full_zero_flux"], delay=0.0, spread=0.0)
+        ig = SpectralIntegrator(spec, SolverConfig(dt=0.05, t_end=10.0))
+        assert ig._inline and ig._static is None
+        assert self.assert_agrees(ig, drifting_patch) == 200
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_births_keep_every_order(self, bad):
+        spec = forced_spec(**SOURCE_CASES["mode_forced_birth"])
+        ig = SpectralIntegrator(spec, SolverConfig(dt=0.05, t_end=1.0))
+        ig.initialize_history(patch_w0)
+        samples = np.full_like(ig._values[:1], 0.5)
+        samples[0, 3, 1] = bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            births = ig._analyse_births(samples, ig.transform)[:, :, 0]
+        assert (~np.isfinite(births[:, 0])).any(axis=1).all()
+
+    def test_orders_that_come_alive(self, monkeypatch):
+        # cos 6 theta in the history: its births live in orders 0, 6 and 12,
+        # and then in the orders their products with the forcing mode's
+        # order 1 reach. Each state's box must cover them as they come alive.
+        spec = forced_spec(**SOURCE_CASES["mode_forced_birth"], n_max=16, j_max=32)
+        ig = SpectralIntegrator(spec, SolverConfig(dt=0.01, t_end=20.0))
+        k = ig.bases[6].eigenvalues[0]
+
+        def w0(t, r, th):
+            return 0.2 + 0.1 * jv(6, k * r) * np.cos(6 * th)
+
+        boxes = self.record_boxes(monkeypatch)
+        self.assert_agrees(ig, w0)
+        assert len(boxes) == 2000
+        assert boxes[0] >= 13  # the t = 0 state's births reach order 12
+        assert any(later > earlier for earlier, later in zip(boxes, boxes[1:]))
+        assert max(boxes[-100:]) <= 5
 
 
 class TestLongHorizonDelayOracle:

@@ -689,6 +689,62 @@ class TestWidth:
             assert np.max(coeffs[n, s] / gain[n, s]) > 0.05
 
 
+class TestTrimmedAnalysis:
+    """``live = (None, width)`` analyses every order but returns those past
+    the last one above the rounding floor as exact 0: the moment bound
+    sum_i |w_i M_ni| certifies that each cut coefficient lies below its
+    rounding floor, (n_r + n_theta) eps times its ``analysis_gain``."""
+
+    TR = TestWidth.TRANSFORMS[3]
+
+    @staticmethod
+    def samples(tr, rng, k, orders, half):
+        """Smooth samples in the first ``orders`` orders, plus 1e-18 of them
+        in every order; on the half circle, or on the whole one with sine
+        parts."""
+        r, th = tr.grid.mesh()
+        fields = []
+        for _ in range(max(k, 1)):
+            field = rng.uniform(0.5, 1.0) + 0.0 * r
+            for n in range(1, tr.n_max + 1):
+                size = rng.uniform(0.1, 0.3) if n < orders else 1e-18
+                field = field + size * jv(n, 3.0 * r) * (np.cos(n * th) + (not half) * np.sin(n * th))
+            fields.append(field[:, : tr.grid.half_angles] if half else field)
+        return np.stack(fields) if k else fields[0]
+
+    @pytest.mark.parametrize("half", [False, True], ids=["whole_circle", "half_circle"])
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    @pytest.mark.parametrize("orders", [1, 2, 4])
+    def test_cut_orders_lie_below_their_rounding_floor(self, half, k, orders):
+        tr, rng = self.TR, np.random.default_rng(10 * k + orders)
+        values = self.samples(tr, rng, k, orders, half)
+        full = tr.analyze_values(values)
+        trimmed = tr.analyze_values(values, (None, tr.j_max))
+        assert trimmed.shape == full.shape
+        kept = max(orders, 1)
+        assert not trimmed[kept:].any()  # the 1e-18 orders are rounding here
+        assert np.array_equal(trimmed[:kept], full[:kept])
+        peaks = np.abs(values).reshape(max(k, 1), -1).max(axis=1)
+        gain = (tr.grid.n_r + tr.grid.n_theta) * EPS * tr.analysis_gain()
+        floor = gain[..., None, :] * peaks[:, None] if k else gain * peaks[0]
+        assert np.all(np.abs(full[kept:]) <= floor[kept:])
+
+    @pytest.mark.parametrize("half", [False, True], ids=["whole_circle", "half_circle"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_samples_keep_every_order(self, half, bad):
+        # A comparison with NaN is false: no order may be cut by one.
+        tr = self.TR
+        values = self.samples(tr, np.random.default_rng(3), 3, 1, half)
+        values[1, 4, 2] = bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            trimmed = tr.analyze_values(values, (None, tr.j_max))
+        slots = 1 if half else 2
+        per_order = ~np.isfinite(trimmed[:, :slots, 1]).reshape(tr.n_max + 1, -1)
+        assert per_order.any(axis=1).all()
+        # The finite states of the stack keep their own orders' coefficients.
+        assert np.isfinite(trimmed[:, :, 0]).all() and np.isfinite(trimmed[:, :, 2]).all()
+
+
 class TestCSV:
     @staticmethod
     def per_point_dump(field, path):
